@@ -16,7 +16,6 @@ from .closed_form import (
 )
 from .finite_n import (
     MomentReport,
-    QFactors,
     Sketch,
     f_q,
     f_q_abc,
@@ -58,7 +57,6 @@ __all__ = [
     "MomentReport",
     "Optimum",
     "ProblemInstance",
-    "QFactors",
     "SearchConfig",
     "Sketch",
     "__version__",

@@ -6,7 +6,8 @@ output file, so runs can be reproduced and validated byte-for-byte (the
 manifest itself carries the only timestamp).
 
 Exit codes: 0 success, 2 validation/parse error, 3 size cap exceeded,
-4 verification failure.
+4 verification failure or numerical self-check failure (a moment with an
+imaginary residue or a negative variance beyond rounding).
 """
 
 from __future__ import annotations
@@ -15,16 +16,19 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, closed_form, finite_n, model, optimizer, simulator, verify
-from .errors import CapExceededError, ValidationError
+from .errors import (
+    CapExceededError,
+    ImaginaryResidueError,
+    NegativeVarianceError,
+    ValidationError,
+)
 
 __all__ = ["main"]
 
@@ -37,6 +41,8 @@ def _parse_grid(text: str, what: str) -> np.ndarray:
         raise ValidationError(f"--{what} expects min:max:count, got {text!r}")
     if count < 1:
         raise ValidationError(f"--{what} needs count >= 1, got {count}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValidationError(f"--{what} needs finite bounds, got {text!r}")
     return np.linspace(lo, hi, count)
 
 
@@ -83,14 +89,18 @@ def _specs_from_args(args) -> list[tuple[str, model.MixtureSpec]]:
     return [(f"pure{d}", optimizer.pure_d_spec(d)) for d in _parse_d_range(args.pure_d)]
 
 
-def _thread_count(args) -> int:
-    env = os.environ.get("MSQAOA_THREADS")
-    if env is not None:
+def _parse_mode(text: str) -> tuple:
+    """('infinite',), ('finite', n) or ('instance', n, seed)."""
+    parts = text.split(":")
+    arity = {"infinite": 1, "finite": 2, "instance": 3}
+    if arity.get(parts[0]) == len(parts):
         try:
-            return max(1, int(env))
+            return (parts[0], *(int(p) for p in parts[1:]))
         except ValueError:
-            raise ValidationError(f"MSQAOA_THREADS must be an integer, got {env!r}")
-    return max(1, getattr(args, "threads", 1) or 1)
+            pass
+    raise ValidationError(
+        f"--mode must be infinite, finite:N or instance:N:SEED, got {text!r}"
+    )
 
 
 class _Outputs:
@@ -151,51 +161,39 @@ def _infinite_grid(spec, betas, gammas) -> np.ndarray:
     return out
 
 
-def _finite_grid(spec, betas, gammas, n, budget, threads) -> np.ndarray:
-    def row(b: float) -> list[float]:
-        return [
-            finite_n.sketch_moments(
-                spec, closed_form.Angles(float(b), float(g)), n, budget=budget
+def _finite_grid(spec, betas, gammas, n) -> np.ndarray:
+    out = np.empty((len(betas), len(gammas)))
+    for bi, b in enumerate(betas):
+        for gi, g in enumerate(gammas):
+            out[bi, gi] = finite_n.sketch_moments(
+                spec, closed_form.Angles(float(b), float(g)), n
             ).first
-            for g in gammas
-        ]
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(row, betas))
-    else:
-        rows = [row(b) for b in betas]
-    return np.array(rows)
+    return out
 
 
 def cmd_landscape(args) -> int:
     specs = _specs_from_args(args)
     betas = _parse_grid(args.beta, "beta")
     gammas = _parse_grid(args.gamma, "gamma")
-    threads = _thread_count(args)
+    modes = [_parse_mode(mode) for mode in args.mode]
     outputs = _Outputs(args.out)
     seeds = []
     try:
         for label, spec in specs:
-            for mode in args.mode:
-                parts = mode.split(":")
-                if parts[0] == "infinite" and len(parts) == 1:
+            for kind, *ints in modes:
+                if kind == "infinite":
                     values = _infinite_grid(spec, betas, gammas)
                     name = f"landscape_{label}_infinite.csv"
-                elif parts[0] == "finite" and len(parts) == 2:
-                    n = int(parts[1])
-                    values = _finite_grid(spec, betas, gammas, n, args.budget, threads)
+                elif kind == "finite":
+                    [n] = ints
+                    values = _finite_grid(spec, betas, gammas, n)
                     name = f"landscape_{label}_finite_n{n}.csv"
-                elif parts[0] == "instance" and len(parts) == 3:
-                    n, seed = int(parts[1]), int(parts[2])
+                else:
+                    n, seed = ints
                     inst = model.sample_instance(spec, n, seed)
                     values = simulator.landscape_instance(inst, betas, gammas)
                     name = f"landscape_{label}_instance_n{n}_seed{seed}.csv"
                     seeds.append(seed)
-                else:
-                    raise ValidationError(
-                        f"--mode must be infinite, finite:N or instance:N:SEED, got {mode!r}"
-                    )
                 outputs.write_text(name, _grid_csv(betas, gammas, values))
         outputs.manifest(
             "landscape",
@@ -204,8 +202,6 @@ def cmd_landscape(args) -> int:
                 "beta": args.beta,
                 "gamma": args.gamma,
                 "modes": args.mode,
-                "budget": args.budget,
-                "threads": threads,
             },
             seeds=seeds,
         )
@@ -270,7 +266,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_fit_spec(args) -> int:
-    inst = model.read_instance(args.instance_file)
+    try:
+        inst = model.read_instance(args.instance_file)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read instance file: {exc}")
     fit = model.estimate_spec(inst)
     outputs = _Outputs(args.out)
     try:
@@ -336,10 +335,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", default="-1.5:1.5:65", help="gamma grid min:max:count")
     p.add_argument("--mode", action="append", default=None,
                    help="infinite | finite:N | instance:N:SEED (repeatable)")
-    p.add_argument("--budget", type=int, default=finite_n.DEFAULT_BUDGET,
-                   help="finite-n sketch-sum size cap")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker threads (MSQAOA_THREADS overrides)")
     p.add_argument("--out", default="msqaoa_out", help="output directory")
     p.set_defaults(func=cmd_landscape)
 
@@ -383,6 +378,9 @@ def main(argv=None) -> int:
     except CapExceededError as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return 3
+    except (ImaginaryResidueError, NegativeVarianceError) as exc:
+        print(f"numerical self-check failed: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

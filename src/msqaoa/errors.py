@@ -61,7 +61,7 @@ class QOutOfRangeError(ValidationError):
 
 
 class BudgetExceededError(CapExceededError):
-    """The sketch-sum size budget (default n <= 512) was exceeded."""
+    """A finite-n sketch path was asked for n above SKETCH_MAX_N (512)."""
 
 
 class TooLargeError(CapExceededError):

@@ -54,7 +54,6 @@ from .model import MixtureSpec
 
 __all__ = [
     "Sketch",
-    "QFactors",
     "MomentReport",
     "f_q",
     "g_q",
@@ -66,12 +65,14 @@ __all__ = [
     "a_factor",
     "b_factor",
     "t_sum",
-    "DEFAULT_BUDGET",
     "ORACLE_MAX_N",
+    "SKETCH_MAX_N",
 ]
 
-DEFAULT_BUDGET = 512  # sketch sums have binom(n+3,3) terms; ~2.3e7 at n=512
 ORACLE_MAX_N = 14  # 4^n pair enumeration
+# sketch_moments: the range recorded reference values certify;
+# generating_function: its sum has binom(n+3,3) terms, ~2.3e7 at n=512
+SKETCH_MAX_N = 512
 _REL_IMAG_TOL = 1e-9
 _VARIANCE_ALLOWANCE = 1e-10
 _LOG_SKIP = 60.0  # blocks more than e^-60 ~ 1e-26 below the peak cannot move 1e-10
@@ -107,21 +108,6 @@ class Sketch:
         for a, b in zip(z, zp):
             counts[(a, b)] += 1
         return Sketch(counts[(1, 1)], counts[(1, -1)], counts[(-1, 1)], counts[(-1, -1)])
-
-
-@dataclass(frozen=True)
-class QFactors:
-    """Per-position mixer weights of a string pair, Q_ss' for ss' in {+,-}^2."""
-
-    qpp: float
-    qmm: float
-    qpm: complex
-    qmp: complex
-
-    @classmethod
-    def from_beta(cls, beta: float) -> "QFactors":
-        sb, cb = math.sin(beta), math.cos(beta)
-        return cls(qpp=cb * cb, qmm=sb * sb, qpm=-1j * sb * cb, qmp=1j * sb * cb)
 
 
 def _subset_sum_by_plus_count(q: int, u: int, n: int) -> int:
@@ -266,15 +252,15 @@ def _phi_table(spec: MixtureSpec, n: int) -> np.ndarray:
     return phi
 
 
-def _k_table(spec: MixtureSpec, gamma: float, n: int) -> np.ndarray:
-    """K(t) = -sum_q gamma^2 g_q(t) sigma_q^2 / (2 n^(q-1))."""
-    K = np.zeros(n + 1)
+def _k_table(spec: MixtureSpec, gamma: float, n: int, entries: int) -> np.ndarray:
+    """K(t) = -sum_q gamma^2 g_q(t) sigma_q^2 / (2 n^(q-1)) for t < entries."""
+    K = np.zeros(entries)
     g2 = gamma * gamma
     for q in range(1, min(spec.d, n) + 1):
         s2 = spec.sigmas[q - 1] ** 2
         if s2 == 0:
             continue
-        col = np.array([g_q(q, t, n) for t in range(n + 1)], dtype=float)
+        col = np.array([g_q(q, t, n) for t in range(entries)], dtype=float)
         K -= (g2 * s2 / (2 * n ** (q - 1))) * col
     return K
 
@@ -314,7 +300,7 @@ def _sketch_blocks(spec: MixtureSpec, angles: Angles, n: int):
     sc = sb * cb
     c2, s2 = cb * cb, sb * sb
     phi = _phi_table(spec, n)
-    K = _k_table(spec, angles.gamma, n)
+    K = _k_table(spec, angles.gamma, n, n + 1)
     logCn = _log_comb_row(n)
 
     log2sc = math.log(2 * abs(sc)) if sc != 0 else -math.inf
@@ -342,14 +328,11 @@ def _sketch_blocks(spec: MixtureSpec, angles: Angles, n: int):
         yield scale_phase, W, P
 
 
-def _check_budget(n: int, budget: int) -> None:
+def _check_sketch_n(n: int, reason: str) -> None:
     if n < 1:
         raise ValidationError(f"need n >= 1, got n={n}")
-    if n > budget:
-        raise BudgetExceededError(
-            f"n={n} exceeds the sketch-sum budget {budget} "
-            f"({math.comb(n + 3, 3)} terms); raise the budget explicitly to proceed"
-        )
+    if n > SKETCH_MAX_N:
+        raise BudgetExceededError(f"n={n} exceeds the cap {SKETCH_MAX_N}: {reason}")
 
 
 def _require_real(z: complex, what: str) -> float:
@@ -358,7 +341,7 @@ def _require_real(z: complex, what: str) -> float:
         raise ImaginaryResidueError(
             f"{what} has imaginary residue {z.imag:.3e} vs real part {z.real:.3e}"
         )
-    return z.real
+    return float(z.real)
 
 
 @dataclass(frozen=True)
@@ -523,24 +506,27 @@ def _weighted_poly_coeffs(
     return out
 
 
-def sketch_moments(
-    spec: MixtureSpec, angles: Angles, n: int, *, budget: int = DEFAULT_BUDGET
-) -> MomentReport:
+def sketch_moments(spec: MixtureSpec, angles: Angles, n: int) -> MomentReport:
     """Exact finite-n first and second moments of H/n via the sketch sum.
 
     The lambda-derivatives of the generating function are taken analytically
     (first = i gamma sum_sketch w p, second = 2R - gamma^2 sum_sketch w p^2
     with p = sum_q sigma_q^2 f_q / n^q), and the sketch sums are evaluated by
     the exact block collapse described in the module docstring.  Both results
-    are real by construction.
+    are real by construction.  n is capped at SKETCH_MAX_N, the range the
+    recorded reference values certify.
     """
-    _check_budget(n, budget)
+    _check_sketch_n(
+        n,
+        "recorded reference values certify sketch_moments only up to there; "
+        "larger n awaits an independent high-precision reference",
+    )
     gamma = angles.gamma
     sb, cb = math.sin(angles.beta), math.cos(angles.beta)
     sc = sb * cb
     c2 = cb * cb
     d = spec.d
-    K = _k_table(spec, gamma, n)
+    K = _k_table(spec, gamma, n, min(2 * d, n) + 1)  # only blocks with t <= 2d survive
 
     phi = _phi_scaled_coeffs(spec, n)
     tau = [0.0] * (2 * d + 1)
@@ -605,21 +591,15 @@ def sketch_moments(
     return _finalize_report(n, first, second, "sketch", spec, angles)
 
 
-def generating_function(
-    spec: MixtureSpec,
-    angles: Angles,
-    n: int,
-    lam: float,
-    *,
-    budget: int = DEFAULT_BUDGET,
-) -> complex:
+def generating_function(spec: MixtureSpec, angles: Angles, n: int, lam: float) -> complex:
     """Disorder-averaged E_J<exp(i lam H/n)> at finite n via the sketch sum.
 
     Returned values are exact only up to the sign cancellation across sketch
     blocks; accuracy degrades with n (see module docstring).  At lam = 0 the
-    value is the squared state norm, 1.
+    value is the squared state norm, 1.  n is capped at SKETCH_MAX_N because
+    the sum has binom(n+3,3) terms.
     """
-    _check_budget(n, budget)
+    _check_sketch_n(n, "the direct sketch sum has binom(n+3,3) terms")
     if lam == 0.0 and angles.gamma == 0.0:
         # the exponent vanishes for every sketch and the sum telescopes to 1
         return 1.0 + 0.0j
@@ -795,7 +775,7 @@ def t_sum(
         raise ValidationError(f"need a+b <= n_power, got {a}+{b} > {n_power}")
     if n < 1:
         raise ValidationError(f"need n >= 1, got n={n}")
-    K = _k_table(spec, angles.gamma, n)
+    K = _k_table(spec, angles.gamma, n, n + 1)
     sc = math.sin(angles.beta) * math.cos(angles.beta)
     sgn = 1.0 if sc >= 0 else -1.0
     log_n_pow = n_power * math.log(n)

@@ -2,6 +2,8 @@ import hashlib
 import json
 import math
 
+import pytest
+
 from msqaoa import closed_form
 from msqaoa.cli import main
 
@@ -212,23 +214,6 @@ class TestLandscapeCommand:
         names = sorted(p.name for p in tmp_path.glob("*.csv"))
         assert names == [f"landscape_pure{d}_infinite.csv" for d in (2, 3, 4, 5)]
 
-    def test_threads_env_override_reproducible(self, tmp_path, monkeypatch):
-        args = [
-            "landscape",
-            "--sk",
-            "--beta=-0.4:0.4:3",
-            "--gamma=-1:1:3",
-            "--mode",
-            "finite:8",
-        ]
-        assert main(args + ["--out", str(tmp_path / "serial")]) == 0
-        monkeypatch.setenv("MSQAOA_THREADS", "4")
-        assert main(args + ["--out", str(tmp_path / "threaded")]) == 0
-        name = "landscape_sk_finite_n8.csv"
-        assert (tmp_path / "serial" / name).read_bytes() == (
-            tmp_path / "threaded" / name
-        ).read_bytes()
-
     def test_budget_exit_code(self, tmp_path):
         code = main(
             [
@@ -245,6 +230,47 @@ class TestLandscapeCommand:
             ]
         )
         assert code == 3
+
+    @pytest.mark.parametrize("mode", ["finite:abc", "instance:x:1"])
+    def test_malformed_mode_numbers_exit_code(self, tmp_path, mode):
+        code = main(["landscape", "--sk", "--mode", mode, "--out", str(tmp_path)])
+        assert code == 2
+        assert list(tmp_path.glob("*.csv")) == []
+
+    @pytest.mark.parametrize("grid", ["--beta=nan:1:3", "--beta=0:inf:3", "--gamma=-inf:1:3"])
+    def test_non_finite_grid_exit_code(self, tmp_path, grid):
+        code = main(["landscape", "--sk", grid, "--out", str(tmp_path)])
+        assert code == 2
+        assert list(tmp_path.glob("*.csv")) == []
+
+    def test_numerical_self_check_exit_code(self, tmp_path, capsys):
+        # d = 16 at n = 32 loses the second moment to cancellation; the
+        # infinite grid written first must be removed with the rest
+        code = main(
+            [
+                "landscape",
+                "--pure-d",
+                "16",
+                "--beta=0.3:0.3:1",
+                "--gamma=-0.3:-0.3:1",
+                "--mode",
+                "infinite",
+                "--mode",
+                "finite:32",
+                "--out",
+                str(tmp_path),
+            ]
+        )
+        assert code == 4
+        assert "numerical self-check failed" in capsys.readouterr().err
+        assert list(tmp_path.glob("*.csv")) == []
+        assert not (tmp_path / "manifest.json").exists()
+
+    @pytest.mark.parametrize("flag", ["--threads=2", "--budget=1024"])
+    def test_removed_flags_rejected(self, tmp_path, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["landscape", "--sk", flag, "--out", str(tmp_path)])
+        assert exc.value.code == 2
 
 
 class TestSampleAndFit:
@@ -294,6 +320,15 @@ class TestSampleAndFit:
         bad = tmp_path / "bad.txt"
         bad.write_text("garbage\n")
         assert main(["fit-spec", str(bad), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("content", [None, b"\xff\xfe\x00n=6"])
+    def test_unreadable_file_exit_code(self, tmp_path, content):
+        path = tmp_path / "instance.txt"
+        if content is not None:
+            path.write_bytes(content)
+        out = tmp_path / "out"
+        assert main(["fit-spec", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 class TestVerifyCommand:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from msqaoa import finite_n
 from msqaoa.closed_form import Angles, damping_rate, energy_sigma_form
 from msqaoa.errors import (
     BudgetExceededError,
@@ -17,7 +18,6 @@ from msqaoa.errors import (
     ValidationError,
 )
 from msqaoa.finite_n import (
-    QFactors,
     Sketch,
     _finalize_report,
     _require_real,
@@ -77,13 +77,6 @@ class TestSketchAndQ:
     def test_negative_counts_rejected(self):
         with pytest.raises(ValidationError):
             Sketch(1, -1, 0, 0)
-
-    @given(st.floats(min_value=-3.0, max_value=3.0, allow_nan=False))
-    def test_qfactor_invariants(self, beta):
-        q = QFactors.from_beta(beta)
-        assert q.qpp + q.qmm == pytest.approx(1.0, abs=1e-15)
-        assert q.qpm + q.qmp == 0
-        assert q.qpp == pytest.approx(math.cos(beta) ** 2, abs=1e-15)
 
 
 class TestFq:
@@ -278,9 +271,6 @@ class TestMoments:
     def test_budget_checks(self):
         with pytest.raises(BudgetExceededError):
             sketch_moments(SK, Angles(0.3, 0.4), 513)
-        # explicit budget override admits larger n
-        rep = sketch_moments(SK, Angles(0.3, 0.4), 600, budget=1024)
-        assert math.isfinite(rep.first)
 
     def test_oracle_cap(self):
         with pytest.raises(TooLargeError):
@@ -296,6 +286,31 @@ class TestMoments:
         assert fields[4] == "sketch"
         assert float(fields[5]) == 0.3 and float(fields[6]) == 0.4
         assert [float(v) for v in fields[7:]] == [0.0, 1.0]
+
+    def test_report_line_numbers_parse_for_both_methods(self):
+        ang = Angles(0.3, -0.4)
+        for fn in (sketch_moments, oracle_moments):
+            rep = fn(MIX3, ang, 6)
+            fields = rep.to_line().split()
+            assert [float(v) for v in fields[1:4]] == [rep.first, rep.second, rep.variance]
+            assert all(type(v) is float for v in (rep.first, rep.second, rep.variance))
+
+    def test_k_table_sizes(self, monkeypatch):
+        # the moments read K(t) only for t <= 2d; the direct sums read all n + 1
+        sizes = []
+        real = finite_n._k_table
+
+        def spy(spec, gamma, n, entries):
+            sizes.append(entries)
+            return real(spec, gamma, n, entries)
+
+        monkeypatch.setattr(finite_n, "_k_table", spy)
+        ang = Angles(0.3, -0.4)
+        sketch_moments(MIX3, ang, 64)
+        sketch_moments(MIX3, ang, 4)
+        generating_function(MIX3, ang, 8, 0.5)
+        t_sum(MIX3, ang, 9, 1, 0, 1)
+        assert sizes == [7, 5, 9, 10]
 
 
 class TestReportGuards:
