@@ -225,6 +225,8 @@ def cmd_optimize(args) -> int:
             [(label, spec)] = specs
             opt = optimizer.optimize_closed_form(spec)
             rows = [(spec.d, opt.angles.beta, opt.angles.gamma, opt.value)]
+        if args.ground_state is not None:
+            factor = optimizer.approximation_factor(rows[-1][3], args.ground_state)
         lines = ["d,beta,gamma,value"]
         for d, b, g, v in rows:
             lines.append(f"{d},{b!r},{g!r},{v!r}")
@@ -238,7 +240,6 @@ def cmd_optimize(args) -> int:
         for line in lines:
             print(line)
         if args.ground_state is not None:
-            factor = optimizer.approximation_factor(rows[-1][3], args.ground_state)
             config["ground_state_per_spin"] = args.ground_state
             config["approximation_factor"] = factor
             print(f"approximation_factor,{factor!r}")

@@ -13,7 +13,12 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import DegreeTooLargeError, DegreeZeroError, NonPositiveMError
+from .errors import (
+    DegreeTooLargeError,
+    DegreeZeroError,
+    NonPositiveMError,
+    ValidationError,
+)
 from .model import MixtureFunction, MixtureSpec
 
 __all__ = [
@@ -25,6 +30,7 @@ __all__ = [
     "energy_higher_moment_limit",
     "StationarityResiduals",
     "d3_stationarity_residuals",
+    "require_finite",
 ]
 
 # Factorials are taken exactly up to this degree; beyond it the per-degree
@@ -49,6 +55,17 @@ class Angles:
         if beta == -math.pi / 2:
             beta = math.pi / 2
         return Angles(beta, self.gamma)
+
+
+def require_finite(angles: Angles) -> None:
+    """Raise ValidationError unless both angles are finite.
+
+    Called by the finite-n and statevector entry points, which would
+    otherwise return NaN.  ``Angles`` itself and the closed forms skip the
+    check: they run per grid point, where it would be a measurable cost.
+    """
+    if not (math.isfinite(angles.beta) and math.isfinite(angles.gamma)):
+        raise ValidationError(f"angles must be finite, got {angles}")
 
 
 def _check_degree(d: int) -> None:

@@ -41,7 +41,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import gammaln
 
-from .closed_form import Angles
+from .closed_form import Angles, require_finite
 from .errors import (
     BudgetExceededError,
     ImaginaryResidueError,
@@ -521,6 +521,7 @@ def sketch_moments(spec: MixtureSpec, angles: Angles, n: int) -> MomentReport:
         "recorded reference values certify sketch_moments only up to there; "
         "larger n awaits an independent high-precision reference",
     )
+    require_finite(angles)
     gamma = angles.gamma
     sb, cb = math.sin(angles.beta), math.cos(angles.beta)
     sc = sb * cb
@@ -600,6 +601,7 @@ def generating_function(spec: MixtureSpec, angles: Angles, n: int, lam: float) -
     the sum has binom(n+3,3) terms.
     """
     _check_sketch_n(n, "the direct sketch sum has binom(n+3,3) terms")
+    require_finite(angles)
     if lam == 0.0 and angles.gamma == 0.0:
         # the exponent vanishes for every sketch and the sum telescopes to 1
         return 1.0 + 0.0j
@@ -651,6 +653,7 @@ def _oracle_sums(
         raise TooLargeError(
             f"oracle enumerates 4^n pairs; n={n} exceeds the cap {ORACLE_MAX_N}"
         )
+    require_finite(angles)
     d = spec.d
     sb, cb = math.sin(angles.beta), math.cos(angles.beta)
     g2 = angles.gamma**2

@@ -155,8 +155,9 @@ def optimal_angle_curve(
 
 def approximation_factor(value: float, ground_state_per_spin: float) -> float:
     """Ratio of an achieved energy per spin to a (negative) ground-state value."""
-    if ground_state_per_spin >= 0:
+    if not (math.isfinite(ground_state_per_spin) and ground_state_per_spin < 0):
         raise SignError(
-            f"ground-state energy per spin must be negative, got {ground_state_per_spin}"
+            "ground-state energy per spin must be finite and negative, "
+            f"got {ground_state_per_spin}"
         )
     return value / ground_state_per_spin

@@ -1,9 +1,23 @@
 """Exact depth-1 QAOA statevector simulation for a concrete problem instance.
 
 Basis convention: amplitude index bit b (little-endian) carries spin
-z_{b+1} = 1 - 2*bit, so bit value 0 means spin +1.  The cost operator is
-diagonal, tabulated once per instance; the mixer exp(-i beta sum_k X_k) is
-applied as n passes of stride-paired 2x2 rotations.
+z_{b+1} = 1 - 2*bit, so bit value 0 means spin +1.
+
+Two exact identities keep the work per instance small:
+
+* The cost table is a Walsh–Hadamard transform of the couplings.  Since
+  prod_{i in S} z_i = (-1)^popcount(idx & mask_S), scattering
+  c[mask_S] = n^((1-q)/2) J_S into a 2^n vector and applying the
+  unnormalized transform (n butterfly passes) gives H(z) at every index.
+* The mixer exp(-i beta sum_k X_k) is the same stride-paired butterfly with
+  coefficients (cos beta, -i sin beta), so both share one helper.
+
+At fixed gamma, <H>(beta) is a trigonometric polynomial of degree at most d
+in 2 beta (each Z_S conjugated by the mixer is a product of |S| <= d factors
+linear in cos 2b and sin 2b).  ``landscape_instance`` therefore applies the
+mixer only at the 2d+1 nodes beta_j = pi j / (2d+1) and obtains every grid
+beta from them by Dirichlet-kernel interpolation, which is exact for such
+polynomials.
 """
 
 from __future__ import annotations
@@ -13,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .closed_form import Angles
+from .closed_form import Angles, require_finite
 from .errors import TooLargeError, ValidationError
 from .model import ProblemInstance
 
@@ -33,47 +47,56 @@ def _check_size(n: int) -> None:
         raise TooLargeError(f"statevector needs 2^{n} amplitudes; cap is n={SIM_MAX_N}")
 
 
+def _butterfly(vec: np.ndarray, n: int, u00, u01, u10, u11) -> np.ndarray:
+    """In place, for every bit b: (x0, x1) -> (u00 x0 + u01 x1, u10 x0 + u11 x1)
+    on the index pairs that differ only in bit b."""
+    for b in range(n):
+        view = vec.reshape(-1, 2, 1 << b)
+        x0 = view[:, 0, :].copy()
+        x1 = view[:, 1, :]
+        view[:, 0, :] = u00 * x0 + u01 * x1
+        view[:, 1, :] = u10 * x0 + u11 * x1
+    return vec
+
+
 def build_phase_table(instance: ProblemInstance) -> np.ndarray:
-    """values[idx] = H(z) for the basis string encoded by idx (2^n entries)."""
+    """values[idx] = H(z) for the basis string encoded by idx (2^n entries).
+
+    One scatter of the scaled couplings, then the unnormalized Walsh–Hadamard
+    transform: the butterfly with (x0, x1) -> (x0 + x1, x0 - x1).
+    """
     n = instance.n
     _check_size(n)
-    size = 1 << n
-    idx = np.arange(size, dtype=np.int64)
-    values = np.zeros(size)
-    scale = [n ** ((1 - q) / 2) for q in range(instance.spec.d + 1)]
-    for mask in sorted(instance.terms):
-        j = instance.terms[mask]
-        if j == 0.0:
-            continue
-        bits = [b for b in range(n) if mask >> b & 1]
-        parity = idx >> bits[0]
-        for b in bits[1:]:
-            parity = parity ^ (idx >> b)
-        signs = 1.0 - 2.0 * (parity & 1)
-        values += (scale[len(bits)] * j) * signs
-    return values
+    count = len(instance.terms)
+    masks = np.fromiter(instance.terms.keys(), dtype=np.int64, count=count)
+    degrees = np.fromiter(
+        (m.bit_count() for m in instance.terms), dtype=np.int64, count=count
+    )
+    couplings = np.fromiter(instance.terms.values(), dtype=float, count=count)
+    scale = np.array([n ** ((1 - q) / 2) for q in range(instance.spec.d + 1)])
+    values = np.zeros(1 << n)
+    values[masks] = scale[degrees] * couplings
+    return _butterfly(values, n, 1.0, 1.0, 1.0, -1.0)
 
 
 def _apply_mixer(amp: np.ndarray, n: int, beta: float) -> np.ndarray:
     c = math.cos(beta)
     s = -1j * math.sin(beta)
-    for b in range(n):
-        view = amp.reshape(-1, 2, 1 << b)
-        a0 = view[:, 0, :].copy()
-        a1 = view[:, 1, :]
-        view[:, 0, :] = c * a0 + s * a1
-        view[:, 1, :] = s * a0 + c * a1
-    return amp
+    return _butterfly(amp, n, c, s, s, c)
+
+
+def _phased(table: np.ndarray, n: int, gamma: float) -> np.ndarray:
+    """exp(-i gamma H) applied to the uniform state."""
+    return np.exp(-1j * gamma * table) * 2.0 ** (-n / 2)
 
 
 def _state_from_table(table: np.ndarray, n: int, angles: Angles) -> np.ndarray:
-    amp = np.full(1 << n, 2.0 ** (-n / 2), dtype=complex)
-    amp *= np.exp(-1j * angles.gamma * table)
-    return _apply_mixer(amp, n, angles.beta)
+    return _apply_mixer(_phased(table, n, angles.gamma), n, angles.beta)
 
 
 def qaoa_state(instance: ProblemInstance, angles: Angles) -> np.ndarray:
     """Amplitudes of exp(-i beta B) exp(-i gamma H) applied to the uniform state."""
+    require_finite(angles)
     return _state_from_table(build_phase_table(instance), instance.n, angles)
 
 
@@ -87,6 +110,7 @@ def expectation(
     Both expectations come from the same diagonal table: <H^2> weights the
     squared table entries, no operator squaring.
     """
+    require_finite(angles)
     if table is None:
         table = build_phase_table(instance)
     amp = _state_from_table(table, instance.n, angles)
@@ -96,22 +120,42 @@ def expectation(
     return h, h2
 
 
+def _interpolation_matrix(betas: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """M[i, j] = weight of the value at nodes[j] in the value at betas[i].
+
+    The Dirichlet kernel (1 + 2 sum_{k<=d} cos k x) / (2d+1), with x the
+    difference in 2 beta, reproduces every trigonometric polynomial of degree
+    <= d in 2 beta from its values at the 2d+1 nodes pi j / (2d+1).
+    """
+    x = 2.0 * (betas[:, None] - nodes[None, :])
+    k = np.arange(1, len(nodes) // 2 + 1)
+    return (1.0 + 2.0 * np.cos(x[..., None] * k).sum(axis=-1)) / len(nodes)
+
+
 def landscape_instance(
     instance: ProblemInstance,
     beta_grid: Sequence[float],
     gamma_grid: Sequence[float],
 ) -> np.ndarray:
-    """Per-instance <H>/n over the grid; rows follow beta, columns gamma."""
-    if len(beta_grid) < 1 or len(gamma_grid) < 1:
+    """Per-instance <H>/n over the grid; rows follow beta, columns gamma.
+
+    The mixer runs at the 2d+1 interpolation nodes per gamma, whatever the
+    number of betas (see the module docstring).
+    """
+    betas = np.asarray(beta_grid, dtype=float)
+    gammas = np.asarray(gamma_grid, dtype=float)
+    if betas.size < 1 or gammas.size < 1:
         raise ValidationError("landscape grids need at least one point per axis")
+    if not (np.isfinite(betas).all() and np.isfinite(gammas).all()):
+        raise ValidationError("landscape grids must be finite")
     n = instance.n
+    d = instance.spec.d
     table = build_phase_table(instance)
-    base = np.full(1 << n, 2.0 ** (-n / 2), dtype=complex)
-    out = np.empty((len(beta_grid), len(gamma_grid)))
-    for gi, gamma in enumerate(gamma_grid):
-        phased = base * np.exp(-1j * gamma * table)
-        for bi, beta in enumerate(beta_grid):
-            amp = _apply_mixer(phased.copy(), n, beta)
-            prob = np.abs(amp) ** 2
-            out[bi, gi] = float(prob @ table) / n
-    return out
+    node_betas = math.pi * np.arange(2 * d + 1) / (2 * d + 1)
+    node_values = np.empty((2 * d + 1, len(gammas)))
+    for gi, gamma in enumerate(gammas):
+        phased = _phased(table, n, float(gamma))
+        for j, beta in enumerate(node_betas):
+            amp = _apply_mixer(phased.copy(), n, float(beta))
+            node_values[j, gi] = float(np.abs(amp) ** 2 @ table) / n
+    return _interpolation_matrix(betas, node_betas) @ node_values

@@ -355,6 +355,43 @@ def check_monte_carlo_consistency(instances: int = 400, n: int = 12) -> CheckRes
     return _timed("monte_carlo_consistency", body)
 
 
+def check_statevector_consistency(n: int = 10, samples: int = 50) -> CheckResult:
+    """The transform-built phase table against ``model.cost`` at sampled
+    strings, and one interpolated instance landscape against per-point
+    ``expectation``."""
+
+    def body():
+        spec = model.make_mixture_spec(3, [0.3, 0.5, 1.0])
+        inst = model.sample_instance(spec, n, 2024)
+        table = simulator.build_phase_table(inst)
+        rng = np.random.default_rng(31)
+        table_error = 0.0
+        for idx in rng.integers(0, 1 << n, samples):
+            z = [1 - 2 * ((int(idx) >> b) & 1) for b in range(n)]
+            want = model.cost(inst, z)
+            err = abs(float(table[idx]) - want) / max(abs(want), 1.0)
+            table_error = max(table_error, err)
+        betas = np.linspace(-1.0, 1.0, 5)
+        gammas = np.linspace(-0.8, 0.8, 3)
+        grid = simulator.landscape_instance(inst, betas, gammas)
+        landscape_error = 0.0
+        for bi, b in enumerate(betas):
+            for gi, g in enumerate(gammas):
+                ang = closed_form.Angles(float(b), float(g))
+                h, _ = simulator.expectation(inst, ang, table)
+                landscape_error = max(landscape_error, abs(float(grid[bi, gi]) - h / n))
+        return table_error < 1e-13 and landscape_error < 1e-12, {
+            "n": n,
+            "table_samples": samples,
+            "table_relative_error": table_error,
+            "landscape_points": grid.size,
+            "landscape_abs_error": landscape_error,
+            "tolerances": {"table": 1e-13, "landscape": 1e-12},
+        }
+
+    return _timed("statevector_consistency", body)
+
+
 def check_t_sum_asymptotics() -> CheckResult:
     def body():
         beta = 0.37
@@ -459,6 +496,7 @@ FULL_CHECKS: tuple[Callable[[], object], ...] = (
     check_combinatorial_identities,
     check_convergence_and_concentration,
     check_monte_carlo_consistency,
+    check_statevector_consistency,
     check_t_sum_asymptotics,
     check_manifest_round_trip,
 )

@@ -60,6 +60,13 @@ class TestOptimizeCommand:
     def test_conflicting_spec_flags(self, tmp_path):
         assert main(["optimize", "--sk", "--sigmas", "0,1", "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("ground", ["nan", "-inf", "0.5"])
+    def test_bad_ground_state_exit_code(self, tmp_path, ground):
+        code = main(["optimize", "--sk", f"--ground-state={ground}", "--out", str(tmp_path)])
+        assert code == 2
+        assert not (tmp_path / "optimum.csv").exists()
+        assert not (tmp_path / "manifest.json").exists()
+
 
 class TestLandscapeCommand:
     def test_single_zero_cell(self, tmp_path):

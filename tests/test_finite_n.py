@@ -313,6 +313,31 @@ class TestMoments:
         assert sizes == [7, 5, 9, 10]
 
 
+NON_FINITE_ANGLES = [
+    Angles(math.nan, 0.3),
+    Angles(0.2, math.nan),
+    Angles(math.inf, 0.3),
+    Angles(0.2, -math.inf),
+]
+
+
+class TestNonFiniteAngles:
+    @pytest.mark.parametrize("ang", NON_FINITE_ANGLES)
+    def test_sketch_moments(self, ang):
+        with pytest.raises(ValidationError):
+            sketch_moments(SK, ang, 8)
+
+    @pytest.mark.parametrize("ang", NON_FINITE_ANGLES)
+    def test_oracle_moments(self, ang):
+        with pytest.raises(ValidationError):
+            oracle_moments(SK, ang, 4)
+
+    @pytest.mark.parametrize("ang", NON_FINITE_ANGLES)
+    def test_generating_function(self, ang):
+        with pytest.raises(ValidationError):
+            generating_function(SK, ang, 8, 0.5)
+
+
 class TestReportGuards:
     def test_variance_clamp(self):
         rep = _finalize_report(4, 1.0, 1.0 - 5e-11, "sketch", SK, Angles(0.1, 0.1))

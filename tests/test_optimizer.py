@@ -121,3 +121,8 @@ class TestApproximationFactor:
     def test_sign_error(self):
         with pytest.raises(SignError):
             approximation_factor(-0.3, 0.8)
+
+    @pytest.mark.parametrize("ground", [math.nan, -math.inf, math.inf, 0.0])
+    def test_non_finite_or_non_negative_ground_state(self, ground):
+        with pytest.raises(SignError):
+            approximation_factor(-0.3, ground)

@@ -4,6 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from msqaoa import simulator, verify
 from msqaoa.closed_form import Angles, energy_sigma_form
 from msqaoa.errors import TooLargeError, ValidationError
 from msqaoa.finite_n import sketch_moments
@@ -37,6 +38,36 @@ def single_coupling_instance(n, indices, value):
     return ProblemInstance(n=n, spec=spec, seed=0, terms=terms)
 
 
+def parity_reference_table(instance):
+    """The table built coupling by coupling: one parity pass over all 2^n
+    indices per subset, independent of the transform in the simulator."""
+    n = instance.n
+    idx = np.arange(1 << n, dtype=np.int64)
+    values = np.zeros(1 << n)
+    scale = [n ** ((1 - q) / 2) for q in range(instance.spec.d + 1)]
+    for mask in sorted(instance.terms):
+        j = instance.terms[mask]
+        if j == 0.0:
+            continue
+        bits = [b for b in range(n) if mask >> b & 1]
+        parity = idx >> bits[0]
+        for b in bits[1:]:
+            parity = parity ^ (idx >> b)
+        signs = 1.0 - 2.0 * (parity & 1)
+        values += (scale[len(bits)] * j) * signs
+    return values
+
+
+def spec_with_gaps(d):
+    # degrees 2 and 4 below the top one have sigma_q = 0
+    lower = [0.0 if q % 2 else 0.4 + 0.1 * q for q in range(d - 1)]
+    return make_mixture_spec(d, lower + [1.0])
+
+
+def random_string(idx, n):
+    return [1 - 2 * ((int(idx) >> b) & 1) for b in range(n)]
+
+
 class TestPhaseTable:
     def test_all_zero(self):
         inst = single_coupling_instance(3, (1, 2), 0.0)
@@ -59,6 +90,24 @@ class TestPhaseTable:
         inst = sample_instance(make_mixture_spec(1, [1.0]), 25, 0)
         with pytest.raises(TooLargeError):
             build_phase_table(inst)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_matches_parity_reference(self, d):
+        spec = spec_with_gaps(d)
+        for n in range(d, 13):
+            inst = sample_instance(spec, n, 100 * d + n)
+            want = parity_reference_table(inst)
+            got = build_phase_table(inst)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+
+    def test_near_cap_matches_cost(self):
+        n = 18
+        inst = sample_instance(make_mixture_spec(3, [0.3, 0.5, 1.0]), n, 4)
+        table = build_phase_table(inst)
+        rng = np.random.default_rng(29)
+        for idx in rng.integers(0, 1 << n, 50):
+            want = cost(inst, random_string(idx, n))
+            assert table[idx] == pytest.approx(want, rel=1e-13, abs=1e-13)
 
 
 class TestState:
@@ -86,6 +135,16 @@ class TestState:
         amp /= np.linalg.norm(amp)
         out = _apply_mixer(_apply_mixer(amp.copy(), 6, 0.77), 6, -0.77)
         np.testing.assert_allclose(out, amp, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "ang", [Angles(math.nan, 0.3), Angles(0.2, math.nan), Angles(math.inf, 0.1)]
+    )
+    def test_non_finite_angles_rejected(self, ang):
+        inst = sample_instance(SK, 4, 0)
+        with pytest.raises(ValidationError):
+            qaoa_state(inst, ang)
+        with pytest.raises(ValidationError):
+            expectation(inst, ang)
 
     def test_one_spin_expectation(self):
         # <H> = J sin(2b) sin(2 g J) for a single spin with coupling J
@@ -140,6 +199,49 @@ class TestLandscape:
         with pytest.raises(ValidationError):
             landscape_instance(inst, [], [0.1])
 
+    @pytest.mark.parametrize(
+        "betas, gammas",
+        [([0.1, math.inf], [0.2]), ([math.nan], [0.2]), ([0.1], [0.2, -math.inf])],
+    )
+    def test_non_finite_grid_rejected(self, betas, gammas):
+        inst = sample_instance(SK, 4, 0)
+        with pytest.raises(ValidationError):
+            landscape_instance(inst, betas, gammas)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize(
+        "betas",
+        [
+            [-2.1, -0.9, -0.3, 0.0, 0.55, 1.2, 1.9, 3.3],  # well outside [-pi/4, pi/4]
+            [0.37],  # one beta
+            [-0.2, 0.6, 2.5],  # fewer betas than the 2d+1 nodes
+        ],
+    )
+    def test_matches_pointwise_expectation(self, d, betas):
+        n = d + 4
+        inst = sample_instance(spec_with_gaps(d), n, 7 * d)
+        gammas = [-0.9, 0.0, 0.35, 1.4]
+        grid = landscape_instance(inst, betas, gammas)
+        assert grid.shape == (len(betas), len(gammas))
+        for bi, b in enumerate(betas):
+            for gi, g in enumerate(gammas):
+                h, _ = expectation(inst, Angles(b, g))
+                assert abs(grid[bi, gi] - h / n) < 1e-12
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_mixer_passes_per_gamma(self, d, monkeypatch):
+        calls = []
+        real = simulator._apply_mixer
+
+        def spy(amp, n, beta):
+            calls.append(beta)
+            return real(amp, n, beta)
+
+        monkeypatch.setattr(simulator, "_apply_mixer", spy)
+        inst = sample_instance(spec_with_gaps(d), 5, 1)
+        landscape_instance(inst, np.linspace(-1, 1, 17), [-0.5, 0.2, 0.9])
+        assert len(calls) == (2 * d + 1) * 3
+
     def test_deviation_shrinks_with_n(self):
         # per-instance landscapes approach the infinite-size surface
         spec = make_mixture_spec(3, [1 / 3, 1 / 2, 1.0])
@@ -174,3 +276,15 @@ class TestLandscape:
             return np.var(vals, ddof=1)
 
         assert instance_variance(16) < instance_variance(8)
+
+
+class TestVerifyCheck:
+    def test_statevector_consistency_passes(self):
+        res = verify.check_statevector_consistency()
+        assert res.passed, res.details
+
+    def test_corrupted_table_fails(self, monkeypatch):
+        # negative control: a table off by 1e-9 must trip the check
+        real = simulator.build_phase_table
+        monkeypatch.setattr(simulator, "build_phase_table", lambda inst: real(inst) + 1e-9)
+        assert not verify.check_statevector_consistency().passed
