@@ -15,6 +15,7 @@ from .closed_form import (
     energy_sigma_form,
 )
 from .finite_n import (
+    MomentGrid,
     MomentReport,
     Sketch,
     f_q,
@@ -23,6 +24,7 @@ from .finite_n import (
     generating_function,
     oracle_mgf,
     oracle_moments,
+    sketch_moment_grid,
     sketch_moments,
     t_sum,
 )
@@ -54,6 +56,7 @@ __all__ = [
     "Angles",
     "MixtureFunction",
     "MixtureSpec",
+    "MomentGrid",
     "MomentReport",
     "Optimum",
     "ProblemInstance",
@@ -85,6 +88,7 @@ __all__ = [
     "qaoa_state",
     "read_instance",
     "sample_instance",
+    "sketch_moment_grid",
     "sketch_moments",
     "t_sum",
     "write_instance",

@@ -3,7 +3,9 @@
 Every command writes its outputs plus a ``manifest.json`` recording the full
 configuration, library version, RNG algorithm, and SHA-256 digests of every
 output file, so runs can be reproduced and validated byte-for-byte (the
-manifest itself carries the only timestamp).
+manifest itself carries the only timestamp).  The ``landscape`` and
+``optimize`` manifests add a ``health`` block: clamped variances per
+``finite:N`` file, and the optimizer's convergence.
 
 Exit codes: 0 success, 2 validation/parse error, 3 size cap exceeded,
 4 verification failure or numerical self-check failure (a moment with an
@@ -57,10 +59,14 @@ def _parse_d_range(text: str) -> list[int]:
     try:
         if ".." in text:
             lo, hi = text.split("..")
-            return list(range(int(lo), int(hi) + 1))
-        return [int(text)]
+            degrees = list(range(int(lo), int(hi) + 1))
+        else:
+            degrees = [int(text)]
     except ValueError:
         raise ValidationError(f"--pure-d expects D or LO..HI, got {text!r}")
+    if not degrees:
+        raise ValidationError(f"--pure-d range {text!r} is empty")
+    return degrees
 
 
 def _specs_from_args(args) -> list[tuple[str, model.MixtureSpec]]:
@@ -124,7 +130,9 @@ class _Outputs:
             except OSError:
                 pass
 
-    def manifest(self, command: str, config: dict, seeds=()) -> Path:
+    def manifest(self, command: str, config: dict, seeds=(), health=None) -> Path:
+        """Write manifest.json; ``health`` holds the run's numeric-health
+        counters (clamped variances, optimizer convergence) when given."""
         entries = []
         for path in self.written:
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
@@ -138,6 +146,8 @@ class _Outputs:
             "timestamp": datetime.now(timezone.utc).isoformat(),
             "outputs": entries,
         }
+        if health is not None:
+            doc["health"] = health
         path = self.dir / "manifest.json"
         path.write_text(json.dumps(doc, indent=2) + "\n")
         return path
@@ -161,16 +171,6 @@ def _infinite_grid(spec, betas, gammas) -> np.ndarray:
     return out
 
 
-def _finite_grid(spec, betas, gammas, n) -> np.ndarray:
-    out = np.empty((len(betas), len(gammas)))
-    for bi, b in enumerate(betas):
-        for gi, g in enumerate(gammas):
-            out[bi, gi] = finite_n.sketch_moments(
-                spec, closed_form.Angles(float(b), float(g)), n
-            ).first
-    return out
-
-
 def cmd_landscape(args) -> int:
     specs = _specs_from_args(args)
     betas = _parse_grid(args.beta, "beta")
@@ -178,6 +178,7 @@ def cmd_landscape(args) -> int:
     modes = [_parse_mode(mode) for mode in args.mode]
     outputs = _Outputs(args.out)
     seeds = []
+    clamped = {}
     try:
         for label, spec in specs:
             for kind, *ints in modes:
@@ -186,8 +187,10 @@ def cmd_landscape(args) -> int:
                     name = f"landscape_{label}_infinite.csv"
                 elif kind == "finite":
                     [n] = ints
-                    values = _finite_grid(spec, betas, gammas, n)
+                    grid = finite_n.sketch_moment_grid(spec, betas, gammas, n)
+                    values = grid.first
                     name = f"landscape_{label}_finite_n{n}.csv"
+                    clamped[name] = int(grid.clamped.sum())
                 else:
                     n, seed = ints
                     inst = model.sample_instance(spec, n, seed)
@@ -204,6 +207,7 @@ def cmd_landscape(args) -> int:
                 "modes": args.mode,
             },
             seeds=seeds,
+            health={"clamped_variances": clamped},
         )
     except BaseException:
         outputs.cleanup()
@@ -217,14 +221,22 @@ def cmd_optimize(args) -> int:
     outputs = _Outputs(args.out)
     try:
         if args.pure_d:
-            rows = [
-                (r.d, r.beta, r.gamma, r.value)
-                for r in optimizer.optimal_angle_curve(_parse_d_range(args.pure_d))
-            ]
+            curve = optimizer.optimal_angle_curve(_parse_d_range(args.pure_d))
+            rows = [(r.d, r.beta, r.gamma, r.value) for r in curve]
+            health = {
+                "converged": {str(r.d): r.converged for r in curve},
+                "refinement_iterations": {
+                    str(r.d): r.refinement_iterations for r in curve
+                },
+            }
         else:
             [(label, spec)] = specs
             opt = optimizer.optimize_closed_form(spec)
             rows = [(spec.d, opt.angles.beta, opt.angles.gamma, opt.value)]
+            health = {
+                "converged": opt.converged,
+                "refinement_iterations": opt.refinement_iterations,
+            }
         if args.ground_state is not None:
             factor = optimizer.approximation_factor(rows[-1][3], args.ground_state)
         lines = ["d,beta,gamma,value"]
@@ -243,7 +255,7 @@ def cmd_optimize(args) -> int:
             config["ground_state_per_spin"] = args.ground_state
             config["approximation_factor"] = factor
             print(f"approximation_factor,{factor!r}")
-        outputs.manifest("optimize", config)
+        outputs.manifest("optimize", config, health=health)
     except BaseException:
         outputs.cleanup()
         raise

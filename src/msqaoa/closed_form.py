@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
+
+import numpy as np
 
 from .errors import (
     DegreeTooLargeError,
@@ -31,6 +33,7 @@ __all__ = [
     "StationarityResiduals",
     "d3_stationarity_residuals",
     "require_finite",
+    "require_finite_grid",
 ]
 
 # Factorials are taken exactly up to this degree; beyond it the per-degree
@@ -66,6 +69,20 @@ def require_finite(angles: Angles) -> None:
     """
     if not (math.isfinite(angles.beta) and math.isfinite(angles.gamma)):
         raise ValidationError(f"angles must be finite, got {angles}")
+
+
+def require_finite_grid(
+    beta_grid: Sequence[float], gamma_grid: Sequence[float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The two grid axes as float arrays; ValidationError unless each is a
+    non-empty sequence of finite angles."""
+    betas = np.asarray(beta_grid, dtype=float)
+    gammas = np.asarray(gamma_grid, dtype=float)
+    if betas.ndim != 1 or gammas.ndim != 1 or betas.size < 1 or gammas.size < 1:
+        raise ValidationError("each grid axis must be a non-empty 1-D sequence")
+    if not (np.isfinite(betas).all() and np.isfinite(gammas).all()):
+        raise ValidationError("grid angles must be finite")
+    return betas, gammas
 
 
 def _check_degree(d: int) -> None:

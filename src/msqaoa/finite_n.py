@@ -41,7 +41,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import gammaln
 
-from .closed_form import Angles, require_finite
+from .closed_form import Angles, require_finite, require_finite_grid
 from .errors import (
     BudgetExceededError,
     ImaginaryResidueError,
@@ -55,10 +55,12 @@ from .model import MixtureSpec
 __all__ = [
     "Sketch",
     "MomentReport",
+    "MomentGrid",
     "f_q",
     "g_q",
     "f_q_abc",
     "sketch_moments",
+    "sketch_moment_grid",
     "generating_function",
     "oracle_moments",
     "oracle_mgf",
@@ -366,27 +368,34 @@ class MomentReport:
         )
 
 
+def _clamped_variance(first, second) -> tuple[np.ndarray, np.ndarray]:
+    """second - first^2 with a clamp mask: values below -_VARIANCE_ALLOWANCE
+    raise NegativeVarianceError, smaller negative ones are set to 0."""
+    variance = np.asarray(second - first * first, dtype=float)
+    clamped = variance < 0
+    if clamped.any():
+        worst = float(variance.min())
+        if worst < -_VARIANCE_ALLOWANCE:
+            raise NegativeVarianceError(
+                f"variance {worst:.3e} below the -{_VARIANCE_ALLOWANCE} allowance"
+            )
+        variance = np.where(clamped, 0.0, variance)
+    return variance, clamped
+
+
 def _finalize_report(
     n: int, first: float, second: float, method: str, spec: MixtureSpec, angles: Angles
 ) -> MomentReport:
-    variance = second - first * first
-    clamped = False
-    if variance < 0:
-        if variance < -_VARIANCE_ALLOWANCE:
-            raise NegativeVarianceError(
-                f"variance {variance:.3e} below the -{_VARIANCE_ALLOWANCE} allowance"
-            )
-        variance = 0.0
-        clamped = True
+    variance, clamped = _clamped_variance(first, second)
     return MomentReport(
         n=n,
         first=first,
         second=second,
-        variance=variance,
+        variance=float(variance),
         method=method,
         spec=spec,
         angles=angles,
-        clamped=clamped,
+        clamped=bool(clamped),
     )
 
 
@@ -506,57 +515,48 @@ def _weighted_poly_coeffs(
     return out
 
 
-def sketch_moments(spec: MixtureSpec, angles: Angles, n: int) -> MomentReport:
-    """Exact finite-n first and second moments of H/n via the sketch sum.
+@dataclass(frozen=True)
+class MomentGrid:
+    """First and second moments of H/n at finite n over a (beta, gamma) grid.
 
-    The lambda-derivatives of the generating function are taken analytically
-    (first = i gamma sum_sketch w p, second = 2R - gamma^2 sum_sketch w p^2
-    with p = sum_q sigma_q^2 f_q / n^q), and the sketch sums are evaluated by
-    the exact block collapse described in the module docstring.  Both results
-    are real by construction.  n is capped at SKETCH_MAX_N, the range the
-    recorded reference values certify.
+    Every array has shape (len(betas), len(gammas)): rows follow beta,
+    columns gamma.  ``clamped`` marks the points whose variance came out
+    negative within rounding and was set to 0.
     """
-    _check_sketch_n(
-        n,
-        "recorded reference values certify sketch_moments only up to there; "
-        "larger n awaits an independent high-precision reference",
-    )
-    require_finite(angles)
-    gamma = angles.gamma
-    sb, cb = math.sin(angles.beta), math.cos(angles.beta)
+
+    n: int
+    spec: MixtureSpec
+    betas: np.ndarray
+    gammas: np.ndarray
+    first: np.ndarray
+    second: np.ndarray
+    variance: np.ndarray
+    clamped: np.ndarray
+
+
+def _beta_factors(
+    phi: list[float], tau: list[float], n: int, ts1: range, ts2: range, beta: float
+) -> tuple[list[float], list[float], list[float], list[float]]:
+    """sc^t and the block sums at one beta: (sc^t, inner) over the blocks ts1
+    of the first moment, then (sc^t, inner2) over the blocks ts2 of the second."""
+    d = len(phi) - 1
+    sb, cb = math.sin(beta), math.cos(beta)
     sc = sb * cb
     c2 = cb * cb
-    d = spec.d
-    K = _k_table(spec, gamma, n, min(2 * d, n) + 1)  # only blocks with t <= 2d survive
 
-    phi = _phi_scaled_coeffs(spec, n)
-    tau = [0.0] * (2 * d + 1)
-    for a, pa in enumerate(phi):
-        if pa:
-            for b, pb in enumerate(phi):
-                if pb:
-                    tau[a + b] += pa * pb
-
-    def block_prefactor(t: int) -> float:
-        # binom(n,t)/n^t, computed without large intermediates
-        pref = 1.0
-        for r in range(t):
-            pref *= (n - r) / n
-        return pref / math.factorial(t)
-
-    first = 0.0
-    for t in range(1, min(d, n) + 1, 2):
+    sc1, inner1 = [], []
+    for t in ts1:
         mu = _scaled_binomial_moments(n - t, c2, n, d)
         rho = _weighted_poly_coeffs(phi, mu)
         inner = sum(
             rho[k] * float(_alt_kernel(t, k, 0)) * float(n) ** (t - k)
             for k in range(t, d + 1)
         )
-        sign = -1.0 if ((t + 1) // 2) % 2 else 1.0
-        first += 2 * gamma * sign * block_prefactor(t) * math.exp(K[t]) * sc**t * inner
+        sc1.append(sc**t)
+        inner1.append(inner)
 
-    m2 = 0.0
-    for t in range(0, min(2 * d, n) + 1, 2):
+    sc2, inner2 = [], []
+    for t in ts2:
         mu = _scaled_binomial_moments(n - t, c2, n, 2 * d)
         rho2 = _weighted_poly_coeffs(tau, mu)
         s1 = sum(
@@ -584,12 +584,105 @@ def sketch_moments(spec: MixtureSpec, angles: Angles, n: int) -> MomentReport:
                             * float(_alt_kernel(t, e, f))
                             * float(n) ** (t - e - f)
                         )
-        inner2 = 2 * s1 - 2 * smid
-        sign = -1.0 if (t // 2) % 2 else 1.0
-        m2 += sign * block_prefactor(t) * math.exp(K[t]) * sc**t * inner2
+        sc2.append(sc**t)
+        inner2.append(2 * s1 - 2 * smid)
+    return sc1, inner1, sc2, inner2
 
-    second = 2 * _lambda_quadratic(spec, n) - gamma * gamma * m2
-    return _finalize_report(n, first, second, "sketch", spec, angles)
+
+def _block_prefactor(n: int, t: int) -> float:
+    """binom(n,t)/n^t, computed without large intermediates."""
+    pref = 1.0
+    for r in range(t):
+        pref *= (n - r) / n
+    return pref / math.factorial(t)
+
+
+def sketch_moment_grid(
+    spec: MixtureSpec,
+    betas: Sequence[float],
+    gammas: Sequence[float],
+    n: int,
+) -> MomentGrid:
+    """Exact finite-n first and second moments of H/n at every grid point.
+
+    The lambda-derivatives of the generating function are taken analytically
+    (first = i gamma sum_sketch w p, second = 2R - gamma^2 sum_sketch w p^2
+    with p = sum_q sigma_q^2 f_q / n^q), and the sketch sums are evaluated by
+    the exact block collapse described in the module docstring.  Each
+    surviving block is a beta factor (sc^t times a binomial-moment sum in
+    cos^2 b) times a gamma factor (the prefactor times e^K(t)), so the beta
+    work runs once per beta, the K table once per gamma, and each point costs
+    one multiply-add per block.  Both moments are real by construction.
+
+    A variance below -1e-10 raises NegativeVarianceError; smaller negative
+    variances are set to 0 and flagged in ``clamped``.  n is capped at
+    SKETCH_MAX_N, the range the recorded reference values certify.
+    """
+    _check_sketch_n(
+        n,
+        "recorded reference values certify sketch_moments only up to there; "
+        "larger n awaits an independent high-precision reference",
+    )
+    betas, gammas = require_finite_grid(betas, gammas)
+    d = spec.d
+    phi = _phi_scaled_coeffs(spec, n)
+    tau = [0.0] * (2 * d + 1)
+    for a, pa in enumerate(phi):
+        if pa:
+            for b, pb in enumerate(phi):
+                if pb:
+                    tau[a + b] += pa * pb
+    # the surviving blocks: odd t <= d (first moment), even t <= 2d (second)
+    ts1 = range(1, min(d, n) + 1, 2)
+    ts2 = range(0, min(2 * d, n) + 1, 2)
+    pref1 = [
+        (-1.0 if ((t + 1) // 2) % 2 else 1.0) * _block_prefactor(n, t) for t in ts1
+    ]
+    pref2 = [(-1.0 if (t // 2) % 2 else 1.0) * _block_prefactor(n, t) for t in ts2]
+
+    # beta factors, shape (len(betas), blocks)
+    sc1, inner1, sc2, inner2 = (
+        np.array(col, dtype=float)
+        for col in zip(*(_beta_factors(phi, tau, n, ts1, ts2, float(b)) for b in betas))
+    )
+    # gamma factors, shape (blocks, len(gammas)).  Every product below keeps
+    # the operand order (gamma factor) * sc^t * inner, and the signs are +-1,
+    # so each point is bit-identical to a per-point evaluation.
+    g1 = np.empty((len(ts1), len(gammas)))
+    g2 = np.empty((len(ts2), len(gammas)))
+    for gi, gamma in enumerate(gammas):
+        gamma = float(gamma)
+        K = _k_table(spec, gamma, n, min(2 * d, n) + 1)
+        for i, t in enumerate(ts1):
+            g1[i, gi] = 2 * gamma * pref1[i] * math.exp(K[t])
+        for i, t in enumerate(ts2):
+            g2[i, gi] = pref2[i] * math.exp(K[t])
+
+    first = np.zeros((len(betas), len(gammas)))
+    for i in range(len(ts1)):
+        first += g1[i] * sc1[:, i, None] * inner1[:, i, None]
+    m2 = np.zeros((len(betas), len(gammas)))
+    for i in range(len(ts2)):
+        m2 += g2[i] * sc2[:, i, None] * inner2[:, i, None]
+    second = 2 * _lambda_quadratic(spec, n) - gammas * gammas * m2
+    variance, clamped = _clamped_variance(first, second)
+    return MomentGrid(n, spec, betas, gammas, first, second, variance, clamped)
+
+
+def sketch_moments(spec: MixtureSpec, angles: Angles, n: int) -> MomentReport:
+    """Exact finite-n first and second moments of H/n via the sketch sum:
+    the 1x1 case of ``sketch_moment_grid``."""
+    grid = sketch_moment_grid(spec, [angles.beta], [angles.gamma], n)
+    return MomentReport(
+        n=n,
+        first=float(grid.first[0, 0]),
+        second=float(grid.second[0, 0]),
+        variance=float(grid.variance[0, 0]),
+        method="sketch",
+        spec=spec,
+        angles=angles,
+        clamped=bool(grid.clamped[0, 0]),
+    )
 
 
 def generating_function(spec: MixtureSpec, angles: Angles, n: int, lam: float) -> complex:

@@ -53,6 +53,8 @@ class Optimum:
 
 def pure_d_spec(d: int) -> MixtureSpec:
     """Pure d-spin disorder, sigma_q = delta_{dq} sqrt(d!/2)."""
+    if d < 1:
+        raise ValidationError(f"pure d-spin model needs d >= 1, got {d}")
     sigmas = [0.0] * d
     sigmas[d - 1] = math.sqrt(math.factorial(d) / 2)
     return MixtureSpec(d, tuple(sigmas))
@@ -138,6 +140,8 @@ class CurveRow:
     beta: float
     gamma: float
     value: float
+    refinement_iterations: int
+    converged: bool
 
 
 def optimal_angle_curve(
@@ -149,7 +153,16 @@ def optimal_angle_curve(
         if d < 2:
             raise ValidationError(f"pure-d curve needs d >= 2, got {d}")
         opt = optimize_closed_form(pure_d_spec(d), search)
-        rows.append(CurveRow(d, opt.angles.beta, opt.angles.gamma, opt.value))
+        rows.append(
+            CurveRow(
+                d,
+                opt.angles.beta,
+                opt.angles.gamma,
+                opt.value,
+                opt.refinement_iterations,
+                opt.converged,
+            )
+        )
     return rows
 
 

@@ -27,8 +27,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .closed_form import Angles, require_finite
-from .errors import TooLargeError, ValidationError
+from .closed_form import Angles, require_finite, require_finite_grid
+from .errors import TooLargeError
 from .model import ProblemInstance
 
 __all__ = [
@@ -142,12 +142,7 @@ def landscape_instance(
     The mixer runs at the 2d+1 interpolation nodes per gamma, whatever the
     number of betas (see the module docstring).
     """
-    betas = np.asarray(beta_grid, dtype=float)
-    gammas = np.asarray(gamma_grid, dtype=float)
-    if betas.size < 1 or gammas.size < 1:
-        raise ValidationError("landscape grids need at least one point per axis")
-    if not (np.isfinite(betas).all() and np.isfinite(gammas).all()):
-        raise ValidationError("landscape grids must be finite")
+    betas, gammas = require_finite_grid(beta_grid, gamma_grid)
     n = instance.n
     d = instance.spec.d
     table = build_phase_table(instance)

@@ -392,6 +392,47 @@ def check_statevector_consistency(n: int = 10, samples: int = 50) -> CheckResult
     return _timed("statevector_consistency", body)
 
 
+def check_finite_grid_consistency(n: int = 8) -> CheckResult:
+    """A small ``finite:N`` grid from ``sketch_moment_grid`` against per-point
+    ``oracle_moments``, with a negative control: moving one beta by 1e-4,
+    which changes only that row's beta factors, must fail the comparison."""
+
+    def body():
+        spec = model.make_mixture_spec(3, [0.3, 0.5, 1.0])
+        betas = np.array([-0.6, 0.25, 0.7])
+        gammas = np.array([-0.5, 0.0, 0.35])
+        reports = [
+            [
+                finite_n.oracle_moments(spec, closed_form.Angles(float(b), float(g)), n)
+                for g in gammas
+            ]
+            for b in betas
+        ]
+        oracle_first = np.array([[r.first for r in row] for row in reports])
+        oracle_second = np.array([[r.second for r in row] for row in reports])
+
+        def relative_error(grid_betas) -> float:
+            grid = finite_n.sketch_moment_grid(spec, grid_betas, gammas, n)
+            return max(
+                float(np.max(np.abs(got - want) / np.maximum(np.abs(want), 1e-6)))
+                for got, want in ((grid.first, oracle_first), (grid.second, oracle_second))
+            )
+
+        grid_error = relative_error(betas)
+        perturbed = betas.copy()
+        perturbed[1] += 1e-4
+        control_error = relative_error(perturbed)
+        return grid_error < 1e-10 and control_error >= 1e-10, {
+            "n": n,
+            "points": oracle_first.size,
+            "max_relative_error": grid_error,
+            "perturbed_beta_relative_error": control_error,
+            "tolerance": 1e-10,
+        }
+
+    return _timed("finite_grid_consistency", body)
+
+
 def check_t_sum_asymptotics() -> CheckResult:
     def body():
         beta = 0.37
@@ -497,6 +538,7 @@ FULL_CHECKS: tuple[Callable[[], object], ...] = (
     check_convergence_and_concentration,
     check_monte_carlo_consistency,
     check_statevector_consistency,
+    check_finite_grid_consistency,
     check_t_sum_asymptotics,
     check_manifest_round_trip,
 )

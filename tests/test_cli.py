@@ -68,6 +68,42 @@ class TestOptimizeCommand:
         assert not (tmp_path / "manifest.json").exists()
 
 
+    def test_manifest_records_convergence_per_degree(self, tmp_path):
+        assert main(["optimize", "--pure-d", "2..3", "--out", str(tmp_path)]) == 0
+        health = json.loads((tmp_path / "manifest.json").read_text())["health"]
+        assert health["converged"] == {"2": True, "3": True}
+        iterations = health["refinement_iterations"]
+        assert sorted(iterations) == ["2", "3"]
+        assert all(type(v) is int and v > 0 for v in iterations.values())
+
+    def test_manifest_records_convergence_for_one_spec(self, tmp_path):
+        assert main(["optimize", "--sk", "--out", str(tmp_path)]) == 0
+        health = json.loads((tmp_path / "manifest.json").read_text())["health"]
+        assert health["converged"] is True
+        assert type(health["refinement_iterations"]) is int
+        assert health["refinement_iterations"] > 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["optimize", "--pure-d", "0"],
+        ["landscape", "--pure-d", "0"],
+        ["sample", "--pure-d", "0", "--n", "4"],
+        ["landscape", "--pure-d", "-1"],
+        ["optimize", "--pure-d", "5..2"],
+        ["optimize", "--pure-d", "5..2", "--ground-state=-0.7"],
+        ["landscape", "--pure-d", "5..2"],
+    ],
+)
+def test_pure_d_out_of_range_exit_code(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 class TestLandscapeCommand:
     def test_single_zero_cell(self, tmp_path):
         code = main(
@@ -220,6 +256,29 @@ class TestLandscapeCommand:
         assert code == 0
         names = sorted(p.name for p in tmp_path.glob("*.csv"))
         assert names == [f"landscape_pure{d}_infinite.csv" for d in (2, 3, 4, 5)]
+
+    def test_manifest_counts_clamped_variances_per_finite_grid(self, tmp_path):
+        code = main(
+            [
+                "landscape",
+                "--pure-d",
+                "2..3",
+                "--beta=-0.5:0.5:3",
+                "--gamma=-1:1:3",
+                "--mode",
+                "finite:8",
+                "--mode",
+                "infinite",
+                "--out",
+                str(tmp_path),
+            ]
+        )
+        assert code == 0
+        health = json.loads((tmp_path / "manifest.json").read_text())["health"]
+        assert health["clamped_variances"] == {
+            "landscape_pure2_finite_n8.csv": 0,
+            "landscape_pure3_finite_n8.csv": 0,
+        }
 
     def test_budget_exit_code(self, tmp_path):
         code = main(

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msqaoa import finite_n
+from msqaoa import finite_n, verify
 from msqaoa.closed_form import Angles, damping_rate, energy_sigma_form
 from msqaoa.errors import (
     BudgetExceededError,
@@ -29,6 +29,7 @@ from msqaoa.finite_n import (
     generating_function,
     oracle_mgf,
     oracle_moments,
+    sketch_moment_grid,
     sketch_moments,
     t_sum,
 )
@@ -347,6 +348,15 @@ class TestReportGuards:
         with pytest.raises(NegativeVarianceError):
             _finalize_report(4, 1.0, 1.0 - 1e-8, "sketch", SK, Angles(0.1, 0.1))
 
+    def test_grid_variance_clamp_is_per_point(self):
+        first = np.array([[1.0, 1.0, 0.5]])
+        second = np.array([[1.0 - 5e-11, 2.0, 0.25]])
+        variance, clamped = finite_n._clamped_variance(first, second)
+        assert variance.tolist() == [[0.0, 1.0, 0.0]]
+        assert clamped.tolist() == [[True, False, False]]
+        with pytest.raises(NegativeVarianceError):
+            finite_n._clamped_variance(first, second - 1e-8)
+
     def test_require_real(self):
         assert _require_real(1.5 + 1e-12j, "x") == 1.5
         with pytest.raises(ImaginaryResidueError):
@@ -402,3 +412,209 @@ class TestConvergenceTrend:
         discs = [abs(sketch_moments(SK, ang, n).first - limit) for n in (16, 32, 64, 128)]
         assert all(a > b for a, b in zip(discs, discs[1:]))
         assert discs[-1] < discs[0] / 4
+
+
+def reference_sketch_moments(spec, angles, n):
+    """Per-point (first, second): the block evaluation one grid point at a
+    time, exactly as sketch_moments computed it before the grid engine."""
+    gamma = angles.gamma
+    sb, cb = math.sin(angles.beta), math.cos(angles.beta)
+    sc = sb * cb
+    c2 = cb * cb
+    d = spec.d
+    K = finite_n._k_table(spec, gamma, n, min(2 * d, n) + 1)
+
+    phi = finite_n._phi_scaled_coeffs(spec, n)
+    tau = [0.0] * (2 * d + 1)
+    for a, pa in enumerate(phi):
+        if pa:
+            for b, pb in enumerate(phi):
+                if pb:
+                    tau[a + b] += pa * pb
+
+    def block_prefactor(t):
+        pref = 1.0
+        for r in range(t):
+            pref *= (n - r) / n
+        return pref / math.factorial(t)
+
+    alt = finite_n._alt_kernel
+    first = 0.0
+    for t in range(1, min(d, n) + 1, 2):
+        mu = finite_n._scaled_binomial_moments(n - t, c2, n, d)
+        rho = finite_n._weighted_poly_coeffs(phi, mu)
+        inner = sum(
+            rho[k] * float(alt(t, k, 0)) * float(n) ** (t - k) for k in range(t, d + 1)
+        )
+        sign = -1.0 if ((t + 1) // 2) % 2 else 1.0
+        first += 2 * gamma * sign * block_prefactor(t) * math.exp(K[t]) * sc**t * inner
+
+    m2 = 0.0
+    for t in range(0, min(2 * d, n) + 1, 2):
+        mu = finite_n._scaled_binomial_moments(n - t, c2, n, 2 * d)
+        rho2 = finite_n._weighted_poly_coeffs(tau, mu)
+        s1 = sum(
+            rho2[k] * float(alt(t, k, 0)) * float(n) ** (t - k)
+            for k in range(t, 2 * d + 1)
+        )
+        smid = 0.0
+        for a in range(d + 1):
+            if not phi[a]:
+                continue
+            for b in range(d + 1):
+                if not phi[b]:
+                    continue
+                for m in range(a + 1):
+                    for mp in range(b + 1):
+                        e, f = a - m, b - mp
+                        if e + f < t:
+                            continue
+                        smid += (
+                            phi[a]
+                            * phi[b]
+                            * math.comb(a, m)
+                            * math.comb(b, mp)
+                            * mu[m + mp]
+                            * float(alt(t, e, f))
+                            * float(n) ** (t - e - f)
+                        )
+        inner2 = 2 * s1 - 2 * smid
+        sign = -1.0 if (t // 2) % 2 else 1.0
+        m2 += sign * block_prefactor(t) * math.exp(K[t]) * sc**t * inner2
+
+    second = 2 * finite_n._lambda_quadratic(spec, n) - gamma * gamma * m2
+    return first, second
+
+
+GRID_BETAS = [0.0, math.pi / 4, -math.pi / 4, math.pi / 2, 2.9]
+GRID_GAMMAS = [0.0, 5.0, -0.4]
+
+
+def grid_spec(d, kind):
+    if kind == "pure":
+        return make_mixture_spec(d, [0.0] * (d - 1) + [math.sqrt(math.factorial(d) / 2)])
+    if kind == "mixture":
+        return make_mixture_spec(d, np.linspace(0.3, 1.2, d))
+    return make_mixture_spec(d, [0.7 if q % 2 else 0.0 for q in range(d)])  # zero sigmas
+
+
+def assert_grid_equals_reference(spec, betas, gammas, n):
+    grid = sketch_moment_grid(spec, betas, gammas, n)
+    assert grid.first.shape == grid.second.shape == (len(betas), len(gammas))
+    for bi, b in enumerate(betas):
+        for gi, g in enumerate(gammas):
+            first, second = reference_sketch_moments(spec, Angles(b, g), n)
+            assert grid.first[bi, gi] == first
+            assert grid.second[bi, gi] == second
+
+
+class TestMomentGrid:
+    @pytest.mark.parametrize(
+        "d, kind",
+        [(d, kind) for d in range(1, 7) for kind in ("pure", "mixture", "zero_sigmas")
+         if d > 1 or kind != "zero_sigmas"],
+    )
+    def test_bit_identical_to_per_point_reference(self, d, kind):
+        # n below d, below 2d, at 2d, and up to the cap
+        spec = grid_spec(d, kind)
+        for n in sorted({1, max(d - 1, 1), 2 * d - 1, 2 * d, 13, 512}):
+            assert_grid_equals_reference(spec, GRID_BETAS, GRID_GAMMAS, n)
+
+    def test_one_by_one_grid(self):
+        assert_grid_equals_reference(MIX3, [0.37], [-0.52], 16)
+
+    def test_one_beta_many_gammas(self):
+        assert_grid_equals_reference(MIX3, [0.3], np.linspace(-1.5, 1.5, 9), 24)
+
+    def test_many_betas_one_gamma(self):
+        assert_grid_equals_reference(MIX3, np.linspace(-0.8, 0.8, 9), [0.45], 24)
+
+    def test_sketch_moments_is_the_one_point_grid(self):
+        for n in (1, 4, 64):
+            ang = Angles(0.3, -0.4)
+            rep = sketch_moments(MIX3, ang, n)
+            grid = sketch_moment_grid(MIX3, [ang.beta], [ang.gamma], n)
+            assert (rep.first, rep.second, rep.variance, rep.clamped) == (
+                grid.first[0, 0],
+                grid.second[0, 0],
+                grid.variance[0, 0],
+                grid.clamped[0, 0],
+            )
+
+    def test_variance_and_clamped_mask_match_per_point_reports(self):
+        betas = np.linspace(-0.7, 0.7, 4)
+        gammas = np.linspace(-1.0, 1.0, 3)
+        grid = sketch_moment_grid(MIX3, betas, gammas, 10)
+        for bi, b in enumerate(betas):
+            for gi, g in enumerate(gammas):
+                rep = sketch_moments(MIX3, Angles(float(b), float(g)), 10)
+                assert grid.variance[bi, gi] == rep.variance
+                assert grid.clamped[bi, gi] == rep.clamped
+
+    def test_negative_variance_beyond_allowance_raises(self):
+        # pure d = 16 loses the second moment to cancellation at n = 32
+        from msqaoa.optimizer import pure_d_spec
+
+        with pytest.raises(NegativeVarianceError):
+            sketch_moment_grid(pure_d_spec(16), [0.3, 0.1], [-0.3], 32)
+
+    @pytest.mark.parametrize(
+        "betas, gammas",
+        [
+            ([], [0.1]),
+            ([0.1], []),
+            ([[0.1, 0.2]], [0.1]),
+            ([0.1, math.nan], [0.2]),
+            ([0.1], [0.2, math.inf]),
+            ([-math.inf], [0.2]),
+        ],
+    )
+    def test_rejects_empty_or_non_finite_grids(self, betas, gammas):
+        with pytest.raises(ValidationError):
+            sketch_moment_grid(MIX3, betas, gammas, 8)
+
+    def test_cap(self):
+        with pytest.raises(BudgetExceededError):
+            sketch_moment_grid(SK, [0.3], [0.4], 513)
+
+    def test_work_splits_into_beta_and_gamma_factors(self, monkeypatch):
+        calls = {"_scaled_binomial_moments": 0, "_k_table": 0, "_phi_scaled_coeffs": 0}
+
+        def spy(name):
+            real = getattr(finite_n, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(finite_n, name, spy(name))
+        betas, gammas, n = np.linspace(-0.7, 0.7, 7), np.linspace(-1, 1, 11), 64
+        sketch_moment_grid(MIX3, betas, gammas, n)
+        d = MIX3.d
+        blocks = len(range(1, d + 1, 2)) + len(range(0, 2 * d + 1, 2))
+        assert calls == {
+            "_scaled_binomial_moments": len(betas) * blocks,
+            "_k_table": len(gammas),
+            "_phi_scaled_coeffs": 1,
+        }
+
+
+class TestVerifyCheck:
+    def test_finite_grid_consistency_passes(self):
+        res = verify.check_finite_grid_consistency()
+        assert res.passed, res.details
+        assert res.details["perturbed_beta_relative_error"] >= 1e-10
+
+    def test_corrupted_beta_factor_fails(self, monkeypatch):
+        # negative control: inner sums of the first moment off by 1e-9 relative
+        real = finite_n._beta_factors
+
+        def corrupted(*args):
+            sc1, inner1, sc2, inner2 = real(*args)
+            return sc1, [v * (1 + 1e-9) for v in inner1], sc2, inner2
+
+        monkeypatch.setattr(finite_n, "_beta_factors", corrupted)
+        assert not verify.check_finite_grid_consistency().passed
