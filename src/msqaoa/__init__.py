@@ -13,6 +13,7 @@ from .closed_form import (
     energy_mixture_form,
     energy_pure_d,
     energy_sigma_form,
+    energy_sigma_grid,
 )
 from .finite_n import (
     MomentGrid,
@@ -71,6 +72,7 @@ __all__ = [
     "energy_mixture_form",
     "energy_pure_d",
     "energy_sigma_form",
+    "energy_sigma_grid",
     "estimate_spec",
     "expectation",
     "f_q",

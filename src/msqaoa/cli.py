@@ -5,7 +5,7 @@ configuration, library version, RNG algorithm, and SHA-256 digests of every
 output file, so runs can be reproduced and validated byte-for-byte (the
 manifest itself carries the only timestamp).  The ``landscape`` and
 ``optimize`` manifests add a ``health`` block: clamped variances per
-``finite:N`` file, and the optimizer's convergence.
+``finite:N`` file, and the optimizer's convergence and final gradient norm.
 
 Exit codes: 0 success, 2 validation/parse error, 3 size cap exceeded,
 4 verification failure or numerical self-check failure (a moment with an
@@ -161,16 +161,6 @@ def _grid_csv(betas: np.ndarray, gammas: np.ndarray, values: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _infinite_grid(spec, betas, gammas) -> np.ndarray:
-    out = np.empty((len(betas), len(gammas)))
-    for bi, b in enumerate(betas):
-        for gi, g in enumerate(gammas):
-            out[bi, gi] = closed_form.energy_sigma_form(
-                spec, closed_form.Angles(float(b), float(g))
-            )
-    return out
-
-
 def cmd_landscape(args) -> int:
     specs = _specs_from_args(args)
     betas = _parse_grid(args.beta, "beta")
@@ -183,7 +173,7 @@ def cmd_landscape(args) -> int:
         for label, spec in specs:
             for kind, *ints in modes:
                 if kind == "infinite":
-                    values = _infinite_grid(spec, betas, gammas)
+                    values = closed_form.energy_sigma_grid(spec, betas, gammas)
                     name = f"landscape_{label}_infinite.csv"
                 elif kind == "finite":
                     [n] = ints
@@ -218,30 +208,30 @@ def cmd_landscape(args) -> int:
 
 def cmd_optimize(args) -> int:
     specs = _specs_from_args(args)  # validates flag exclusivity
+    if args.pure_d:
+        curve = optimizer.optimal_angle_curve(_parse_d_range(args.pure_d))
+        rows = [(r.d, r.beta, r.gamma, r.value) for r in curve]
+        health = {
+            "converged": {str(r.d): r.converged for r in curve},
+            "refinement_iterations": {str(r.d): r.refinement_iterations for r in curve},
+            "gradient_norm": {str(r.d): r.gradient_norm for r in curve},
+        }
+    else:
+        [(label, spec)] = specs
+        opt = optimizer.optimize_closed_form(spec)
+        rows = [(spec.d, opt.angles.beta, opt.angles.gamma, opt.value)]
+        health = {
+            "converged": opt.converged,
+            "refinement_iterations": opt.refinement_iterations,
+            "gradient_norm": opt.gradient_norm,
+        }
+    if args.ground_state is not None:
+        factor = optimizer.approximation_factor(rows[-1][3], args.ground_state)
+    lines = ["d,beta,gamma,value"]
+    for d, b, g, v in rows:
+        lines.append(f"{d},{b!r},{g!r},{v!r}")
     outputs = _Outputs(args.out)
     try:
-        if args.pure_d:
-            curve = optimizer.optimal_angle_curve(_parse_d_range(args.pure_d))
-            rows = [(r.d, r.beta, r.gamma, r.value) for r in curve]
-            health = {
-                "converged": {str(r.d): r.converged for r in curve},
-                "refinement_iterations": {
-                    str(r.d): r.refinement_iterations for r in curve
-                },
-            }
-        else:
-            [(label, spec)] = specs
-            opt = optimizer.optimize_closed_form(spec)
-            rows = [(spec.d, opt.angles.beta, opt.angles.gamma, opt.value)]
-            health = {
-                "converged": opt.converged,
-                "refinement_iterations": opt.refinement_iterations,
-            }
-        if args.ground_state is not None:
-            factor = optimizer.approximation_factor(rows[-1][3], args.ground_state)
-        lines = ["d,beta,gamma,value"]
-        for d, b, g, v in rows:
-            lines.append(f"{d},{b!r},{g!r},{v!r}")
         outputs.write_text("optimum.csv", "\n".join(lines) + "\n")
         config = {
             "pure_d": args.pure_d,

@@ -21,12 +21,13 @@ from .errors import (
     NonPositiveMError,
     ValidationError,
 )
-from .model import MixtureFunction, MixtureSpec
+from .model import MixtureFunction, MixtureSpec, damping_rate
 
 __all__ = [
     "Angles",
     "MAX_DEGREE",
     "energy_sigma_form",
+    "energy_sigma_grid",
     "energy_mixture_form",
     "energy_pure_d",
     "energy_higher_moment_limit",
@@ -92,14 +93,19 @@ def _check_degree(d: int) -> None:
         raise DegreeTooLargeError(f"degree {d} exceeds the supported cap {MAX_DEGREE}")
 
 
-def damping_rate(spec: MixtureSpec) -> float:
-    """sum_q sigma_q^2/(q-1)!, the decay rate in exp(-2 g^2 a * rate).
-
-    Equals xi'(1) of the equivalent mixture function.
-    """
-    return sum(
-        s * s / math.factorial(q) for q, s in enumerate(spec.sigmas)
-    )  # (q-1)! with q starting at 1 <=> factorial(index)
+# (a, coef) for each odd a <= q: coef = (-1)^((a-1)/2) / (a! (q-a)!), the
+# weight of sin^a(2b) cos^(q-a)(2b) exp(-2 g^2 a rate) in the degree-q term.
+_TERMS = tuple(
+    tuple(
+        (
+            a,
+            (-1.0 if (a - 1) // 2 % 2 else 1.0)
+            / (math.factorial(a) * math.factorial(q - a)),
+        )
+        for a in range(1, q + 1, 2)
+    )
+    for q in range(MAX_DEGREE + 1)
+)
 
 
 def energy_sigma_form(spec: MixtureSpec, angles: Angles) -> float:
@@ -115,12 +121,47 @@ def energy_sigma_form(spec: MixtureSpec, angles: Angles) -> float:
         if sig2 == 0:
             continue
         inner = 0.0
-        for a in range(1, q + 1, 2):
-            sign = -1.0 if (a - 1) // 2 % 2 else 1.0
-            coef = sign / (math.factorial(a) * math.factorial(q - a))
+        for a, coef in _TERMS[q]:
             inner += coef * math.exp(-2 * g * g * a * rate) * s2b**a * c2b ** (q - a)
         total += sig2 * inner
     return 2 * g * total
+
+
+def energy_sigma_grid(
+    spec: MixtureSpec, beta_grid: Sequence[float], gamma_grid: Sequence[float]
+) -> np.ndarray:
+    """``energy_sigma_form`` at every (beta, gamma) of a grid, as a
+    (len(betas), len(gammas)) array; ValidationError unless each axis is a
+    non-empty 1-D sequence of finite angles.
+
+    Each term is a beta factor times a gamma factor, so ``sin``/``cos`` and
+    their powers are taken once per beta, ``exp`` once per gamma and odd
+    power a, and each point costs a few array multiply-adds.  The points
+    are combined in ``energy_sigma_form``'s operand order with the same
+    scalar ``math`` functions, so every value is bit-identical to it.
+    """
+    _check_degree(spec.d)
+    betas, gammas = require_finite_grid(beta_grid, gamma_grid)
+    rate = damping_rate(spec)
+    gs = gammas.tolist()
+    sines = [math.sin(2 * b) for b in betas.tolist()]
+    cosines = [math.cos(2 * b) for b in betas.tolist()]
+    odd = range(1, spec.d + 1, 2)
+    damping = {a: np.array([math.exp(-2 * g * g * a * rate) for g in gs]) for a in odd}
+    sin_pow = {a: np.array([s**a for s in sines]) for a in odd}
+    cos_pow = [np.array([c**k for c in cosines])[:, None] for k in range(spec.d)]
+    total = np.zeros((betas.size, gammas.size))
+    for q in range(1, spec.d + 1):
+        sig2 = spec.sigmas[q - 1] ** 2
+        if sig2 == 0:
+            continue
+        inner = np.zeros_like(total)
+        for a, coef in _TERMS[q]:
+            term = np.multiply.outer(sin_pow[a], coef * damping[a])
+            term *= cos_pow[q - a]
+            inner += term
+        total += sig2 * inner
+    return (2 * gammas) * total
 
 
 def energy_mixture_form(xi: MixtureFunction, angles: Angles) -> float:

@@ -29,6 +29,7 @@ from .errors import (
     NonBinaryEntryError,
     ParseError,
     TooFewSpinsError,
+    ValidationError,
 )
 
 __all__ = [
@@ -47,6 +48,7 @@ __all__ = [
     "FitResult",
     "mask_from_indices",
     "indices_from_mask",
+    "damping_rate",
 ]
 
 RNG_ALGORITHM = "PCG64"  # recorded in run manifests; seeding is documented below
@@ -74,6 +76,15 @@ class MixtureSpec:
             raise NegativeSigmaError(f"sigmas must be finite and >= 0: {self.sigmas}")
         if all(s == 0 for s in self.sigmas):
             raise AllZeroError("all sigmas are zero; the disorder is degenerate")
+        # The closed forms square each sigma and decay as exp(-2 g^2 a rate).
+        if not (
+            all(math.isfinite(s * s) for s in self.sigmas)
+            and math.isfinite(damping_rate(self))
+        ):
+            raise ValidationError(
+                "every sigma_q^2 and the damping rate sum_q sigma_q^2/(q-1)! "
+                f"must be finite, got sigmas {self.sigmas}"
+            )
 
     def mixture_function(self) -> "MixtureFunction":
         """Equivalent mixture-function view, c_q = sigma_q / sqrt(q!)."""
@@ -82,6 +93,16 @@ class MixtureSpec:
 
     def sigma_sq(self) -> tuple[float, ...]:
         return tuple(s * s for s in self.sigmas)
+
+
+def damping_rate(spec: MixtureSpec) -> float:
+    """sum_q sigma_q^2/(q-1)!, the decay rate in exp(-2 g^2 a * rate).
+
+    Equals xi'(1) of the equivalent mixture function.
+    """
+    return sum(
+        s * s / math.factorial(q) for q, s in enumerate(spec.sigmas)
+    )  # (q-1)! with q starting at 1 <=> factorial(index)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.optimize import minimize
 
-from .closed_form import Angles, damping_rate, energy_sigma_form
+from .closed_form import Angles, damping_rate, energy_sigma_form, energy_sigma_grid
 from .errors import EmptyGridError, SignError, ValidationError
 from .model import MixtureSpec
 
@@ -49,6 +49,7 @@ class Optimum:
     grid_value: float = field(repr=False, default=math.nan)
     refinement_iterations: int = 0
     converged: bool = False
+    gradient_norm: float = math.nan
 
 
 def pure_d_spec(d: int) -> MixtureSpec:
@@ -84,7 +85,13 @@ def optimize_closed_form(
     if nb < 1 or ng < 1:
         raise EmptyGridError(f"grid must be non-empty, got {search.grid}")
     if search.gamma_range is None:
-        gmax = 2.0 / math.sqrt(damping_rate(spec))
+        rate = damping_rate(spec)
+        if not rate > 0:
+            raise ValidationError(
+                f"the damping rate of sigmas {spec.sigmas} underflows to 0, "
+                "so the default gamma range +-2/sqrt(rate) does not exist"
+            )
+        gmax = 2.0 / math.sqrt(rate)
         gamma_range = (-gmax, gmax)
     else:
         gamma_range = search.gamma_range
@@ -94,14 +101,13 @@ def optimize_closed_form(
 
     betas = np.linspace(search.beta_range[0], search.beta_range[1], nb)
     gammas = np.linspace(gamma_range[0], gamma_range[1], ng)
-    grid_best = math.inf
-    x0 = np.array([betas[0], gammas[0]])
-    for b in betas:
-        for g in gammas:
-            v = objective((b, g))
-            if v < grid_best:
-                grid_best = v
-                x0 = np.array([b, g])
+    # The first row-major minimum among values below inf, as a strict-< scan
+    # from inf keeps it; with no such value, the first cell and inf.
+    grid = energy_sigma_grid(spec, betas, gammas)
+    below_inf = np.where(grid < math.inf, grid, math.inf)
+    bi, gi = np.unravel_index(np.argmin(below_inf), grid.shape)
+    grid_best = float(below_inf[bi, gi])
+    x0 = np.array([betas[bi], gammas[gi]])
 
     res = minimize(
         objective,
@@ -121,16 +127,15 @@ def optimize_closed_form(
     if value > grid_best:
         angles = _canonical(Angles(float(x0[0]), float(x0[1])))
         value = energy_sigma_form(spec, angles)
-    converged = bool(res.success) and _fd_gradient_norm(
-        objective, np.array([angles.beta, angles.gamma])
-    ) < 1e-7
+    gradient_norm = _fd_gradient_norm(objective, np.array([angles.beta, angles.gamma]))
     return Optimum(
         angles=angles,
         value=value,
         grid_resolution=(nb, ng),
         grid_value=grid_best,
         refinement_iterations=int(res.nit),
-        converged=converged,
+        converged=bool(res.success) and gradient_norm < 1e-7,
+        gradient_norm=gradient_norm,
     )
 
 
@@ -142,6 +147,7 @@ class CurveRow:
     value: float
     refinement_iterations: int
     converged: bool
+    gradient_norm: float
 
 
 def optimal_angle_curve(
@@ -161,6 +167,7 @@ def optimal_angle_curve(
                 opt.value,
                 opt.refinement_iterations,
                 opt.converged,
+                opt.gradient_norm,
             )
         )
     return rows

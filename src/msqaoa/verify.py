@@ -392,6 +392,45 @@ def check_statevector_consistency(n: int = 10, samples: int = 50) -> CheckResult
     return _timed("statevector_consistency", body)
 
 
+def check_infinite_grid_consistency() -> CheckResult:
+    """A small ``energy_sigma_grid`` grid against per-point
+    ``energy_mixture_form``, with a negative control: moving one beta by
+    1e-4, which changes only that row's beta factors, must fail the
+    comparison."""
+
+    def body():
+        spec = model.make_mixture_spec(4, [0.3, 0.5, 1.0, 0.4])
+        xi = spec.mixture_function()
+        betas = np.array([-0.6, 0.25, 0.7])
+        gammas = np.array([-0.5, 0.35, 0.9])
+        want = np.array(
+            [
+                [
+                    closed_form.energy_mixture_form(xi, closed_form.Angles(float(b), float(g)))
+                    for g in gammas
+                ]
+                for b in betas
+            ]
+        )
+
+        def relative_error(grid_betas) -> float:
+            got = closed_form.energy_sigma_grid(spec, grid_betas, gammas)
+            return float(np.max(np.abs(got - want) / np.maximum(np.abs(want), 1e-6)))
+
+        grid_error = relative_error(betas)
+        perturbed = betas.copy()
+        perturbed[1] += 1e-4
+        control_error = relative_error(perturbed)
+        return grid_error < 1e-12 and control_error >= 1e-12, {
+            "points": want.size,
+            "max_relative_error": grid_error,
+            "perturbed_beta_relative_error": control_error,
+            "tolerance": 1e-12,
+        }
+
+    return _timed("infinite_grid_consistency", body)
+
+
 def check_finite_grid_consistency(n: int = 8) -> CheckResult:
     """A small ``finite:N`` grid from ``sketch_moment_grid`` against per-point
     ``oracle_moments``, with a negative control: moving one beta by 1e-4,
@@ -538,6 +577,7 @@ FULL_CHECKS: tuple[Callable[[], object], ...] = (
     check_convergence_and_concentration,
     check_monte_carlo_consistency,
     check_statevector_consistency,
+    check_infinite_grid_consistency,
     check_finite_grid_consistency,
     check_t_sum_asymptotics,
     check_manifest_round_trip,

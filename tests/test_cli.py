@@ -83,6 +83,33 @@ class TestOptimizeCommand:
         assert type(health["refinement_iterations"]) is int
         assert health["refinement_iterations"] > 0
 
+    def test_manifest_records_gradient_norm(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["optimize", "--pure-d", "2..3", "--out", str(a)]) == 0
+        assert main(["optimize", "--sk", "--out", str(b)]) == 0
+        per_degree = json.loads((a / "manifest.json").read_text())["health"]
+        single = json.loads((b / "manifest.json").read_text())["health"]
+        assert sorted(per_degree["gradient_norm"]) == ["2", "3"]
+        for norm in [*per_degree["gradient_norm"].values(), single["gradient_norm"]]:
+            assert type(norm) is float and 0 <= norm < 1e-7
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["optimize", "--sigmas", "1e200"],
+        ["optimize", "--cs", "1e300"],
+        ["landscape", "--sigmas", "1e200", "--beta=0:1:3", "--gamma=0:1:3"],
+        ["optimize", "--sigmas", "1e-200"],
+    ],
+)
+def test_overflowing_or_underflowing_damping_rate_exit_code(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
 
 @pytest.mark.parametrize(
     "argv",

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from msqaoa import closed_form, verify
 from msqaoa.closed_form import (
     Angles,
     d3_stationarity_residuals,
@@ -10,9 +11,16 @@ from msqaoa.closed_form import (
     energy_mixture_form,
     energy_pure_d,
     energy_sigma_form,
+    energy_sigma_grid,
 )
-from msqaoa.errors import DegreeTooLargeError, DegreeZeroError, NonPositiveMError
+from msqaoa.errors import (
+    DegreeTooLargeError,
+    DegreeZeroError,
+    NonPositiveMError,
+    ValidationError,
+)
 from msqaoa.model import make_mixture_spec
+from msqaoa.optimizer import pure_d_spec
 
 SK = make_mixture_spec(2, [0, 1])
 D3 = make_mixture_spec(3, [0, 0, math.sqrt(3)])
@@ -103,6 +111,90 @@ class TestSigmaForm:
     def test_degree_cap(self):
         with pytest.raises(DegreeTooLargeError):
             energy_sigma_form(make_mixture_spec(21, [1.0] * 21), SK_OPT)
+
+
+GRID_BETAS = [0.0, -0.0, math.pi / 4, -math.pi / 4, math.pi / 2, 2.9, -1e-300, 0.37, -1.3]
+GRID_GAMMAS = [0.0, -0.0, 5.0, -5.0, 30.0, 0.42, -1.1, 1e-8]
+
+
+def _mixtures_with_zero_sigmas(count=12, seed=17):
+    rng = np.random.default_rng(seed)
+    specs = []
+    for _ in range(count):
+        d = int(rng.integers(2, 9))
+        sigmas = rng.uniform(0.05, 1.5, d)
+        sigmas[rng.random(d) < 0.4] = 0.0
+        sigmas[int(rng.integers(0, d))] = 0.8
+        specs.append(make_mixture_spec(d, sigmas))
+    return specs
+
+
+class TestSigmaGrid:
+    """``energy_sigma_grid`` against per-point ``energy_sigma_form``, compared
+    by ``repr`` so that a sign of zero also counts."""
+
+    @staticmethod
+    def assert_bit_identical(spec, betas, gammas):
+        grid = energy_sigma_grid(spec, betas, gammas)
+        assert grid.shape == (len(betas), len(gammas))
+        for i, b in enumerate(betas):
+            for j, g in enumerate(gammas):
+                want = energy_sigma_form(spec, Angles(float(b), float(g)))
+                assert repr(float(grid[i, j])) == repr(want), (spec, b, g)
+
+    @pytest.mark.parametrize("d", range(1, 21))
+    def test_pure_d(self, d):
+        self.assert_bit_identical(pure_d_spec(d), GRID_BETAS, GRID_GAMMAS)
+
+    @pytest.mark.parametrize("spec", _mixtures_with_zero_sigmas())
+    def test_mixtures_with_zero_sigmas(self, spec):
+        self.assert_bit_identical(spec, GRID_BETAS, GRID_GAMMAS)
+
+    @pytest.mark.parametrize(
+        "betas, gammas",
+        [([0.3], [-0.5]), ([0.3], GRID_GAMMAS), (GRID_BETAS, [-0.5])],
+    )
+    def test_one_point_row_and_column(self, betas, gammas):
+        self.assert_bit_identical(make_mixture_spec(3, [0.2, 0.6, 0.9]), betas, gammas)
+
+    def test_accepts_arrays_and_returns_float_array(self):
+        grid = energy_sigma_grid(SK, np.linspace(-0.5, 0.5, 4), (0.1, 0.2))
+        assert grid.dtype == np.float64 and grid.shape == (4, 2)
+
+    @pytest.mark.parametrize(
+        "betas, gammas",
+        [
+            ([], [0.1]),
+            ([0.1], []),
+            ([[0.1, 0.2]], [0.1]),
+            ([0.1], [[0.1], [0.2]]),
+            ([math.nan], [0.1]),
+            ([0.1], [math.inf]),
+            ([-math.inf, 0.2], [0.1]),
+        ],
+    )
+    def test_rejects_empty_2d_and_non_finite_axes(self, betas, gammas):
+        with pytest.raises(ValidationError):
+            energy_sigma_grid(D3, betas, gammas)
+
+    def test_degree_cap(self):
+        with pytest.raises(DegreeTooLargeError):
+            energy_sigma_grid(make_mixture_spec(21, [1.0] * 21), [0.1], [0.2])
+
+
+class TestInfiniteGridCheck:
+    def test_passes(self):
+        res = verify.check_infinite_grid_consistency()
+        assert res.passed, res.details
+        assert res.details["perturbed_beta_relative_error"] >= 1e-12
+
+    def test_corrupted_grid_fails(self, monkeypatch):
+        # negative control: the grid engine off by 1e-11 relative
+        real = closed_form.energy_sigma_grid
+        monkeypatch.setattr(
+            closed_form, "energy_sigma_grid", lambda *args: real(*args) * (1 + 1e-11)
+        )
+        assert not verify.check_infinite_grid_consistency().passed
 
 
 class TestMixtureForm:

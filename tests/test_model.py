@@ -13,6 +13,7 @@ from msqaoa.errors import (
     NonBinaryEntryError,
     ParseError,
     TooFewSpinsError,
+    ValidationError,
 )
 from msqaoa.model import (
     MixtureSpec,
@@ -52,6 +53,19 @@ class TestMixtureSpec:
     def test_length_mismatch_rejected(self):
         with pytest.raises(LengthMismatchError):
             make_mixture_spec(3, [1, 1])
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: make_mixture_spec(1, [1e200]),  # sigma^2 overflows
+            lambda: make_mixture_spec(2, [1e154, 1e154]),  # the rate sum overflows
+            lambda: from_mixture_function(1, [1e300]),
+            lambda: from_mixture_function(3, [0.0, 0.0, 1e154]),  # sigma = c sqrt(3!)
+        ],
+    )
+    def test_overflowing_damping_rate_rejected(self, build):
+        with pytest.raises(ValidationError, match="must be finite"):
+            build()
 
 
 class TestMixtureFunction:

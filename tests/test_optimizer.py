@@ -1,8 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
-from msqaoa.closed_form import Angles, energy_sigma_form
+from msqaoa import optimizer
+from msqaoa.closed_form import Angles, damping_rate, energy_sigma_form
 from msqaoa.errors import EmptyGridError, SignError, ValidationError
 from msqaoa.model import make_mixture_spec
 from msqaoa.optimizer import (
@@ -76,6 +78,123 @@ class TestOptimize:
             - energy_sigma_form(SK, Angles(b, g - h))
         ) / (2 * h)
         assert math.hypot(db, dg) < 1e-7
+
+
+def reference_scan(spec, search=SearchConfig()):
+    """The coarse scan point by point: (grid_best, x0) of a strict-< scan
+    from inf in row-major order."""
+    nb, ng = search.grid
+    if search.gamma_range is None:
+        gmax = 2.0 / math.sqrt(damping_rate(spec))
+        gamma_range = (-gmax, gmax)
+    else:
+        gamma_range = search.gamma_range
+    betas = np.linspace(search.beta_range[0], search.beta_range[1], nb)
+    gammas = np.linspace(gamma_range[0], gamma_range[1], ng)
+    grid_best = math.inf
+    x0 = np.array([betas[0], gammas[0]])
+    for b in betas:
+        for g in gammas:
+            v = energy_sigma_form(spec, Angles(float(b), float(g)))
+            if v < grid_best:
+                grid_best = v
+                x0 = np.array([b, g])
+    return grid_best, x0
+
+
+def _seeded_mixtures(count=5, seed=3):
+    rng = np.random.default_rng(seed)
+    specs = []
+    for _ in range(count):
+        d = int(rng.integers(2, 7))
+        sigmas = rng.uniform(0.0, 1.5, d)
+        sigmas[rng.random(d) < 0.3] = 0.0
+        sigmas[-1] = max(sigmas[-1], 0.5)
+        specs.append(make_mixture_spec(d, sigmas))
+    return specs
+
+
+class TestGridScan:
+    """The vectorized coarse scan picks the same start and grid value as the
+    per-point scan, so Nelder-Mead and the optimum are unchanged."""
+
+    @staticmethod
+    def run_with_start(monkeypatch, spec, search=SearchConfig()):
+        starts = []
+        real = optimizer.minimize
+
+        def recording(fun, x0, **kwargs):
+            starts.append(np.array(x0, copy=True))
+            return real(fun, x0, **kwargs)
+
+        monkeypatch.setattr(optimizer, "minimize", recording)
+        opt = optimize_closed_form(spec, search)
+        [x0] = starts
+        return opt, x0
+
+    @pytest.mark.parametrize(
+        "spec",
+        [SK] + [pure_d_spec(d) for d in range(2, 9)] + _seeded_mixtures(),
+    )
+    def test_same_start_and_grid_value(self, monkeypatch, spec):
+        opt, x0 = self.run_with_start(monkeypatch, spec)
+        grid_best, ref_x0 = reference_scan(spec)
+        assert [repr(v) for v in x0] == [repr(v) for v in ref_x0]
+        assert repr(opt.grid_value) == repr(grid_best)
+        assert opt.value <= opt.grid_value
+        assert opt.value == energy_sigma_form(spec, opt.angles)
+
+    @pytest.mark.parametrize(
+        "search",
+        [
+            SearchConfig(grid=(9, 5), gamma_range=(0.0, 0.0)),  # all +-0.0
+            SearchConfig(grid=(9, 5), gamma_range=(-0.0, -0.0)),
+            SearchConfig(grid=(1, 1), gamma_range=(0.3, 0.3)),
+            SearchConfig(grid=(5, 3), gamma_range=(0.5, 1.7e308)),  # a NaN column
+            SearchConfig(grid=(4, 4), gamma_range=(1e308, 1.5e308)),  # all NaN
+        ],
+    )
+    def test_ties_signed_zeros_and_nan(self, monkeypatch, search):
+        opt, x0 = self.run_with_start(monkeypatch, D3, search)
+        grid_best, ref_x0 = reference_scan(D3, search)
+        assert [repr(v) for v in x0] == [repr(v) for v in ref_x0]
+        assert repr(opt.grid_value) == repr(grid_best)
+
+    def test_point_evaluations_are_refinement_only(self, monkeypatch):
+        calls = 0
+        real = optimizer.energy_sigma_form
+
+        def counted(spec, angles):
+            nonlocal calls
+            calls += 1
+            return real(spec, angles)
+
+        monkeypatch.setattr(optimizer, "energy_sigma_form", counted)
+        search = SearchConfig()
+        optimize_closed_form(make_mixture_spec(3, [0.3, 0.5, 1.0]), search)
+        assert 0 < calls <= search.refine_budget + 7
+
+
+class TestGradientNorm:
+    def test_recorded_and_below_tolerance_when_converged(self):
+        opt = optimize_closed_form(SK)
+        assert opt.converged and 0 <= opt.gradient_norm < 1e-7
+
+    def test_recorded_when_the_simplex_stops_early(self):
+        opt = optimize_closed_form(D3, SearchConfig(refine_budget=5))
+        assert not opt.converged
+        assert math.isfinite(opt.gradient_norm) and opt.gradient_norm > 1e-7
+
+    def test_curve_rows_carry_it(self):
+        for row in optimal_angle_curve([2, 3]):
+            assert row.converged and 0 <= row.gradient_norm < 1e-7
+
+
+def test_underflowing_damping_rate_rejected():
+    spec = make_mixture_spec(1, [1e-200])
+    assert damping_rate(spec) == 0.0
+    with pytest.raises(ValidationError, match="underflows"):
+        optimize_closed_form(spec)
 
 
 class TestCurve:
