@@ -110,15 +110,26 @@ def _parse_mode(text: str) -> tuple:
 
 
 class _Outputs:
-    """Tracks written files; removes partial outputs on failure."""
+    """Tracks written files; removes partial outputs on failure.
+
+    The directory is made at the first write, so a command that fails
+    before writing leaves nothing behind, and one that fails later removes
+    the directory again if it made it.
+    """
 
     def __init__(self, outdir: str) -> None:
         self.dir = Path(outdir)
-        self.dir.mkdir(parents=True, exist_ok=True)
+        self.made_dir = False
         self.written: list[Path] = []
 
+    def _path(self, name: str) -> Path:
+        if not self.dir.exists():
+            self.dir.mkdir(parents=True)
+            self.made_dir = True
+        return self.dir / name
+
     def write_text(self, name: str, text: str) -> Path:
-        path = self.dir / name
+        path = self._path(name)
         path.write_text(text)
         self.written.append(path)
         return path
@@ -127,6 +138,11 @@ class _Outputs:
         for path in self.written:
             try:
                 path.unlink()
+            except OSError:
+                pass
+        if self.made_dir:
+            try:
+                self.dir.rmdir()
             except OSError:
                 pass
 
@@ -148,7 +164,7 @@ class _Outputs:
         }
         if health is not None:
             doc["health"] = health
-        path = self.dir / "manifest.json"
+        path = self._path("manifest.json")
         path.write_text(json.dumps(doc, indent=2) + "\n")
         return path
 

@@ -15,11 +15,17 @@ sum_{|S|=q}(z_S - z'_S)^2 written in closed binomial form.
 For the moments the sum collapses exactly: grouping sketches by the
 disagreement count t = npm + nmp, the inner alternating sums are t-th finite
 differences of polynomials of degree <= d (first moment) or <= 2d (second),
-so every block with larger t vanishes identically.  ``sketch_moments``
-evaluates the surviving blocks in closed form through binomial moments and
-exact alternating kernels; naive term-by-term float summation of all
-binom(n+3,3) sketches would instead lose the cancellation catastrophically
-for n beyond a few dozen.  ``generating_function`` keeps the direct
+so every block with larger t vanishes identically.  Each surviving block is
+a polynomial in cos^2 b with integer coefficients (over one common
+denominator) that depend on neither angle: they are forward differences of
+the block integrand at the integers, built once per n and model.
+``sketch_moment_grid`` evaluates every block exactly at the float cos^2 b
+(integer Horner and one correctly rounded division), so only the angle
+factors and the sum over t are rounded, at any d and n.  Naive term-by-term
+float summation of all binom(n+3,3) sketches would instead lose the
+cancellation catastrophically for n beyond a few dozen, and so does a float
+evaluation of the blocks in a monomial basis at d beyond about 10.
+``generating_function`` keeps the direct
 enumeration (log-magnitude/phase blocks, compensated accumulation) since its
 integrand is not polynomial in the sketch; its accuracy degrades with n and
 it is contracted against the oracle at small n only.
@@ -72,7 +78,7 @@ __all__ = [
 ]
 
 ORACLE_MAX_N = 14  # 4^n pair enumeration
-# sketch_moments: the range recorded reference values certify;
+# sketch_moments: the range the 60-digit reference tests cover;
 # generating_function: its sum has binom(n+3,3) terms, ~2.3e7 at n=512
 SKETCH_MAX_N = 512
 _REL_IMAG_TOL = 1e-9
@@ -337,11 +343,14 @@ def _check_sketch_n(n: int, reason: str) -> None:
         raise BudgetExceededError(f"n={n} exceeds the cap {SKETCH_MAX_N}: {reason}")
 
 
-def _require_real(z: complex, what: str) -> float:
-    scale = max(abs(z.real), 1e-300)
-    if abs(z.imag) > _REL_IMAG_TOL * scale:
+def _require_real(z: complex, what: str, scale: float = 0.0) -> float:
+    """z.real, unless the imaginary residue exceeds 1e-9 of the larger of
+    |z.real| and ``scale``, a bound on the magnitude of the terms summed into
+    z (a sum that is zero by symmetry keeps a rounding residue of that size)."""
+    if abs(z.imag) > _REL_IMAG_TOL * max(abs(z.real), scale, 1e-300):
         raise ImaginaryResidueError(
-            f"{what} has imaginary residue {z.imag:.3e} vs real part {z.real:.3e}"
+            f"{what} has imaginary residue {z.imag:.3e} vs real part {z.real:.3e} "
+            f"and term magnitude {scale:.3e}"
         )
     return float(z.real)
 
@@ -401,117 +410,82 @@ def _finalize_report(
 
 # -- exact block evaluation of the sketch-sum moments -------------------------
 #
-# With aw_i = (-1)^i binom(t,i)(i sc)^t and bw_j the Binomial(s, cos^2 b) pmf,
-# a moment block at disagreement count t is
-#     binom(n,t) e^{K(t)} (i sc)^t sum_{i,j} (-1)^i binom(t,i) bw_j X(i,j)
-# where X is P = phi(i+j) - phi(t-i+j) for the first moment and P^2 for the
-# second, and phi(u) = sum_q sigma_q^2 F_q(u)/n^q is a polynomial in u of
-# degree <= d.  Substituting i -> t-i shows the P-block equals
-# (1-(-1)^t) times its phi(i+j) half (odd t only, and identically zero for
-# t > d by the finite-difference identity
-#     sum_i (-1)^i binom(t,i) i^k = 0 for k < t);
-# the P^2 block similarly survives only for even t <= 2d.  The code below
-# evaluates the surviving blocks with scaled binomial raw moments
-# mu~_m = E[(j/n)^m] and exact integer kernels
-#     G_t(e,f) = sum_i (-1)^i binom(t,i) i^e (t-i)^f,
-# keeping every intermediate O(1) so no deep float cancellation occurs.
+# With j ~ Binomial(n-t, c2), c2 = cos^2 b, a moment block at disagreement
+# count t is binom(n,t) e^{K(t)} (i sc)^t E_j h_t(j), where
+#     h_t(j) = sum_i (-1)^i binom(t,i) X(i,j),  P(i,j) = phi(i+j) - phi(t-i+j),
+# X = P for the first moment and P^2 for the second, and phi(u) =
+# sum_q sigma_q^2 F_q(u)/n^q is a polynomial in u of degree <= d.  Swapping
+# i -> t-i shows the P-block vanishes for even t and the P^2-block for odd t;
+# h_t is a polynomial in j of degree <= deg - t (deg = d or 2d), so blocks
+# with t > deg vanish, and the Newton expansion h_t(j) = sum_m Delta^m h_t(0)
+# binom(j,m) with E_j binom(j,m) = binom(n-t,m) c2^m turns each surviving
+# block into a polynomial in c2 whose integer coefficients depend on neither
+# angle.  sigma_q^2 are dyadic rationals, so phi scaled by a common
+# denominator is an integer at every u, and each block is evaluated exactly
+# at the float c2 = p / 2^e; only the e^K and sc^t factors and the sum over t
+# are rounded.
 
 
-@lru_cache(maxsize=None)
-def _binomial_poly(k: int) -> tuple[Fraction, ...]:
-    """Coefficients of binom(x, k) = x(x-1)...(x-k+1)/k! in x, exact."""
-    coeffs = [Fraction(1)]
-    for r in range(k):
-        nxt = [Fraction(0)] * (len(coeffs) + 1)
-        for p, cf in enumerate(coeffs):
-            nxt[p + 1] += cf
-            nxt[p] -= cf * r
-        coeffs = nxt
-    fact = Fraction(math.factorial(k))
-    return tuple(cf / fact for cf in coeffs)
+def _phi_integers(spec: MixtureSpec, n: int, top: int) -> tuple[list[int], int]:
+    """(L phi(u) for u = 0..top, L): phi at the integers, exactly, over the
+    common denominator L of its terms sigma_q^2 F_q(u) / n^q."""
+    terms = [
+        (q, *(spec.sigmas[q - 1] ** 2).as_integer_ratio())
+        for q in range(1, min(spec.d, n) + 1)
+        if spec.sigmas[q - 1] ** 2 != 0
+    ]
+    den = math.lcm(1, *(s2_den * n**q for q, _, s2_den in terms))
+    weights = [(q, s2_num * (den // (s2_den * n**q))) for q, s2_num, s2_den in terms]
+    phi = [
+        sum(w * _subset_sum_by_plus_count(q, u, n) for q, w in weights)
+        for u in range(top + 1)
+    ]
+    return phi, den
 
 
-@lru_cache(maxsize=None)
-def _subset_sum_poly(q: int, n: int) -> tuple[Fraction, ...]:
-    """Coefficients in u of F_q(u) = sum_k (-1)^(q-k) binom(u,k) binom(n-u,q-k).
-
-    Valid pointwise for integer u in [0, n] whenever q <= n.
-    """
-    out = [Fraction(0)] * (q + 1)
-    for k in range(q + 1):
-        left = _binomial_poly(k)
-        # binom(n-u, q-k) as a polynomial in u: substitute x = n - u
-        right_x = _binomial_poly(q - k)
-        right = [Fraction(0)] * (q - k + 1)
-        for p, cf in enumerate(right_x):
-            # (n - u)^p expanded
-            for m in range(p + 1):
-                right[m] += cf * math.comb(p, m) * n ** (p - m) * (-1) ** m
-        sign = (-1) ** (q - k)
-        for a, ca in enumerate(left):
-            for b, cb in enumerate(right):
-                out[a + b] += sign * ca * cb
-    return tuple(out)
-
-
-def _phi_scaled_coeffs(spec: MixtureSpec, n: int) -> list[float]:
-    """phi~_k = n^k [u^k] phi(u); all O(1) regardless of n."""
+def _moment_blocks(spec: MixtureSpec, n: int) -> tuple[list, list]:
+    """The surviving blocks of the first and of the second moment, each as
+    (t, coeffs, den) with sum_m coeffs[m] c2^m / den = s binom(n,t) E_j h_t(j),
+    where s = i^(t+1) for the first moment (odd t <= d) and s = i^t for the
+    second (even t <= 2d, from t = 2 on, since P(0, j) = 0)."""
     d = spec.d
-    out = [0.0] * (d + 1)
-    for q in range(1, min(d, n) + 1):
-        s2 = spec.sigmas[q - 1] ** 2
-        if s2 == 0:
-            continue
-        poly = _subset_sum_poly(q, n)
-        for k, cf in enumerate(poly):
-            out[k] += s2 * float(cf * Fraction(n) ** k / Fraction(n) ** q)
-    return out
+    phi, den = _phi_integers(spec, n, min(2 * d, n))
+
+    def block(t: int, power: int, deg: int, sign: int):
+        h = [
+            sum(
+                (-1) ** i * math.comb(t, i) * (phi[i + j] - phi[t - i + j]) ** power
+                for i in range(t + 1)
+            )
+            for j in range(min(deg, n) - t + 1)
+        ]
+        coeffs = []
+        for m in range(len(h)):
+            coeffs.append(sign * math.comb(n, t) * math.comb(n - t, m) * h[0])
+            h = [b - a for a, b in zip(h, h[1:])]
+        return t, coeffs, den**power
+
+    first = [
+        block(t, 1, d, (-1) ** ((t + 1) // 2)) for t in range(1, min(d, n) + 1, 2)
+    ]
+    second = [block(t, 2, 2 * d, (-1) ** (t // 2)) for t in range(2, min(2 * d, n) + 1, 2)]
+    return first, second
 
 
-@lru_cache(maxsize=None)
-def _alt_kernel(t: int, e: int, f: int) -> int:
-    """G_t(e,f) = sum_i (-1)^i binom(t,i) i^e (t-i)^f, exact; 0 when e+f < t."""
-    return sum(
-        (-1) ** i * math.comb(t, i) * i**e * (t - i) ** f for i in range(t + 1)
-    )
-
-
-def _scaled_binomial_moments(s: int, p: float, n: int, mmax: int) -> list[float]:
-    """mu~_m = E[(j/n)^m] for j ~ Binomial(s, p), via Stirling partition sums.
-
-    Every term is non-negative, so there is no cancellation.
-    """
-    # Stirling numbers of the second kind S(m, l), m, l <= mmax
-    stir = [[0] * (mmax + 1) for _ in range(mmax + 1)]
-    stir[0][0] = 1
-    for m in range(1, mmax + 1):
-        for l in range(1, m + 1):
-            stir[m][l] = stir[m - 1][l - 1] + l * stir[m - 1][l]
-    # scaled falling factorials (s)_l / n^l
-    fall = [1.0] * (mmax + 1)
-    for l in range(1, mmax + 1):
-        fall[l] = fall[l - 1] * max(s - (l - 1), 0) / n
+def _block_values(blocks: Sequence, beta: float) -> list[float]:
+    """sc^t times each block's polynomial at c2 = cos^2 beta.  With c2 =
+    p / 2^e, integer Horner gives sum_m coeffs[m] p^m 2^(e(M-m)), and one
+    correctly rounded int / int division by den 2^(eM) gives the block."""
+    sb, cb = math.sin(beta), math.cos(beta)
+    sc = sb * cb
+    p, q = (cb * cb).as_integer_ratio()
+    e = q.bit_length() - 1
     out = []
-    for m in range(mmax + 1):
-        acc = 0.0
-        for l in range(min(m, s), -1, -1):
-            acc += stir[m][l] * fall[l] * p**l * float(n) ** (l - m)
-        out.append(acc)
-    return out
-
-
-def _weighted_poly_coeffs(
-    coeffs: Sequence[float], mu: Sequence[float]
-) -> list[float]:
-    """rho~_k of rho(i) = E_j[poly(i+j)] from scaled coefficients and moments."""
-    deg = len(coeffs) - 1
-    out = []
-    for k in range(deg + 1):
-        acc = 0.0
-        for kp in range(k, deg + 1):
-            if coeffs[kp]:
-                acc += coeffs[kp] * math.comb(kp, k) * mu[kp - k]
-        out.append(acc)
+    for t, coeffs, den in blocks:
+        num = 0
+        for k, a in enumerate(reversed(coeffs)):
+            num = num * p + (a << e * k)
+        out.append(sc**t * (num / (den << e * (len(coeffs) - 1))))
     return out
 
 
@@ -534,69 +508,6 @@ class MomentGrid:
     clamped: np.ndarray
 
 
-def _beta_factors(
-    phi: list[float], tau: list[float], n: int, ts1: range, ts2: range, beta: float
-) -> tuple[list[float], list[float], list[float], list[float]]:
-    """sc^t and the block sums at one beta: (sc^t, inner) over the blocks ts1
-    of the first moment, then (sc^t, inner2) over the blocks ts2 of the second."""
-    d = len(phi) - 1
-    sb, cb = math.sin(beta), math.cos(beta)
-    sc = sb * cb
-    c2 = cb * cb
-
-    sc1, inner1 = [], []
-    for t in ts1:
-        mu = _scaled_binomial_moments(n - t, c2, n, d)
-        rho = _weighted_poly_coeffs(phi, mu)
-        inner = sum(
-            rho[k] * float(_alt_kernel(t, k, 0)) * float(n) ** (t - k)
-            for k in range(t, d + 1)
-        )
-        sc1.append(sc**t)
-        inner1.append(inner)
-
-    sc2, inner2 = [], []
-    for t in ts2:
-        mu = _scaled_binomial_moments(n - t, c2, n, 2 * d)
-        rho2 = _weighted_poly_coeffs(tau, mu)
-        s1 = sum(
-            rho2[k] * float(_alt_kernel(t, k, 0)) * float(n) ** (t - k)
-            for k in range(t, 2 * d + 1)
-        )
-        smid = 0.0
-        for a in range(d + 1):
-            if not phi[a]:
-                continue
-            for b in range(d + 1):
-                if not phi[b]:
-                    continue
-                for m in range(a + 1):
-                    for mp in range(b + 1):
-                        e, f = a - m, b - mp
-                        if e + f < t:
-                            continue
-                        smid += (
-                            phi[a]
-                            * phi[b]
-                            * math.comb(a, m)
-                            * math.comb(b, mp)
-                            * mu[m + mp]
-                            * float(_alt_kernel(t, e, f))
-                            * float(n) ** (t - e - f)
-                        )
-        sc2.append(sc**t)
-        inner2.append(2 * s1 - 2 * smid)
-    return sc1, inner1, sc2, inner2
-
-
-def _block_prefactor(n: int, t: int) -> float:
-    """binom(n,t)/n^t, computed without large intermediates."""
-    pref = 1.0
-    for r in range(t):
-        pref *= (n - r) / n
-    return pref / math.factorial(t)
-
-
 def sketch_moment_grid(
     spec: MixtureSpec,
     betas: Sequence[float],
@@ -607,63 +518,43 @@ def sketch_moment_grid(
 
     The lambda-derivatives of the generating function are taken analytically
     (first = i gamma sum_sketch w p, second = 2R - gamma^2 sum_sketch w p^2
-    with p = sum_q sigma_q^2 f_q / n^q), and the sketch sums are evaluated by
-    the exact block collapse described in the module docstring.  Each
-    surviving block is a beta factor (sc^t times a binomial-moment sum in
-    cos^2 b) times a gamma factor (the prefactor times e^K(t)), so the beta
-    work runs once per beta, the K table once per gamma, and each point costs
-    one multiply-add per block.  Both moments are real by construction.
+    with p = sum_q sigma_q^2 f_q / n^q), and the sketch sums collapse to the
+    blocks described above.  Each block is a beta factor (sc^t times its
+    polynomial in cos^2 b, built once per grid and evaluated exactly once per
+    beta) times a gamma factor (gamma e^K(t) or e^K(t), from one K table per
+    gamma), so each point costs one multiply-add per block, in the same order
+    as the 1x1 grid.  Both moments are real by construction.
 
     A variance below -1e-10 raises NegativeVarianceError; smaller negative
     variances are set to 0 and flagged in ``clamped``.  n is capped at
-    SKETCH_MAX_N, the range the recorded reference values certify.
+    SKETCH_MAX_N, the range the high-precision reference tests cover.
     """
     _check_sketch_n(
         n,
-        "recorded reference values certify sketch_moments only up to there; "
-        "larger n awaits an independent high-precision reference",
+        "the high-precision reference tests cover sketch_moments only up to there",
     )
     betas, gammas = require_finite_grid(betas, gammas)
-    d = spec.d
-    phi = _phi_scaled_coeffs(spec, n)
-    tau = [0.0] * (2 * d + 1)
-    for a, pa in enumerate(phi):
-        if pa:
-            for b, pb in enumerate(phi):
-                if pb:
-                    tau[a + b] += pa * pb
-    # the surviving blocks: odd t <= d (first moment), even t <= 2d (second)
-    ts1 = range(1, min(d, n) + 1, 2)
-    ts2 = range(0, min(2 * d, n) + 1, 2)
-    pref1 = [
-        (-1.0 if ((t + 1) // 2) % 2 else 1.0) * _block_prefactor(n, t) for t in ts1
-    ]
-    pref2 = [(-1.0 if (t // 2) % 2 else 1.0) * _block_prefactor(n, t) for t in ts2]
-
+    blocks1, blocks2 = _moment_blocks(spec, n)
     # beta factors, shape (len(betas), blocks)
-    sc1, inner1, sc2, inner2 = (
-        np.array(col, dtype=float)
-        for col in zip(*(_beta_factors(phi, tau, n, ts1, ts2, float(b)) for b in betas))
-    )
-    # gamma factors, shape (blocks, len(gammas)).  Every product below keeps
-    # the operand order (gamma factor) * sc^t * inner, and the signs are +-1,
-    # so each point is bit-identical to a per-point evaluation.
-    g1 = np.empty((len(ts1), len(gammas)))
-    g2 = np.empty((len(ts2), len(gammas)))
+    rows = np.array([_block_values(blocks1 + blocks2, float(b)) for b in betas])
+    f1, f2 = rows[:, : len(blocks1)], rows[:, len(blocks1) :]
+    # gamma factors, shape (blocks, len(gammas))
+    g1 = np.empty((len(blocks1), len(gammas)))
+    g2 = np.empty((len(blocks2), len(gammas)))
     for gi, gamma in enumerate(gammas):
         gamma = float(gamma)
-        K = _k_table(spec, gamma, n, min(2 * d, n) + 1)
-        for i, t in enumerate(ts1):
-            g1[i, gi] = 2 * gamma * pref1[i] * math.exp(K[t])
-        for i, t in enumerate(ts2):
-            g2[i, gi] = pref2[i] * math.exp(K[t])
+        K = _k_table(spec, gamma, n, min(2 * spec.d, n) + 1)
+        for i, (t, _, _) in enumerate(blocks1):
+            g1[i, gi] = gamma * math.exp(K[t])
+        for i, (t, _, _) in enumerate(blocks2):
+            g2[i, gi] = math.exp(K[t])
 
     first = np.zeros((len(betas), len(gammas)))
-    for i in range(len(ts1)):
-        first += g1[i] * sc1[:, i, None] * inner1[:, i, None]
+    for i in range(len(blocks1)):
+        first += g1[i] * f1[:, i, None]
     m2 = np.zeros((len(betas), len(gammas)))
-    for i in range(len(ts2)):
-        m2 += g2[i] * sc2[:, i, None] * inner2[:, i, None]
+    for i in range(len(blocks2)):
+        m2 += g2[i] * f2[:, i, None]
     second = 2 * _lambda_quadratic(spec, n) - gammas * gammas * m2
     variance, clamped = _clamped_variance(first, second)
     return MomentGrid(n, spec, betas, gammas, first, second, variance, clamped)
@@ -739,7 +630,9 @@ def _string_subset_tables(n: int, d: int) -> np.ndarray:
 
 def _oracle_sums(
     spec: MixtureSpec, angles: Angles, n: int, lam: Optional[float]
-) -> tuple[complex, complex, complex, complex, float, float]:
+) -> tuple[complex, complex, complex, complex, float, float, np.ndarray]:
+    """(sum WE, sum WED, sum WED^2, sum WE e^(-i gamma lam D), K, R, upper
+    bounds on sum |WE|, sum |WED|, sum |WED^2|) over all string pairs."""
     if n < 1:
         raise ValidationError(f"need n >= 1, got n={n}")
     if n > ORACLE_MAX_N:
@@ -768,12 +661,17 @@ def _oracle_sums(
     pc = _popcounts(np.arange(size), n)
     wa = cb ** (n - pc) * (1j * sb) ** pc  # <z|e^{i beta B}|(+1)^n>
     wb = wa.conj()  # <(+1)^n|e^{-i beta B}|z'>
+    # Bounds on sum |WE|, sum |WE D| and sum |WE| D^2 over all pairs, from
+    # |W| = amp_r amp_c, |D| <= |phi_r| + |phi_c| and the symmetry of E.
+    amp = np.abs(wa)
+    bound_rows = np.array([amp, 2 * amp * np.abs(phi), 4 * amp * phi * phi])
     damp = np.exp(psi)
 
     s0 = _Kahan()
     s1 = _Kahan()
     s2acc = _Kahan()
     sl = _Kahan()
+    magnitudes = np.zeros(3)
     masks = np.arange(size)
     chunk = max(1, (1 << 22) // size)
     for lo in range(0, size, chunk):
@@ -787,11 +685,12 @@ def _oracle_sums(
         WED = WE * D
         s1.add(WED.sum())
         s2acc.add((WED * D).sum())
+        magnitudes += bound_rows[:, rows] @ (E @ amp)
         if lam is not None:
             sl.add((WE * np.exp(-angles.gamma * lam * D)).sum())
 
     r = _lambda_quadratic(spec, n)
-    return s0.total, s1.total, s2acc.total, sl.total, k_const, r
+    return s0.total, s1.total, s2acc.total, sl.total, k_const, r, magnitudes
 
 
 def oracle_moments(spec: MixtureSpec, angles: Angles, n: int) -> MomentReport:
@@ -800,18 +699,23 @@ def oracle_moments(spec: MixtureSpec, angles: Angles, n: int) -> MomentReport:
     Independent ground truth for ``sketch_moments``: subset sums are taken
     explicitly per string, with no sketch collapse and no binomial formulas.
     """
-    s0, s1, s2sum, _, k_const, r = _oracle_sums(spec, angles, n, None)
+    s0, s1, s2sum, _, k_const, r, (a0, a1, a2) = _oracle_sums(spec, angles, n, None)
     ek = math.exp(k_const)
-    first = _require_real(1j * angles.gamma * ek * s1, "oracle first moment")
+    g = angles.gamma
+    first = _require_real(
+        1j * g * ek * s1, "oracle first moment", abs(g) * ek * a1
+    )
     second = _require_real(
-        2 * r * ek * s0 - angles.gamma**2 * ek * s2sum, "oracle second moment"
+        2 * r * ek * s0 - g**2 * ek * s2sum,
+        "oracle second moment",
+        2 * r * ek * a0 + g**2 * ek * a2,
     )
     return _finalize_report(n, first, second, "oracle", spec, angles)
 
 
 def oracle_mgf(spec: MixtureSpec, angles: Angles, n: int, lam: float) -> complex:
     """E_J<exp(i lam H/n)> by direct summation over all string pairs."""
-    _, _, _, sl, k_const, r = _oracle_sums(spec, angles, n, lam)
+    _, _, _, sl, k_const, r, _ = _oracle_sums(spec, angles, n, lam)
     return math.exp(k_const - lam * lam * r) * sl
 
 

@@ -92,6 +92,13 @@ def optimize_closed_form(
                 "so the default gamma range +-2/sqrt(rate) does not exist"
             )
         gmax = 2.0 / math.sqrt(rate)
+        # the closed form decays as exp(-2 g^2 a rate); below a rate of about
+        # 2.2e-308 gmax*gmax overflows and every grid value would come out +-0
+        if not math.isfinite(gmax * gmax * rate):
+            raise ValidationError(
+                f"the damping rate {rate!r} of sigmas {spec.sigmas} is so small "
+                "that g*g*rate overflows on the default gamma range +-2/sqrt(rate)"
+            )
         gamma_range = (-gmax, gmax)
     else:
         gamma_range = search.gamma_range

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from msqaoa import closed_form
+from msqaoa import closed_form, finite_n
 from msqaoa.cli import main
 
 
@@ -101,6 +101,7 @@ class TestOptimizeCommand:
         ["optimize", "--cs", "1e300"],
         ["landscape", "--sigmas", "1e200", "--beta=0:1:3", "--gamma=0:1:3"],
         ["optimize", "--sigmas", "1e-200"],
+        ["optimize", "--sigmas", "1e-160"],  # rate 1e-320: g*g overflows on +-2e160
     ],
 )
 def test_overflowing_or_underflowing_damping_rate_exit_code(tmp_path, capsys, argv):
@@ -121,6 +122,10 @@ def test_overflowing_or_underflowing_damping_rate_exit_code(tmp_path, capsys, ar
         ["optimize", "--pure-d", "5..2"],
         ["optimize", "--pure-d", "5..2", "--ground-state=-0.7"],
         ["landscape", "--pure-d", "5..2"],
+        ["landscape", "--pure-d", "21", "--beta=0:1:3", "--gamma=0:1:3"],
+        # writes the d = 20 grids, then fails at d = 21 and removes them
+        ["landscape", "--pure-d", "20..21", "--mode", "finite:8", "--mode", "infinite",
+         "--beta=0:1:3", "--gamma=0:1:3"],
     ],
 )
 def test_pure_d_out_of_range_exit_code(tmp_path, capsys, argv):
@@ -336,14 +341,16 @@ class TestLandscapeCommand:
         assert code == 2
         assert list(tmp_path.glob("*.csv")) == []
 
-    def test_numerical_self_check_exit_code(self, tmp_path, capsys):
-        # d = 16 at n = 32 loses the second moment to cancellation; the
-        # infinite grid written first must be removed with the rest
+    def test_numerical_self_check_exit_code(self, tmp_path, capsys, monkeypatch):
+        # injected fault: the lambda^2 weight R short by 1 gives a negative
+        # variance; the infinite grid written first must be removed with the rest
+        real = finite_n._lambda_quadratic
+        monkeypatch.setattr(finite_n, "_lambda_quadratic", lambda *args: real(*args) - 1.0)
         code = main(
             [
                 "landscape",
                 "--pure-d",
-                "16",
+                "3",
                 "--beta=0.3:0.3:1",
                 "--gamma=-0.3:-0.3:1",
                 "--mode",

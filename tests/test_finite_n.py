@@ -1,7 +1,9 @@
+import cmath
 import math
 from fractions import Fraction
 from itertools import combinations
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,6 +36,7 @@ from msqaoa.finite_n import (
     t_sum,
 )
 from msqaoa.model import make_mixture_spec
+from msqaoa.optimizer import pure_d_spec
 
 SK = make_mixture_spec(2, [0, 1])
 MIX3 = make_mixture_spec(3, [1 / 3, 1 / 2, 1.0])
@@ -362,6 +365,38 @@ class TestReportGuards:
         with pytest.raises(ImaginaryResidueError):
             _require_real(1.5 + 1e-6j, "x")
 
+    def test_require_real_measures_residue_against_term_magnitude(self):
+        assert _require_real(1e-16 + 1e-17j, "x", scale=0.5) == 1e-16
+        with pytest.raises(ImaginaryResidueError):
+            _require_real(1e-16 + 1e-6j, "x", scale=0.5)
+
+    @pytest.mark.parametrize(
+        "spec, angles, n",
+        [
+            (SK, Angles(math.pi / 4, -0.4), 8),
+            (pure_d_spec(4), Angles(math.pi / 4, 0.7), 8),
+            (pure_d_spec(6), Angles(-math.pi / 4, -0.4), 8),
+            (pure_d_spec(6), Angles(math.pi / 4, 0.7), 10),
+        ],
+    )
+    def test_oracle_moment_zero_by_symmetry(self, spec, angles, n):
+        # at beta = +-pi/4 an even pure degree has a first moment of 0 up to
+        # rounding; its imaginary residue is compared with the summed terms
+        rep = oracle_moments(spec, angles, n)
+        assert abs(rep.first) < 1e-14
+
+    def test_oracle_corrupted_phase_raises(self, monkeypatch):
+        # negative control: the first-moment sum turned by 1e-6 rad
+        real = finite_n._oracle_sums
+
+        def corrupted(*args):
+            s0, s1, *rest = real(*args)
+            return (s0, s1 * cmath.exp(1e-6j), *rest)
+
+        monkeypatch.setattr(finite_n, "_oracle_sums", corrupted)
+        with pytest.raises(ImaginaryResidueError):
+            oracle_moments(MIX3, Angles(0.3, -0.4), 8)
+
 
 class TestTSum:
     def test_a_factor_zero_above_diagonal(self):
@@ -414,76 +449,69 @@ class TestConvergenceTrend:
         assert discs[-1] < discs[0] / 4
 
 
-def reference_sketch_moments(spec, angles, n):
-    """Per-point (first, second): the block evaluation one grid point at a
-    time, exactly as sketch_moments computed it before the grid engine."""
-    gamma = angles.gamma
-    sb, cb = math.sin(angles.beta), math.cos(angles.beta)
-    sc = sb * cb
-    c2 = cb * cb
+def reference_moments(spec, beta, gamma, n):
+    """(first, second) at 60 digits from the uncollapsed block sums over every
+    t <= min(2d, n): exact integer block integrands
+        h_t(j) = sum_i (-1)^i binom(t,i) X(i,j), X = P or P^2,
+        P(i,j) = phi(i+j) - phi(t-i+j),
+    averaged term by term over j ~ Binomial(n-t, cos^2 b) in mpmath, with the
+    complex weight binom(n,t) e^K(t) (i sc)^t.  It shares no code with the
+    engine's block build (no Newton basis, no binomial-moment identity)."""
     d = spec.d
-    K = finite_n._k_table(spec, gamma, n, min(2 * d, n) + 1)
+    terms = [
+        (q, *(spec.sigmas[q - 1] ** 2).as_integer_ratio())
+        for q in range(1, min(d, n) + 1)
+        if spec.sigmas[q - 1] ** 2 != 0
+    ]
+    den = math.lcm(1, *(s2_den * n**q for q, _, s2_den in terms))
 
-    phi = finite_n._phi_scaled_coeffs(spec, n)
-    tau = [0.0] * (2 * d + 1)
-    for a, pa in enumerate(phi):
-        if pa:
-            for b, pb in enumerate(phi):
-                if pb:
-                    tau[a + b] += pa * pb
-
-    def block_prefactor(t):
-        pref = 1.0
-        for r in range(t):
-            pref *= (n - r) / n
-        return pref / math.factorial(t)
-
-    alt = finite_n._alt_kernel
-    first = 0.0
-    for t in range(1, min(d, n) + 1, 2):
-        mu = finite_n._scaled_binomial_moments(n - t, c2, n, d)
-        rho = finite_n._weighted_poly_coeffs(phi, mu)
-        inner = sum(
-            rho[k] * float(alt(t, k, 0)) * float(n) ** (t - k) for k in range(t, d + 1)
+    def subset_sum(q, u):  # sum_{|S|=q} z_S for a string with u entries +1
+        return sum(
+            (-1) ** (q - k) * math.comb(u, k) * math.comb(n - u, q - k)
+            for k in range(q + 1)
         )
-        sign = -1.0 if ((t + 1) // 2) % 2 else 1.0
-        first += 2 * gamma * sign * block_prefactor(t) * math.exp(K[t]) * sc**t * inner
 
-    m2 = 0.0
-    for t in range(0, min(2 * d, n) + 1, 2):
-        mu = finite_n._scaled_binomial_moments(n - t, c2, n, 2 * d)
-        rho2 = finite_n._weighted_poly_coeffs(tau, mu)
-        s1 = sum(
-            rho2[k] * float(alt(t, k, 0)) * float(n) ** (t - k)
-            for k in range(t, 2 * d + 1)
+    phi = [
+        sum(num * (den // (s2_den * n**q)) * subset_sum(q, u) for q, num, s2_den in terms)
+        for u in range(n + 1)
+    ]
+    with mpmath.workdps(60):
+        b, g = mpmath.mpf(beta), mpmath.mpf(gamma)
+        sb, cb = mpmath.sin(b), mpmath.cos(b)
+        sc, c2, s2 = sb * cb, cb * cb, sb * sb
+        sums = [mpmath.mpc(0), mpmath.mpc(0)]
+        for t in range(min(2 * d, n) + 1):
+            K = -sum(
+                g * g * g_q(q, t, n) * mpmath.mpf(num) / s2_den / (2 * mpmath.mpf(n) ** (q - 1))
+                for q, num, s2_den in terms
+            )
+            weight = math.comb(n, t) * mpmath.exp(K) * (mpmath.mpc(0, 1) * sc) ** t
+            for power in (1, 2):
+                avg = mpmath.mpf(0)
+                for j in range(n - t + 1):
+                    h = sum(
+                        (-1) ** i * math.comb(t, i) * (phi[i + j] - phi[t - i + j]) ** power
+                        for i in range(t + 1)
+                    )
+                    if h:
+                        avg += math.comb(n - t, j) * c2**j * s2 ** (n - t - j) * h
+                sums[power - 1] += weight * avg / den**power
+        first = mpmath.mpc(0, 1) * g * sums[0]
+        R = sum(
+            math.comb(n, q) * mpmath.mpf(num) / s2_den / (2 * mpmath.mpf(n) ** (q + 1))
+            for q, num, s2_den in terms
         )
-        smid = 0.0
-        for a in range(d + 1):
-            if not phi[a]:
-                continue
-            for b in range(d + 1):
-                if not phi[b]:
-                    continue
-                for m in range(a + 1):
-                    for mp in range(b + 1):
-                        e, f = a - m, b - mp
-                        if e + f < t:
-                            continue
-                        smid += (
-                            phi[a]
-                            * phi[b]
-                            * math.comb(a, m)
-                            * math.comb(b, mp)
-                            * mu[m + mp]
-                            * float(alt(t, e, f))
-                            * float(n) ** (t - e - f)
-                        )
-        inner2 = 2 * s1 - 2 * smid
-        sign = -1.0 if (t // 2) % 2 else 1.0
-        m2 += sign * block_prefactor(t) * math.exp(K[t]) * sc**t * inner2
+        second = 2 * R - g * g * sums[1]
+        # the blocks of the wrong parity vanish exactly, so both are real
+        assert first.imag == 0 and second.imag == 0
+        return float(first.real), float(second.real)
 
-    second = 2 * finite_n._lambda_quadratic(spec, n) - gamma * gamma * m2
-    return first, second
+
+def assert_matches_reference(spec, beta, gamma, n):
+    rep = sketch_moments(spec, Angles(beta, gamma), n)
+    first, second = reference_moments(spec, beta, gamma, n)
+    assert abs(rep.first - first) <= max(1e-12 * abs(first), 1e-15), (rep.first, first)
+    assert abs(rep.second - second) <= max(1e-12 * abs(second), 1e-15), (rep.second, second)
 
 
 GRID_BETAS = [0.0, math.pi / 4, -math.pi / 4, math.pi / 2, 2.9]
@@ -499,13 +527,14 @@ def grid_spec(d, kind):
 
 
 def assert_grid_equals_reference(spec, betas, gammas, n):
+    """The grid equals its own 1x1 case at every point, bit for bit."""
     grid = sketch_moment_grid(spec, betas, gammas, n)
     assert grid.first.shape == grid.second.shape == (len(betas), len(gammas))
     for bi, b in enumerate(betas):
         for gi, g in enumerate(gammas):
-            first, second = reference_sketch_moments(spec, Angles(b, g), n)
-            assert grid.first[bi, gi] == first
-            assert grid.second[bi, gi] == second
+            rep = sketch_moments(spec, Angles(float(b), float(g)), n)
+            assert grid.first[bi, gi] == rep.first
+            assert grid.second[bi, gi] == rep.second
 
 
 class TestMomentGrid:
@@ -551,12 +580,12 @@ class TestMomentGrid:
                 assert grid.variance[bi, gi] == rep.variance
                 assert grid.clamped[bi, gi] == rep.clamped
 
-    def test_negative_variance_beyond_allowance_raises(self):
-        # pure d = 16 loses the second moment to cancellation at n = 32
-        from msqaoa.optimizer import pure_d_spec
-
+    def test_negative_variance_beyond_allowance_raises(self, monkeypatch):
+        # injected fault: the lambda^2 weight R short by 1, so second < first^2
+        real = finite_n._lambda_quadratic
+        monkeypatch.setattr(finite_n, "_lambda_quadratic", lambda *args: real(*args) - 1.0)
         with pytest.raises(NegativeVarianceError):
-            sketch_moment_grid(pure_d_spec(16), [0.3, 0.1], [-0.3], 32)
+            sketch_moment_grid(MIX3, [0.3, 0.1], [-0.3], 32)
 
     @pytest.mark.parametrize(
         "betas, gammas",
@@ -578,7 +607,7 @@ class TestMomentGrid:
             sketch_moment_grid(SK, [0.3], [0.4], 513)
 
     def test_work_splits_into_beta_and_gamma_factors(self, monkeypatch):
-        calls = {"_scaled_binomial_moments": 0, "_k_table": 0, "_phi_scaled_coeffs": 0}
+        calls = {"_moment_blocks": 0, "_block_values": 0, "_k_table": 0}
 
         def spy(name):
             real = getattr(finite_n, name)
@@ -593,13 +622,87 @@ class TestMomentGrid:
             monkeypatch.setattr(finite_n, name, spy(name))
         betas, gammas, n = np.linspace(-0.7, 0.7, 7), np.linspace(-1, 1, 11), 64
         sketch_moment_grid(MIX3, betas, gammas, n)
-        d = MIX3.d
-        blocks = len(range(1, d + 1, 2)) + len(range(0, 2 * d + 1, 2))
         assert calls == {
-            "_scaled_binomial_moments": len(betas) * blocks,
+            "_moment_blocks": 1,
+            "_block_values": len(betas),
             "_k_table": len(gammas),
-            "_phi_scaled_coeffs": 1,
         }
+
+
+EDGE_BETAS = [math.pi / 4, -math.pi / 4, 1e-7, -1e-7, math.pi / 2 - 1e-7, math.pi / 2]
+
+
+@st.composite
+def small_moment_cases(draw):
+    d = draw(st.integers(1, 20))
+    if draw(st.booleans()):
+        spec = pure_d_spec(d)
+    else:
+        sigmas = draw(
+            st.lists(
+                st.sampled_from([0.0, 0.0, 0.5, 1.0]) | st.floats(0.1, 2.0),
+                min_size=d,
+                max_size=d,
+            )
+        )
+        spec = make_mixture_spec(d, sigmas[:-1] + [sigmas[-1] or 1.0])
+    beta = draw(st.sampled_from(EDGE_BETAS) | st.floats(-math.pi / 2, math.pi / 2))
+    gamma = draw(st.sampled_from([5.0, -5.0]) | st.floats(-5.0, 5.0))
+    return spec, beta, gamma, draw(st.integers(1, 24))
+
+
+class TestMomentAccuracy:
+    """Both moments against the 60-digit reference to 1e-12 relative, with
+    an absolute floor of 1e-15, and against the brute-force oracle."""
+
+    @given(small_moment_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_small_n_matches_reference(self, case):
+        assert_matches_reference(*case)
+
+    @pytest.mark.parametrize(
+        "spec, beta, gamma, n",
+        [
+            (pure_d_spec(20), 0.3, -0.3, 512),
+            (pure_d_spec(12), math.pi / 4, -5.0, 128),
+            (pure_d_spec(16), 1e-7, 0.9, 64),
+            (pure_d_spec(14), math.pi / 2 - 1e-7, -2.0, 256),
+            (make_mixture_spec(9, [0.0, 0.8, 0.0, 1.1, 0.0, 0.0, 0.4, 0.0, 1.5]),
+             -math.pi / 4, 1.1, 512),
+        ],
+    )
+    def test_large_n_matches_reference(self, spec, beta, gamma, n):
+        assert_matches_reference(spec, beta, gamma, n)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_oracle_agreement_for_every_degree_up_to_n(self, n):
+        # +-pi/4 makes the first moment of an even pure degree 0 by symmetry;
+        # both paths then carry rounding noise of about 1e-16
+        for d in range(1, n + 1):
+            cases = [
+                (pure_d_spec(d), Angles((-1) ** d * math.pi / 4, -0.4)),
+                (make_mixture_spec(d, np.linspace(0.3, 1.2, d)), Angles(0.3, 0.6)),
+            ]
+            for spec, ang in cases:
+                sk = sketch_moments(spec, ang, n)
+                orc = oracle_moments(spec, ang, n)
+                assert abs(sk.first - orc.first) <= 1e-10 * abs(orc.first) + 1e-15
+                assert abs(sk.second - orc.second) <= 1e-10 * abs(orc.second) + 1e-15
+
+    def test_no_negative_variance_for_pure_degrees_up_to_20(self):
+        betas = np.linspace(-math.pi / 2, math.pi / 2, 9)
+        gammas = np.linspace(-5.0, 5.0, 9)
+        for d in range(1, 21):
+            for n in sorted({d, 2 * d, 32, 128, 512}):
+                grid = sketch_moment_grid(pure_d_spec(d), betas, gammas, n)
+                assert not grid.clamped.any()
+
+    def test_reruns_are_byte_identical(self):
+        betas, gammas = np.linspace(-0.7, 0.7, 5), np.linspace(-1.5, 1.5, 4)
+        a = sketch_moment_grid(pure_d_spec(12), betas, gammas, 100)
+        b = sketch_moment_grid(pure_d_spec(12), betas, gammas, 100)
+        assert a.first.tobytes() == b.first.tobytes()
+        assert a.second.tobytes() == b.second.tobytes()
 
 
 class TestVerifyCheck:
@@ -609,12 +712,11 @@ class TestVerifyCheck:
         assert res.details["perturbed_beta_relative_error"] >= 1e-10
 
     def test_corrupted_beta_factor_fails(self, monkeypatch):
-        # negative control: inner sums of the first moment off by 1e-9 relative
-        real = finite_n._beta_factors
+        # negative control: every block's beta factor off by 1e-9 relative
+        real = finite_n._block_values
 
         def corrupted(*args):
-            sc1, inner1, sc2, inner2 = real(*args)
-            return sc1, [v * (1 + 1e-9) for v in inner1], sc2, inner2
+            return [v * (1 + 1e-9) for v in real(*args)]
 
-        monkeypatch.setattr(finite_n, "_beta_factors", corrupted)
+        monkeypatch.setattr(finite_n, "_block_values", corrupted)
         assert not verify.check_finite_grid_consistency().passed

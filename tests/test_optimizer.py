@@ -197,6 +197,22 @@ def test_underflowing_damping_rate_rejected():
         optimize_closed_form(spec)
 
 
+@pytest.mark.parametrize("sigmas", [[1e-160], [0.0, 2e-155], [1e-154]])
+def test_tiny_damping_rate_rejected(sigmas):
+    # below a rate of about 2.2e-308 (1e-320 here at most) the default gamma
+    # range +-2/sqrt(rate) reaches up to +-2e160, where g*g overflows
+    spec = make_mixture_spec(len(sigmas), sigmas)
+    assert 0 < damping_rate(spec) < 2.3e-308
+    with pytest.raises(ValidationError, match="overflows"):
+        optimize_closed_form(spec)
+
+
+def test_smallest_normal_damping_rate_still_optimizes():
+    spec = make_mixture_spec(1, [1.5e-154])  # rate 2.25e-308
+    opt = optimize_closed_form(spec)
+    assert opt.value < 0 and math.isfinite(opt.angles.gamma)
+
+
 class TestCurve:
     def test_known_rows(self):
         rows = optimal_angle_curve([2, 3])
