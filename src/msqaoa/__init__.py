@@ -8,7 +8,9 @@ optimization (``optimizer``), and a CLI (``msqaoa``).
 
 from .closed_form import (
     Angles,
+    EnergyDerivatives,
     d3_stationarity_residuals,
+    energy_derivatives,
     energy_higher_moment_limit,
     energy_mixture_form,
     energy_pure_d,
@@ -55,6 +57,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Angles",
+    "EnergyDerivatives",
     "MixtureFunction",
     "MixtureSpec",
     "MomentGrid",
@@ -68,6 +71,7 @@ __all__ = [
     "build_phase_table",
     "cost",
     "d3_stationarity_residuals",
+    "energy_derivatives",
     "energy_higher_moment_limit",
     "energy_mixture_form",
     "energy_pure_d",

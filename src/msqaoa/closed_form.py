@@ -4,7 +4,8 @@ Two algebraically identical forms are provided: the explicit double sum over
 degrees q and odd powers a (``energy_sigma_form``), and the compact complex
 form 2*gamma*Im[xi(cos(2b) + i sin(2b) exp(-2 g^2 xi'(1)))]
 (``energy_mixture_form``).  Their agreement to ~1e-12 relative is one of the
-package's standing cross-checks.
+package's standing cross-checks.  ``energy_derivatives`` adds the exact
+gradient and Hessian of the complex form, for the optimizer's Newton polish.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ __all__ = [
     "energy_mixture_form",
     "energy_pure_d",
     "energy_higher_moment_limit",
+    "EnergyDerivatives",
+    "energy_derivatives",
     "StationarityResiduals",
     "d3_stationarity_residuals",
     "require_finite",
@@ -64,9 +67,9 @@ class Angles:
 def require_finite(angles: Angles) -> None:
     """Raise ValidationError unless both angles are finite.
 
-    Called by the finite-n and statevector entry points, which would
-    otherwise return NaN.  ``Angles`` itself and the closed forms skip the
-    check: they run per grid point, where it would be a measurable cost.
+    Called by every per-point entry point (the closed forms, the finite-n
+    moments and the statevector), which would otherwise return NaN or raise
+    a bare math error.  ``Angles`` itself does not check.
     """
     if not (math.isfinite(angles.beta) and math.isfinite(angles.gamma)):
         raise ValidationError(f"angles must be finite, got {angles}")
@@ -111,6 +114,7 @@ _TERMS = tuple(
 def energy_sigma_form(spec: MixtureSpec, angles: Angles) -> float:
     """Infinite-n disorder-averaged energy per spin, explicit degree sum."""
     _check_degree(spec.d)
+    require_finite(angles)
     s2b = math.sin(2 * angles.beta)
     c2b = math.cos(2 * angles.beta)
     g = angles.gamma
@@ -167,6 +171,7 @@ def energy_sigma_grid(
 def energy_mixture_form(xi: MixtureFunction, angles: Angles) -> float:
     """Infinite-n energy per spin via the complex mixture-function form."""
     _check_degree(xi.d)
+    require_finite(angles)
     damp = math.exp(-2 * angles.gamma**2 * xi.xi_prime_at_one())
     w = complex(math.cos(2 * angles.beta), math.sin(2 * angles.beta) * damp)
     return 2 * angles.gamma * xi.xi(w).imag
@@ -179,6 +184,7 @@ def energy_pure_d(d: int, angles: Angles) -> float:
     gamma * Im[(cos(2b) + i sin(2b) exp(-d g^2))^d].
     """
     _check_degree(d)
+    require_finite(angles)
     damp = math.exp(-d * angles.gamma**2)
     w = complex(math.cos(2 * angles.beta), math.sin(2 * angles.beta) * damp)
     return angles.gamma * (w**d).imag
@@ -193,6 +199,60 @@ def energy_higher_moment_limit(spec: MixtureSpec, angles: Angles, m: int) -> flo
     if m < 1:
         raise NonPositiveMError(f"moment order must be >= 1, got m={m}")
     return energy_sigma_form(spec, angles) ** m
+
+
+@dataclass(frozen=True)
+class EnergyDerivatives:
+    """The energy per spin at one (beta, gamma), its gradient
+    (dE/db, dE/dg) and its Hessian entries (E_bb, E_bg, E_gg)."""
+
+    value: float
+    gradient: tuple[float, float]
+    hessian: tuple[float, float, float]
+
+
+def energy_derivatives(spec: MixtureSpec, angles: Angles) -> EnergyDerivatives:
+    """Exact value, gradient and Hessian of E = 2g Im xi(w) at one point.
+
+    Here w = cos 2b + i sin 2b D with D = exp(-2 g^2 xi'(1)) and
+    xi(x) = sum_q sigma_q^2 x^q / q!, so every derivative is a short
+    combination of xi, xi', xi'' at w (one Horner pass) and the derivatives
+    of w: w_bb = -4w, and the g derivatives come from D_g = -4 g xi'(1) D.
+    Products are written x*x, so a huge gamma gives inf or NaN entries
+    instead of raising OverflowError.
+    """
+    _check_degree(spec.d)
+    require_finite(angles)
+    b, g = angles.beta, angles.gamma
+    rate = damping_rate(spec)
+    c, s = math.cos(2 * b), math.sin(2 * b)
+    damp = math.exp(-2 * g * g * rate)
+    log_damp_g = -4 * g * rate  # D_g / D
+    w = complex(c, s * damp)
+    w_b = complex(-2 * s, 2 * c * damp)
+    w_g = complex(0.0, s * damp * log_damp_g)
+    w_bg = complex(0.0, 2 * c * damp * log_damp_g)
+    w_gg = complex(0.0, s * damp * (log_damp_g * log_damp_g - 4 * rate))
+    w_bb = -4 * w
+    # Horner for xi, xi' and xi''/2 together; xi has no constant term
+    x0 = x1 = x2 = 0j
+    for q in range(spec.d, -1, -1):
+        x2 = x2 * w + x1
+        x1 = x1 * w + x0
+        sigma = spec.sigmas[q - 1] if q else 0.0
+        x0 = x0 * w + sigma * sigma / math.factorial(q)
+    x2 *= 2
+    f = x0.imag
+    f_b = (x1 * w_b).imag
+    f_g = (x1 * w_g).imag
+    f_bb = (x2 * w_b * w_b + x1 * w_bb).imag
+    f_bg = (x2 * w_b * w_g + x1 * w_bg).imag
+    f_gg = (x2 * w_g * w_g + x1 * w_gg).imag
+    return EnergyDerivatives(
+        value=2 * g * f,
+        gradient=(2 * g * f_b, 2 * f + 2 * g * f_g),
+        hessian=(2 * g * f_bb, 2 * f_b + 2 * g * f_bg, 4 * f_g + 2 * g * f_gg),
+    )
 
 
 _D3_SPEC = MixtureSpec(3, (0.0, 0.0, math.sqrt(3.0)))

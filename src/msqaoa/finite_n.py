@@ -45,7 +45,6 @@ from itertools import combinations, product
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from .closed_form import Angles, require_finite, require_finite_grid
 from .errors import (
@@ -242,8 +241,12 @@ class _Kahan:
 
 
 def _log_comb_row(m: int) -> np.ndarray:
-    i = np.arange(m + 1)
-    return gammaln(m + 1) - gammaln(i + 1) - gammaln(m - i + 1)
+    """log binom(m, i) for i = 0..m, from the exact integers."""
+    row, comb = [], 1
+    for i in range(m + 1):
+        row.append(math.log(comb))
+        comb = comb * (m - i) // (i + 1)
+    return np.array(row)
 
 
 def _phi_table(spec: MixtureSpec, n: int) -> np.ndarray:
@@ -260,15 +263,25 @@ def _phi_table(spec: MixtureSpec, n: int) -> np.ndarray:
     return phi
 
 
-def _k_table(spec: MixtureSpec, gamma: float, n: int, entries: int) -> np.ndarray:
-    """K(t) = -sum_q gamma^2 g_q(t) sigma_q^2 / (2 n^(q-1)) for t < entries."""
-    K = np.zeros(entries)
-    g2 = gamma * gamma
+def _g_columns(spec: MixtureSpec, n: int, entries: int) -> list:
+    """(q, sigma_q^2, g_q(t) for t < entries) for each q <= min(d, n) with
+    sigma_q != 0: the part of the K table that does not depend on gamma."""
+    columns = []
     for q in range(1, min(spec.d, n) + 1):
         s2 = spec.sigmas[q - 1] ** 2
         if s2 == 0:
             continue
         col = np.array([g_q(q, t, n) for t in range(entries)], dtype=float)
+        columns.append((q, s2, col))
+    return columns
+
+
+def _k_table(columns: Sequence, gamma: float, n: int, entries: int) -> np.ndarray:
+    """K(t) = -sum_q gamma^2 g_q(t) sigma_q^2 / (2 n^(q-1)) for t < entries,
+    from the ``_g_columns(spec, n, entries)`` of the model."""
+    K = np.zeros(entries)
+    g2 = gamma * gamma
+    for q, s2, col in columns:
         K -= (g2 * s2 / (2 * n ** (q - 1))) * col
     return K
 
@@ -308,7 +321,7 @@ def _sketch_blocks(spec: MixtureSpec, angles: Angles, n: int):
     sc = sb * cb
     c2, s2 = cb * cb, sb * sb
     phi = _phi_table(spec, n)
-    K = _k_table(spec, angles.gamma, n, n + 1)
+    K = _k_table(_g_columns(spec, n, n + 1), angles.gamma, n, n + 1)
     logCn = _log_comb_row(n)
 
     log2sc = math.log(2 * abs(sc)) if sc != 0 else -math.inf
@@ -522,8 +535,9 @@ def sketch_moment_grid(
     blocks described above.  Each block is a beta factor (sc^t times its
     polynomial in cos^2 b, built once per grid and evaluated exactly once per
     beta) times a gamma factor (gamma e^K(t) or e^K(t), from one K table per
-    gamma), so each point costs one multiply-add per block, in the same order
-    as the 1x1 grid.  Both moments are real by construction.
+    gamma, which scales integer g_q columns built once per grid), so each
+    point costs one multiply-add per block, in the same order as the 1x1
+    grid.  Both moments are real by construction.
 
     A variance below -1e-10 raises NegativeVarianceError; smaller negative
     variances are set to 0 and flagged in ``clamped``.  n is capped at
@@ -541,9 +555,11 @@ def sketch_moment_grid(
     # gamma factors, shape (blocks, len(gammas))
     g1 = np.empty((len(blocks1), len(gammas)))
     g2 = np.empty((len(blocks2), len(gammas)))
+    entries = min(2 * spec.d, n) + 1
+    columns = _g_columns(spec, n, entries)
     for gi, gamma in enumerate(gammas):
         gamma = float(gamma)
-        K = _k_table(spec, gamma, n, min(2 * spec.d, n) + 1)
+        K = _k_table(columns, gamma, n, entries)
         for i, (t, _, _) in enumerate(blocks1):
             g1[i, gi] = gamma * math.exp(K[t])
         for i, (t, _, _) in enumerate(blocks2):
@@ -775,7 +791,7 @@ def t_sum(
         raise ValidationError(f"need a+b <= n_power, got {a}+{b} > {n_power}")
     if n < 1:
         raise ValidationError(f"need n >= 1, got n={n}")
-    K = _k_table(spec, angles.gamma, n, n + 1)
+    K = _k_table(_g_columns(spec, n, n + 1), angles.gamma, n, n + 1)
     sc = math.sin(angles.beta) * math.cos(angles.beta)
     sgn = 1.0 if sc >= 0 else -1.0
     log_n_pow = n_power * math.log(n)

@@ -1,9 +1,14 @@
 """Optimal (beta*, gamma*) for the infinite-size closed-form energy per spin.
 
-A coarse grid scan handles the multimodal beta landscape; a derivative-free
-simplex descent (Nelder-Mead) refines the best cell.  The reported optimum is
-the canonical representative of the (+-beta, -+gamma) symmetry pair, with
-gamma* <= 0 and beta* >= 0.
+A coarse grid scan handles the multimodal beta landscape; a safeguarded
+Newton descent on the closed form's exact gradient and Hessian
+(``closed_form.energy_derivatives``) polishes the best cell.  A step is the
+Newton step where the Hessian is positive definite and the negative gradient
+elsewhere, halved until the energy does not increase, so the polish only
+ever descends from the grid value.  The reported optimum is the canonical
+representative of the (+-beta, -+gamma) symmetry pair, with gamma* <= 0 and
+beta* >= 0; it counts as converged when the exact gradient there is below
+1e-7 and the exact Hessian is positive definite.
 """
 
 from __future__ import annotations
@@ -13,9 +18,15 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .closed_form import Angles, damping_rate, energy_sigma_form, energy_sigma_grid
+from .closed_form import (
+    Angles,
+    EnergyDerivatives,
+    damping_rate,
+    energy_derivatives,
+    energy_sigma_form,
+    energy_sigma_grid,
+)
 from .errors import EmptyGridError, SignError, ValidationError
 from .model import MixtureSpec
 
@@ -37,8 +48,7 @@ class SearchConfig:
     beta_range: tuple[float, float] = (-math.pi / 4, math.pi / 4)
     gamma_range: Optional[tuple[float, float]] = None  # default +-2/sqrt(xi'(1))
     grid: tuple[int, int] = (65, 65)
-    refine_budget: int = 500
-    simplex_tol: float = 1e-9
+    refine_budget: int = 500  # bound on the polish's evaluations
 
 
 @dataclass(frozen=True)
@@ -68,13 +78,72 @@ def _canonical(angles: Angles) -> Angles:
     return a
 
 
-def _fd_gradient_norm(fun, x: np.ndarray, h: float = 1e-6) -> float:
-    g = np.zeros_like(x)
-    for i in range(len(x)):
-        step = np.zeros_like(x)
-        step[i] = h
-        g[i] = (fun(x + step) - fun(x - step)) / (2 * h)
-    return float(np.linalg.norm(g))
+def _finite(*values: float) -> bool:
+    return all(math.isfinite(v) for v in values)
+
+
+def _positive_definite(der: EnergyDerivatives) -> bool:
+    hbb, hbg, hgg = der.hessian
+    return _finite(hbb, hbg, hgg) and hbb > 0 and hbb * hgg - hbg * hbg > 0
+
+
+def _descent_direction(der: EnergyDerivatives) -> Optional[tuple[float, float]]:
+    """The Newton step where the Hessian is positive definite, else the
+    negative gradient; None when a derivative is not finite."""
+    gb, gg = der.gradient
+    hbb, hbg, hgg = der.hessian
+    if not _finite(gb, gg, hbb, hbg, hgg):
+        return None
+    det = hbb * hgg - hbg * hbg
+    if hbb > 0 and det > 0:
+        newton = ((hbg * gg - hgg * gb) / det, (hbg * gb - hbb * gg) / det)
+        if _finite(*newton):
+            return newton
+    return (-gb, -gg)
+
+
+def _newton_polish(
+    spec: MixtureSpec, x0: tuple[float, float], value: float, budget: int
+) -> tuple[tuple[float, float], int]:
+    """Descend from x0, whose energy is ``value``, by safeguarded Newton steps.
+
+    Each iteration takes the exact derivatives at x (one evaluation) and
+    tries the step of ``_descent_direction``, halving it until
+    ``energy_sigma_form`` does not increase (one evaluation per finite trial
+    point; a non-finite trial point is halved without being evaluated).
+    The polish stops on a non-finite derivative, on a step below the float
+    spacing of x (rounding noise of an already stationary point), when no
+    step is accepted, after a step that leaves the energy unchanged (flat to
+    rounding), or when ``budget`` evaluations are used up.  Returns the last
+    accepted point and the number of derivative evaluations.
+    """
+    x = x0
+    evaluations = iterations = 0
+    while evaluations < budget:
+        der = energy_derivatives(spec, Angles(*x))
+        evaluations += 1
+        iterations += 1
+        direction = _descent_direction(der)
+        if direction is None or all(abs(d) < math.ulp(v) for d, v in zip(direction, x)):
+            break
+        step, accepted = 1.0, None
+        while accepted is None and evaluations < budget:
+            trial = (x[0] + step * direction[0], x[1] + step * direction[1])
+            if trial == x:
+                break
+            if _finite(*trial):
+                trial_value = energy_sigma_form(spec, Angles(*trial))
+                evaluations += 1
+                if trial_value <= value:
+                    accepted = trial_value
+            step /= 2
+        if accepted is None:
+            break
+        flat = accepted == value
+        x, value = trial, accepted
+        if flat:
+            break
+    return x, iterations
 
 
 def optimize_closed_form(
@@ -103,9 +172,6 @@ def optimize_closed_form(
     else:
         gamma_range = search.gamma_range
 
-    def objective(x) -> float:
-        return energy_sigma_form(spec, Angles(float(x[0]), float(x[1])))
-
     betas = np.linspace(search.beta_range[0], search.beta_range[1], nb)
     gammas = np.linspace(gamma_range[0], gamma_range[1], ng)
     # The first row-major minimum among values below inf, as a strict-< scan
@@ -114,34 +180,25 @@ def optimize_closed_form(
     below_inf = np.where(grid < math.inf, grid, math.inf)
     bi, gi = np.unravel_index(np.argmin(below_inf), grid.shape)
     grid_best = float(below_inf[bi, gi])
-    x0 = np.array([betas[bi], gammas[gi]])
+    x0 = (float(betas[bi]), float(gammas[gi]))
 
-    res = minimize(
-        objective,
-        x0,
-        method="Nelder-Mead",
-        options={
-            "maxfev": search.refine_budget,
-            "xatol": search.simplex_tol,
-            "fatol": search.simplex_tol * 1e-3,
-        },
-    )
-    # Nelder-Mead returns the best vertex seen, so this cannot exceed grid_best;
-    # keep the guard anyway to uphold the contract exactly.
-    raw = res.x if res.fun <= grid_best else x0
-    angles = _canonical(Angles(float(raw[0]), float(raw[1])))
+    x, iterations = _newton_polish(spec, x0, grid_best, search.refine_budget)
+    # Canonicalizing can move beta by pi, which rounds; keep the contract that
+    # the reported value never exceeds the grid's.
+    angles = _canonical(Angles(*x))
     value = energy_sigma_form(spec, angles)
     if value > grid_best:
-        angles = _canonical(Angles(float(x0[0]), float(x0[1])))
+        angles = _canonical(Angles(*x0))
         value = energy_sigma_form(spec, angles)
-    gradient_norm = _fd_gradient_norm(objective, np.array([angles.beta, angles.gamma]))
+    at_optimum = energy_derivatives(spec, angles)
+    gradient_norm = math.hypot(*at_optimum.gradient)
     return Optimum(
         angles=angles,
         value=value,
         grid_resolution=(nb, ng),
         grid_value=grid_best,
-        refinement_iterations=int(res.nit),
-        converged=bool(res.success) and gradient_norm < 1e-7,
+        refinement_iterations=iterations,
+        converged=gradient_norm < 1e-7 and _positive_definite(at_optimum),
         gradient_norm=gradient_norm,
     )
 

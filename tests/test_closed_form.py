@@ -7,6 +7,7 @@ from msqaoa import closed_form, verify
 from msqaoa.closed_form import (
     Angles,
     d3_stationarity_residuals,
+    energy_derivatives,
     energy_higher_moment_limit,
     energy_mixture_form,
     energy_pure_d,
@@ -19,7 +20,7 @@ from msqaoa.errors import (
     NonPositiveMError,
     ValidationError,
 )
-from msqaoa.model import make_mixture_spec
+from msqaoa.model import damping_rate, make_mixture_spec
 from msqaoa.optimizer import pure_d_spec
 
 SK = make_mixture_spec(2, [0, 1])
@@ -295,3 +296,87 @@ class TestHigherMoments:
     def test_nonpositive_m(self):
         with pytest.raises(NonPositiveMError):
             energy_higher_moment_limit(SK, SK_OPT, 0)
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+NON_FINITE_ANGLES = [Angles(v, 0.3) for v in NON_FINITE] + [
+    Angles(0.2, v) for v in NON_FINITE
+]
+
+
+class TestNonFiniteAngles:
+    @pytest.mark.parametrize("ang", NON_FINITE_ANGLES)
+    def test_sigma_form(self, ang):
+        with pytest.raises(ValidationError):
+            energy_sigma_form(D3, ang)
+
+    @pytest.mark.parametrize("ang", NON_FINITE_ANGLES)
+    def test_higher_moment_limit(self, ang):
+        with pytest.raises(ValidationError):
+            energy_higher_moment_limit(D3, ang, 2)
+
+    @pytest.mark.parametrize("ang", NON_FINITE_ANGLES)
+    def test_mixture_and_pure_forms_and_derivatives(self, ang):
+        with pytest.raises(ValidationError):
+            energy_mixture_form(D3.mixture_function(), ang)
+        with pytest.raises(ValidationError):
+            energy_pure_d(3, ang)
+        with pytest.raises(ValidationError):
+            energy_derivatives(D3, ang)
+
+
+def _derivative_specs():
+    rng = np.random.default_rng(23)
+    specs = [pure_d_spec(d) for d in range(1, 21)]
+    for _ in range(8):
+        d = int(rng.integers(1, 9))
+        sigmas = rng.uniform(0.0, 1.5, d)
+        sigmas[rng.random(d) < 0.3] = 0.0
+        sigmas[-1] = max(sigmas[-1], 0.5)
+        specs.append(make_mixture_spec(d, sigmas))
+    return specs
+
+
+class TestEnergyDerivatives:
+    @pytest.mark.parametrize("spec", _derivative_specs())
+    def test_against_central_differences(self, spec):
+        # the gradient against differences of energy_sigma_form, the Hessian
+        # against differences of the gradient (both mixed partials); at
+        # h = 1e-6 the truncation and rounding errors are below 1e-9 relative
+        h = 1e-6
+        scale = 1 / math.sqrt(damping_rate(spec))
+        for b, g in [(0.3, -0.4 * scale), (-1.1, 0.9 * scale), (0.05, 0.2 * scale)]:
+            der = energy_derivatives(spec, Angles(b, g))
+            assert der.value == pytest.approx(
+                energy_sigma_form(spec, Angles(b, g)), rel=1e-12, abs=1e-15
+            )
+
+            def energy(db, dg):
+                return energy_sigma_form(spec, Angles(b + db, g + dg))
+
+            def gradient(db, dg):
+                return energy_derivatives(spec, Angles(b + db, g + dg)).gradient
+
+            diff_gradient = (
+                (energy(h, 0) - energy(-h, 0)) / (2 * h),
+                (energy(0, h) - energy(0, -h)) / (2 * h),
+            )
+            d_db = [(p - m) / (2 * h) for p, m in zip(gradient(h, 0), gradient(-h, 0))]
+            d_dg = [(p - m) / (2 * h) for p, m in zip(gradient(0, h), gradient(0, -h))]
+            diff_hessian = (d_db[0], d_dg[0], d_dg[1])
+            tol = 1e-8 * (1 + max(abs(v) for v in der.hessian))
+            for exact, approx in zip(der.gradient, diff_gradient):
+                assert abs(exact - approx) < tol
+            for exact, approx in zip(der.hessian, diff_hessian):
+                assert abs(exact - approx) < tol
+            assert abs(der.hessian[1] - d_db[1]) < tol
+
+    def test_zero_gradient_at_sk_optimum(self):
+        der = energy_derivatives(SK, SK_OPT)
+        assert math.hypot(*der.gradient) < 1e-15
+        hbb, hbg, hgg = der.hessian
+        assert hbb > 0 and hbb * hgg - hbg * hbg > 0
+
+    def test_huge_gamma_gives_non_finite_entries_without_raising(self):
+        der = energy_derivatives(SK, Angles(0.3, -1e200))
+        assert not all(math.isfinite(v) for v in der.hessian)

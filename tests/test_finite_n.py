@@ -628,6 +628,31 @@ class TestMomentGrid:
             "_k_table": len(gammas),
         }
 
+    def test_g_columns_are_built_once_per_grid(self, monkeypatch):
+        calls = {"_g_columns": 0, "_k_table": 0}
+
+        def spy(name):
+            real = getattr(finite_n, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(finite_n, name, spy(name))
+        gammas = np.linspace(-1, 1, 11)
+        sketch_moment_grid(MIX3, np.linspace(-0.7, 0.7, 7), gammas, 64)
+        assert calls == {"_g_columns": 1, "_k_table": len(gammas)}
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 7, 64, 512])
+    def test_log_comb_row(self, m):
+        row = finite_n._log_comb_row(m)
+        assert row.shape == (m + 1,)
+        for i in [*range(0, m + 1, max(1, m // 8)), m]:
+            assert row[i] == pytest.approx(math.log(math.comb(m, i)), rel=1e-15, abs=1e-15)
+
 
 EDGE_BETAS = [math.pi / 4, -math.pi / 4, 1e-7, -1e-7, math.pi / 2 - 1e-7, math.pi / 2]
 

@@ -1,10 +1,19 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from msqaoa import optimizer
-from msqaoa.closed_form import Angles, damping_rate, energy_sigma_form
+from msqaoa.closed_form import (
+    Angles,
+    d3_stationarity_residuals,
+    damping_rate,
+    energy_sigma_form,
+)
 from msqaoa.errors import EmptyGridError, SignError, ValidationError
 from msqaoa.model import make_mixture_spec
 from msqaoa.optimizer import (
@@ -116,18 +125,18 @@ def _seeded_mixtures(count=5, seed=3):
 
 class TestGridScan:
     """The vectorized coarse scan picks the same start and grid value as the
-    per-point scan, so Nelder-Mead and the optimum are unchanged."""
+    per-point scan, so the polish and the optimum are unchanged."""
 
     @staticmethod
     def run_with_start(monkeypatch, spec, search=SearchConfig()):
         starts = []
-        real = optimizer.minimize
+        real = optimizer._newton_polish
 
-        def recording(fun, x0, **kwargs):
+        def recording(spec, x0, *args):
             starts.append(np.array(x0, copy=True))
-            return real(fun, x0, **kwargs)
+            return real(spec, x0, *args)
 
-        monkeypatch.setattr(optimizer, "minimize", recording)
+        monkeypatch.setattr(optimizer, "_newton_polish", recording)
         opt = optimize_closed_form(spec, search)
         [x0] = starts
         return opt, x0
@@ -211,6 +220,90 @@ def test_smallest_normal_damping_rate_still_optimizes():
     spec = make_mixture_spec(1, [1.5e-154])  # rate 2.25e-308
     opt = optimize_closed_form(spec)
     assert opt.value < 0 and math.isfinite(opt.angles.gamma)
+
+
+class TestNewtonPolish:
+    def test_sk_anchor_is_exact(self):
+        # the grid holds (-pi/8, 0.5) and the polish does not move it
+        opt = optimize_closed_form(SK)
+        assert repr(opt.angles) == repr(Angles(math.pi / 8, -0.5))
+        assert repr(opt.value) == repr(-1 / math.sqrt(4 * math.e))
+
+    def test_d3_stationarity_residuals(self):
+        res = d3_stationarity_residuals(optimize_closed_form(D3).angles)
+        assert all(r is not None and abs(r) < 1e-10 for r in (res.r1, res.r2, res.r3))
+
+    @pytest.mark.parametrize("d", range(2, 21))
+    def test_pure_d_converges(self, d):
+        opt = optimize_closed_form(pure_d_spec(d))
+        assert opt.converged and opt.gradient_norm < 1e-7
+        assert 1 <= opt.refinement_iterations <= 10
+        assert opt.value <= opt.grid_value
+
+    def test_sk_and_d3_converge(self):
+        for spec in (SK, D3):
+            opt = optimize_closed_form(spec)
+            assert opt.converged and opt.refinement_iterations >= 1
+
+    def test_overflowing_gamma_range_is_not_converged(self):
+        # g*g overflows over most of the range, so every grid value is +-0
+        opt = optimize_closed_form(SK, SearchConfig(gamma_range=(-1e200, 1e200)))
+        assert not opt.converged
+
+    @pytest.mark.parametrize(
+        "search",
+        [
+            SearchConfig(grid=(5, 3), gamma_range=(0.5, 1.7e308)),
+            SearchConfig(grid=(4, 4), gamma_range=(1e308, 1.5e308)),
+        ],
+    )
+    def test_never_evaluates_a_non_finite_point(self, monkeypatch, search):
+        points = []
+
+        def spy(name):
+            real = getattr(optimizer, name)
+
+            def recording(spec, angles):
+                points.append((angles.beta, angles.gamma))
+                return real(spec, angles)
+
+            return recording
+
+        for name in ("energy_sigma_form", "energy_derivatives"):
+            monkeypatch.setattr(optimizer, name, spy(name))
+        optimize_closed_form(D3, search)
+        assert points and all(math.isfinite(v) for p in points for v in p)
+
+    def test_budget_bounds_evaluations(self, monkeypatch):
+        calls = 0
+        real = optimizer.energy_derivatives
+
+        def counted(spec, angles):
+            nonlocal calls
+            calls += 1
+            return real(spec, angles)
+
+        monkeypatch.setattr(optimizer, "energy_derivatives", counted)
+        for budget in (1, 2, 3, 7):
+            calls = 0
+            opt = optimize_closed_form(D3, SearchConfig(refine_budget=budget))
+            # the polish's evaluations plus one at the reported angles
+            assert opt.refinement_iterations == calls - 1 <= budget
+
+    def test_importing_the_cli_loads_no_scipy(self):
+        src = Path(optimizer.__file__).resolve().parent.parent
+        code = (
+            "import sys, msqaoa.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            check=True,
+        )
+        assert done.stdout.strip() == "[]"
 
 
 class TestCurve:
