@@ -25,12 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, closed_form, finite_n, model, optimizer, simulator, verify
-from .errors import (
-    CapExceededError,
-    ImaginaryResidueError,
-    NegativeVarianceError,
-    ValidationError,
-)
+from .errors import CapExceededError, NumericalError, ValidationError
 
 __all__ = ["main"]
 
@@ -397,7 +392,7 @@ def main(argv=None) -> int:
     except CapExceededError as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return 3
-    except (ImaginaryResidueError, NegativeVarianceError) as exc:
+    except NumericalError as exc:
         print(f"numerical self-check failed: {exc}", file=sys.stderr)
         return 4
 

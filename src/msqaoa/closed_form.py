@@ -16,12 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    DegreeTooLargeError,
-    DegreeZeroError,
-    NonPositiveMError,
-    ValidationError,
-)
+from .errors import ValidationError
 from .model import MixtureFunction, MixtureSpec, damping_rate
 
 __all__ = [
@@ -91,9 +86,9 @@ def require_finite_grid(
 
 def _check_degree(d: int) -> None:
     if d < 1:
-        raise DegreeZeroError(f"degree must be >= 1, got {d}")
+        raise ValidationError(f"degree must be >= 1, got {d}")
     if d > MAX_DEGREE:
-        raise DegreeTooLargeError(f"degree {d} exceeds the supported cap {MAX_DEGREE}")
+        raise ValidationError(f"degree {d} exceeds the supported cap {MAX_DEGREE}")
 
 
 # (a, coef) for each odd a <= q: coef = (-1)^((a-1)/2) / (a! (q-a)!), the
@@ -172,7 +167,7 @@ def energy_mixture_form(xi: MixtureFunction, angles: Angles) -> float:
     """Infinite-n energy per spin via the complex mixture-function form."""
     _check_degree(xi.d)
     require_finite(angles)
-    damp = math.exp(-2 * angles.gamma**2 * xi.xi_prime_at_one())
+    damp = math.exp(-2 * (angles.gamma * angles.gamma) * xi.xi_prime_at_one())
     w = complex(math.cos(2 * angles.beta), math.sin(2 * angles.beta) * damp)
     return 2 * angles.gamma * xi.xi(w).imag
 
@@ -185,7 +180,7 @@ def energy_pure_d(d: int, angles: Angles) -> float:
     """
     _check_degree(d)
     require_finite(angles)
-    damp = math.exp(-d * angles.gamma**2)
+    damp = math.exp(-d * (angles.gamma * angles.gamma))
     w = complex(math.cos(2 * angles.beta), math.sin(2 * angles.beta) * damp)
     return angles.gamma * (w**d).imag
 
@@ -197,7 +192,7 @@ def energy_higher_moment_limit(spec: MixtureSpec, angles: Angles, m: int) -> flo
     simply energy_sigma_form(...) ** m.
     """
     if m < 1:
-        raise NonPositiveMError(f"moment order must be >= 1, got m={m}")
+        raise ValidationError(f"moment order must be >= 1, got m={m}")
     return energy_sigma_form(spec, angles) ** m
 
 

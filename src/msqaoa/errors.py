@@ -1,92 +1,21 @@
-"""Exception hierarchy shared across the package.
+"""The three error families the package raises, one per CLI exit code.
 
-Two families matter to callers: ``ValidationError`` (bad inputs, CLI exit
-code 2) and ``CapExceededError`` (a documented size/budget cap was hit,
-CLI exit code 3).
+``ValidationError`` (bad inputs, CLI exit code 2), ``CapExceededError`` (a
+documented size cap was hit, exit code 3) and ``NumericalError`` (a result
+failed its own health check, such as an imaginary residue or a negative
+variance beyond the rounding allowance, exit code 4).  The message names
+what went wrong; no caller tells finer causes apart.
 """
 
 
-class MsqaoaError(Exception):
-    """Base class for all package errors."""
-
-
-class ValidationError(MsqaoaError, ValueError):
+class ValidationError(ValueError):
     """Invalid input that violates a documented precondition."""
 
 
-class CapExceededError(MsqaoaError):
-    """A documented size or budget cap was exceeded."""
+class CapExceededError(Exception):
+    """A documented size cap was exceeded."""
 
 
-# -- model ----------------------------------------------------------------
-
-class DegreeZeroError(ValidationError):
-    """Degree bound d must be at least 1."""
-
-
-class NegativeSigmaError(ValidationError):
-    """Per-degree standard deviations must be non-negative."""
-
-
-class AllZeroError(ValidationError):
-    """At least one per-degree standard deviation must be positive."""
-
-
-class LengthMismatchError(ValidationError):
-    """A sequence argument has the wrong length."""
-
-
-class TooFewSpinsError(ValidationError):
-    """Instance size n must be at least the degree bound d."""
-
-
-class NonBinaryEntryError(ValidationError):
-    """Spin strings must contain only +1 and -1 entries."""
-
-
-# -- closed_form ----------------------------------------------------------
-
-class DegreeTooLargeError(ValidationError):
-    """Closed-form evaluation caps the degree bound at d <= 20."""
-
-
-class NonPositiveMError(ValidationError):
-    """Moment order m must be at least 1."""
-
-
-# -- finite_n -------------------------------------------------------------
-
-class QOutOfRangeError(ValidationError):
-    """Subset size q is outside the valid range for the ambient n."""
-
-
-class BudgetExceededError(CapExceededError):
-    """A finite-n sketch path was asked for n above SKETCH_MAX_N (512)."""
-
-
-class TooLargeError(CapExceededError):
-    """A hard enumeration/memory cap was exceeded."""
-
-
-class ImaginaryResidueError(MsqaoaError):
-    """A quantity that must be real came out with too large an imaginary part."""
-
-
-class NegativeVarianceError(MsqaoaError):
-    """Computed variance was negative beyond the rounding allowance."""
-
-
-# -- optimizer ------------------------------------------------------------
-
-class EmptyGridError(ValidationError):
-    """The coarse search grid must contain at least one point."""
-
-
-class SignError(ValidationError):
-    """The reference ground-state energy per spin must be negative."""
-
-
-# -- cli ------------------------------------------------------------------
-
-class ParseError(ValidationError):
-    """A serialized file could not be parsed."""
+class NumericalError(Exception):
+    """A computed quantity failed a health check (imaginary residue,
+    negative variance)."""

@@ -26,9 +26,10 @@ float summation of all binom(n+3,3) sketches would instead lose the
 cancellation catastrophically for n beyond a few dozen, and so does a float
 evaluation of the blocks in a monomial basis at d beyond about 10.
 ``generating_function`` keeps the direct
-enumeration (log-magnitude/phase blocks, compensated accumulation) since its
-integrand is not polynomial in the sketch; its accuracy degrades with n and
-it is contracted against the oracle at small n only.
+enumeration, one plain float sum over all sketches, since its integrand is
+not polynomial in the sketch.  That sum cancels across blocks as n grows, so
+it is capped at ORACLE_MAX_N, where the oracle and the tests' 60-digit sketch
+sum check it.
 
 ``oracle_moments`` computes the same moments by direct summation over all
 4^n string pairs with explicit subset sums, and is the independent
@@ -47,14 +48,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .closed_form import Angles, require_finite, require_finite_grid
-from .errors import (
-    BudgetExceededError,
-    ImaginaryResidueError,
-    NegativeVarianceError,
-    QOutOfRangeError,
-    TooLargeError,
-    ValidationError,
-)
+from .errors import CapExceededError, NumericalError, ValidationError
 from .model import MixtureSpec
 
 __all__ = [
@@ -76,13 +70,12 @@ __all__ = [
     "SKETCH_MAX_N",
 ]
 
-ORACLE_MAX_N = 14  # 4^n pair enumeration
-# sketch_moments: the range the 60-digit reference tests cover;
-# generating_function: its sum has binom(n+3,3) terms, ~2.3e7 at n=512
-SKETCH_MAX_N = 512
+# oracle: 4^n pair enumeration; generating_function: where the oracle and
+# the tests' 60-digit sketch sum check its direct float sum
+ORACLE_MAX_N = 14
+SKETCH_MAX_N = 512  # sketch_moments: the range the 60-digit reference tests cover
 _REL_IMAG_TOL = 1e-9
 _VARIANCE_ALLOWANCE = 1e-10
-_LOG_SKIP = 60.0  # blocks more than e^-60 ~ 1e-26 below the peak cannot move 1e-10
 
 
 @dataclass(frozen=True)
@@ -112,8 +105,10 @@ class Sketch:
         if len(z) != len(zp):
             raise ValidationError("strings must have equal length")
         counts = {(1, 1): 0, (1, -1): 0, (-1, 1): 0, (-1, -1): 0}
-        for a, b in zip(z, zp):
-            counts[(a, b)] += 1
+        for pair in zip(z, zp):
+            if pair not in counts:
+                raise ValidationError(f"spin entries must be +1 or -1, got {pair}")
+            counts[pair] += 1
         return Sketch(counts[(1, 1)], counts[(1, -1)], counts[(-1, 1)], counts[(-1, -1)])
 
 
@@ -129,7 +124,7 @@ def f_q(q: int, sketch: Sketch) -> int:
     """sum_{|S|=q}(z_S - z'_S) for any pair with the given sketch."""
     n = sketch.n
     if not 0 <= q <= n:
-        raise QOutOfRangeError(f"need 0 <= q <= n={n}, got q={q}")
+        raise ValidationError(f"need 0 <= q <= n={n}, got q={q}")
     u = sketch.npp + sketch.npm  # +1 count of z
     up = sketch.npp + sketch.nmp  # +1 count of z'
     return _subset_sum_by_plus_count(q, u, n) - _subset_sum_by_plus_count(q, up, n)
@@ -138,7 +133,7 @@ def f_q(q: int, sketch: Sketch) -> int:
 def g_q(q: int, t: int, n: int) -> int:
     """sum_{|S|=q}(z_S - z'_S)^2 for any pair with t = npm + nmp disagreements."""
     if not 1 <= q <= n:
-        raise QOutOfRangeError(f"need 1 <= q <= n={n}, got q={q}")
+        raise ValidationError(f"need 1 <= q <= n={n}, got q={q}")
     if not 0 <= t <= n:
         raise ValidationError(f"need 0 <= t <= n={n}, got t={t}")
     return 4 * sum(
@@ -168,7 +163,7 @@ def f_q_abc(q: int) -> dict[tuple[int, int, int], Fraction]:
     2/(a! b!) exactly when a is odd, b = q - a, c = 0, and vanish otherwise.
     """
     if q < 1:
-        raise QOutOfRangeError(f"need q >= 1, got q={q}")
+        raise ValidationError(f"need q >= 1, got q={q}")
     monos = [
         (a, b, c)
         for total in range(q + 1)
@@ -224,45 +219,6 @@ def f_q_abc(q: int) -> dict[tuple[int, int, int], Fraction]:
 # -- sketch-sum engine -------------------------------------------------------
 
 
-class _Kahan:
-    """Compensated complex accumulator (Kahan)."""
-
-    __slots__ = ("total", "carry")
-
-    def __init__(self) -> None:
-        self.total = 0j
-        self.carry = 0j
-
-    def add(self, x: complex) -> None:
-        y = x - self.carry
-        t = self.total + y
-        self.carry = (t - self.total) - y
-        self.total = t
-
-
-def _log_comb_row(m: int) -> np.ndarray:
-    """log binom(m, i) for i = 0..m, from the exact integers."""
-    row, comb = [], 1
-    for i in range(m + 1):
-        row.append(math.log(comb))
-        comb = comb * (m - i) // (i + 1)
-    return np.array(row)
-
-
-def _phi_table(spec: MixtureSpec, n: int) -> np.ndarray:
-    """phi(u) = sum_q sigma_q^2 F_q(u)/n^q with F_q the subset sum at +1-count u."""
-    phi = np.zeros(n + 1)
-    for q in range(1, spec.d + 1):
-        s2 = spec.sigmas[q - 1] ** 2
-        if s2 == 0 or q > n:
-            continue
-        col = np.array(
-            [_subset_sum_by_plus_count(q, u, n) for u in range(n + 1)], dtype=float
-        )
-        phi += (s2 / n**q) * col
-    return phi
-
-
 def _g_columns(spec: MixtureSpec, n: int, entries: int) -> list:
     """(q, sigma_q^2, g_q(t) for t < entries) for each q <= min(d, n) with
     sigma_q != 0: the part of the K table that does not depend on gamma."""
@@ -294,66 +250,11 @@ def _lambda_quadratic(spec: MixtureSpec, n: int) -> float:
     )
 
 
-def _b_weights(s: int, c2: float, s2: float) -> np.ndarray:
-    """Column weights binom(s,j) c2^j s2^(s-j); a binomial pmf, sums to 1."""
-    if s == 0:
-        return np.ones(1)
-    w = np.zeros(s + 1)
-    if c2 == 0.0:
-        w[0] = s2**s
-    elif s2 == 0.0:
-        w[s] = c2**s
-    else:
-        j = np.arange(s + 1)
-        w = np.exp(_log_comb_row(s) + j * math.log(c2) + (s - j) * math.log(s2))
-    return w
-
-
-def _sketch_blocks(spec: MixtureSpec, angles: Angles, n: int):
-    """Yield (scale_phase, W, P) for each disagreement count t.
-
-    W[i, j] is the real signed weight of the sketch with npm = i, npp = j
-    divided by binom(n,t) e^K (those live in the complex scalar scale_phase);
-    P[i, j] = sum_q sigma_q^2 f_q / n^q for that sketch.
-    """
-    beta = angles.beta
-    sb, cb = math.sin(beta), math.cos(beta)
-    sc = sb * cb
-    c2, s2 = cb * cb, sb * sb
-    phi = _phi_table(spec, n)
-    K = _k_table(_g_columns(spec, n, n + 1), angles.gamma, n, n + 1)
-    logCn = _log_comb_row(n)
-
-    log2sc = math.log(2 * abs(sc)) if sc != 0 else -math.inf
-    bounds = [logCn[t] + K[t] + (0.0 if t == 0 else t * log2sc) for t in range(n + 1)]
-    cutoff = max(bounds) - _LOG_SKIP
-    sgn = 1.0 if sc >= 0 else -1.0
-
-    for t in range(n + 1):
-        if bounds[t] < cutoff:
-            continue
-        s = n - t
-        if t == 0:
-            aw = np.ones(1)
-        else:
-            aw = np.exp(_log_comb_row(t) + t * math.log(abs(sc)))
-            aw[1::2] *= -1.0
-        bw = _b_weights(s, c2, s2)
-        ia = np.arange(t + 1)
-        jj = np.arange(s + 1)
-        plus_z = ia[:, None] + jj[None, :]  # +1 count of z
-        plus_zp = (t - ia)[:, None] + jj[None, :]  # +1 count of z'
-        P = phi[plus_z] - phi[plus_zp]
-        W = aw[:, None] * bw[None, :]
-        scale_phase = math.exp(logCn[t] + K[t]) * (1j * sgn) ** t
-        yield scale_phase, W, P
-
-
-def _check_sketch_n(n: int, reason: str) -> None:
+def _check_n(n: int, cap: int, reason: str) -> None:
     if n < 1:
         raise ValidationError(f"need n >= 1, got n={n}")
-    if n > SKETCH_MAX_N:
-        raise BudgetExceededError(f"n={n} exceeds the cap {SKETCH_MAX_N}: {reason}")
+    if n > cap:
+        raise CapExceededError(f"n={n} exceeds the cap {cap}: {reason}")
 
 
 def _require_real(z: complex, what: str, scale: float = 0.0) -> float:
@@ -361,7 +262,7 @@ def _require_real(z: complex, what: str, scale: float = 0.0) -> float:
     |z.real| and ``scale``, a bound on the magnitude of the terms summed into
     z (a sum that is zero by symmetry keeps a rounding residue of that size)."""
     if abs(z.imag) > _REL_IMAG_TOL * max(abs(z.real), scale, 1e-300):
-        raise ImaginaryResidueError(
+        raise NumericalError(
             f"{what} has imaginary residue {z.imag:.3e} vs real part {z.real:.3e} "
             f"and term magnitude {scale:.3e}"
         )
@@ -392,13 +293,13 @@ class MomentReport:
 
 def _clamped_variance(first, second) -> tuple[np.ndarray, np.ndarray]:
     """second - first^2 with a clamp mask: values below -_VARIANCE_ALLOWANCE
-    raise NegativeVarianceError, smaller negative ones are set to 0."""
+    raise NumericalError, smaller negative ones are set to 0."""
     variance = np.asarray(second - first * first, dtype=float)
     clamped = variance < 0
     if clamped.any():
         worst = float(variance.min())
         if worst < -_VARIANCE_ALLOWANCE:
-            raise NegativeVarianceError(
+            raise NumericalError(
                 f"variance {worst:.3e} below the -{_VARIANCE_ALLOWANCE} allowance"
             )
         variance = np.where(clamped, 0.0, variance)
@@ -456,6 +357,17 @@ def _phi_integers(spec: MixtureSpec, n: int, top: int) -> tuple[list[int], int]:
     return phi, den
 
 
+def _binomial_moment_coeffs(h: list[int], s: int) -> list[int]:
+    """Integer coefficients c_m with sum_m c_m c2^m = E h(j), j ~ Binomial(s,
+    c2), from the values h(0..k) of a polynomial h of degree <= k <= s:
+    c_m = binom(s,m) Delta^m h(0), since E binom(j,m) = binom(s,m) c2^m."""
+    coeffs = []
+    for m in range(len(h)):
+        coeffs.append(math.comb(s, m) * h[0])
+        h = [b - a for a, b in zip(h, h[1:])]
+    return coeffs
+
+
 def _moment_blocks(spec: MixtureSpec, n: int) -> tuple[list, list]:
     """The surviving blocks of the first and of the second moment, each as
     (t, coeffs, den) with sum_m coeffs[m] c2^m / den = s binom(n,t) E_j h_t(j),
@@ -472,11 +384,8 @@ def _moment_blocks(spec: MixtureSpec, n: int) -> tuple[list, list]:
             )
             for j in range(min(deg, n) - t + 1)
         ]
-        coeffs = []
-        for m in range(len(h)):
-            coeffs.append(sign * math.comb(n, t) * math.comb(n - t, m) * h[0])
-            h = [b - a for a, b in zip(h, h[1:])]
-        return t, coeffs, den**power
+        scale = sign * math.comb(n, t)
+        return t, [scale * c for c in _binomial_moment_coeffs(h, n - t)], den**power
 
     first = [
         block(t, 1, d, (-1) ** ((t + 1) // 2)) for t in range(1, min(d, n) + 1, 2)
@@ -539,12 +448,13 @@ def sketch_moment_grid(
     point costs one multiply-add per block, in the same order as the 1x1
     grid.  Both moments are real by construction.
 
-    A variance below -1e-10 raises NegativeVarianceError; smaller negative
+    A variance below -1e-10 raises NumericalError; smaller negative
     variances are set to 0 and flagged in ``clamped``.  n is capped at
     SKETCH_MAX_N, the range the high-precision reference tests cover.
     """
-    _check_sketch_n(
+    _check_n(
         n,
+        SKETCH_MAX_N,
         "the high-precision reference tests cover sketch_moments only up to there",
     )
     betas, gammas = require_finite_grid(betas, gammas)
@@ -595,25 +505,53 @@ def sketch_moments(spec: MixtureSpec, angles: Angles, n: int) -> MomentReport:
 def generating_function(spec: MixtureSpec, angles: Angles, n: int, lam: float) -> complex:
     """Disorder-averaged E_J<exp(i lam H/n)> at finite n via the sketch sum.
 
-    Returned values are exact only up to the sign cancellation across sketch
-    blocks; accuracy degrades with n (see module docstring).  At lam = 0 the
-    value is the squared state norm, 1.  n is capped at SKETCH_MAX_N because
-    the sum has binom(n+3,3) terms.
+    One plain float sum over the binom(n+3,3) sketches, grouped by the
+    disagreement count t: binom(n,t) e^K(t) (i sc)^t times the real sum of
+    (-1)^npm binom(t,npm) binom(n-t,npp) c2^npp s2^nmm e^(-gamma lam P), with
+    P = sum_q sigma_q^2 f_q / n^q.  Its blocks cancel more as n grows, so n
+    is capped at ORACLE_MAX_N, where the oracle checks it.  At lam = 0 the
+    value is the squared state norm, 1.
     """
-    _check_sketch_n(n, "the direct sketch sum has binom(n+3,3) terms")
+    _check_n(n, ORACLE_MAX_N, "the oracle checks the direct sketch sum only up to there")
     require_finite(angles)
     if lam == 0.0 and angles.gamma == 0.0:
         # the exponent vanishes for every sketch and the sum telescopes to 1
         return 1.0 + 0.0j
-    acc = _Kahan()
+    sb, cb = math.sin(angles.beta), math.cos(angles.beta)
+    sc, c2, s2 = sb * cb, cb * cb, sb * sb
+    phi_int, den = _phi_integers(spec, n, n)
+    phi = [v / den for v in phi_int]
+    K = _k_table(_g_columns(spec, n, n + 1), angles.gamma, n, n + 1)
     glam = angles.gamma * lam
-    for scale_phase, W, P in _sketch_blocks(spec, angles, n):
-        acc.add(scale_phase * (W * np.exp(-glam * P)).sum())
-    damp = math.exp(-(lam**2) * _lambda_quadratic(spec, n))
-    return damp * acc.total
+    total = 0j
+    for t in range(n + 1):
+        s = n - t
+        block = 0.0
+        for i in range(t + 1):  # i = npm
+            for j in range(s + 1):  # j = npp
+                w = (-1) ** i * math.comb(t, i) * math.comb(s, j) * c2**j * s2 ** (s - j)
+                block += w * math.exp(-glam * (phi[i + j] - phi[t - i + j]))
+        total += math.comb(n, t) * math.exp(K[t]) * (1j * sc) ** t * block
+    return math.exp(-(lam**2) * _lambda_quadratic(spec, n)) * total
 
 
 # -- brute-force double-string oracle ----------------------------------------
+
+
+class _Kahan:
+    """Compensated complex accumulator (Kahan)."""
+
+    __slots__ = ("total", "carry")
+
+    def __init__(self) -> None:
+        self.total = 0j
+        self.carry = 0j
+
+    def add(self, x: complex) -> None:
+        y = x - self.carry
+        t = self.total + y
+        self.carry = (t - self.total) - y
+        self.total = t
 
 
 def _popcounts(values: np.ndarray, n: int) -> np.ndarray:
@@ -652,7 +590,7 @@ def _oracle_sums(
     if n < 1:
         raise ValidationError(f"need n >= 1, got n={n}")
     if n > ORACLE_MAX_N:
-        raise TooLargeError(
+        raise CapExceededError(
             f"oracle enumerates 4^n pairs; n={n} exceeds the cap {ORACLE_MAX_N}"
         )
     require_finite(angles)
@@ -750,36 +688,38 @@ def a_factor(a: int, t: int, beta: float) -> complex:
     """
     if a < 0 or t < 0:
         raise ValidationError(f"need a, t >= 0, got a={a}, t={t}")
-    kern = _a_kernel(a, t)
-    if kern == 0:
-        return 0j
     sc = math.sin(beta) * math.cos(beta)
-    if t == 0:
-        return complex(kern)
-    if sc == 0.0:
-        return 0j
-    mag = math.exp(math.log(abs(kern)) + t * math.log(abs(sc)))
-    sgn = 1.0 if sc > 0 else -1.0
-    return math.copysign(1.0, kern) * mag * (1j * sgn) ** t
+    return _a_kernel(a, t) * (1j * sc) ** t
+
+
+def _b_coeffs(b: int, s: int) -> list[int]:
+    """B^b over npp+nmm = s as a polynomial in c2 = cos^2 beta: the
+    coefficients of E[(2j-s)^b] for j ~ Binomial(s, c2)."""
+    return _binomial_moment_coeffs([(2 * j - s) ** b for j in range(min(b, s) + 1)], s)
 
 
 def b_factor(b: int, t: int, n: int, beta: float) -> float:
-    """B^b_t = sum over npp+nmm=n-t of binom(n-t,npp)(npp-nmm)^b Q++^npp Q--^nmm."""
+    """B^b_t = sum over npp+nmm=n-t of binom(n-t,npp)(npp-nmm)^b Q++^npp Q--^nmm.
+
+    A polynomial of degree <= b in cos^2 beta, evaluated exactly at the float
+    cos^2 beta like the moment blocks.
+    """
     if b < 0:
         raise ValidationError(f"need b >= 0, got b={b}")
     if not 0 <= t <= n:
         raise ValidationError(f"need 0 <= t <= n={n}, got t={t}")
-    s = n - t
-    sb, cb = math.sin(beta), math.cos(beta)
-    w = _b_weights(s, cb * cb, sb * sb)
-    jj = np.arange(s + 1)
-    return float(np.sum(w * (2.0 * jj - s) ** b))
+    return _block_values([(0, _b_coeffs(b, n - t), 1)], beta)[0]
 
 
 def t_sum(
     spec: MixtureSpec, angles: Angles, n: int, a: int, b: int, n_power: int
 ) -> complex:
     """Finite-n T^{ab} with prefactor 1/n^n_power, via the A/B factorization.
+
+    T = sum_t binom(n,t) e^K(t) A^a_t B^b_t / n^n_power, and A^a_t vanishes
+    for t > a, so only t <= min(a, n) is summed.  Each term is i^t e^K(t)
+    times an exact block: sc^t times the integer polynomial
+    kern binom(n,t) B^b_t in cos^2 beta over n^n_power.
 
     Converges for a + b = n_power to
     (-i)^a exp(-2 a gamma^2 sum_q sigma_q^2/(q-1)!) sin^a(2b) cos^b(2b)
@@ -791,30 +731,11 @@ def t_sum(
         raise ValidationError(f"need a+b <= n_power, got {a}+{b} > {n_power}")
     if n < 1:
         raise ValidationError(f"need n >= 1, got n={n}")
-    K = _k_table(_g_columns(spec, n, n + 1), angles.gamma, n, n + 1)
-    sc = math.sin(angles.beta) * math.cos(angles.beta)
-    sgn = 1.0 if sc >= 0 else -1.0
-    log_n_pow = n_power * math.log(n)
-    acc = _Kahan()
-    for t in range(n + 1):
-        kern = _a_kernel(a, t)
-        if kern == 0:
-            continue
-        if t > 0 and sc == 0.0:
-            continue
-        bval = b_factor(b, t, n, angles.beta)
-        if bval == 0.0:
-            continue
-        log_mag = (
-            math.lgamma(n + 1)
-            - math.lgamma(t + 1)
-            - math.lgamma(n - t + 1)
-            + K[t]
-            + math.log(abs(kern))
-            + (t * math.log(abs(sc)) if t else 0.0)
-            + math.log(abs(bval))
-            - log_n_pow
-        )
-        sign = math.copysign(1.0, kern) * math.copysign(1.0, bval)
-        acc.add(sign * math.exp(log_mag) * (1j * sgn) ** t)
-    return acc.total
+    top = min(a, n)
+    K = _k_table(_g_columns(spec, n, top + 1), angles.gamma, n, top + 1)
+    blocks = []
+    for t in range(top + 1):
+        scale = _a_kernel(a, t) * math.comb(n, t)
+        blocks.append((t, [scale * c for c in _b_coeffs(b, n - t)], n**n_power))
+    values = _block_values(blocks, angles.beta)
+    return sum(1j**t * math.exp(K[t]) * v for t, v in enumerate(values))

@@ -21,16 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import (
-    AllZeroError,
-    DegreeZeroError,
-    LengthMismatchError,
-    NegativeSigmaError,
-    NonBinaryEntryError,
-    ParseError,
-    TooFewSpinsError,
-    ValidationError,
-)
+from .errors import ValidationError
 
 __all__ = [
     "MixtureSpec",
@@ -67,15 +58,15 @@ class MixtureSpec:
 
     def __post_init__(self) -> None:
         if self.d < 1:
-            raise DegreeZeroError(f"degree bound must be >= 1, got d={self.d}")
+            raise ValidationError(f"degree bound must be >= 1, got d={self.d}")
         if len(self.sigmas) != self.d:
-            raise LengthMismatchError(
+            raise ValidationError(
                 f"expected {self.d} sigmas, got {len(self.sigmas)}"
             )
         if any(s < 0 or not math.isfinite(s) for s in self.sigmas):
-            raise NegativeSigmaError(f"sigmas must be finite and >= 0: {self.sigmas}")
+            raise ValidationError(f"sigmas must be finite and >= 0: {self.sigmas}")
         if all(s == 0 for s in self.sigmas):
-            raise AllZeroError("all sigmas are zero; the disorder is degenerate")
+            raise ValidationError("all sigmas are zero; the disorder is degenerate")
         # The closed forms square each sigma and decay as exp(-2 g^2 a rate).
         if not (
             all(math.isfinite(s * s) for s in self.sigmas)
@@ -113,11 +104,11 @@ class MixtureFunction:
 
     def __post_init__(self) -> None:
         if not self.cs:
-            raise DegreeZeroError("mixture function needs at least one coefficient")
+            raise ValidationError("mixture function needs at least one coefficient")
         if any(c < 0 or not math.isfinite(c) for c in self.cs):
-            raise NegativeSigmaError(f"coefficients must be finite and >= 0: {self.cs}")
+            raise ValidationError(f"coefficients must be finite and >= 0: {self.cs}")
         if all(c == 0 for c in self.cs):
-            raise AllZeroError("all mixture coefficients are zero")
+            raise ValidationError("all mixture coefficients are zero")
 
     @property
     def d(self) -> int:
@@ -143,16 +134,16 @@ class MixtureFunction:
 def make_mixture_spec(d: int, sigmas: Sequence[float]) -> MixtureSpec:
     """Validate and build a MixtureSpec from per-degree standard deviations."""
     if d < 1:
-        raise DegreeZeroError(f"degree bound must be >= 1, got d={d}")
+        raise ValidationError(f"degree bound must be >= 1, got d={d}")
     return MixtureSpec(d, tuple(float(s) for s in sigmas))
 
 
 def from_mixture_function(d: int, cs: Sequence[float]) -> MixtureSpec:
     """Build a MixtureSpec from mixture coefficients, sigma_q = c_q sqrt(q!)."""
     if d < 1:
-        raise DegreeZeroError(f"degree bound must be >= 1, got d={d}")
+        raise ValidationError(f"degree bound must be >= 1, got d={d}")
     if len(cs) != d:
-        raise LengthMismatchError(f"expected {d} coefficients, got {len(cs)}")
+        raise ValidationError(f"expected {d} coefficients, got {len(cs)}")
     return MixtureFunction(tuple(float(c) for c in cs)).to_spec()
 
 
@@ -192,23 +183,23 @@ class ProblemInstance:
 
     def __post_init__(self) -> None:
         if self.n < self.spec.d:
-            raise TooFewSpinsError(f"n={self.n} < d={self.spec.d}")
+            raise ValidationError(f"n={self.n} < d={self.spec.d}")
         if self.n > 63:
-            raise TooFewSpinsError(
+            raise ValidationError(
                 f"bitmask subset storage supports n <= 63, got n={self.n}"
             )
         counts = [0] * (self.spec.d + 1)
         top = (1 << self.n) - 1
         for mask in self.terms:
             if mask == 0 or mask & ~top:
-                raise LengthMismatchError(f"subset mask {mask:#x} outside 1..n={self.n}")
+                raise ValidationError(f"subset mask {mask:#x} outside 1..n={self.n}")
             q = mask.bit_count()
             if q > self.spec.d:
-                raise LengthMismatchError(f"subset of size {q} exceeds d={self.spec.d}")
+                raise ValidationError(f"subset of size {q} exceeds d={self.spec.d}")
             counts[q] += 1
         for q in range(1, self.spec.d + 1):
             if counts[q] != math.comb(self.n, q):
-                raise LengthMismatchError(
+                raise ValidationError(
                     f"degree {q}: expected {math.comb(self.n, q)} couplings, "
                     f"got {counts[q]}"
                 )
@@ -234,7 +225,7 @@ def sample_instance(spec: MixtureSpec, n: int, seed: int) -> ProblemInstance:
     the draw order (and hence the instance) is pinned by (spec, n, seed).
     """
     if n < spec.d:
-        raise TooFewSpinsError(f"n={n} < d={spec.d}")
+        raise ValidationError(f"n={n} < d={spec.d}")
     rng = _instance_rng(spec, n, seed)
     terms: dict[int, float] = {}
     for q in range(1, spec.d + 1):
@@ -251,10 +242,10 @@ def sample_instance(spec: MixtureSpec, n: int, seed: int) -> ProblemInstance:
 
 def _check_spins(z: Sequence[int], n: int) -> None:
     if len(z) != n:
-        raise LengthMismatchError(f"spin string has {len(z)} entries, expected {n}")
+        raise ValidationError(f"spin string has {len(z)} entries, expected {n}")
     for v in z:
         if v != 1 and v != -1:
-            raise NonBinaryEntryError(f"spin entries must be +1 or -1, got {v!r}")
+            raise ValidationError(f"spin entries must be +1 or -1, got {v!r}")
 
 
 def cost(instance: ProblemInstance, z: Sequence[int]) -> float:
@@ -301,7 +292,7 @@ def instance_to_text(instance: ProblemInstance) -> str:
 def instance_from_text(text: str) -> ProblemInstance:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
-        raise ParseError("empty instance file")
+        raise ValidationError("empty instance file")
     header = lines[0]
     try:
         fields = dict(part.split("=", 1) for part in header.split())
@@ -310,29 +301,29 @@ def instance_from_text(text: str) -> ProblemInstance:
         sigmas = tuple(float(s) for s in fields["sigmas"].split(","))
         seed = int(fields["seed"], 16)
     except (KeyError, ValueError) as exc:
-        raise ParseError(f"bad instance header: {header!r}") from exc
+        raise ValidationError(f"bad instance header: {header!r}") from exc
     try:
         spec = MixtureSpec(d, sigmas)
     except ValueError as exc:
-        raise ParseError(f"bad spec in header: {exc}") from exc
+        raise ValidationError(f"bad spec in header: {exc}") from exc
     terms: dict[int, float] = {}
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 3:
-            raise ParseError(f"bad coupling line: {ln!r}")
+            raise ValidationError(f"bad coupling line: {ln!r}")
         try:
             q = int(parts[0])
             idx = tuple(int(i) for i in parts[1].split(","))
             value = float(parts[2])
         except ValueError as exc:
-            raise ParseError(f"bad coupling line: {ln!r}") from exc
+            raise ValidationError(f"bad coupling line: {ln!r}") from exc
         if len(idx) != q or any(not 1 <= i <= n for i in idx) or list(idx) != sorted(set(idx)):
-            raise ParseError(f"bad subset in line: {ln!r}")
+            raise ValidationError(f"bad subset in line: {ln!r}")
         terms[mask_from_indices(idx)] = value
     try:
         return ProblemInstance(n=n, spec=spec, seed=seed, terms=terms)
     except ValueError as exc:
-        raise ParseError(f"inconsistent instance file: {exc}") from exc
+        raise ValidationError(f"inconsistent instance file: {exc}") from exc
 
 
 def write_instance(instance: ProblemInstance, path) -> None:

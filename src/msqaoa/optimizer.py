@@ -27,7 +27,7 @@ from .closed_form import (
     energy_sigma_form,
     energy_sigma_grid,
 )
-from .errors import EmptyGridError, SignError, ValidationError
+from .errors import ValidationError
 from .model import MixtureSpec
 
 __all__ = [
@@ -152,7 +152,7 @@ def optimize_closed_form(
     """Minimize the infinite-n energy per spin over (beta, gamma)."""
     nb, ng = search.grid
     if nb < 1 or ng < 1:
-        raise EmptyGridError(f"grid must be non-empty, got {search.grid}")
+        raise ValidationError(f"grid must be non-empty, got {search.grid}")
     if search.gamma_range is None:
         rate = damping_rate(spec)
         if not rate > 0:
@@ -240,7 +240,7 @@ def optimal_angle_curve(
 def approximation_factor(value: float, ground_state_per_spin: float) -> float:
     """Ratio of an achieved energy per spin to a (negative) ground-state value."""
     if not (math.isfinite(ground_state_per_spin) and ground_state_per_spin < 0):
-        raise SignError(
+        raise ValidationError(
             "ground-state energy per spin must be finite and negative, "
             f"got {ground_state_per_spin}"
         )

@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .closed_form import Angles, require_finite, require_finite_grid
-from .errors import TooLargeError
+from .errors import CapExceededError
 from .model import ProblemInstance
 
 __all__ = [
@@ -44,7 +44,7 @@ SIM_MAX_N = 24  # 2^24 complex doubles ~ 256 MB
 
 def _check_size(n: int) -> None:
     if n > SIM_MAX_N:
-        raise TooLargeError(f"statevector needs 2^{n} amplitudes; cap is n={SIM_MAX_N}")
+        raise CapExceededError(f"statevector needs 2^{n} amplitudes; cap is n={SIM_MAX_N}")
 
 
 def _butterfly(vec: np.ndarray, n: int, u00, u01, u10, u11) -> np.ndarray:

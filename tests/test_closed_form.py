@@ -14,12 +14,7 @@ from msqaoa.closed_form import (
     energy_sigma_form,
     energy_sigma_grid,
 )
-from msqaoa.errors import (
-    DegreeTooLargeError,
-    DegreeZeroError,
-    NonPositiveMError,
-    ValidationError,
-)
+from msqaoa.errors import ValidationError
 from msqaoa.model import damping_rate, make_mixture_spec
 from msqaoa.optimizer import pure_d_spec
 
@@ -110,7 +105,7 @@ class TestSigmaForm:
             assert math.isfinite(v)
 
     def test_degree_cap(self):
-        with pytest.raises(DegreeTooLargeError):
+        with pytest.raises(ValidationError, match=r"exceeds the supported cap 20"):
             energy_sigma_form(make_mixture_spec(21, [1.0] * 21), SK_OPT)
 
 
@@ -179,7 +174,7 @@ class TestSigmaGrid:
             energy_sigma_grid(D3, betas, gammas)
 
     def test_degree_cap(self):
-        with pytest.raises(DegreeTooLargeError):
+        with pytest.raises(ValidationError, match=r"exceeds the supported cap 20"):
             energy_sigma_grid(make_mixture_spec(21, [1.0] * 21), [0.1], [0.2])
 
 
@@ -251,7 +246,7 @@ class TestPureD:
                 assert abs(a - b) < 1e-12 * (1 + abs(a))
 
     def test_degree_zero(self):
-        with pytest.raises(DegreeZeroError):
+        with pytest.raises(ValidationError, match=r"degree must be >= 1"):
             energy_pure_d(0, SK_OPT)
 
 
@@ -294,7 +289,7 @@ class TestHigherMoments:
         assert energy_higher_moment_limit(SK, Angles(0.7, 0.0), 3) == 0.0
 
     def test_nonpositive_m(self):
-        with pytest.raises(NonPositiveMError):
+        with pytest.raises(ValidationError, match=r"moment order must be >= 1"):
             energy_higher_moment_limit(SK, SK_OPT, 0)
 
 
@@ -323,6 +318,17 @@ class TestNonFiniteAngles:
             energy_pure_d(3, ang)
         with pytest.raises(ValidationError):
             energy_derivatives(D3, ang)
+
+
+class TestHugeGamma:
+    @pytest.mark.parametrize("gamma", [1e200, -1e200])
+    def test_every_form_damps_to_zero(self, gamma):
+        # gamma^2 overflows to inf, so the damping is exactly 0 and so is E
+        spec = make_mixture_spec(3, [0.3, 0.5, 1.0])
+        ang = Angles(0.3, gamma)
+        assert energy_pure_d(2, ang) == 0.0
+        assert energy_mixture_form(spec.mixture_function(), ang) == 0.0
+        assert energy_sigma_form(spec, ang) == 0.0
 
 
 def _derivative_specs():

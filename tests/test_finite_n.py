@@ -1,6 +1,7 @@
 import cmath
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import mpmath
@@ -11,14 +12,7 @@ from hypothesis import strategies as st
 
 from msqaoa import finite_n, verify
 from msqaoa.closed_form import Angles, damping_rate, energy_sigma_form
-from msqaoa.errors import (
-    BudgetExceededError,
-    ImaginaryResidueError,
-    NegativeVarianceError,
-    QOutOfRangeError,
-    TooLargeError,
-    ValidationError,
-)
+from msqaoa.errors import CapExceededError, NumericalError, ValidationError
 from msqaoa.finite_n import (
     Sketch,
     _finalize_report,
@@ -82,6 +76,11 @@ class TestSketchAndQ:
         with pytest.raises(ValidationError):
             Sketch(1, -1, 0, 0)
 
+    @pytest.mark.parametrize("z, zp", [([1, 2], [1, 1]), ([1, 1], [0, -1]), ([1], [1.5])])
+    def test_of_pair_rejects_non_spin_entries(self, z, zp):
+        with pytest.raises(ValidationError, match=r"spin entries must be \+1 or -1"):
+            Sketch.of_pair(z, zp)
+
 
 class TestFq:
     def test_q1_formula(self):
@@ -99,9 +98,9 @@ class TestFq:
             assert f_q(2, sk) == want
 
     def test_out_of_range(self):
-        with pytest.raises(QOutOfRangeError):
+        with pytest.raises(ValidationError, match=r"need 0 <= q <= n=4, got q=5"):
             f_q(5, Sketch(1, 1, 1, 1))
-        with pytest.raises(QOutOfRangeError):
+        with pytest.raises(ValidationError, match=r"need 0 <= q <= n=4, got q=-1"):
             f_q(-1, Sketch(1, 1, 1, 1))
 
     def test_realization_independence(self):
@@ -140,7 +139,7 @@ class TestGq:
         assert g_q(2, 2, 6) == 32
 
     def test_range_errors(self):
-        with pytest.raises(QOutOfRangeError):
+        with pytest.raises(ValidationError, match=r"need 1 <= q <= n=4, got q=0"):
             g_q(0, 1, 4)
         with pytest.raises(ValidationError):
             g_q(2, 9, 4)
@@ -188,7 +187,7 @@ class TestFqAbc:
 class TestGeneratingFunction:
     def test_normalization(self):
         rng = np.random.default_rng(9)
-        for n in (2, 4, 8, 16, 32):
+        for n in (2, 4, 8):
             d = int(rng.integers(1, 4))
             spec = make_mixture_spec(d, rng.uniform(0.2, 1.2, d))
             ang = Angles(float(rng.uniform(-1.5, 1.5)), float(rng.uniform(-1.5, 1.5)))
@@ -205,8 +204,30 @@ class TestGeneratingFunction:
         assert abs(gf - ogf) <= 1e-10 * max(abs(gf), abs(ogf))
 
     def test_budget(self):
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(CapExceededError, match=r"exceeds the cap 14"):
             generating_function(SK, Angles(0.3, 0.4), 600, 0.0)
+
+    def test_cap_is_the_oracle_cap(self):
+        generating_function(SK, Angles(0.3, 0.4), 14, 0.7)
+        with pytest.raises(CapExceededError, match=r"n=15 exceeds the cap 14"):
+            generating_function(SK, Angles(0.3, 0.4), 15, 0.7)
+
+    @pytest.mark.parametrize("n", [6, 10, 14])
+    @pytest.mark.parametrize(
+        "spec, beta, gamma, lam",
+        [
+            (SK, math.pi / 4, 0.4, 3.0),
+            (SK, 0.3, -0.7, 0.7),
+            (MIX3, math.pi / 4, 0.05, 3.0),
+            (MIX3, -1.1, 1.5, 3.0),
+            (pure_d_spec(4), -math.pi / 4, -0.7, 0.7),
+            (pure_d_spec(4), 0.3, 0.4, 3.0),
+        ],
+    )
+    def test_matches_reference(self, spec, beta, gamma, lam, n):
+        got = generating_function(spec, Angles(beta, gamma), n, lam)
+        want = reference_generating_function(spec, beta, gamma, n, lam)
+        assert abs(got - want) <= 1e-12, (got, want)
 
 
 class TestMoments:
@@ -273,11 +294,11 @@ class TestMoments:
         assert all(a > b for a, b in zip(variances, variances[1:]))
 
     def test_budget_checks(self):
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(CapExceededError, match=r"exceeds the cap 512"):
             sketch_moments(SK, Angles(0.3, 0.4), 513)
 
     def test_oracle_cap(self):
-        with pytest.raises(TooLargeError):
+        with pytest.raises(CapExceededError, match=r"oracle enumerates 4\^n pairs"):
             oracle_moments(SK, Angles(0.3, 0.4), 15)
 
     def test_report_line_format(self):
@@ -300,7 +321,8 @@ class TestMoments:
             assert all(type(v) is float for v in (rep.first, rep.second, rep.variance))
 
     def test_k_table_sizes(self, monkeypatch):
-        # the moments read K(t) only for t <= 2d; the direct sums read all n + 1
+        # the moments read K(t) only for t <= 2d, t_sum only for t <= a; the
+        # direct sketch sum reads all n + 1
         sizes = []
         real = finite_n._k_table
 
@@ -314,7 +336,7 @@ class TestMoments:
         sketch_moments(MIX3, ang, 4)
         generating_function(MIX3, ang, 8, 0.5)
         t_sum(MIX3, ang, 9, 1, 0, 1)
-        assert sizes == [7, 5, 9, 10]
+        assert sizes == [7, 5, 9, 2]
 
 
 NON_FINITE_ANGLES = [
@@ -348,7 +370,7 @@ class TestReportGuards:
         assert rep.variance == 0.0 and rep.clamped
 
     def test_variance_error(self):
-        with pytest.raises(NegativeVarianceError):
+        with pytest.raises(NumericalError, match=r"below the -1e-10 allowance"):
             _finalize_report(4, 1.0, 1.0 - 1e-8, "sketch", SK, Angles(0.1, 0.1))
 
     def test_grid_variance_clamp_is_per_point(self):
@@ -357,17 +379,17 @@ class TestReportGuards:
         variance, clamped = finite_n._clamped_variance(first, second)
         assert variance.tolist() == [[0.0, 1.0, 0.0]]
         assert clamped.tolist() == [[True, False, False]]
-        with pytest.raises(NegativeVarianceError):
+        with pytest.raises(NumericalError, match=r"below the -1e-10 allowance"):
             finite_n._clamped_variance(first, second - 1e-8)
 
     def test_require_real(self):
         assert _require_real(1.5 + 1e-12j, "x") == 1.5
-        with pytest.raises(ImaginaryResidueError):
+        with pytest.raises(NumericalError, match=r"imaginary residue"):
             _require_real(1.5 + 1e-6j, "x")
 
     def test_require_real_measures_residue_against_term_magnitude(self):
         assert _require_real(1e-16 + 1e-17j, "x", scale=0.5) == 1e-16
-        with pytest.raises(ImaginaryResidueError):
+        with pytest.raises(NumericalError, match=r"imaginary residue"):
             _require_real(1e-16 + 1e-6j, "x", scale=0.5)
 
     @pytest.mark.parametrize(
@@ -394,8 +416,86 @@ class TestReportGuards:
             return (s0, s1 * cmath.exp(1e-6j), *rest)
 
         monkeypatch.setattr(finite_n, "_oracle_sums", corrupted)
-        with pytest.raises(ImaginaryResidueError):
+        with pytest.raises(NumericalError, match=r"oracle first moment has imaginary residue"):
             oracle_moments(MIX3, Angles(0.3, -0.4), 8)
+
+
+def reference_generating_function(spec, beta, gamma, n, lam):
+    """E_J<exp(i lam H/n)> at 60 digits: the sketch sum term by term over every
+    (npm, nmp, npp, nmm), with the multinomial weight, the mixer factors
+    Q+- = -i sc, Q-+ = i sc, Q++ = cos^2 b, Q-- = sin^2 b and
+    e^(K(t) - gamma lam P), P = sum_q sigma_q^2 f_q / n^q, from f_q."""
+    with mpmath.workdps(60):
+        s2 = {q: mpmath.mpf(spec.sigmas[q - 1]) ** 2 for q in range(1, min(spec.d, n) + 1)}
+        b, g, lm, nn = mpmath.mpf(beta), mpmath.mpf(gamma), mpmath.mpf(lam), mpmath.mpf(n)
+        sb, cb = mpmath.sin(b), mpmath.cos(b)
+        q_pm, q_mp = mpmath.mpc(0, -1) * sb * cb, mpmath.mpc(0, 1) * sb * cb
+        total = mpmath.mpc(0)
+        for npm in range(n + 1):
+            for nmp in range(n - npm + 1):
+                t = npm + nmp
+                K = -sum(g * g * g_q(q, t, n) * v / (2 * nn ** (q - 1)) for q, v in s2.items())
+                for npp in range(n - t + 1):
+                    nmm = n - t - npp
+                    sk = Sketch(npp, npm, nmp, nmm)
+                    weight = math.factorial(n) // (
+                        math.factorial(npm) * math.factorial(nmp)
+                        * math.factorial(npp) * math.factorial(nmm)
+                    )
+                    P = sum(v * f_q(q, sk) / nn**q for q, v in s2.items())
+                    total += (
+                        weight * q_pm**npm * q_mp**nmp * (cb * cb) ** npp * (sb * sb) ** nmm
+                        * mpmath.exp(K - g * lm * P)
+                    )
+        R = sum(math.comb(n, q) * v / (2 * nn ** (q + 1)) for q, v in s2.items())
+        return complex(mpmath.exp(-lm * lm * R) * total)
+
+
+@lru_cache(maxsize=None)
+def reference_a_kernels(a, n):
+    """sum_i (-1)^i binom(t,i) (2i-t)^a for every t <= n, as exact integers."""
+    return [
+        sum((-1) ** i * math.comb(t, i) * (2 * i - t) ** a for i in range(t + 1))
+        for t in range(n + 1)
+    ]
+
+
+@lru_cache(maxsize=None)
+def reference_b_factor(b, s, beta):
+    """B^b over s positions at 50 digits, by the direct binomial sum."""
+    with mpmath.workdps(50):
+        sb, cb = mpmath.sin(mpmath.mpf(beta)), mpmath.cos(mpmath.mpf(beta))
+        return sum(
+            math.comb(s, j) * (cb * cb) ** j * (sb * sb) ** (s - j) * (2 * j - s) ** b
+            for j in range(s + 1)
+        )
+
+
+def reference_t_sum(spec, beta, gamma, n, a, b, p):
+    """T^{ab} / n^p at 50 digits, uncollapsed: every t <= n, with the A kernel
+    an exact integer (it is 0 above t = a by the identity, not by a cutoff, so
+    those terms add exactly nothing) and B by the direct binomial sum."""
+    with mpmath.workdps(50):
+        g, nn = mpmath.mpf(gamma), mpmath.mpf(n)
+        sc = mpmath.sin(mpmath.mpf(beta)) * mpmath.cos(mpmath.mpf(beta))
+        total = mpmath.mpc(0)
+        for t, kern in enumerate(reference_a_kernels(a, n)):
+            if kern == 0:
+                continue
+            K = -sum(
+                g * g * g_q(q, t, n) * mpmath.mpf(spec.sigmas[q - 1]) ** 2 / (2 * nn ** (q - 1))
+                for q in range(1, min(spec.d, n) + 1)
+            )
+            total += (
+                math.comb(n, t) * mpmath.exp(K) * kern * (mpmath.mpc(0, 1) * sc) ** t
+                * reference_b_factor(b, n - t, beta)
+            )
+        return complex(total / nn**p)
+
+
+# (beta, gamma): +-pi/4 make every odd-b value 0 by symmetry
+T_SUM_ANGLES = [(0.3, 0.45), (-1.1, -1.3), (math.pi / 4, 0.45), (-math.pi / 4, 0.9)]
+T_SUM_ORDERS = [(a, b, p) for a in range(4) for b in range(3) for p in range(max(a + b, 1), 6)]
 
 
 class TestTSum:
@@ -432,6 +532,41 @@ class TestTSum:
         for a, b, p in ((0, 0, 1), (1, 0, 2)):
             r = abs(t_sum(SK, ang, 512, a, b, p)) / abs(t_sum(SK, ang, 256, a, b, p))
             assert 0.35 <= r <= 0.65
+
+    @pytest.mark.parametrize("n", [9, 16, 64, 256])
+    @pytest.mark.parametrize("spec", [SK, MIX3], ids=["SK", "MIX3"])
+    def test_t_sum_matches_reference(self, spec, n):
+        for beta, gamma in T_SUM_ANGLES:
+            for a, b, p in T_SUM_ORDERS:
+                got = t_sum(spec, Angles(beta, gamma), n, a, b, p)
+                want = reference_t_sum(spec, beta, gamma, n, a, b, p)
+                assert abs(got - want) <= max(1e-12 * abs(want), 1e-15), (beta, a, b, p)
+
+    @pytest.mark.parametrize("n", [9, 16, 64, 256])
+    def test_b_factor_matches_reference(self, n):
+        # The float cos^2 b is rounded to 1.1e-16 relative, which moves B by up
+        # to about 1e-16 (n-t)^b, the size of its largest term; at b = +-pi/4
+        # and odd b the exact value is that small, so the floor scales with it.
+        for beta, _ in T_SUM_ANGLES:
+            for t in sorted({0, 1, 3, n}):
+                for b in range(3):
+                    got = b_factor(b, t, n, beta)
+                    want = float(reference_b_factor(b, n - t, beta))
+                    floor = 1e-15 * max(1, n - t) ** b
+                    assert abs(got - want) <= max(1e-12 * abs(want), floor), (beta, t, b)
+
+    def test_t_sum_reads_only_t_up_to_a(self, monkeypatch):
+        kernels = []
+        real = finite_n._a_kernel
+
+        def spy(a, t):
+            kernels.append(t)
+            return real(a, t)
+
+        monkeypatch.setattr(finite_n, "_a_kernel", spy)
+        t_sum(MIX3, Angles(0.3, 0.45), 512, 2, 1, 3)
+        t_sum(MIX3, Angles(0.3, 0.45), 1, 3, 0, 3)
+        assert kernels == [0, 1, 2, 0, 1]
 
     def test_preconditions(self):
         with pytest.raises(ValidationError):
@@ -584,7 +719,7 @@ class TestMomentGrid:
         # injected fault: the lambda^2 weight R short by 1, so second < first^2
         real = finite_n._lambda_quadratic
         monkeypatch.setattr(finite_n, "_lambda_quadratic", lambda *args: real(*args) - 1.0)
-        with pytest.raises(NegativeVarianceError):
+        with pytest.raises(NumericalError, match=r"below the -1e-10 allowance"):
             sketch_moment_grid(MIX3, [0.3, 0.1], [-0.3], 32)
 
     @pytest.mark.parametrize(
@@ -603,7 +738,7 @@ class TestMomentGrid:
             sketch_moment_grid(MIX3, betas, gammas, 8)
 
     def test_cap(self):
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(CapExceededError, match=r"exceeds the cap 512"):
             sketch_moment_grid(SK, [0.3], [0.4], 513)
 
     def test_work_splits_into_beta_and_gamma_factors(self, monkeypatch):
@@ -645,13 +780,6 @@ class TestMomentGrid:
         gammas = np.linspace(-1, 1, 11)
         sketch_moment_grid(MIX3, np.linspace(-0.7, 0.7, 7), gammas, 64)
         assert calls == {"_g_columns": 1, "_k_table": len(gammas)}
-
-    @pytest.mark.parametrize("m", [0, 1, 2, 7, 64, 512])
-    def test_log_comb_row(self, m):
-        row = finite_n._log_comb_row(m)
-        assert row.shape == (m + 1,)
-        for i in [*range(0, m + 1, max(1, m // 8)), m]:
-            assert row[i] == pytest.approx(math.log(math.comb(m, i)), rel=1e-15, abs=1e-15)
 
 
 EDGE_BETAS = [math.pi / 4, -math.pi / 4, 1e-7, -1e-7, math.pi / 2 - 1e-7, math.pi / 2]

@@ -5,16 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msqaoa.errors import (
-    AllZeroError,
-    DegreeZeroError,
-    LengthMismatchError,
-    NegativeSigmaError,
-    NonBinaryEntryError,
-    ParseError,
-    TooFewSpinsError,
-    ValidationError,
-)
+from msqaoa.errors import ValidationError
 from msqaoa.model import (
     MixtureSpec,
     ProblemInstance,
@@ -39,19 +30,19 @@ class TestMixtureSpec:
         assert spec.sigmas[2] == pytest.approx(math.sqrt(3))
 
     def test_all_zero_rejected(self):
-        with pytest.raises(AllZeroError):
+        with pytest.raises(ValidationError, match=r"all sigmas are zero"):
             make_mixture_spec(1, [0])
 
     def test_degree_zero_rejected(self):
-        with pytest.raises(DegreeZeroError):
+        with pytest.raises(ValidationError, match=r"degree bound must be >= 1"):
             make_mixture_spec(0, [])
 
     def test_negative_sigma_rejected(self):
-        with pytest.raises(NegativeSigmaError):
+        with pytest.raises(ValidationError, match=r"sigmas must be finite and >= 0"):
             make_mixture_spec(2, [0.5, -1])
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(ValidationError, match=r"expected 3 sigmas, got 2"):
             make_mixture_spec(3, [1, 1])
 
     @pytest.mark.parametrize(
@@ -127,7 +118,7 @@ class TestSampling:
         assert any(j != 0.0 for _, j in inst.couplings_of_degree(2))
 
     def test_too_few_spins(self):
-        with pytest.raises(TooFewSpinsError):
+        with pytest.raises(ValidationError, match=r"n=2 < d=3"):
             sample_instance(make_mixture_spec(3, [0, 0, 1]), 2, 0)
 
     def test_gaussian_law(self):
@@ -188,12 +179,12 @@ class TestCost:
 
     def test_length_mismatch(self):
         inst = sample_instance(make_mixture_spec(1, [1]), 3, 0)
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(ValidationError, match=r"spin string has 2 entries"):
             cost(inst, [1, 1])
 
     def test_non_binary_entry(self):
         inst = sample_instance(make_mixture_spec(1, [1]), 3, 0)
-        with pytest.raises(NonBinaryEntryError):
+        with pytest.raises(ValidationError, match=r"spin entries must be \+1 or -1"):
             cost(inst, [1, 0, 1])
 
     @given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=2**63 - 1))
@@ -222,19 +213,19 @@ class TestSerialization:
         assert header.startswith("n=4 d=2 sigmas=0.0,1.0 seed=ff")
 
     def test_bad_header(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ValidationError, match=r"bad instance header"):
             instance_from_text("nope\n1 1 0.0\n")
 
     def test_bad_coupling_line(self):
         inst = sample_instance(make_mixture_spec(1, [1]), 2, 0)
         text = instance_to_text(inst) + "1 x 0.0\n"
-        with pytest.raises(ParseError):
+        with pytest.raises(ValidationError, match=r"bad coupling line"):
             instance_from_text(text)
 
     def test_missing_couplings(self):
         inst = sample_instance(make_mixture_spec(1, [1]), 3, 0)
         lines = instance_to_text(inst).splitlines()
-        with pytest.raises(ParseError):
+        with pytest.raises(ValidationError, match=r"inconsistent instance file"):
             instance_from_text("\n".join(lines[:-1]) + "\n")
 
 

@@ -14,7 +14,7 @@ from msqaoa.closed_form import (
     damping_rate,
     energy_sigma_form,
 )
-from msqaoa.errors import EmptyGridError, SignError, ValidationError
+from msqaoa.errors import ValidationError
 from msqaoa.model import make_mixture_spec
 from msqaoa.optimizer import (
     SearchConfig,
@@ -71,7 +71,7 @@ class TestOptimize:
         assert pos.angles.gamma == pytest.approx(neg.angles.gamma, abs=1e-5)
 
     def test_empty_grid(self):
-        with pytest.raises(EmptyGridError):
+        with pytest.raises(ValidationError, match=r"grid must be non-empty"):
             optimize_closed_form(SK, SearchConfig(grid=(0, 5)))
 
     def test_gradient_at_optimum(self):
@@ -347,10 +347,10 @@ class TestApproximationFactor:
         assert approximation_factor(0.0, -0.8) == 0.0
 
     def test_sign_error(self):
-        with pytest.raises(SignError):
+        with pytest.raises(ValidationError, match=r"must be finite and negative"):
             approximation_factor(-0.3, 0.8)
 
     @pytest.mark.parametrize("ground", [math.nan, -math.inf, math.inf, 0.0])
     def test_non_finite_or_non_negative_ground_state(self, ground):
-        with pytest.raises(SignError):
+        with pytest.raises(ValidationError, match=r"must be finite and negative"):
             approximation_factor(-0.3, ground)

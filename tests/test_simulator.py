@@ -6,7 +6,7 @@ import pytest
 
 from msqaoa import simulator, verify
 from msqaoa.closed_form import Angles, energy_sigma_form
-from msqaoa.errors import TooLargeError, ValidationError
+from msqaoa.errors import CapExceededError, ValidationError
 from msqaoa.finite_n import sketch_moments
 from msqaoa.model import (
     MixtureSpec,
@@ -88,7 +88,7 @@ class TestPhaseTable:
 
     def test_cap(self):
         inst = sample_instance(make_mixture_spec(1, [1.0]), 25, 0)
-        with pytest.raises(TooLargeError):
+        with pytest.raises(CapExceededError, match=r"cap is n=24"):
             build_phase_table(inst)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
