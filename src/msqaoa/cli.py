@@ -381,9 +381,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if getattr(args, "mode", None) is not None or args.command == "landscape":
-        if getattr(args, "mode", None) is None:
-            args.mode = ["infinite"]
+    if args.command == "landscape" and args.mode is None:
+        args.mode = ["infinite"]
     try:
         return args.func(args)
     except ValidationError as exc:

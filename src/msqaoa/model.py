@@ -9,6 +9,13 @@ z in {+1,-1}^n is
 
 The equivalent "mixture function" notation uses coefficients
 c_q = sigma_q / sqrt(q!) and xi(x) = sum_q c_q^2 x^q.
+
+An instance stores the couplings of each degree q as one array of
+binom(n, q) values in colexicographic subset order: ascending bitmask, with
+bit i-1 set when spin i is in S.  ``subsets(n, q)`` lists the subsets in
+that order and is the one place that order is written down; sampling, cost
+evaluation, the instance file and the statevector's phase table all index
+through it.
 """
 
 from __future__ import annotations
@@ -16,12 +23,12 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
-from typing import Iterable, Sequence
+from itertools import chain, combinations
+from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import CapExceededError, ValidationError
 
 __all__ = [
     "MixtureSpec",
@@ -37,12 +44,13 @@ __all__ = [
     "instance_from_text",
     "estimate_spec",
     "FitResult",
-    "mask_from_indices",
-    "indices_from_mask",
+    "subsets",
     "damping_rate",
+    "INSTANCE_MAX_COUPLINGS",
 ]
 
 RNG_ALGORITHM = "PCG64"  # recorded in run manifests; seeding is documented below
+INSTANCE_MAX_COUPLINGS = 1 << 24  # the statevector's own table size at n = 24
 
 
 @dataclass(frozen=True)
@@ -133,8 +141,6 @@ class MixtureFunction:
 
 def make_mixture_spec(d: int, sigmas: Sequence[float]) -> MixtureSpec:
     """Validate and build a MixtureSpec from per-degree standard deviations."""
-    if d < 1:
-        raise ValidationError(f"degree bound must be >= 1, got d={d}")
     return MixtureSpec(d, tuple(float(s) for s in sigmas))
 
 
@@ -147,66 +153,61 @@ def from_mixture_function(d: int, cs: Sequence[float]) -> MixtureSpec:
     return MixtureFunction(tuple(float(c) for c in cs)).to_spec()
 
 
-def mask_from_indices(indices: Iterable[int]) -> int:
-    """Bitmask for a subset of 1-based spin indices."""
-    mask = 0
-    for i in indices:
-        mask |= 1 << (i - 1)
-    return mask
+def subsets(n: int, q: int) -> np.ndarray:
+    """The size-q subsets of spins 0..n-1 as a (binom(n, q), q) array.
+
+    Each row holds sorted 0-based indices; rows run in colexicographic order
+    (ascending bitmask), the storage order of ``ProblemInstance.couplings``.
+    """
+    count = math.comb(n, q)
+    rows = np.fromiter(
+        chain.from_iterable(combinations(range(n), q)), dtype=np.int64, count=count * q
+    ).reshape(count, q)
+    return rows[np.lexsort(rows.T)]
 
 
-def indices_from_mask(mask: int) -> tuple[int, ...]:
-    """Sorted 1-based spin indices of a subset bitmask."""
-    out = []
-    i = 1
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)
+def _check_coupling_count(n: int, d: int) -> None:
+    count = sum(math.comb(n, q) for q in range(1, d + 1))
+    if count > INSTANCE_MAX_COUPLINGS:
+        raise CapExceededError(
+            f"n={n}, d={d} needs {count} couplings; "
+            f"cap is INSTANCE_MAX_COUPLINGS={INSTANCE_MAX_COUPLINGS}"
+        )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProblemInstance:
     """One sampled realization of the disorder for n spins.
 
-    ``terms`` maps subset bitmasks (bit i-1 set <=> spin i in S) to the raw
-    coupling J_S.  All binom(n, q) couplings for q = 1..d are materialized,
-    including exact zeros for degrees with sigma_q = 0.
+    ``couplings[q-1]`` holds the binom(n, q) raw couplings J_S with |S| = q,
+    in the row order of ``subsets(n, q)``.  Every degree q = 1..d is
+    materialized, including exact zeros for degrees with sigma_q = 0.
+    Instances compare equal when n, spec, seed and every coupling agree.
     """
 
     n: int
     spec: MixtureSpec
     seed: int
-    terms: dict[int, float] = field(repr=False)
+    couplings: tuple[np.ndarray, ...] = field(repr=False)
 
     def __post_init__(self) -> None:
         if self.n < self.spec.d:
             raise ValidationError(f"n={self.n} < d={self.spec.d}")
-        if self.n > 63:
+        couplings = tuple(np.asarray(j, dtype=float) for j in self.couplings)
+        shapes = [(math.comb(self.n, q),) for q in range(1, self.spec.d + 1)]
+        if [j.shape for j in couplings] != shapes:
             raise ValidationError(
-                f"bitmask subset storage supports n <= 63, got n={self.n}"
+                f"coupling arrays must have shapes {shapes}, "
+                f"got {[j.shape for j in couplings]}"
             )
-        counts = [0] * (self.spec.d + 1)
-        top = (1 << self.n) - 1
-        for mask in self.terms:
-            if mask == 0 or mask & ~top:
-                raise ValidationError(f"subset mask {mask:#x} outside 1..n={self.n}")
-            q = mask.bit_count()
-            if q > self.spec.d:
-                raise ValidationError(f"subset of size {q} exceeds d={self.spec.d}")
-            counts[q] += 1
-        for q in range(1, self.spec.d + 1):
-            if counts[q] != math.comb(self.n, q):
-                raise ValidationError(
-                    f"degree {q}: expected {math.comb(self.n, q)} couplings, "
-                    f"got {counts[q]}"
-                )
+        object.__setattr__(self, "couplings", couplings)
 
-    def couplings_of_degree(self, q: int) -> list[tuple[int, float]]:
-        """(mask, J_S) pairs with |S| = q, sorted by mask."""
-        return sorted((m, j) for m, j in self.terms.items() if m.bit_count() == q)
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ProblemInstance):
+            return NotImplemented
+        return (self.n, self.spec, self.seed) == (other.n, other.spec, other.seed) and all(
+            np.array_equal(a, b) for a, b in zip(self.couplings, other.couplings)
+        )
 
 
 def _instance_rng(spec: MixtureSpec, n: int, seed: int) -> np.random.Generator:
@@ -221,23 +222,24 @@ def _instance_rng(spec: MixtureSpec, n: int, seed: int) -> np.random.Generator:
 def sample_instance(spec: MixtureSpec, n: int, seed: int) -> ProblemInstance:
     """Sample all couplings J_S ~ N(0, sigma_{|S|}^2) i.i.d., deterministically.
 
-    Subsets are enumerated degree by degree in lexicographic index order, so
-    the draw order (and hence the instance) is pinned by (spec, n, seed).
+    Couplings are drawn degree by degree in lexicographic subset order, so
+    the draw order (and hence the instance) is pinned by (spec, n, seed);
+    one permutation per degree moves them to the storage order.  More than
+    INSTANCE_MAX_COUPLINGS couplings raise CapExceededError before anything
+    is allocated.
     """
     if n < spec.d:
         raise ValidationError(f"n={n} < d={spec.d}")
+    _check_coupling_count(n, spec.d)
     rng = _instance_rng(spec, n, seed)
-    terms: dict[int, float] = {}
-    for q in range(1, spec.d + 1):
-        subsets = list(combinations(range(1, n + 1), q))
-        sigma = spec.sigmas[q - 1]
-        if sigma > 0:
-            draws = rng.normal(0.0, sigma, size=len(subsets))
-        else:
-            draws = np.zeros(len(subsets))
-        for s, j in zip(subsets, draws):
-            terms[mask_from_indices(s)] = float(j)
-    return ProblemInstance(n=n, spec=spec, seed=seed, terms=terms)
+    couplings = []
+    for q, sigma in enumerate(spec.sigmas, start=1):
+        rows = subsets(n, q)
+        draws = rng.normal(0.0, sigma, size=len(rows)) if sigma > 0 else np.zeros(len(rows))
+        j = np.empty(len(rows))
+        j[np.lexsort(rows.T[::-1])] = draws  # lexicographic rank -> storage slot
+        couplings.append(j)
+    return ProblemInstance(n=n, spec=spec, seed=seed, couplings=tuple(couplings))
 
 
 def _check_spins(z: Sequence[int], n: int) -> None:
@@ -252,23 +254,11 @@ def cost(instance: ProblemInstance, z: Sequence[int]) -> float:
     """H(z) = sum_q n^((1-q)/2) sum_{|S|=q} J_S z_S for z in {+1,-1}^n."""
     _check_spins(z, instance.n)
     n = instance.n
-    scale = [0.0] * (instance.spec.d + 1)
-    for q in range(1, instance.spec.d + 1):
-        scale[q] = n ** ((1 - q) / 2)
-    total = 0.0
-    for mask, j in instance.terms.items():
-        if j == 0.0:
-            continue
-        zs = 1
-        m = mask
-        i = 0
-        while m:
-            if m & 1 and z[i] == -1:
-                zs = -zs
-            m >>= 1
-            i += 1
-        total += scale[mask.bit_count()] * j * zs
-    return total
+    z = np.asarray(z, dtype=float)
+    return float(sum(
+        n ** ((1 - q) / 2) * (j @ z[subsets(n, q)].prod(axis=1))
+        for q, j in enumerate(instance.couplings, start=1)
+    ))
 
 
 # -- serialization ---------------------------------------------------------
@@ -282,10 +272,9 @@ def cost(instance: ProblemInstance, z: Sequence[int]) -> float:
 def instance_to_text(instance: ProblemInstance) -> str:
     sig = ",".join(repr(s) for s in instance.spec.sigmas)
     lines = [f"n={instance.n} d={instance.spec.d} sigmas={sig} seed={instance.seed:x}"]
-    for q in range(1, instance.spec.d + 1):
-        for mask, j in instance.couplings_of_degree(q):
-            idx = ",".join(str(i) for i in indices_from_mask(mask))
-            lines.append(f"{q} {idx} {j!r}")
+    for q, values in enumerate(instance.couplings, start=1):
+        for row, j in zip((subsets(instance.n, q) + 1).tolist(), values.tolist()):
+            lines.append(f"{q} {','.join(map(str, row))} {j!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -306,7 +295,10 @@ def instance_from_text(text: str) -> ProblemInstance:
         spec = MixtureSpec(d, sigmas)
     except ValueError as exc:
         raise ValidationError(f"bad spec in header: {exc}") from exc
-    terms: dict[int, float] = {}
+    if n < d:
+        raise ValidationError(f"inconsistent instance file: n={n} < d={d}")
+    _check_coupling_count(n, d)
+    per_degree = [([], []) for _ in range(d)]  # (slots, values) of each degree
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 3:
@@ -319,11 +311,26 @@ def instance_from_text(text: str) -> ProblemInstance:
             raise ValidationError(f"bad coupling line: {ln!r}") from exc
         if len(idx) != q or any(not 1 <= i <= n for i in idx) or list(idx) != sorted(set(idx)):
             raise ValidationError(f"bad subset in line: {ln!r}")
-        terms[mask_from_indices(idx)] = value
-    try:
-        return ProblemInstance(n=n, spec=spec, seed=seed, terms=terms)
-    except ValueError as exc:
-        raise ValidationError(f"inconsistent instance file: {exc}") from exc
+        if q > d:
+            raise ValidationError(
+                f"inconsistent instance file: subset of size {q} exceeds d={d}"
+            )
+        slots, values = per_degree[q - 1]
+        # the subset's row in subsets(n, q): its colexicographic rank
+        slots.append(sum(math.comb(i - 1, k) for k, i in enumerate(idx, start=1)))
+        values.append(value)
+    couplings = []
+    for q, (slots, values) in enumerate(per_degree, start=1):
+        count = math.comb(n, q)
+        if len(slots) != count or sorted(slots) != list(range(count)):
+            raise ValidationError(
+                f"inconsistent instance file: degree {q} must list each of its "
+                f"{count} subsets once, got {len(slots)} lines"
+            )
+        j = np.empty(count)
+        j[slots] = values
+        couplings.append(j)
+    return ProblemInstance(n=n, spec=spec, seed=seed, couplings=tuple(couplings))
 
 
 def write_instance(instance: ProblemInstance, path) -> None:
@@ -361,8 +368,7 @@ def estimate_spec(instance: ProblemInstance) -> FitResult:
         "the n^((1-q)/2) prefactor is applied at cost-evaluation time"
     ]
     sigmas = []
-    for q in range(1, instance.spec.d + 1):
-        vals = np.array([j for _, j in instance.couplings_of_degree(q)])
+    for q, vals in enumerate(instance.couplings, start=1):
         m = len(vals)
         est = float(np.sqrt(np.mean(vals**2))) if m else 0.0
         sigmas.append(est)

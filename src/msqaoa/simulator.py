@@ -29,7 +29,7 @@ import numpy as np
 
 from .closed_form import Angles, require_finite, require_finite_grid
 from .errors import CapExceededError
-from .model import ProblemInstance
+from .model import ProblemInstance, subsets
 
 __all__ = [
     "SIM_MAX_N",
@@ -67,15 +67,9 @@ def build_phase_table(instance: ProblemInstance) -> np.ndarray:
     """
     n = instance.n
     _check_size(n)
-    count = len(instance.terms)
-    masks = np.fromiter(instance.terms.keys(), dtype=np.int64, count=count)
-    degrees = np.fromiter(
-        (m.bit_count() for m in instance.terms), dtype=np.int64, count=count
-    )
-    couplings = np.fromiter(instance.terms.values(), dtype=float, count=count)
-    scale = np.array([n ** ((1 - q) / 2) for q in range(instance.spec.d + 1)])
     values = np.zeros(1 << n)
-    values[masks] = scale[degrees] * couplings
+    for q, j in enumerate(instance.couplings, start=1):
+        values[(1 << subsets(n, q)).sum(axis=1)] = n ** ((1 - q) / 2) * j
     return _butterfly(values, n, 1.0, 1.0, 1.0, -1.0)
 
 

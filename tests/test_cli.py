@@ -430,6 +430,28 @@ class TestSampleAndFit:
         assert main(["fit-spec", str(path), "--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_coupling_cap_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["sample", "--pure-d", "3", "--n", "1000000", "--out", str(out)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "INSTANCE_MAX_COUPLINGS" in err[0]
+        assert not out.exists()
+
+    def test_coupling_cap_from_file_header(self, tmp_path, capsys):
+        path = tmp_path / "huge.txt"
+        path.write_text("n=1000000 d=3 sigmas=0.0,0.0,1.0 seed=0\n1 1 0.5\n")
+        out = tmp_path / "out"
+        assert main(["fit-spec", str(path), "--out", str(out)]) == 3
+        assert "cap exceeded" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_beyond_63_spins(self, tmp_path, capsys):
+        assert main(["sample", "--sk", "--n", "64", "--seed", "5", "--out", str(tmp_path)]) == 0
+        instance_file = next(tmp_path.glob("instance_*.txt"))
+        assert main(["fit-spec", str(instance_file), "--out", str(tmp_path / "fit")]) == 0
+        assert "sigmas:" in capsys.readouterr().out
+
 
 class TestVerifyCommand:
     def test_quick_passes(self, tmp_path, capsys):

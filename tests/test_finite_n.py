@@ -277,7 +277,7 @@ class TestMoments:
         first = second = 0.0
         for j, w in zip(nodes, weights):
             inst = ProblemInstance(
-                n=2, spec=SK, seed=0, terms={1: 0.0, 2: 0.0, 3: float(j)}
+                n=2, spec=SK, seed=0, couplings=([0.0, 0.0], [float(j)])
             )
             h, h2 = expectation(inst, ang)
             first += w * h / 2

@@ -1,12 +1,16 @@
+import hashlib
 import math
+import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msqaoa.errors import ValidationError
+from msqaoa.errors import CapExceededError, ValidationError
 from msqaoa.model import (
+    INSTANCE_MAX_COUPLINGS,
     MixtureSpec,
     ProblemInstance,
     cost,
@@ -15,8 +19,8 @@ from msqaoa.model import (
     instance_from_text,
     instance_to_text,
     make_mixture_spec,
-    mask_from_indices,
     sample_instance,
+    subsets,
 )
 
 
@@ -110,12 +114,12 @@ class TestSampling:
         spec = make_mixture_spec(3, [0.3, 0.5, 1.0])
         inst = sample_instance(spec, 7, 9)
         for q in range(1, 4):
-            assert len(inst.couplings_of_degree(q)) == math.comb(7, q)
+            assert len(inst.couplings[q - 1]) == math.comb(7, q)
 
     def test_zero_sigma_gives_exact_zeros(self):
         inst = sample_instance(make_mixture_spec(2, [0, 1]), 6, 4)
-        assert all(j == 0.0 for _, j in inst.couplings_of_degree(1))
-        assert any(j != 0.0 for _, j in inst.couplings_of_degree(2))
+        assert all(j == 0.0 for j in inst.couplings[0])
+        assert any(j != 0.0 for j in inst.couplings[1])
 
     def test_too_few_spins(self):
         with pytest.raises(ValidationError, match=r"n=2 < d=3"):
@@ -130,7 +134,7 @@ class TestSampling:
         count = 0
         for seed in range(reseeds):
             inst = sample_instance(spec, 4, seed)
-            for _, j in inst.couplings_of_degree(2):
+            for j in inst.couplings[1]:
                 total += j
                 total_sq += j * j
                 count += 1
@@ -141,20 +145,75 @@ class TestSampling:
         assert abs(mean) < 3 * se_mean
         assert abs(var - 1.0) < 3 * se_var
 
+    @pytest.mark.parametrize(
+        "d, sigmas, n, seed, digest",
+        [
+            (2, [0.0, 1.0], 7, 11,
+             "4ee65f87253178b3bb81637c6fbcc8fbece7c8a09333fe70dde0d2618b484978"),
+            (3, [0.3, 0.5, 1.0], 6, 2024,
+             "c6798649929f439b98eae9b9199af8e03bcc97dac6aad09ddee6238ee6a61a5a"),
+            (4, [0.0, 0.0, 0.0, 1.0], 9, 3,
+             "5e681a3ad15a4652db8c762ce0e6cf35be9aeb27eedaaee0b619e578a3637dc8"),
+            (3, [0.25, 0.0, 0.9], 8, 123456789,
+             "a660a2cb6a89aae0359e809a5f0a49f6b29657556135f41016a150a0bde19cbf"),
+        ],
+    )
+    def test_pinned_instance_text(self, d, sigmas, n, seed, digest):
+        # the draw order and the file order together: at n >= 5 and q >= 2
+        # lexicographic and bitmask subset orders differ
+        text = instance_to_text(sample_instance(make_mixture_spec(d, sigmas), n, seed))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_coupling_cap(self):
+        with pytest.raises(CapExceededError, match="INSTANCE_MAX_COUPLINGS"):
+            sample_instance(make_mixture_spec(3, [0, 0, 1]), 1_000_000, 0)
+
+    def test_wrong_coupling_shape_rejected(self):
+        spec = make_mixture_spec(2, [0, 1])
+        shapes = r"coupling arrays must have shapes \[\(3,\), \(3,\)\]"
+        with pytest.raises(ValidationError, match=shapes):
+            ProblemInstance(n=3, spec=spec, seed=0, couplings=(np.zeros(3), np.zeros(2)))
+
+
+class TestSubsets:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_bitmask_order(self, n):
+        for q in range(1, n + 1):
+            want = sorted(combinations(range(n), q), key=lambda s: sum(1 << i for i in s))
+            rows = subsets(n, q)
+            assert rows.shape == (math.comb(n, q), q)
+            assert [tuple(r) for r in rows.tolist()] == want
+
+
+class TestBeyond63Spins:
+    @pytest.mark.parametrize("d, n", [(3, 64), (2, 100)])
+    def test_round_trip_and_cost(self, d, n):
+        inst = sample_instance(make_mixture_spec(d, [0.3, 0.5, 1.0][:d]), n, 17)
+        text = instance_to_text(inst)
+        back = instance_from_text(text)
+        assert back == inst
+        assert instance_to_text(back) == text
+        rng = np.random.default_rng(n)
+        for _ in range(2):
+            z = [int(v) for v in rng.choice([-1, 1], n)]
+            want = 0.0
+            for q in range(1, d + 1):
+                for s, j in zip(subsets(n, q).tolist(), inst.couplings[q - 1].tolist()):
+                    want += n ** ((1 - q) / 2) * j * math.prod(z[i] for i in s)
+            assert abs(cost(inst, z) - want) <= 1e-12 * abs(want)
+
 
 class TestCost:
     def _single_coupling_instance(self, n, indices, value, sigmas=None):
         d = len(indices)
         sigmas = sigmas or [0.0] * (d - 1) + [1.0]
         spec = MixtureSpec(d, tuple(sigmas))
-        terms = {}
-        from itertools import combinations
-
-        for q in range(1, d + 1):
-            for subset in combinations(range(1, n + 1), q):
-                terms[mask_from_indices(subset)] = 0.0
-        terms[mask_from_indices(indices)] = value
-        return ProblemInstance(n=n, spec=spec, seed=0, terms=terms)
+        couplings = [np.zeros(math.comb(n, q)) for q in range(1, d + 1)]
+        by_mask = sorted(
+            combinations(range(1, n + 1), d), key=lambda s: sum(1 << (i - 1) for i in s)
+        )
+        couplings[-1][by_mask.index(tuple(indices))] = value
+        return ProblemInstance(n=n, spec=spec, seed=0, couplings=tuple(couplings))
 
     def test_hand_value(self):
         # q=2 at n=2 carries the prefactor 2^((1-2)/2) = 2^(-1/2)
@@ -172,7 +231,7 @@ class TestCost:
             n=3,
             spec=spec,
             seed=0,
-            terms={m: 0.0 for m in (1, 2, 4, 3, 5, 6)},
+            couplings=(np.zeros(3), np.zeros(3)),
         )
         for z in ([1, 1, 1], [1, -1, 1], [-1, -1, -1]):
             assert cost(inst, z) == 0.0
@@ -228,6 +287,33 @@ class TestSerialization:
         with pytest.raises(ValidationError, match=r"inconsistent instance file"):
             instance_from_text("\n".join(lines[:-1]) + "\n")
 
+    def test_repeated_subset(self):
+        inst = sample_instance(make_mixture_spec(2, [0.5, 1.0]), 4, 0)
+        lines = instance_to_text(inst).splitlines()
+        lines[-1] = lines[-2]
+        with pytest.raises(ValidationError, match=r"inconsistent instance file"):
+            instance_from_text("\n".join(lines) + "\n")
+
+    def test_coupling_cap_from_header_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceededError, match="INSTANCE_MAX_COUPLINGS"):
+                instance_from_text("n=1000000 d=3 sigmas=0.0,0.0,1.0 seed=0\n")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_coupling_cap_boundary(self):
+        # n = 24 at any d stays under the cap (2^24 - 1 couplings); one spin
+        # more at d = 24 is over it
+        assert sum(math.comb(24, q) for q in range(1, 25)) <= INSTANCE_MAX_COUPLINGS
+        sigmas = ",".join(["1.0"] * 24)
+        with pytest.raises(ValidationError, match=r"degree 1 must list each of its 24 subsets"):
+            instance_from_text(f"n=24 d=24 sigmas={sigmas} seed=0\n")
+        with pytest.raises(CapExceededError):
+            instance_from_text(f"n=25 d=24 sigmas={sigmas} seed=0\n")
+
 
 class TestFit:
     def test_recovers_sigmas(self):
@@ -248,7 +334,7 @@ class TestFit:
     def test_nonzero_mean_warning(self):
         rng = np.random.default_rng(8)
         spec = make_mixture_spec(1, [1.0])
-        terms = {1 << i: float(5.0 + 0.1 * rng.standard_normal()) for i in range(10)}
-        inst = ProblemInstance(n=10, spec=spec, seed=0, terms=terms)
+        values = [float(5.0 + 0.1 * rng.standard_normal()) for i in range(10)]
+        inst = ProblemInstance(n=10, spec=spec, seed=0, couplings=(values,))
         fit = estimate_spec(inst)
         assert any("NonZeroMean" in w for w in fit.warnings)

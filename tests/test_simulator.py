@@ -13,7 +13,6 @@ from msqaoa.model import (
     ProblemInstance,
     cost,
     make_mixture_spec,
-    mask_from_indices,
     sample_instance,
 )
 from msqaoa.simulator import (
@@ -27,15 +26,18 @@ from msqaoa.simulator import (
 SK = make_mixture_spec(2, [0, 1])
 
 
+def subsets_by_mask(n, q):
+    """Size-q subsets of spins 0..n-1 sorted by bitmask, the storage order,
+    enumerated here independently of the model's own enumeration."""
+    return sorted(combinations(range(n), q), key=lambda s: sum(1 << i for i in s))
+
+
 def single_coupling_instance(n, indices, value):
     d = len(indices)
     spec = MixtureSpec(d, tuple([0.0] * (d - 1) + [1.0]))
-    terms = {}
-    for q in range(1, d + 1):
-        for subset in combinations(range(1, n + 1), q):
-            terms[mask_from_indices(subset)] = 0.0
-    terms[mask_from_indices(indices)] = value
-    return ProblemInstance(n=n, spec=spec, seed=0, terms=terms)
+    couplings = [np.zeros(math.comb(n, q)) for q in range(1, d + 1)]
+    couplings[-1][subsets_by_mask(n, d).index(tuple(i - 1 for i in indices))] = value
+    return ProblemInstance(n=n, spec=spec, seed=0, couplings=tuple(couplings))
 
 
 def parity_reference_table(instance):
@@ -45,11 +47,14 @@ def parity_reference_table(instance):
     idx = np.arange(1 << n, dtype=np.int64)
     values = np.zeros(1 << n)
     scale = [n ** ((1 - q) / 2) for q in range(instance.spec.d + 1)]
-    for mask in sorted(instance.terms):
-        j = instance.terms[mask]
+    terms = sorted(
+        (sum(1 << b for b in bits), bits, j)
+        for q, couplings in enumerate(instance.couplings, start=1)
+        for bits, j in zip(subsets_by_mask(n, q), couplings.tolist())
+    )
+    for _, bits, j in terms:
         if j == 0.0:
             continue
-        bits = [b for b in range(n) if mask >> b & 1]
         parity = idx >> bits[0]
         for b in bits[1:]:
             parity = parity ^ (idx >> b)
@@ -149,7 +154,7 @@ class TestState:
     def test_one_spin_expectation(self):
         # <H> = J sin(2b) sin(2 g J) for a single spin with coupling J
         inst = sample_instance(make_mixture_spec(1, [0.8]), 1, 42)
-        j = next(iter(inst.terms.values()))
+        j = inst.couplings[0][0]
         b, g = 0.33, -0.52
         h, _ = expectation(inst, Angles(b, g))
         assert h == pytest.approx(j * math.sin(2 * b) * math.sin(2 * g * j), rel=1e-12)
