@@ -7,14 +7,19 @@ manifest itself carries the only timestamp).  The ``landscape`` and
 ``optimize`` manifests add a ``health`` block: clamped variances per
 ``finite:N`` file, and the optimizer's convergence and final gradient norm.
 
-Exit codes: 0 success, 2 validation/parse error, 3 size cap exceeded,
-4 verification failure or numerical self-check failure (a moment with an
-imaginary residue or a negative variance beyond rounding).
+Each command runs inside one ``_Outputs`` context: files are written one at
+a time as they are ready, and a command that fails removes what it wrote.
+
+Exit codes: 0 success, 2 validation/parse error or an output directory that
+cannot be written, 3 size cap exceeded, 4 verification failure or numerical
+self-check failure (a moment with an imaginary residue or a negative
+variance beyond rounding).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -68,10 +73,10 @@ def _specs_from_args(args) -> list[tuple[str, model.MixtureSpec]]:
     chosen = [
         name
         for name, val in (
-            ("--sk", getattr(args, "sk", False)),
-            ("--sigmas", getattr(args, "sigmas", None)),
-            ("--cs", getattr(args, "cs", None)),
-            ("--pure-d", getattr(args, "pure_d", None)),
+            ("--sk", args.sk),
+            ("--sigmas", args.sigmas),
+            ("--cs", args.cs),
+            ("--pure-d", args.pure_d),
         )
         if val
     ]
@@ -79,12 +84,12 @@ def _specs_from_args(args) -> list[tuple[str, model.MixtureSpec]]:
         raise ValidationError(
             f"exactly one of --sk/--sigmas/--cs/--pure-d is required, got {chosen or 'none'}"
         )
-    if getattr(args, "sk", False):
+    if args.sk:
         return [("sk", model.make_mixture_spec(2, [0.0, 1.0]))]
-    if getattr(args, "sigmas", None):
+    if args.sigmas:
         sig = _parse_float_list(args.sigmas, "sigmas")
         return [("mix", model.make_mixture_spec(len(sig), sig))]
-    if getattr(args, "cs", None):
+    if args.cs:
         cs = _parse_float_list(args.cs, "cs")
         return [("mix", model.from_mixture_function(len(cs), cs))]
     return [(f"pure{d}", optimizer.pure_d_spec(d)) for d in _parse_d_range(args.pure_d)]
@@ -105,11 +110,16 @@ def _parse_mode(text: str) -> tuple:
 
 
 class _Outputs:
-    """Tracks written files; removes partial outputs on failure.
+    """The output directory of one command, as a context manager.
 
-    The directory is made at the first write, so a command that fails
-    before writing leaves nothing behind, and one that fails later removes
-    the directory again if it made it.
+    ``with _Outputs(args.out) as outputs:`` wraps everything a command
+    computes and writes.  Each file is written as soon as it is ready.  The
+    directory is made at the first write, so a command that fails before
+    writing leaves nothing behind.  When the block raises, the files this
+    run wrote are removed, and the directory too if this run made it;
+    anything else in the directory stays.  A write that fails (an ``--out``
+    that is a file or sits under one, a full disk) raises ``ValidationError``
+    (exit 2).
     """
 
     def __init__(self, outdir: str) -> None:
@@ -117,33 +127,36 @@ class _Outputs:
         self.made_dir = False
         self.written: list[Path] = []
 
-    def _path(self, name: str) -> Path:
-        if not self.dir.exists():
-            self.dir.mkdir(parents=True)
-            self.made_dir = True
-        return self.dir / name
+    def __enter__(self) -> _Outputs:
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is None:
+            return
+        for path in self.written:
+            with contextlib.suppress(OSError):
+                path.unlink()
+        if self.made_dir:
+            with contextlib.suppress(OSError):
+                self.dir.rmdir()
 
     def write_text(self, name: str, text: str) -> Path:
-        path = self._path(name)
-        path.write_text(text)
-        self.written.append(path)
+        path = self.dir / name
+        try:
+            if not self.dir.exists():
+                self.dir.mkdir(parents=True)
+                self.made_dir = True
+            with path.open("w") as handle:
+                self.written.append(path)
+                handle.write(text)
+        except OSError as exc:
+            raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from exc
         return path
 
-    def cleanup(self) -> None:
-        for path in self.written:
-            try:
-                path.unlink()
-            except OSError:
-                pass
-        if self.made_dir:
-            try:
-                self.dir.rmdir()
-            except OSError:
-                pass
-
     def manifest(self, command: str, config: dict, seeds=(), health=None) -> Path:
-        """Write manifest.json; ``health`` holds the run's numeric-health
-        counters (clamped variances, optimizer convergence) when given."""
+        """Write manifest.json with the digests of every file written so far;
+        ``health`` holds the run's numeric-health counters (clamped
+        variances, optimizer convergence) when given."""
         entries = []
         for path in self.written:
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
@@ -159,9 +172,7 @@ class _Outputs:
         }
         if health is not None:
             doc["health"] = health
-        path = self._path("manifest.json")
-        path.write_text(json.dumps(doc, indent=2) + "\n")
-        return path
+        return self.write_text("manifest.json", json.dumps(doc, indent=2) + "\n")
 
 
 def _grid_csv(betas: np.ndarray, gammas: np.ndarray, values: np.ndarray) -> str:
@@ -177,10 +188,9 @@ def cmd_landscape(args) -> int:
     betas = _parse_grid(args.beta, "beta")
     gammas = _parse_grid(args.gamma, "gamma")
     modes = [_parse_mode(mode) for mode in args.mode]
-    outputs = _Outputs(args.out)
     seeds = []
     clamped = {}
-    try:
+    with _Outputs(args.out) as outputs:
         for label, spec in specs:
             for kind, *ints in modes:
                 if kind == "infinite":
@@ -194,6 +204,7 @@ def cmd_landscape(args) -> int:
                     clamped[name] = int(grid.clamped.sum())
                 else:
                     n, seed = ints
+                    simulator.check_size(n)
                     inst = model.sample_instance(spec, n, seed)
                     values = simulator.landscape_instance(inst, betas, gammas)
                     name = f"landscape_{label}_instance_n{n}_seed{seed}.csv"
@@ -210,10 +221,7 @@ def cmd_landscape(args) -> int:
             seeds=seeds,
             health={"clamped_variances": clamped},
         )
-    except BaseException:
-        outputs.cleanup()
-        raise
-    print(f"wrote {len(outputs.written)} grid file(s) to {outputs.dir}")
+    print(f"wrote {len(specs) * len(modes)} grid file(s) to {outputs.dir}")
     return 0
 
 
@@ -241,8 +249,7 @@ def cmd_optimize(args) -> int:
     lines = ["d,beta,gamma,value"]
     for d, b, g, v in rows:
         lines.append(f"{d},{b!r},{g!r},{v!r}")
-    outputs = _Outputs(args.out)
-    try:
+    with _Outputs(args.out) as outputs:
         outputs.write_text("optimum.csv", "\n".join(lines) + "\n")
         config = {
             "pure_d": args.pure_d,
@@ -257,24 +264,17 @@ def cmd_optimize(args) -> int:
             config["approximation_factor"] = factor
             print(f"approximation_factor,{factor!r}")
         outputs.manifest("optimize", config, health=health)
-    except BaseException:
-        outputs.cleanup()
-        raise
     return 0
 
 
 def cmd_verify(args) -> int:
     report = verify.run(args.level)
-    outputs = _Outputs(args.out)
-    try:
+    with _Outputs(args.out) as outputs:
         for res in report.results:
             status = "PASS" if res.passed else "FAIL"
             print(f"[{status}] {res.name} ({res.seconds:.2f}s)")
         outputs.write_text("verify_report.json", report.to_json() + "\n")
         outputs.manifest("verify", {"level": args.level, "passed": report.passed})
-    except BaseException:
-        outputs.cleanup()
-        raise
     print(f"verify {args.level}: {'PASS' if report.passed else 'FAIL'}")
     return 0 if report.passed else 4
 
@@ -285,8 +285,7 @@ def cmd_fit_spec(args) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read instance file: {exc}")
     fit = model.estimate_spec(inst)
-    outputs = _Outputs(args.out)
-    try:
+    with _Outputs(args.out) as outputs:
         doc = {
             "d": fit.spec.d,
             "sigmas": list(fit.spec.sigmas),
@@ -294,9 +293,6 @@ def cmd_fit_spec(args) -> int:
         }
         outputs.write_text("fitted_spec.json", json.dumps(doc, indent=2) + "\n")
         outputs.manifest("fit-spec", {"instance_file": str(args.instance_file)})
-    except BaseException:
-        outputs.cleanup()
-        raise
     print("sigmas:", ",".join(repr(s) for s in fit.spec.sigmas))
     for warning in fit.warnings:
         print("warning:", warning)
@@ -309,29 +305,23 @@ def cmd_sample(args) -> int:
         raise ValidationError("sample needs exactly one model, not a --pure-d range")
     [(label, spec)] = specs
     inst = model.sample_instance(spec, args.n, args.seed)
-    outputs = _Outputs(args.out)
-    try:
-        outputs.write_text(f"instance_{label}_n{args.n}_seed{args.seed}.txt",
-                           model.instance_to_text(inst))
+    with _Outputs(args.out) as outputs:
+        path = outputs.write_text(f"instance_{label}_n{args.n}_seed{args.seed}.txt",
+                                  model.instance_to_text(inst))
         outputs.manifest(
             "sample",
             {"spec": list(spec.sigmas), "n": args.n, "seed": args.seed},
             seeds=[args.seed],
         )
-    except BaseException:
-        outputs.cleanup()
-        raise
-    print(f"wrote instance to {outputs.written[0]}")
+    print(f"wrote instance to {path}")
     return 0
 
 
-def _add_spec_flags(sub, include_sk=True) -> None:
+def _add_spec_flags(sub) -> None:
     sub.add_argument("--sigmas", help="comma list of per-degree standard deviations")
     sub.add_argument("--cs", help="comma list of mixture coefficients c_q")
     sub.add_argument("--pure-d", help="pure d-spin model(s): D or LO..HI")
-    if include_sk:
-        sub.add_argument("--sk", action="store_true",
-                         help="standard two-body model (sigma_2 = 1)")
+    sub.add_argument("--sk", action="store_true", help="standard two-body model (sigma_2 = 1)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -360,7 +350,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_optimize)
 
     p = subs.add_parser("verify", help="run the verification suite")
-    p.add_argument("--level", choices=("quick", "full"), default="quick")
+    p.add_argument("--level", choices=verify.LEVELS, default="quick")
     p.add_argument("--out", default="msqaoa_out", help="output directory")
     p.set_defaults(func=cmd_verify)
 

@@ -33,6 +33,7 @@ from .model import ProblemInstance, subsets
 
 __all__ = [
     "SIM_MAX_N",
+    "check_size",
     "build_phase_table",
     "qaoa_state",
     "expectation",
@@ -42,7 +43,8 @@ __all__ = [
 SIM_MAX_N = 24  # 2^24 complex doubles ~ 256 MB
 
 
-def _check_size(n: int) -> None:
+def check_size(n: int) -> None:
+    """Raise ``CapExceededError`` unless an n-spin statevector fits the cap."""
     if n > SIM_MAX_N:
         raise CapExceededError(f"statevector needs 2^{n} amplitudes; cap is n={SIM_MAX_N}")
 
@@ -66,7 +68,7 @@ def build_phase_table(instance: ProblemInstance) -> np.ndarray:
     transform: the butterfly with (x0, x1) -> (x0 + x1, x0 - x1).
     """
     n = instance.n
-    _check_size(n)
+    check_size(n)
     values = np.zeros(1 << n)
     for q, j in enumerate(instance.couplings, start=1):
         values[(1 << subsets(n, q)).sum(axis=1)] = n ** ((1 - q) / 2) * j

@@ -1,24 +1,29 @@
 """End-to-end verification checks behind ``msqaoa verify`` and the test suite.
 
 Each check compares a computed quantity against an anchor (a known optimum, an
-independent oracle, or a scaling law) at a pinned tolerance and reports a
-machine-readable result.  ``quick`` runs a fast subset; ``full`` runs all.
+independent oracle, or a scaling law) at a pinned tolerance.  A check is a
+plain function with its sizes and tolerances inside; it returns ``(passed,
+details)``.  ``CHECKS`` is the one list of checks: name, function and levels,
+in report order.  ``run_check(name)`` times one check and returns a
+``CheckResult``; ``run(level)`` runs every check of the level, ``quick`` (3
+checks) or ``full`` (14).
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import time
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable
 
 import numpy as np
 
 from . import closed_form, finite_n, model, optimizer, simulator
 
-__all__ = ["CheckResult", "VerifyReport", "run", "QUICK_CHECKS", "FULL_CHECKS"]
+__all__ = ["CheckResult", "VerifyReport", "CHECKS", "LEVELS", "run", "run_check"]
 
 SK_TARGET_VALUE = -1.0 / math.sqrt(4.0 * math.e)
 SK_TARGET_ANGLES = (math.pi / 8, -0.5)
@@ -26,6 +31,7 @@ D3_TARGET_VALUE = -0.270638
 D3_TARGET_ANGLES = (0.290003, -0.430091)
 PARISI_D3_REFERENCE = -0.8132  # external replica-theory input, not computed here
 APPROX_FACTOR_TARGET = 0.332806
+LEVELS = ("quick", "full")
 
 
 @dataclass(frozen=True)
@@ -74,12 +80,6 @@ class VerifyReport:
         )
 
 
-def _timed(name: str, fn: Callable[[], tuple[bool, dict]]) -> CheckResult:
-    t0 = time.perf_counter()
-    passed, details = fn()
-    return CheckResult(name, bool(passed), details, time.perf_counter() - t0)
-
-
 def _sk_spec() -> model.MixtureSpec:
     return model.make_mixture_spec(2, [0.0, 1.0])
 
@@ -88,85 +88,74 @@ def _d3_spec() -> model.MixtureSpec:
     return model.make_mixture_spec(3, [0.0, 0.0, math.sqrt(3.0)])
 
 
-def check_sk_optimum() -> CheckResult:
-    def body():
-        opt = optimizer.optimize_closed_form(_sk_spec())
-        dv = abs(opt.value - SK_TARGET_VALUE)
-        db = abs(opt.angles.beta - SK_TARGET_ANGLES[0])
-        dg = abs(opt.angles.gamma - SK_TARGET_ANGLES[1])
-        details = {
-            "value": opt.value,
-            "value_error": dv,
-            "beta_error": db,
-            "gamma_error": dg,
-            "tolerances": {"value": 1e-5, "angles": 1e-4},
-        }
-        return dv < 1e-5 and db < 1e-4 and dg < 1e-4, details
-
-    return _timed("sk_optimum", body)
+def _sk_optimum() -> tuple[bool, dict]:
+    opt = optimizer.optimize_closed_form(_sk_spec())
+    dv = abs(opt.value - SK_TARGET_VALUE)
+    db = abs(opt.angles.beta - SK_TARGET_ANGLES[0])
+    dg = abs(opt.angles.gamma - SK_TARGET_ANGLES[1])
+    details = {
+        "value": opt.value,
+        "value_error": dv,
+        "beta_error": db,
+        "gamma_error": dg,
+        "tolerances": {"value": 1e-5, "angles": 1e-4},
+    }
+    return dv < 1e-5 and db < 1e-4 and dg < 1e-4, details
 
 
-def check_d3_optimum() -> CheckResult:
-    def body():
-        opt = optimizer.optimize_closed_form(_d3_spec())
-        dv = abs(opt.value - D3_TARGET_VALUE)
-        db = abs(opt.angles.beta - D3_TARGET_ANGLES[0])
-        dg = abs(opt.angles.gamma - D3_TARGET_ANGLES[1])
-        res = closed_form.d3_stationarity_residuals(opt.angles)
-        residuals = [res.r1, res.r2, res.r3]
-        res_ok = all(r is not None and abs(r) < 1e-4 for r in residuals)
-        details = {
-            "value": opt.value,
-            "value_error": dv,
-            "beta_error": db,
-            "gamma_error": dg,
-            "residuals": residuals,
-            "tolerances": {"value": 1e-5, "angles": 1e-4, "residuals": 1e-4},
-        }
-        return dv < 1e-5 and db < 1e-4 and dg < 1e-4 and res_ok, details
-
-    return _timed("d3_optimum", body)
+def _d3_optimum() -> tuple[bool, dict]:
+    opt = optimizer.optimize_closed_form(_d3_spec())
+    dv = abs(opt.value - D3_TARGET_VALUE)
+    db = abs(opt.angles.beta - D3_TARGET_ANGLES[0])
+    dg = abs(opt.angles.gamma - D3_TARGET_ANGLES[1])
+    res = closed_form.d3_stationarity_residuals(opt.angles)
+    residuals = [res.r1, res.r2, res.r3]
+    res_ok = all(r is not None and abs(r) < 1e-4 for r in residuals)
+    details = {
+        "value": opt.value,
+        "value_error": dv,
+        "beta_error": db,
+        "gamma_error": dg,
+        "residuals": residuals,
+        "tolerances": {"value": 1e-5, "angles": 1e-4, "residuals": 1e-4},
+    }
+    return dv < 1e-5 and db < 1e-4 and dg < 1e-4 and res_ok, details
 
 
-def check_approximation_factor() -> CheckResult:
-    def body():
-        opt = optimizer.optimize_closed_form(_d3_spec())
-        factor = optimizer.approximation_factor(opt.value, PARISI_D3_REFERENCE)
-        err = abs(factor - APPROX_FACTOR_TARGET)
-        return err < 1e-3, {
-            "factor": factor,
-            "error": err,
-            "tolerance": 1e-3,
-            "ground_state_reference": PARISI_D3_REFERENCE,
-        }
-
-    return _timed("approximation_factor", body)
+def _approximation_factor() -> tuple[bool, dict]:
+    opt = optimizer.optimize_closed_form(_d3_spec())
+    factor = optimizer.approximation_factor(opt.value, PARISI_D3_REFERENCE)
+    err = abs(factor - APPROX_FACTOR_TARGET)
+    return err < 1e-3, {
+        "factor": factor,
+        "error": err,
+        "tolerance": 1e-3,
+        "ground_state_reference": PARISI_D3_REFERENCE,
+    }
 
 
-def check_form_equivalence(points: int = 1000) -> CheckResult:
-    def body():
-        rng = np.random.default_rng(20240811)
-        worst = 0.0
-        for _ in range(points):
-            d = int(rng.integers(1, 7))
-            sigmas = rng.uniform(0.0, 1.5, d)
-            if not sigmas.any():
-                sigmas[rng.integers(0, d)] = 1.0
-            spec = model.make_mixture_spec(d, sigmas)
-            ang = closed_form.Angles(
-                float(rng.uniform(-math.pi / 2, math.pi / 2)),
-                float(rng.uniform(-2.0, 2.0)),
-            )
-            a = closed_form.energy_sigma_form(spec, ang)
-            b = closed_form.energy_mixture_form(spec.mixture_function(), ang)
-            worst = max(worst, abs(a - b) / (1.0 + abs(a)))
-        return worst < 1e-12, {
-            "points": points,
-            "max_relative_discrepancy": worst,
-            "tolerance": 1e-12,
-        }
-
-    return _timed("form_equivalence", body)
+def _form_equivalence() -> tuple[bool, dict]:
+    points = 1000
+    rng = np.random.default_rng(20240811)
+    worst = 0.0
+    for _ in range(points):
+        d = int(rng.integers(1, 7))
+        sigmas = rng.uniform(0.0, 1.5, d)
+        if not sigmas.any():
+            sigmas[rng.integers(0, d)] = 1.0
+        spec = model.make_mixture_spec(d, sigmas)
+        ang = closed_form.Angles(
+            float(rng.uniform(-math.pi / 2, math.pi / 2)),
+            float(rng.uniform(-2.0, 2.0)),
+        )
+        a = closed_form.energy_sigma_form(spec, ang)
+        b = closed_form.energy_mixture_form(spec.mixture_function(), ang)
+        worst = max(worst, abs(a - b) / (1.0 + abs(a)))
+    return worst < 1e-12, {
+        "points": points,
+        "max_relative_discrepancy": worst,
+        "tolerance": 1e-12,
+    }
 
 
 def _moment_pair_discrepancy(spec, ang, n, lam) -> dict[str, float]:
@@ -182,45 +171,38 @@ def _moment_pair_discrepancy(spec, ang, n, lam) -> dict[str, float]:
     }
 
 
-def check_oracle_match_n6() -> CheckResult:
-    def body():
-        rel = _moment_pair_discrepancy(
-            _sk_spec(), closed_form.Angles(0.3, 0.4), 6, 0.7
-        )
-        worst = max(rel.values())
-        return worst < 1e-10, {"relative": rel, "tolerance": 1e-10, "n": 6}
-
-    return _timed("oracle_match_n6", body)
+def _oracle_match_n6() -> tuple[bool, dict]:
+    rel = _moment_pair_discrepancy(_sk_spec(), closed_form.Angles(0.3, 0.4), 6, 0.7)
+    worst = max(rel.values())
+    return worst < 1e-10, {"relative": rel, "tolerance": 1e-10, "n": 6}
 
 
-def check_oracle_equivalence(draws: int = 5) -> CheckResult:
-    def body():
-        rng = np.random.default_rng(77)
-        worst = 0.0
-        worst_at = None
-        for n in range(2, 9):
-            for _ in range(draws):
-                d = int(rng.integers(1, 4))
-                sigmas = rng.uniform(0.2, 1.2, d)
-                spec = model.make_mixture_spec(d, sigmas)
-                ang = closed_form.Angles(
-                    float(rng.uniform(0.1, 0.6) * rng.choice([-1, 1])),
-                    float(rng.uniform(0.2, 0.8) * rng.choice([-1, 1])),
-                )
-                lam = float(rng.uniform(-1.0, 1.0))
-                rel = _moment_pair_discrepancy(spec, ang, n, lam)
-                m = max(rel.values())
-                if m > worst:
-                    worst, worst_at = m, {"n": n, "d": d}
-        return worst < 1e-10, {
-            "max_relative_discrepancy": worst,
-            "worst_at": worst_at,
-            "tolerance": 1e-10,
-            "n_range": [2, 8],
-            "draws_per_n": draws,
-        }
-
-    return _timed("oracle_equivalence", body)
+def _oracle_equivalence() -> tuple[bool, dict]:
+    draws = 5
+    rng = np.random.default_rng(77)
+    worst = 0.0
+    worst_at = None
+    for n in range(2, 9):
+        for _ in range(draws):
+            d = int(rng.integers(1, 4))
+            sigmas = rng.uniform(0.2, 1.2, d)
+            spec = model.make_mixture_spec(d, sigmas)
+            ang = closed_form.Angles(
+                float(rng.uniform(0.1, 0.6) * rng.choice([-1, 1])),
+                float(rng.uniform(0.2, 0.8) * rng.choice([-1, 1])),
+            )
+            lam = float(rng.uniform(-1.0, 1.0))
+            rel = _moment_pair_discrepancy(spec, ang, n, lam)
+            m = max(rel.values())
+            if m > worst:
+                worst, worst_at = m, {"n": n, "d": d}
+    return worst < 1e-10, {
+        "max_relative_discrepancy": worst,
+        "worst_at": worst_at,
+        "tolerance": 1e-10,
+        "n_range": [2, 8],
+        "draws_per_n": draws,
+    }
 
 
 def _direct_pair_sums(z: list[int], zp: list[int], q: int) -> tuple[int, int]:
@@ -238,362 +220,328 @@ def _direct_pair_sums(z: list[int], zp: list[int], q: int) -> tuple[int, int]:
     return f, g
 
 
-def check_combinatorial_identities(max_n: int = 10, max_q: int = 4) -> CheckResult:
-    def body():
-        checked = 0
-        for n in range(1, max_n + 1):
-            for npp in range(n + 1):
-                for npm in range(n - npp + 1):
-                    for nmp in range(n - npp - npm + 1):
-                        nmm = n - npp - npm - nmp
-                        sk = finite_n.Sketch(npp, npm, nmp, nmm)
-                        z = [1] * (npp + npm) + [-1] * (nmp + nmm)
-                        zp = [1] * npp + [-1] * npm + [1] * nmp + [-1] * nmm
-                        for q in range(1, min(max_q, n) + 1):
-                            f_direct, g_direct = _direct_pair_sums(z, zp, q)
-                            if finite_n.f_q(q, sk) != f_direct:
-                                return False, {"failed": "f_q", "sketch": str(sk), "q": q}
-                            if finite_n.g_q(q, sk.t, n) != g_direct:
-                                return False, {"failed": "g_q", "sketch": str(sk), "q": q}
-                            checked += 1
-        # leading coefficients of the f_q polynomial expansion, exact rationals
-        from fractions import Fraction
+def _combinatorial_identities() -> tuple[bool, dict]:
+    max_n = 10
+    max_q = 4
+    checked = 0
+    for n in range(1, max_n + 1):
+        for npp in range(n + 1):
+            for npm in range(n - npp + 1):
+                for nmp in range(n - npp - npm + 1):
+                    nmm = n - npp - npm - nmp
+                    sk = finite_n.Sketch(npp, npm, nmp, nmm)
+                    z = [1] * (npp + npm) + [-1] * (nmp + nmm)
+                    zp = [1] * npp + [-1] * npm + [1] * nmp + [-1] * nmm
+                    for q in range(1, min(max_q, n) + 1):
+                        f_direct, g_direct = _direct_pair_sums(z, zp, q)
+                        if finite_n.f_q(q, sk) != f_direct:
+                            return False, {"failed": "f_q", "sketch": str(sk), "q": q}
+                        if finite_n.g_q(q, sk.t, n) != g_direct:
+                            return False, {"failed": "g_q", "sketch": str(sk), "q": q}
+                        checked += 1
+    # leading coefficients of the f_q polynomial expansion, exact rationals
+    from fractions import Fraction
 
-        for q in range(1, 6):
-            coeffs = finite_n.f_q_abc(q)
-            for a in range(q + 1):
-                for b in range(q + 1 - a):
-                    c = q - a - b
-                    want = (
-                        Fraction(2, math.factorial(a) * math.factorial(b))
-                        if (a % 2 == 1 and c == 0)
-                        else Fraction(0)
-                    )
-                    got = coeffs.get((a, b, c), Fraction(0))
-                    if got != want:
-                        return False, {
-                            "failed": "f_q_abc",
-                            "q": q,
-                            "abc": [a, b, c],
-                            "got": str(got),
-                            "want": str(want),
-                        }
-        return True, {"pair_sum_checks": checked, "abc_orders": list(range(1, 6))}
-
-    return _timed("combinatorial_identities", body)
+    for q in range(1, 6):
+        coeffs = finite_n.f_q_abc(q)
+        for a in range(q + 1):
+            for b in range(q + 1 - a):
+                c = q - a - b
+                want = (
+                    Fraction(2, math.factorial(a) * math.factorial(b))
+                    if (a % 2 == 1 and c == 0)
+                    else Fraction(0)
+                )
+                got = coeffs.get((a, b, c), Fraction(0))
+                if got != want:
+                    return False, {
+                        "failed": "f_q_abc",
+                        "q": q,
+                        "abc": [a, b, c],
+                        "got": str(got),
+                        "want": str(want),
+                    }
+    return True, {"pair_sum_checks": checked, "abc_orders": list(range(1, 6))}
 
 
-def check_convergence_and_concentration() -> list[CheckResult]:
-    t0 = time.perf_counter()
+def _infinite_n_convergence() -> tuple[bool, dict]:
+    spec, ang = _sk_spec(), closed_form.Angles(*SK_TARGET_ANGLES)
+    limit = closed_form.energy_sigma_form(spec, ang)
+    ns = [16, 32, 64, 128]
+    discs = {n: abs(finite_n.sketch_moments(spec, ang, n).first - limit) for n in ns}
+    decreasing = all(discs[a] > discs[b] for a, b in zip(ns, ns[1:]))
+    factor_ok = discs[128] < discs[16] / 4
+    return decreasing and factor_ok, {
+        "limit": limit,
+        "discrepancies": {str(n): discs[n] for n in ns},
+        "strictly_decreasing": decreasing,
+        "n128_vs_n16_factor": discs[16] / discs[128],
+        "required_factor": 4.0,
+    }
+
+
+def _concentration() -> tuple[bool, dict]:
+    spec, ang = _sk_spec(), closed_form.Angles(*SK_TARGET_ANGLES)
+    ns = [8, 16, 32, 64]
+    variances = {n: finite_n.sketch_moments(spec, ang, n).variance for n in ns}
+    positive = all(v > 0 for v in variances.values())
+    shrinking = all(variances[a] > variances[b] for a, b in zip(ns, ns[1:]))
+    return positive and shrinking, {
+        "variances": {str(n): variances[n] for n in ns},
+        "positive": positive,
+        "decreasing": shrinking,
+    }
+
+
+def _monte_carlo_consistency() -> tuple[bool, dict]:
+    instances = 400
+    n = 12
     spec = _sk_spec()
     ang = closed_form.Angles(*SK_TARGET_ANGLES)
-    limit = closed_form.energy_sigma_form(spec, ang)
-    ns = [8, 16, 32, 64, 128]
-    reports = {n: finite_n.sketch_moments(spec, ang, n) for n in ns}
-    discs = {n: abs(reports[n].first - limit) for n in ns}
-    mid = time.perf_counter()
-
-    conv_ns = [16, 32, 64, 128]
-    decreasing = all(
-        discs[a] > discs[b] for a, b in zip(conv_ns, conv_ns[1:])
-    )
-    factor_ok = discs[128] < discs[16] / 4
-    conv = CheckResult(
-        "infinite_n_convergence",
-        decreasing and factor_ok,
-        {
-            "limit": limit,
-            "discrepancies": {str(n): discs[n] for n in conv_ns},
-            "strictly_decreasing": decreasing,
-            "n128_vs_n16_factor": discs[16] / discs[128],
-            "required_factor": 4.0,
-        },
-        mid - t0,
-    )
-
-    var_ns = [8, 16, 32, 64]
-    variances = {n: reports[n].variance for n in var_ns}
-    positive = all(v > 0 for v in variances.values())
-    shrinking = all(
-        variances[a] > variances[b] for a, b in zip(var_ns, var_ns[1:])
-    )
-    conc = CheckResult(
-        "concentration",
-        positive and shrinking,
-        {
-            "variances": {str(n): variances[n] for n in var_ns},
-            "positive": positive,
-            "decreasing": shrinking,
-        },
-        time.perf_counter() - mid,
-    )
-    return [conv, conc]
+    vals = np.empty(instances)
+    for seed in range(instances):
+        inst = model.sample_instance(spec, n, seed)
+        h, _ = simulator.expectation(inst, ang)
+        vals[seed] = h / n
+    exact = finite_n.sketch_moments(spec, ang, n).first
+    se = float(vals.std(ddof=1)) / math.sqrt(instances)
+    z = abs(float(vals.mean()) - exact) / se
+    return z < 3.0, {
+        "instances": instances,
+        "n": n,
+        "mc_mean": float(vals.mean()),
+        "exact_first": exact,
+        "standard_error": se,
+        "z_score": z,
+        "tolerance_sigma": 3.0,
+    }
 
 
-def check_monte_carlo_consistency(instances: int = 400, n: int = 12) -> CheckResult:
-    def body():
-        spec = _sk_spec()
-        ang = closed_form.Angles(*SK_TARGET_ANGLES)
-        vals = np.empty(instances)
-        for seed in range(instances):
-            inst = model.sample_instance(spec, n, seed)
-            h, _ = simulator.expectation(inst, ang)
-            vals[seed] = h / n
-        exact = finite_n.sketch_moments(spec, ang, n).first
-        se = float(vals.std(ddof=1)) / math.sqrt(instances)
-        z = abs(float(vals.mean()) - exact) / se
-        return z < 3.0, {
-            "instances": instances,
-            "n": n,
-            "mc_mean": float(vals.mean()),
-            "exact_first": exact,
-            "standard_error": se,
-            "z_score": z,
-            "tolerance_sigma": 3.0,
-        }
-
-    return _timed("monte_carlo_consistency", body)
-
-
-def check_statevector_consistency(n: int = 10, samples: int = 50) -> CheckResult:
+def _statevector_consistency() -> tuple[bool, dict]:
     """The transform-built phase table against ``model.cost`` at sampled
     strings, and one interpolated instance landscape against per-point
     ``expectation``."""
-
-    def body():
-        spec = model.make_mixture_spec(3, [0.3, 0.5, 1.0])
-        inst = model.sample_instance(spec, n, 2024)
-        table = simulator.build_phase_table(inst)
-        rng = np.random.default_rng(31)
-        table_error = 0.0
-        for idx in rng.integers(0, 1 << n, samples):
-            z = [1 - 2 * ((int(idx) >> b) & 1) for b in range(n)]
-            want = model.cost(inst, z)
-            err = abs(float(table[idx]) - want) / max(abs(want), 1.0)
-            table_error = max(table_error, err)
-        betas = np.linspace(-1.0, 1.0, 5)
-        gammas = np.linspace(-0.8, 0.8, 3)
-        grid = simulator.landscape_instance(inst, betas, gammas)
-        landscape_error = 0.0
-        for bi, b in enumerate(betas):
-            for gi, g in enumerate(gammas):
-                ang = closed_form.Angles(float(b), float(g))
-                h, _ = simulator.expectation(inst, ang, table)
-                landscape_error = max(landscape_error, abs(float(grid[bi, gi]) - h / n))
-        return table_error < 1e-13 and landscape_error < 1e-12, {
-            "n": n,
-            "table_samples": samples,
-            "table_relative_error": table_error,
-            "landscape_points": grid.size,
-            "landscape_abs_error": landscape_error,
-            "tolerances": {"table": 1e-13, "landscape": 1e-12},
-        }
-
-    return _timed("statevector_consistency", body)
+    n = 10
+    samples = 50
+    spec = model.make_mixture_spec(3, [0.3, 0.5, 1.0])
+    inst = model.sample_instance(spec, n, 2024)
+    table = simulator.build_phase_table(inst)
+    rng = np.random.default_rng(31)
+    table_error = 0.0
+    for idx in rng.integers(0, 1 << n, samples):
+        z = [1 - 2 * ((int(idx) >> b) & 1) for b in range(n)]
+        want = model.cost(inst, z)
+        err = abs(float(table[idx]) - want) / max(abs(want), 1.0)
+        table_error = max(table_error, err)
+    betas = np.linspace(-1.0, 1.0, 5)
+    gammas = np.linspace(-0.8, 0.8, 3)
+    grid = simulator.landscape_instance(inst, betas, gammas)
+    landscape_error = 0.0
+    for bi, b in enumerate(betas):
+        for gi, g in enumerate(gammas):
+            ang = closed_form.Angles(float(b), float(g))
+            h, _ = simulator.expectation(inst, ang, table)
+            landscape_error = max(landscape_error, abs(float(grid[bi, gi]) - h / n))
+    return table_error < 1e-13 and landscape_error < 1e-12, {
+        "n": n,
+        "table_samples": samples,
+        "table_relative_error": table_error,
+        "landscape_points": grid.size,
+        "landscape_abs_error": landscape_error,
+        "tolerances": {"table": 1e-13, "landscape": 1e-12},
+    }
 
 
-def check_infinite_grid_consistency() -> CheckResult:
+def _infinite_grid_consistency() -> tuple[bool, dict]:
     """A small ``energy_sigma_grid`` grid against per-point
     ``energy_mixture_form``, with a negative control: moving one beta by
     1e-4, which changes only that row's beta factors, must fail the
     comparison."""
-
-    def body():
-        spec = model.make_mixture_spec(4, [0.3, 0.5, 1.0, 0.4])
-        xi = spec.mixture_function()
-        betas = np.array([-0.6, 0.25, 0.7])
-        gammas = np.array([-0.5, 0.35, 0.9])
-        want = np.array(
+    spec = model.make_mixture_spec(4, [0.3, 0.5, 1.0, 0.4])
+    xi = spec.mixture_function()
+    betas = np.array([-0.6, 0.25, 0.7])
+    gammas = np.array([-0.5, 0.35, 0.9])
+    want = np.array(
+        [
             [
-                [
-                    closed_form.energy_mixture_form(xi, closed_form.Angles(float(b), float(g)))
-                    for g in gammas
-                ]
-                for b in betas
-            ]
-        )
-
-        def relative_error(grid_betas) -> float:
-            got = closed_form.energy_sigma_grid(spec, grid_betas, gammas)
-            return float(np.max(np.abs(got - want) / np.maximum(np.abs(want), 1e-6)))
-
-        grid_error = relative_error(betas)
-        perturbed = betas.copy()
-        perturbed[1] += 1e-4
-        control_error = relative_error(perturbed)
-        return grid_error < 1e-12 and control_error >= 1e-12, {
-            "points": want.size,
-            "max_relative_error": grid_error,
-            "perturbed_beta_relative_error": control_error,
-            "tolerance": 1e-12,
-        }
-
-    return _timed("infinite_grid_consistency", body)
-
-
-def check_finite_grid_consistency(n: int = 8) -> CheckResult:
-    """A small ``finite:N`` grid from ``sketch_moment_grid`` against per-point
-    ``oracle_moments``, with a negative control: moving one beta by 1e-4,
-    which changes only that row's beta factors, must fail the comparison."""
-
-    def body():
-        spec = model.make_mixture_spec(3, [0.3, 0.5, 1.0])
-        betas = np.array([-0.6, 0.25, 0.7])
-        gammas = np.array([-0.5, 0.0, 0.35])
-        reports = [
-            [
-                finite_n.oracle_moments(spec, closed_form.Angles(float(b), float(g)), n)
+                closed_form.energy_mixture_form(xi, closed_form.Angles(float(b), float(g)))
                 for g in gammas
             ]
             for b in betas
         ]
-        oracle_first = np.array([[r.first for r in row] for row in reports])
-        oracle_second = np.array([[r.second for r in row] for row in reports])
+    )
 
-        def relative_error(grid_betas) -> float:
-            grid = finite_n.sketch_moment_grid(spec, grid_betas, gammas, n)
-            return max(
-                float(np.max(np.abs(got - want) / np.maximum(np.abs(want), 1e-6)))
-                for got, want in ((grid.first, oracle_first), (grid.second, oracle_second))
-            )
+    def relative_error(grid_betas) -> float:
+        got = closed_form.energy_sigma_grid(spec, grid_betas, gammas)
+        return float(np.max(np.abs(got - want) / np.maximum(np.abs(want), 1e-6)))
 
-        grid_error = relative_error(betas)
-        perturbed = betas.copy()
-        perturbed[1] += 1e-4
-        control_error = relative_error(perturbed)
-        return grid_error < 1e-10 and control_error >= 1e-10, {
-            "n": n,
-            "points": oracle_first.size,
-            "max_relative_error": grid_error,
-            "perturbed_beta_relative_error": control_error,
-            "tolerance": 1e-10,
-        }
-
-    return _timed("finite_grid_consistency", body)
+    grid_error = relative_error(betas)
+    perturbed = betas.copy()
+    perturbed[1] += 1e-4
+    control_error = relative_error(perturbed)
+    return grid_error < 1e-12 and control_error >= 1e-12, {
+        "points": want.size,
+        "max_relative_error": grid_error,
+        "perturbed_beta_relative_error": control_error,
+        "tolerance": 1e-12,
+    }
 
 
-def check_t_sum_asymptotics() -> CheckResult:
-    def body():
-        beta = 0.37
-        details: dict = {}
-        # A^a_t vanishes exactly above the diagonal, closed form on it
-        for a in range(1, 4):
-            for t in range(a + 1, a + 4):
-                if finite_n.a_factor(a, t, beta) != 0:
-                    return False, {"failed": "a_factor_zero", "a": a, "t": t}
-        worst_diag = 0.0
-        for a in range(1, 5):
-            got = finite_n.a_factor(a, a, beta)
-            want = math.factorial(a) * (-1j) ** a * math.sin(2 * beta) ** a
-            worst_diag = max(worst_diag, abs(got - want))
-        details["a_factor_diag_error"] = worst_diag
-        if worst_diag >= 1e-12:
-            return False, details
-
-        spec = _sk_spec()
-        ang = closed_form.Angles(0.3, 0.45)
-        ratios = {}
-        for a, b, p in ((0, 0, 1), (1, 0, 2)):
-            t256 = finite_n.t_sum(spec, ang, 256, a, b, p)
-            t512 = finite_n.t_sum(spec, ang, 512, a, b, p)
-            ratios[f"a{a}b{b}pow{p}"] = abs(t512) / abs(t256)
-        details["halving_ratios"] = ratios
-        details["halving_band"] = [0.35, 0.65]
-        ok = all(0.35 <= r <= 0.65 for r in ratios.values())
-
-        limit = (
-            (-1j)
-            * math.exp(-2 * ang.gamma**2 * closed_form.damping_rate(spec))
-            * math.sin(2 * ang.beta)
-        )
-        e256 = abs(finite_n.t_sum(spec, ang, 256, 1, 0, 1) - limit)
-        e512 = abs(finite_n.t_sum(spec, ang, 512, 1, 0, 1) - limit)
-        details["limit_errors"] = {"n256": e256, "n512": e512}
-        return ok and e512 < e256, details
-
-    return _timed("t_sum_asymptotics", body)
-
-
-def check_manifest_round_trip() -> CheckResult:
-    """Run one small CLI command into a scratch directory and validate that the
-    manifest digests match the files and a re-run reproduces identical bytes."""
-
-    def body():
-        import hashlib
-        import tempfile
-        from pathlib import Path
-
-        from . import cli  # imported lazily; cli imports this module
-
-        args = [
-            "landscape",
-            "--sk",
-            "--beta",
-            "0:0.4:3",
-            "--gamma",
-            "0:1:3",
-            "--mode",
-            "infinite",
-            "--mode",
-            "instance:5:11",
+def _finite_grid_consistency() -> tuple[bool, dict]:
+    """A small ``finite:N`` grid from ``sketch_moment_grid`` against per-point
+    ``oracle_moments``, with a negative control: moving one beta by 1e-4,
+    which changes only that row's beta factors, must fail the comparison."""
+    n = 8
+    spec = model.make_mixture_spec(3, [0.3, 0.5, 1.0])
+    betas = np.array([-0.6, 0.25, 0.7])
+    gammas = np.array([-0.5, 0.0, 0.35])
+    reports = [
+        [
+            finite_n.oracle_moments(spec, closed_form.Angles(float(b), float(g)), n)
+            for g in gammas
         ]
-        with tempfile.TemporaryDirectory() as tmp:
-            a, b = Path(tmp) / "a", Path(tmp) / "b"
-            if cli.main(args + ["--out", str(a)]) != 0:
-                return False, {"failed": "command"}
-            if cli.main(args + ["--out", str(b)]) != 0:
-                return False, {"failed": "rerun"}
-            manifest = json.loads((a / "manifest.json").read_text())
-            digests_ok = all(
-                hashlib.sha256((a / e["path"]).read_bytes()).hexdigest() == e["sha256"]
-                for e in manifest["outputs"]
-            )
-            reproduced = all(
-                (a / e["path"]).read_bytes() == (b / e["path"]).read_bytes()
-                for e in manifest["outputs"]
-            )
-        return digests_ok and reproduced, {
-            "outputs": len(manifest["outputs"]),
-            "digests_ok": digests_ok,
-            "byte_identical_rerun": reproduced,
-        }
+        for b in betas
+    ]
+    oracle_first = np.array([[r.first for r in row] for row in reports])
+    oracle_second = np.array([[r.second for r in row] for row in reports])
 
-    return _timed("manifest_round_trip", body)
+    def relative_error(grid_betas) -> float:
+        grid = finite_n.sketch_moment_grid(spec, grid_betas, gammas, n)
+        return max(
+            float(np.max(np.abs(got - want) / np.maximum(np.abs(want), 1e-6)))
+            for got, want in ((grid.first, oracle_first), (grid.second, oracle_second))
+        )
+
+    grid_error = relative_error(betas)
+    perturbed = betas.copy()
+    perturbed[1] += 1e-4
+    control_error = relative_error(perturbed)
+    return grid_error < 1e-10 and control_error >= 1e-10, {
+        "n": n,
+        "points": oracle_first.size,
+        "max_relative_error": grid_error,
+        "perturbed_beta_relative_error": control_error,
+        "tolerance": 1e-10,
+    }
 
 
-QUICK_CHECKS: tuple[Callable[[], object], ...] = (
-    check_sk_optimum,
-    check_form_equivalence,
-    check_oracle_match_n6,
+def _t_sum_asymptotics() -> tuple[bool, dict]:
+    beta = 0.37
+    details: dict = {}
+    # A^a_t vanishes exactly above the diagonal, closed form on it
+    for a in range(1, 4):
+        for t in range(a + 1, a + 4):
+            if finite_n.a_factor(a, t, beta) != 0:
+                return False, {"failed": "a_factor_zero", "a": a, "t": t}
+    worst_diag = 0.0
+    for a in range(1, 5):
+        got = finite_n.a_factor(a, a, beta)
+        want = math.factorial(a) * (-1j) ** a * math.sin(2 * beta) ** a
+        worst_diag = max(worst_diag, abs(got - want))
+    details["a_factor_diag_error"] = worst_diag
+    if worst_diag >= 1e-12:
+        return False, details
+
+    spec = _sk_spec()
+    ang = closed_form.Angles(0.3, 0.45)
+    ratios = {}
+    for a, b, p in ((0, 0, 1), (1, 0, 2)):
+        t256 = finite_n.t_sum(spec, ang, 256, a, b, p)
+        t512 = finite_n.t_sum(spec, ang, 512, a, b, p)
+        ratios[f"a{a}b{b}pow{p}"] = abs(t512) / abs(t256)
+    details["halving_ratios"] = ratios
+    details["halving_band"] = [0.35, 0.65]
+    ok = all(0.35 <= r <= 0.65 for r in ratios.values())
+
+    limit = (
+        (-1j)
+        * math.exp(-2 * ang.gamma**2 * closed_form.damping_rate(spec))
+        * math.sin(2 * ang.beta)
+    )
+    e256 = abs(finite_n.t_sum(spec, ang, 256, 1, 0, 1) - limit)
+    e512 = abs(finite_n.t_sum(spec, ang, 512, 1, 0, 1) - limit)
+    details["limit_errors"] = {"n256": e256, "n512": e512}
+    return ok and e512 < e256, details
+
+
+def _manifest_round_trip() -> tuple[bool, dict]:
+    """Run one small CLI command into a scratch directory and validate that the
+    manifest digests match the files and a re-run reproduces identical bytes.
+    The command's own stdout is discarded, so only the report lines show."""
+    import hashlib
+    import tempfile
+    from pathlib import Path
+
+    from . import cli  # imported lazily; cli imports this module
+
+    args = [
+        "landscape",
+        "--sk",
+        "--beta",
+        "0:0.4:3",
+        "--gamma",
+        "0:1:3",
+        "--mode",
+        "infinite",
+        "--mode",
+        "instance:5:11",
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        a, b = Path(tmp) / "a", Path(tmp) / "b"
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [cli.main(args + ["--out", str(out)]) for out in (a, b)]
+        if codes[0] != 0:
+            return False, {"failed": "command"}
+        if codes[1] != 0:
+            return False, {"failed": "rerun"}
+        manifest = json.loads((a / "manifest.json").read_text())
+        digests_ok = all(
+            hashlib.sha256((a / e["path"]).read_bytes()).hexdigest() == e["sha256"]
+            for e in manifest["outputs"]
+        )
+        reproduced = all(
+            (a / e["path"]).read_bytes() == (b / e["path"]).read_bytes()
+            for e in manifest["outputs"]
+        )
+    return digests_ok and reproduced, {
+        "outputs": len(manifest["outputs"]),
+        "digests_ok": digests_ok,
+        "byte_identical_rerun": reproduced,
+    }
+
+# (name, check, levels) in report order; each check returns (passed, details).
+CHECKS = (
+    ("sk_optimum", _sk_optimum, LEVELS),
+    ("d3_optimum", _d3_optimum, ("full",)),
+    ("approximation_factor", _approximation_factor, ("full",)),
+    ("form_equivalence", _form_equivalence, LEVELS),
+    ("oracle_match_n6", _oracle_match_n6, ("quick",)),
+    ("oracle_equivalence", _oracle_equivalence, ("full",)),
+    ("combinatorial_identities", _combinatorial_identities, ("full",)),
+    ("infinite_n_convergence", _infinite_n_convergence, ("full",)),
+    ("concentration", _concentration, ("full",)),
+    ("monte_carlo_consistency", _monte_carlo_consistency, ("full",)),
+    ("statevector_consistency", _statevector_consistency, ("full",)),
+    ("infinite_grid_consistency", _infinite_grid_consistency, ("full",)),
+    ("finite_grid_consistency", _finite_grid_consistency, ("full",)),
+    ("t_sum_asymptotics", _t_sum_asymptotics, ("full",)),
+    ("manifest_round_trip", _manifest_round_trip, ("full",)),
 )
 
-FULL_CHECKS: tuple[Callable[[], object], ...] = (
-    check_sk_optimum,
-    check_d3_optimum,
-    check_approximation_factor,
-    check_form_equivalence,
-    check_oracle_equivalence,
-    check_combinatorial_identities,
-    check_convergence_and_concentration,
-    check_monte_carlo_consistency,
-    check_statevector_consistency,
-    check_infinite_grid_consistency,
-    check_finite_grid_consistency,
-    check_t_sum_asymptotics,
-    check_manifest_round_trip,
-)
+
+def run_check(name: str) -> CheckResult:
+    """Run the check called ``name`` in ``CHECKS`` and time it."""
+    for check_name, check, _ in CHECKS:
+        if check_name == name:
+            t0 = time.perf_counter()
+            passed, details = check()
+            return CheckResult(name, bool(passed), details, time.perf_counter() - t0)
+    raise ValueError(f"unknown check {name!r}")
 
 
 def run(level: str = "quick") -> VerifyReport:
-    """Run the named checks at the requested depth ('quick' or 'full')."""
-    if level not in ("quick", "full"):
+    """Run every check of ``level`` ('quick' or 'full') in table order."""
+    if level not in LEVELS:
         raise ValueError(f"level must be 'quick' or 'full', got {level!r}")
-    checks = QUICK_CHECKS if level == "quick" else FULL_CHECKS
-    results: list[CheckResult] = []
-    for check in checks:
-        out = check()
-        if isinstance(out, list):
-            results.extend(out)
-        else:
-            results.append(out)
-    return VerifyReport(level=level, results=tuple(results))
+    names = [name for name, _, levels in CHECKS if level in levels]
+    return VerifyReport(level=level, results=tuple(run_check(name) for name in names))

@@ -5,8 +5,6 @@ log doubles as a verification report.  The checks themselves live in
 ``msqaoa.verify`` and back the ``msqaoa verify`` CLI command.
 """
 
-import pytest
-
 from msqaoa import verify
 
 
@@ -17,63 +15,57 @@ def _report(number, result):
     assert result.passed, f"criterion {number} failed: {result.details}"
 
 
-@pytest.fixture(scope="module")
-def convergence_results():
-    # criteria 7 and 8 share one computation pass
-    return verify.check_convergence_and_concentration()
-
-
 def test_criterion_1_sk_optimum():
-    res = verify.check_sk_optimum()
+    res = verify.run_check("sk_optimum")
     assert res.seconds < 1.0
     _report(1, res)
 
 
 def test_criterion_2_d3_optimum_and_stationarity():
-    res = verify.check_d3_optimum()
+    res = verify.run_check("d3_optimum")
     assert res.seconds < 1.0
     _report(2, res)
 
 
 def test_criterion_3_approximation_factor():
-    _report(3, verify.check_approximation_factor())
+    _report(3, verify.run_check("approximation_factor"))
 
 
 def test_criterion_4_form_equivalence():
-    res = verify.check_form_equivalence(points=1000)
+    res = verify.run_check("form_equivalence")
     assert res.seconds < 1.0
     _report(4, res)
 
 
 def test_criterion_5_oracle_equivalence():
-    res = verify.check_oracle_equivalence(draws=5)
+    res = verify.run_check("oracle_equivalence")
     assert res.seconds < 300.0
     _report(5, res)
 
 
 def test_criterion_6_combinatorial_identities():
-    res = verify.check_combinatorial_identities(max_n=10, max_q=4)
+    res = verify.run_check("combinatorial_identities")
     assert res.seconds < 60.0
     _report(6, res)
 
 
-def test_criterion_7_infinite_n_convergence(convergence_results):
-    conv = convergence_results[0]
+def test_criterion_7_infinite_n_convergence():
+    conv = verify.run_check("infinite_n_convergence")
     assert conv.seconds < 600.0
     _report(7, conv)
 
 
-def test_criterion_8_concentration(convergence_results):
-    _report(8, convergence_results[1])
+def test_criterion_8_concentration():
+    _report(8, verify.run_check("concentration"))
 
 
 def test_criterion_9_monte_carlo_consistency():
-    res = verify.check_monte_carlo_consistency(instances=400, n=12)
+    res = verify.run_check("monte_carlo_consistency")
     assert res.seconds < 300.0
     _report(9, res)
 
 
 def test_criterion_10_t_sum_asymptotics():
-    res = verify.check_t_sum_asymptotics()
+    res = verify.run_check("t_sum_asymptotics")
     assert res.seconds < 60.0
     _report(10, res)

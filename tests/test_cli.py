@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from msqaoa import closed_form, finite_n
+from msqaoa import closed_form, finite_n, model, verify
 from msqaoa.cli import main
 
 
@@ -373,6 +373,55 @@ class TestLandscapeCommand:
         assert exc.value.code == 2
 
 
+    def test_statevector_cap_checked_before_sampling(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(model, "sample_instance", lambda *args: calls.append(args))
+        out = tmp_path / "out"
+        code = main(
+            [
+                "landscape",
+                "--pure-d",
+                "6",
+                "--mode",
+                "instance:30:1",
+                "--beta=0:1:3",
+                "--gamma=0:1:3",
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == 3
+        assert calls == []
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_failed_write_removes_only_this_runs_files(self, tmp_path, capsys):
+        # the finite grid's name is taken by a directory, so its write fails
+        # after the infinite grid was written
+        (tmp_path / "unrelated.txt").write_text("keep\n")
+        (tmp_path / "landscape_sk_finite_n8.csv").mkdir()
+        code = main(
+            [
+                "landscape",
+                "--sk",
+                "--beta=0:0.4:2",
+                "--gamma=0:1:2",
+                "--mode",
+                "infinite",
+                "--mode",
+                "finite:8",
+                "--out",
+                str(tmp_path),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "landscape_sk_infinite.csv").exists()
+        assert not (tmp_path / "manifest.json").exists()
+        assert (tmp_path / "unrelated.txt").read_text() == "keep\n"
+        assert (tmp_path / "landscape_sk_finite_n8.csv").is_dir()
+
+
 class TestSampleAndFit:
     def test_round_trip_recovery(self, tmp_path, capsys):
         assert (
@@ -476,3 +525,33 @@ class TestVerifyCommand:
         assert main(["verify", "--level", "quick", "--out", str(tmp_path)]) == 4
         out = capsys.readouterr().out
         assert "[FAIL] form_equivalence" in out
+
+    def test_manifest_round_trip_prints_nothing(self, capsys):
+        res = verify.run_check("manifest_round_trip")
+        assert res.passed, res.details
+        assert capsys.readouterr() == ("", "")
+
+
+_COMMANDS = {
+    "landscape": ["landscape", "--sk", "--beta=0:0.4:2", "--gamma=0:1:2"],
+    "optimize": ["optimize", "--sk"],
+    "sample": ["sample", "--sk", "--n", "5"],
+    "fit-spec": ["fit-spec"],  # the instance file is appended by the test
+    "verify": ["verify", "--level", "quick"],
+}
+
+
+@pytest.mark.parametrize("sub", ["", "sub"])
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_unwritable_out_exit_code(tmp_path, capsys, command, sub):
+    argv = list(_COMMANDS[command])
+    if command == "fit-spec":
+        assert main(["sample", "--sk", "--n", "5", "--out", str(tmp_path / "inst")]) == 0
+        argv.append(str(next((tmp_path / "inst").glob("instance_*.txt"))))
+    blocker = tmp_path / "F"
+    blocker.write_text("not a directory\n")
+    capsys.readouterr()
+    assert main(argv + ["--out", str(blocker / sub)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert blocker.read_text() == "not a directory\n"

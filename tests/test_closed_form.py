@@ -180,7 +180,7 @@ class TestSigmaGrid:
 
 class TestInfiniteGridCheck:
     def test_passes(self):
-        res = verify.check_infinite_grid_consistency()
+        res = verify.run_check("infinite_grid_consistency")
         assert res.passed, res.details
         assert res.details["perturbed_beta_relative_error"] >= 1e-12
 
@@ -190,7 +190,7 @@ class TestInfiniteGridCheck:
         monkeypatch.setattr(
             closed_form, "energy_sigma_grid", lambda *args: real(*args) * (1 + 1e-11)
         )
-        assert not verify.check_infinite_grid_consistency().passed
+        assert not verify.run_check("infinite_grid_consistency").passed
 
 
 class TestMixtureForm:

@@ -860,7 +860,7 @@ class TestMomentAccuracy:
 
 class TestVerifyCheck:
     def test_finite_grid_consistency_passes(self):
-        res = verify.check_finite_grid_consistency()
+        res = verify.run_check("finite_grid_consistency")
         assert res.passed, res.details
         assert res.details["perturbed_beta_relative_error"] >= 1e-10
 
@@ -872,4 +872,4 @@ class TestVerifyCheck:
             return [v * (1 + 1e-9) for v in real(*args)]
 
         monkeypatch.setattr(finite_n, "_block_values", corrupted)
-        assert not verify.check_finite_grid_consistency().passed
+        assert not verify.run_check("finite_grid_consistency").passed

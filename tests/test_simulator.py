@@ -285,11 +285,11 @@ class TestLandscape:
 
 class TestVerifyCheck:
     def test_statevector_consistency_passes(self):
-        res = verify.check_statevector_consistency()
+        res = verify.run_check("statevector_consistency")
         assert res.passed, res.details
 
     def test_corrupted_table_fails(self, monkeypatch):
         # negative control: a table off by 1e-9 must trip the check
         real = simulator.build_phase_table
         monkeypatch.setattr(simulator, "build_phase_table", lambda inst: real(inst) + 1e-9)
-        assert not verify.check_statevector_consistency().passed
+        assert not verify.run_check("statevector_consistency").passed
