@@ -116,18 +116,29 @@ class _Outputs:
     computes and writes.  Each file is written as soon as it is ready.  The
     directory is made at the first write, so a command that fails before
     writing leaves nothing behind.  When the block raises, the files this
-    run wrote are removed, and the directory too if this run made it;
-    anything else in the directory stays.  A write that fails (an ``--out``
-    that is a file or sits under one, a full disk) raises ``ValidationError``
-    (exit 2).
+    run wrote are removed, and so are the directories on the way to it that
+    were missing at the start, if they are empty; anything else stays.  An
+    ``--out`` whose nearest existing ancestor is not a directory raises
+    ``ValidationError`` (exit 2) on entry, before any work; so does a write
+    that fails later (a full disk, no permission).
     """
 
     def __init__(self, outdir: str) -> None:
         self.dir = Path(outdir)
-        self.made_dir = False
+        self.missing: list[Path] = []  # deepest first
         self.written: list[Path] = []
 
     def __enter__(self) -> _Outputs:
+        try:
+            for path in (self.dir, *self.dir.parents):
+                if path.exists():
+                    break
+                self.missing.append(path)
+            is_dir = path.is_dir()
+        except OSError as exc:
+            raise ValidationError(f"cannot write {self.dir}: {exc.strerror or exc}") from exc
+        if not is_dir:
+            raise ValidationError(f"cannot write {self.dir}: {path} is not a directory")
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
@@ -136,16 +147,14 @@ class _Outputs:
         for path in self.written:
             with contextlib.suppress(OSError):
                 path.unlink()
-        if self.made_dir:
+        for path in self.missing:
             with contextlib.suppress(OSError):
-                self.dir.rmdir()
+                path.rmdir()
 
     def write_text(self, name: str, text: str) -> Path:
         path = self.dir / name
         try:
-            if not self.dir.exists():
-                self.dir.mkdir(parents=True)
-                self.made_dir = True
+            self.dir.mkdir(parents=True, exist_ok=True)
             with path.open("w") as handle:
                 self.written.append(path)
                 handle.write(text)
@@ -227,29 +236,29 @@ def cmd_landscape(args) -> int:
 
 def cmd_optimize(args) -> int:
     specs = _specs_from_args(args)  # validates flag exclusivity
-    if args.pure_d:
-        curve = optimizer.optimal_angle_curve(_parse_d_range(args.pure_d))
-        rows = [(r.d, r.beta, r.gamma, r.value) for r in curve]
-        health = {
-            "converged": {str(r.d): r.converged for r in curve},
-            "refinement_iterations": {str(r.d): r.refinement_iterations for r in curve},
-            "gradient_norm": {str(r.d): r.gradient_norm for r in curve},
-        }
-    else:
-        [(label, spec)] = specs
-        opt = optimizer.optimize_closed_form(spec)
-        rows = [(spec.d, opt.angles.beta, opt.angles.gamma, opt.value)]
-        health = {
-            "converged": opt.converged,
-            "refinement_iterations": opt.refinement_iterations,
-            "gradient_norm": opt.gradient_norm,
-        }
-    if args.ground_state is not None:
-        factor = optimizer.approximation_factor(rows[-1][3], args.ground_state)
-    lines = ["d,beta,gamma,value"]
-    for d, b, g, v in rows:
-        lines.append(f"{d},{b!r},{g!r},{v!r}")
     with _Outputs(args.out) as outputs:
+        if args.pure_d:
+            curve = optimizer.optimal_angle_curve(_parse_d_range(args.pure_d))
+            rows = [(r.d, r.beta, r.gamma, r.value) for r in curve]
+            health = {
+                "converged": {str(r.d): r.converged for r in curve},
+                "refinement_iterations": {str(r.d): r.refinement_iterations for r in curve},
+                "gradient_norm": {str(r.d): r.gradient_norm for r in curve},
+            }
+        else:
+            [(label, spec)] = specs
+            opt = optimizer.optimize_closed_form(spec)
+            rows = [(spec.d, opt.angles.beta, opt.angles.gamma, opt.value)]
+            health = {
+                "converged": opt.converged,
+                "refinement_iterations": opt.refinement_iterations,
+                "gradient_norm": opt.gradient_norm,
+            }
+        if args.ground_state is not None:
+            factor = optimizer.approximation_factor(rows[-1][3], args.ground_state)
+        lines = ["d,beta,gamma,value"]
+        for d, b, g, v in rows:
+            lines.append(f"{d},{b!r},{g!r},{v!r}")
         outputs.write_text("optimum.csv", "\n".join(lines) + "\n")
         config = {
             "pure_d": args.pure_d,
@@ -268,8 +277,8 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report = verify.run(args.level)
     with _Outputs(args.out) as outputs:
+        report = verify.run(args.level)
         for res in report.results:
             status = "PASS" if res.passed else "FAIL"
             print(f"[{status}] {res.name} ({res.seconds:.2f}s)")

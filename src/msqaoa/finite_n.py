@@ -41,8 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 from typing import Optional, Sequence
 
 import numpy as np
@@ -143,77 +142,54 @@ def g_q(q: int, t: int, n: int) -> int:
 
 # -- polynomial expansion of f_q --------------------------------------------
 #
-# f_q is a polynomial of total degree q in x = npm - nmp, y = npp - nmm and n.
-# The coefficients are recovered by exact rational interpolation on integer
-# sketch grids (no symbolic algebra), then spot-verified on extra sketches.
+# f_q is a polynomial of total degree q in x = npm - nmp, y = npp - nmm and n,
+# read off its generating series.  With u = npp + npm and u' = npp + nmp the
+# +1 counts of z and z', sum_{|S|=q} z_S is [t^q] (1+t)^u (1-t)^(n-u), and
+# since 2u = n + x + y and 2u' = n - x + y,
+#
+#   sum_q f_q t^q = (1+t)^u (1-t)^(n-u) - (1+t)^u' (1-t)^(n-u')
+#                 = (1-t^2)^(n/2) e^(y artanh t) 2 sinh(x artanh t).
+#
+# The t^(2k) coefficient of (1-t^2)^(n/2) is (-1)^k binom(n/2, k), of degree
+# k in n, and artanh t = t + t^3/3 + ..., so only k = 0 and the lowest-order
+# term of 2 sinh(x t) e^(y t) reach total degree q.
 
 
-def _f_value_at(q: int, npm: int, nmp: int, npp: int, nmm: int) -> int:
-    n = npm + nmp + npp + nmm
-    u = npp + npm
-    up = npp + nmp
-    return _subset_sum_by_plus_count(q, u, n) - _subset_sum_by_plus_count(q, up, n)
-
-
-@lru_cache(maxsize=None)
 def f_q_abc(q: int) -> dict[tuple[int, int, int], Fraction]:
     """Exact coefficients of f_q = sum f^{abc} x^a y^b n^c (zero entries omitted).
 
-    x = npm - nmp, y = npp - nmm.  The leading (a+b+c = q) coefficients equal
-    2/(a! b!) exactly when a is odd, b = q - a, c = 0, and vanish otherwise.
+    x = npm - nmp, y = npp - nmm.  They are the t^q coefficient of the series
+    (1-t^2)^(n/2) e^(y artanh t) 2 sinh(x artanh t), which equals
+    sum_q f_q t^q because 2(npp + npm) = n + x + y.  The leading (a+b+c = q)
+    coefficients equal 2/(a! b!) exactly when a is odd, b = q - a, c = 0, and
+    vanish otherwise.
     """
     if q < 1:
         raise ValidationError(f"need q >= 1, got q={q}")
-    monos = [
-        (a, b, c)
-        for total in range(q + 1)
-        for a in range(total + 1)
-        for b in range(total - a + 1)
-        for c in [total - a - b]
-    ]
-    m = len(monos)
-    # incremental exact Gaussian elimination over candidate sketch rows
-    pivots: list[tuple[int, list[Fraction]]] = []
-    extra_points: list[tuple[int, int, int, int]] = []
-    for npm, nmp, npp, nmm in product(range(q + 2), repeat=4):
-        if len(pivots) == m:
-            extra_points.append((npm, nmp, npp, nmm))
-            if len(extra_points) >= 25:
-                break
-            continue
-        x, y, n = npm - nmp, npp - nmm, npm + nmp + npp + nmm
-        row = [Fraction(x**a * y**b * n**c) for (a, b, c) in monos]
-        row.append(Fraction(_f_value_at(q, npm, nmp, npp, nmm)))
-        for col, prow in pivots:
-            if row[col]:
-                factor = row[col]
-                for k in range(col, m + 1):
-                    row[k] -= factor * prow[k]
-        lead = next((k for k in range(m) if row[k]), None)
-        if lead is None:
-            continue
-        inv = row[lead]
-        row = [v / inv for v in row]
-        pivots.append((lead, row))
-    if len(pivots) < m:
-        raise RuntimeError(f"interpolation grid for q={q} did not reach full rank")
-    # back-substitution (Gauss-Jordan over the pivot rows)
-    pivots.sort()
-    for idx in range(m - 1, -1, -1):
-        col, row = pivots[idx]
-        for jdx in range(idx):
-            _, other = pivots[jdx]
-            if other[col]:
-                factor = other[col]
-                other[col] = Fraction(0)
-                other[m] -= factor * row[m]
-    coeffs = {monos[col]: row[m] for col, row in pivots}
-    for npm, nmp, npp, nmm in extra_points:
-        x, y, n = npm - nmp, npp - nmm, npm + nmp + npp + nmm
-        reco = sum(cf * x**a * y**b * n**c for (a, b, c), cf in coeffs.items())
-        if reco != _f_value_at(q, npm, nmp, npp, nmm):
-            raise RuntimeError(f"interpolated polynomial for q={q} failed verification")
-    return {mono: cf for mono, cf in coeffs.items() if cf}
+    # [t^m] e^(y L) 2 sinh(x L) as {(a, b): coeff}, L = artanh t, from
+    # sum_j L^j sum_{a odd} 2 x^a y^(j-a) / (a! (j-a)!)
+    artanh = [Fraction(m % 2, m) if m else Fraction(0) for m in range(q + 1)]
+    power = [Fraction(1)] + [Fraction(0)] * q  # [t^m] L^j, from j = 0
+    xy_series: list[dict] = [{} for _ in range(q + 1)]
+    for j in range(1, q + 1):
+        power = [sum(power[i] * artanh[m - i] for i in range(m)) for m in range(q + 1)]
+        for a in range(1, j + 1, 2):
+            lead = Fraction(2, math.factorial(a) * math.factorial(j - a))
+            for m in range(j, q + 1, 2):
+                xy_series[m][a, j - a] = xy_series[m].get((a, j - a), 0) + lead * power[m]
+    # times [t^(2k)] (1-t^2)^(n/2) = (-1)^k binom(n/2, k) as coefficients of
+    # n^c, each k from the last by the factor (k - 1 - n/2) / k
+    coeffs: dict[tuple[int, int, int], Fraction] = {}
+    n_poly = [Fraction(1)]
+    for k in range(q // 2 + 1):
+        if k:
+            pad = [Fraction(0)]
+            n_poly = [((k - 1) * lo - hi / 2) / k for lo, hi in zip(n_poly + pad, pad + n_poly)]
+        for (a, b), cf in xy_series[q - 2 * k].items():
+            for c, cn in enumerate(n_poly):
+                coeffs[a, b, c] = coeffs.get((a, b, c), 0) + cf * cn
+    order = sorted(coeffs, key=lambda m: (sum(m), m))  # total degree, then a, b
+    return {mono: coeffs[mono] for mono in order if coeffs[mono]}
 
 
 # -- sketch-sum engine -------------------------------------------------------

@@ -223,6 +223,8 @@ def _direct_pair_sums(z: list[int], zp: list[int], q: int) -> tuple[int, int]:
 def _combinatorial_identities() -> tuple[bool, dict]:
     max_n = 10
     max_q = 4
+    max_abc = 5
+    expansions = {q: finite_n.f_q_abc(q) for q in range(1, max_abc + 1)}
     checked = 0
     for n in range(1, max_n + 1):
         for npp in range(n + 1):
@@ -239,11 +241,19 @@ def _combinatorial_identities() -> tuple[bool, dict]:
                         if finite_n.g_q(q, sk.t, n) != g_direct:
                             return False, {"failed": "g_q", "sketch": str(sk), "q": q}
                         checked += 1
-    # leading coefficients of the f_q polynomial expansion, exact rationals
+                    # the polynomial expansion reproduces f_q exactly
+                    x, y = npm - nmp, npp - nmm
+                    for q in range(1, min(max_abc, n) + 1):
+                        value = sum(
+                            cf * x**a * y**b * n**c
+                            for (a, b, c), cf in expansions[q].items()
+                        )
+                        if value != finite_n.f_q(q, sk):
+                            return False, {"failed": "f_q_abc", "sketch": str(sk), "q": q}
+    # its leading coefficients, exact rationals
     from fractions import Fraction
 
-    for q in range(1, 6):
-        coeffs = finite_n.f_q_abc(q)
+    for q, coeffs in expansions.items():
         for a in range(q + 1):
             for b in range(q + 1 - a):
                 c = q - a - b
@@ -261,7 +271,7 @@ def _combinatorial_identities() -> tuple[bool, dict]:
                         "got": str(got),
                         "want": str(want),
                     }
-    return True, {"pair_sum_checks": checked, "abc_orders": list(range(1, 6))}
+    return True, {"pair_sum_checks": checked, "abc_orders": list(expansions)}
 
 
 def _infinite_n_convergence() -> tuple[bool, dict]:

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from msqaoa import closed_form, finite_n, model, verify
+from msqaoa import closed_form, finite_n, model, optimizer, verify
 from msqaoa.cli import main
 
 
@@ -541,13 +541,26 @@ _COMMANDS = {
 }
 
 
+_COMPUTE = {
+    "landscape": (closed_form, "energy_sigma_grid"),
+    "optimize": (optimizer, "optimize_closed_form"),
+    "verify": (verify, "run"),
+}
+
+
 @pytest.mark.parametrize("sub", ["", "sub"])
 @pytest.mark.parametrize("command", sorted(_COMMANDS))
-def test_unwritable_out_exit_code(tmp_path, capsys, command, sub):
+def test_unwritable_out_exit_code(tmp_path, capsys, monkeypatch, command, sub):
     argv = list(_COMMANDS[command])
     if command == "fit-spec":
         assert main(["sample", "--sk", "--n", "5", "--out", str(tmp_path / "inst")]) == 0
         argv.append(str(next((tmp_path / "inst").glob("instance_*.txt"))))
+    if command in _COMPUTE:
+        # the unwritable --out is found before any work
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("computed before checking --out")
+
+        monkeypatch.setattr(*_COMPUTE[command], must_not_run)
     blocker = tmp_path / "F"
     blocker.write_text("not a directory\n")
     capsys.readouterr()
@@ -555,3 +568,19 @@ def test_unwritable_out_exit_code(tmp_path, capsys, command, sub):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert blocker.read_text() == "not a directory\n"
+
+
+def test_failed_run_removes_the_directories_it_made(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = [
+        "landscape", "--sk", "--beta=0:0.4:2", "--gamma=0:1:2",
+        "--mode", "infinite", "--mode", "finite:600",
+    ]
+    assert main(argv + ["--out", "nest/a/b"]) == 3
+    assert not (tmp_path / "nest").exists()
+    # a directory that was there before, or is not empty, stays
+    (tmp_path / "nest").mkdir()
+    (tmp_path / "nest" / "keep.txt").write_text("keep\n")
+    assert main(argv + ["--out", "nest/a/b"]) == 3
+    assert [p.name for p in (tmp_path / "nest").iterdir()] == ["keep.txt"]
+    assert len(capsys.readouterr().err.splitlines()) == 2

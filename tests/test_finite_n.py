@@ -158,7 +158,7 @@ class TestFqAbc:
         assert coeffs[(1, 2, 0)] == Fraction(2, 1 * 2)  # 2/(1! 2!) = 1
         assert coeffs[(3, 0, 0)] == Fraction(2, 6)  # 2/(3! 0!) = 1/3
 
-    @pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("q", [1, 2, 3, 4, 5, 6, 7, 8])
     def test_leading_structure(self, q):
         coeffs = f_q_abc(q)
         for a in range(q + 1):
@@ -172,16 +172,47 @@ class TestFqAbc:
                 assert coeffs.get((a, b, c), Fraction(0)) == want
 
     def test_reconstructs_f_q(self):
-        rng = np.random.default_rng(1)
-        for q in (2, 3, 4):
+        # every sketch with q <= n <= 10, q = 1..8
+        for q in range(1, 9):
             coeffs = f_q_abc(q)
-            for _ in range(25):
-                counts = [int(v) for v in rng.integers(0, 5, 4)]
-                sk = Sketch(*counts)
-                x, y, n = sk.npm - sk.nmp, sk.npp - sk.nmm, sk.n
-                val = sum(cf * x**a * y**b * n**c for (a, b, c), cf in coeffs.items())
-                if q <= n:
-                    assert val == f_q(q, sk)
+            for n in range(q, 11):
+                for npp in range(n + 1):
+                    for npm in range(n - npp + 1):
+                        for nmp in range(n - npp - npm + 1):
+                            sk = Sketch(npp, npm, nmp, n - npp - npm - nmp)
+                            x, y = sk.npm - sk.nmp, sk.npp - sk.nmm
+                            val = sum(
+                                cf * x**a * y**b * n**c for (a, b, c), cf in coeffs.items()
+                            )
+                            assert val == f_q(q, sk), (q, sk)
+
+    def test_each_call_returns_a_fresh_dict(self):
+        first = f_q_abc(4)
+        want = dict(first)
+        first[(1, 3, 0)] += 1
+        first.popitem()
+        assert f_q_abc(4) == want
+
+    def test_zero_order_rejected(self):
+        with pytest.raises(ValidationError, match="need q >= 1"):
+            f_q_abc(0)
+
+    def test_verify_catches_a_wrong_lower_order_coefficient(self, monkeypatch):
+        # negative control: the leading coefficients stay right, so only the
+        # reconstruction on the check's sketches can see this
+        true_fn = finite_n.f_q_abc
+
+        def corrupted(q):
+            coeffs = true_fn(q)
+            if q == 3:
+                coeffs[(1, 0, 1)] += 1
+            return coeffs
+
+        monkeypatch.setattr(finite_n, "f_q_abc", corrupted)
+        res = verify.run_check("combinatorial_identities")
+        assert not res.passed
+        assert res.details["failed"] == "f_q_abc"
+        assert res.details["q"] == 3 and "sketch" in res.details
 
 
 class TestGeneratingFunction:
