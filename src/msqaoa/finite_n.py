@@ -19,9 +19,10 @@ so every block with larger t vanishes identically.  Each surviving block is
 a polynomial in cos^2 b with integer coefficients (over one common
 denominator) that depend on neither angle: they are forward differences of
 the block integrand at the integers, built once per n and model.
-``sketch_moment_grid`` evaluates every block exactly at the float cos^2 b
-(integer Horner and one correctly rounded division), so only the angle
-factors and the sum over t are rounded, at any d and n.  Naive term-by-term
+``sketch_moment_grid`` evaluates every block exactly at cos^2 b taken as
+(1 + cos 2b) / 2 from the float cos 2b (integer Horner and one correctly
+rounded division), so only the angle factors and the sum over t are rounded,
+at any d and n.  Naive term-by-term
 float summation of all binom(n+3,3) sketches would instead lose the
 cancellation catastrophically for n beyond a few dozen, and so does a float
 evaluation of the blocks in a monomial basis at d beyond about 10.
@@ -312,8 +313,8 @@ def _finalize_report(
 # block into a polynomial in c2 whose integer coefficients depend on neither
 # angle.  sigma_q^2 are dyadic rationals, so phi scaled by a common
 # denominator is an integer at every u, and each block is evaluated exactly
-# at the float c2 = p / 2^e; only the e^K and sc^t factors and the sum over t
-# are rounded.
+# at c2 = (1 + cos 2b) / 2 = p / 2^e; only the e^K and sc^t factors and the
+# sum over t are rounded.
 
 
 def _phi_integers(spec: MixtureSpec, n: int, top: int) -> tuple[list[int], int]:
@@ -371,12 +372,14 @@ def _moment_blocks(spec: MixtureSpec, n: int) -> tuple[list, list]:
 
 
 def _block_values(blocks: Sequence, beta: float) -> list[float]:
-    """sc^t times each block's polynomial at c2 = cos^2 beta.  With c2 =
-    p / 2^e, integer Horner gives sum_m coeffs[m] p^m 2^(e(M-m)), and one
-    correctly rounded int / int division by den 2^(eM) gives the block."""
-    sb, cb = math.sin(beta), math.cos(beta)
-    sc = sb * cb
-    p, q = (cb * cb).as_integer_ratio()
+    """sc^t times each block's polynomial at c2 = cos^2 beta.  c2 is taken as
+    the exact rational (1 + cos 2 beta) / 2 = p / 2^e, not as a rounded square,
+    so blocks that cancel to O(cos 2 beta) keep their relative accuracy.
+    Integer Horner gives sum_m coeffs[m] p^m 2^(e(M-m)), and one correctly
+    rounded int / int division by den 2^(eM) gives the block."""
+    sc = math.sin(beta) * math.cos(beta)
+    p, q = math.cos(2 * beta).as_integer_ratio()
+    p, q = p + q, 2 * q
     e = q.bit_length() - 1
     out = []
     for t, coeffs, den in blocks:
@@ -677,8 +680,8 @@ def _b_coeffs(b: int, s: int) -> list[int]:
 def b_factor(b: int, t: int, n: int, beta: float) -> float:
     """B^b_t = sum over npp+nmm=n-t of binom(n-t,npp)(npp-nmm)^b Q++^npp Q--^nmm.
 
-    A polynomial of degree <= b in cos^2 beta, evaluated exactly at the float
-    cos^2 beta like the moment blocks.
+    A polynomial of degree <= b in cos^2 beta, evaluated exactly at
+    (1 + cos 2 beta) / 2 like the moment blocks.
     """
     if b < 0:
         raise ValidationError(f"need b >= 0, got b={b}")

@@ -8,9 +8,11 @@ Two exact identities keep the work per instance small:
 * The cost table is a Walsh–Hadamard transform of the couplings.  Since
   prod_{i in S} z_i = (-1)^popcount(idx & mask_S), scattering
   c[mask_S] = n^((1-q)/2) J_S into a 2^n vector and applying the
-  unnormalized transform (n butterfly passes) gives H(z) at every index.
-* The mixer exp(-i beta sum_k X_k) is the same stride-paired butterfly with
-  coefficients (cos beta, -i sin beta), so both share one helper.
+  unnormalized transform H^{(x)n} gives H(z) at every index.
+* The mixer exp(-i beta sum_k X_k) is (exp(-i beta X))^{(x)n}, another
+  tensor power of a 2x2 gate.  Both are applied by one helper that cuts the
+  index into SLICE_BITS-bit slices and multiplies each slice by the
+  Kronecker power of the gate: ceil(n / SLICE_BITS) matrix products.
 
 At fixed gamma, <H>(beta) is a trigonometric polynomial of degree at most d
 in 2 beta (each Z_S conjugated by the mixer is a product of |S| <= d factors
@@ -49,36 +51,59 @@ def check_size(n: int) -> None:
         raise CapExceededError(f"statevector needs 2^{n} amplitudes; cap is n={SIM_MAX_N}")
 
 
-def _butterfly(vec: np.ndarray, n: int, u00, u01, u10, u11) -> np.ndarray:
-    """In place, for every bit b: (x0, x1) -> (u00 x0 + u01 x1, u10 x0 + u11 x1)
-    on the index pairs that differ only in bit b."""
-    for b in range(n):
-        view = vec.reshape(-1, 2, 1 << b)
-        x0 = view[:, 0, :].copy()
-        x1 = view[:, 1, :]
-        view[:, 0, :] = u00 * x0 + u01 * x1
-        view[:, 1, :] = u10 * x0 + u11 * x1
-    return vec
+SLICE_BITS = 5  # index bits per matrix product; 32x32 factors measured fastest
+
+HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]])
+
+
+def _mixer_gate(beta: float) -> np.ndarray:
+    """exp(-i beta X) on one spin."""
+    c = math.cos(beta)
+    s = -1j * math.sin(beta)
+    return np.array([[c, s], [s, c]])
+
+
+def _kron_factors(u: np.ndarray, n: int) -> list[np.ndarray]:
+    """u^{(x)k} for each slice of an n-bit index, lowest slice first.
+
+    Entry [a, b] is prod_i u[a_i, b_i] over the k bits of a and b.  Every
+    slice has SLICE_BITS bits except possibly the top one.
+    """
+    powers = [np.ones((1, 1), dtype=u.dtype)]
+    for _ in range(min(n, SLICE_BITS)):
+        powers.append(np.kron(powers[-1], u))
+    return [powers[min(SLICE_BITS, n - lo)] for lo in range(0, n, SLICE_BITS)]
+
+
+def _apply_kron(x: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndarray:
+    """A new array: the 2x2 gate behind ``factors`` applied to every bit of
+    x's index, one matrix product per slice."""
+    lo = 0
+    for f in factors:
+        if lo == 0:
+            x = x.reshape(-1, len(f)) @ f.T
+        else:
+            x = f @ x.reshape(-1, len(f), 1 << lo)
+        lo += len(f).bit_length() - 1
+    return x.reshape(-1)
 
 
 def build_phase_table(instance: ProblemInstance) -> np.ndarray:
     """values[idx] = H(z) for the basis string encoded by idx (2^n entries).
 
     One scatter of the scaled couplings, then the unnormalized Walsh–Hadamard
-    transform: the butterfly with (x0, x1) -> (x0 + x1, x0 - x1).
+    transform: the Hadamard gate on every bit.
     """
     n = instance.n
     check_size(n)
     values = np.zeros(1 << n)
     for q, j in enumerate(instance.couplings, start=1):
         values[(1 << subsets(n, q)).sum(axis=1)] = n ** ((1 - q) / 2) * j
-    return _butterfly(values, n, 1.0, 1.0, 1.0, -1.0)
+    return _apply_kron(values, _kron_factors(HADAMARD, n))
 
 
 def _apply_mixer(amp: np.ndarray, n: int, beta: float) -> np.ndarray:
-    c = math.cos(beta)
-    s = -1j * math.sin(beta)
-    return _butterfly(amp, n, c, s, s, c)
+    return _apply_kron(amp, _kron_factors(_mixer_gate(beta), n))
 
 
 def _phased(table: np.ndarray, n: int, gamma: float) -> np.ndarray:
@@ -136,17 +161,19 @@ def landscape_instance(
     """Per-instance <H>/n over the grid; rows follow beta, columns gamma.
 
     The mixer runs at the 2d+1 interpolation nodes per gamma, whatever the
-    number of betas (see the module docstring).
+    number of betas (see the module docstring); each node's factor matrices
+    are built once per call.
     """
     betas, gammas = require_finite_grid(beta_grid, gamma_grid)
     n = instance.n
     d = instance.spec.d
     table = build_phase_table(instance)
     node_betas = math.pi * np.arange(2 * d + 1) / (2 * d + 1)
+    mixers = [_kron_factors(_mixer_gate(float(beta)), n) for beta in node_betas]
     node_values = np.empty((2 * d + 1, len(gammas)))
     for gi, gamma in enumerate(gammas):
         phased = _phased(table, n, float(gamma))
-        for j, beta in enumerate(node_betas):
-            amp = _apply_mixer(phased.copy(), n, float(beta))
+        for j, factors in enumerate(mixers):
+            amp = _apply_kron(phased, factors)
             node_values[j, gi] = float(np.abs(amp) ** 2 @ table) / n
     return _interpolation_matrix(betas, node_betas) @ node_values

@@ -214,6 +214,13 @@ class TestLandscapeCommand:
                 tmp_path / "b" / name
             ).read_bytes()
 
+    def test_instance_rerun_is_byte_identical(self, tmp_path):
+        args = ["landscape", "--pure-d", "3", "--mode", "instance:13:5"]
+        assert main(args + ["--out", str(tmp_path / "a")]) == 0
+        assert main(args + ["--out", str(tmp_path / "b")]) == 0
+        name = "landscape_pure3_instance_n13_seed5.csv"
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
     def test_manifest_digests(self, tmp_path):
         assert (
             main(

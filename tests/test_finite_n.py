@@ -547,6 +547,12 @@ class TestTSum:
             97 * math.cos(0.6), rel=1e-12
         )
 
+    def test_b_factor_near_cancellation(self):
+        # At beta = pi/4, B^1 = n cos(2b) cancels to 1.6e-14; taking cos^2 b
+        # as a rounded square left an error of 4e-14 here.
+        want = float(reference_b_factor(1, 256, math.pi / 4))
+        assert abs(b_factor(1, 0, 256, math.pi / 4) - want) <= 1e-15 * abs(want)
+
     def test_limit_case(self):
         ang = Angles(0.3, 0.45)
         limit = (

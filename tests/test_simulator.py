@@ -16,7 +16,12 @@ from msqaoa.model import (
     sample_instance,
 )
 from msqaoa.simulator import (
+    HADAMARD,
+    SLICE_BITS,
+    _apply_kron,
     _apply_mixer,
+    _kron_factors,
+    _mixer_gate,
     build_phase_table,
     expectation,
     landscape_instance,
@@ -63,6 +68,19 @@ def parity_reference_table(instance):
     return values
 
 
+def tensordot_reference(x, u, n):
+    """u applied to every bit of x's index, one np.tensordot per spin axis.
+    Axis n-1-b of the (2,)*n view carries bit b."""
+    psi = x.reshape((2,) * n)
+    for axis in range(n):
+        psi = np.moveaxis(np.tensordot(u, psi, axes=([1], [axis])), 0, axis)
+    return psi.reshape(-1)
+
+
+def random_vector(rng, n):
+    return rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+
+
 def spec_with_gaps(d):
     # degrees 2 and 4 below the top one have sigma_q = 0
     lower = [0.0 if q % 2 else 0.4 + 0.1 * q for q in range(d - 1)]
@@ -71,6 +89,27 @@ def spec_with_gaps(d):
 
 def random_string(idx, n):
     return [1 - 2 * ((int(idx) >> b) & 1) for b in range(n)]
+
+
+class TestKronTransform:
+    # n = 1..13 covers every remainder of n mod SLICE_BITS, and more than
+    # two slices
+    @pytest.mark.parametrize("n", range(1, 14))
+    @pytest.mark.parametrize("gate", ["hadamard", "mixer"])
+    def test_matches_tensordot_reference(self, n, gate):
+        rng = np.random.default_rng(n)
+        u = HADAMARD if gate == "hadamard" else _mixer_gate(0.61)
+        x = random_vector(rng, n)
+        got = _apply_kron(x, _kron_factors(u, n))
+        want = tensordot_reference(x, u, n)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+
+    @pytest.mark.parametrize("n", range(1, 14))
+    def test_hadamard_twice_is_scaled_identity(self, n):
+        x = random_vector(np.random.default_rng(100 + n), n)
+        factors = _kron_factors(HADAMARD, n)
+        out = _apply_kron(_apply_kron(x, factors), factors)
+        np.testing.assert_allclose(out, (1 << n) * x, rtol=0, atol=1e-12 * (1 << n))
 
 
 class TestPhaseTable:
@@ -105,6 +144,16 @@ class TestPhaseTable:
             got = build_phase_table(inst)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
 
+    @pytest.mark.parametrize("n", [11, 17])
+    def test_partial_top_slice_matches_cost(self, n):
+        assert n % SLICE_BITS
+        inst = sample_instance(make_mixture_spec(3, [0.3, 0.5, 1.0]), n, n)
+        table = build_phase_table(inst)
+        rng = np.random.default_rng(n)
+        for idx in [0, (1 << n) - 1, *rng.integers(0, 1 << n, 60)]:
+            want = cost(inst, random_string(idx, n))
+            assert table[idx] == pytest.approx(want, rel=1e-13, abs=1e-13)
+
     def test_near_cap_matches_cost(self):
         n = 18
         inst = sample_instance(make_mixture_spec(3, [0.3, 0.5, 1.0]), n, 4)
@@ -136,10 +185,11 @@ class TestState:
 
     def test_mixer_inverse(self):
         rng = np.random.default_rng(7)
-        amp = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        amp /= np.linalg.norm(amp)
-        out = _apply_mixer(_apply_mixer(amp.copy(), 6, 0.77), 6, -0.77)
-        np.testing.assert_allclose(out, amp, atol=1e-12)
+        for n in range(1, 14):
+            amp = random_vector(rng, n)
+            amp /= np.linalg.norm(amp)
+            out = _apply_mixer(_apply_mixer(amp, n, 0.77), n, -0.77)
+            np.testing.assert_allclose(out, amp, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize(
         "ang", [Angles(math.nan, 0.3), Angles(0.2, math.nan), Angles(math.inf, 0.1)]
@@ -235,17 +285,28 @@ class TestLandscape:
 
     @pytest.mark.parametrize("d", [1, 3])
     def test_mixer_passes_per_gamma(self, d, monkeypatch):
-        calls = []
-        real = simulator._apply_mixer
+        # the mixer's factors are built once per node and applied once per
+        # node and gamma, whatever the number of betas
+        built, applied = [], []
+        real_factors, real_apply = simulator._kron_factors, simulator._apply_kron
 
-        def spy(amp, n, beta):
-            calls.append(beta)
-            return real(amp, n, beta)
+        def factors_spy(u, n):
+            factors = real_factors(u, n)
+            if u is not simulator.HADAMARD:
+                built.append(factors)
+            return factors
 
-        monkeypatch.setattr(simulator, "_apply_mixer", spy)
+        def apply_spy(x, factors):
+            if any(factors is f for f in built):
+                applied.append(factors)
+            return real_apply(x, factors)
+
+        monkeypatch.setattr(simulator, "_kron_factors", factors_spy)
+        monkeypatch.setattr(simulator, "_apply_kron", apply_spy)
         inst = sample_instance(spec_with_gaps(d), 5, 1)
         landscape_instance(inst, np.linspace(-1, 1, 17), [-0.5, 0.2, 0.9])
-        assert len(calls) == (2 * d + 1) * 3
+        assert len(built) == 2 * d + 1
+        assert len(applied) == (2 * d + 1) * 3
 
     def test_deviation_shrinks_with_n(self):
         # per-instance landscapes approach the infinite-size surface
