@@ -47,7 +47,6 @@ from .optimizer import (
     Optimum,
     SearchConfig,
     approximation_factor,
-    optimal_angle_curve,
     optimize_closed_form,
     pure_d_spec,
 )
@@ -86,7 +85,6 @@ __all__ = [
     "generating_function",
     "landscape_instance",
     "make_mixture_spec",
-    "optimal_angle_curve",
     "optimize_closed_form",
     "oracle_mgf",
     "oracle_moments",

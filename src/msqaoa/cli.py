@@ -235,25 +235,16 @@ def cmd_landscape(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    specs = _specs_from_args(args)  # validates flag exclusivity
+    specs = _specs_from_args(args)
     with _Outputs(args.out) as outputs:
-        if args.pure_d:
-            curve = optimizer.optimal_angle_curve(_parse_d_range(args.pure_d))
-            rows = [(r.d, r.beta, r.gamma, r.value) for r in curve]
-            health = {
-                "converged": {str(r.d): r.converged for r in curve},
-                "refinement_iterations": {str(r.d): r.refinement_iterations for r in curve},
-                "gradient_norm": {str(r.d): r.gradient_norm for r in curve},
-            }
+        optima = [(spec.d, optimizer.optimize_closed_form(spec)) for _, spec in specs]
+        rows = [(d, opt.angles.beta, opt.angles.gamma, opt.value) for d, opt in optima]
+        keys = ("converged", "refinement_iterations", "gradient_norm")
+        if args.pure_d:  # keyed by degree
+            health = {key: {str(d): getattr(opt, key) for d, opt in optima} for key in keys}
         else:
-            [(label, spec)] = specs
-            opt = optimizer.optimize_closed_form(spec)
-            rows = [(spec.d, opt.angles.beta, opt.angles.gamma, opt.value)]
-            health = {
-                "converged": opt.converged,
-                "refinement_iterations": opt.refinement_iterations,
-                "gradient_norm": opt.gradient_norm,
-            }
+            [(_, opt)] = optima
+            health = {key: getattr(opt, key) for key in keys}
         if args.ground_state is not None:
             factor = optimizer.approximation_factor(rows[-1][3], args.ground_state)
         lines = ["d,beta,gamma,value"]

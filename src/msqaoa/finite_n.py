@@ -22,7 +22,12 @@ the block integrand at the integers, built once per n and model.
 ``sketch_moment_grid`` evaluates every block exactly at cos^2 b taken as
 (1 + cos 2b) / 2 from the float cos 2b (integer Horner and one correctly
 rounded division), so only the angle factors and the sum over t are rounded,
-at any d and n.  Naive term-by-term
+at any d and n.  The damping weights g_q(t) / (2 n^(q-1)) and the lambda^2
+weights binom(n,q) / (2 n^(q+1)) are each one correctly rounded ratio of
+exact integers, so nothing overflows and every integer n >= 1 is taken; the
+tests certify n above the reference's 512 by evaluating the same integer
+blocks at 60 digits and by fitting the first moment in 1/n against the
+closed form.  Naive term-by-term
 float summation of all binom(n+3,3) sketches would instead lose the
 cancellation catastrophically for n beyond a few dozen, and so does a float
 evaluation of the blocks in a monomial basis at d beyond about 10.
@@ -40,6 +45,7 @@ ground truth for the sketch path at small n.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -67,13 +73,11 @@ __all__ = [
     "b_factor",
     "t_sum",
     "ORACLE_MAX_N",
-    "SKETCH_MAX_N",
 ]
 
 # oracle: 4^n pair enumeration; generating_function: where the oracle and
 # the tests' 60-digit sketch sum check its direct float sum
 ORACLE_MAX_N = 14
-SKETCH_MAX_N = 512  # sketch_moments: the range the 60-digit reference tests cover
 _REL_IMAG_TOL = 1e-9
 _VARIANCE_ALLOWANCE = 1e-10
 
@@ -197,41 +201,52 @@ def f_q_abc(q: int) -> dict[tuple[int, int, int], Fraction]:
 
 
 def _g_columns(spec: MixtureSpec, n: int, entries: int) -> list:
-    """(q, sigma_q^2, g_q(t) for t < entries) for each q <= min(d, n) with
-    sigma_q != 0: the part of the K table that does not depend on gamma."""
+    """(sigma_q^2, g_q(t) / (2 n^(q-1)) for t < entries) for each q <= min(d, n)
+    with sigma_q != 0: the part of the K table that does not depend on gamma.
+    Each weight is one correctly rounded int / int division, which stays
+    finite at any n because the quotient is O(1) for t <= 2d."""
     columns = []
     for q in range(1, min(spec.d, n) + 1):
         s2 = spec.sigmas[q - 1] ** 2
         if s2 == 0:
             continue
-        col = np.array([g_q(q, t, n) for t in range(entries)], dtype=float)
-        columns.append((q, s2, col))
+        scale = 2 * n ** (q - 1)
+        columns.append((s2, np.array([g_q(q, t, n) / scale for t in range(entries)])))
     return columns
 
 
-def _k_table(columns: Sequence, gamma: float, n: int, entries: int) -> np.ndarray:
-    """K(t) = -sum_q gamma^2 g_q(t) sigma_q^2 / (2 n^(q-1)) for t < entries,
+def _k_table(columns: Sequence, gamma: float, entries: int) -> np.ndarray:
+    """K(t) = -sum_q gamma^2 sigma_q^2 g_q(t) / (2 n^(q-1)) for t < entries,
     from the ``_g_columns(spec, n, entries)`` of the model."""
     K = np.zeros(entries)
     g2 = gamma * gamma
-    for q, s2, col in columns:
-        K -= (g2 * s2 / (2 * n ** (q - 1))) * col
+    for s2, col in columns:
+        K -= (g2 * s2) * col
     return K
 
 
 def _lambda_quadratic(spec: MixtureSpec, n: int) -> float:
-    """R = sum_q binom(n,q) sigma_q^2 / (2 n^(q+1)), the lam^2 exponent weight."""
+    """R = sum_q binom(n,q) sigma_q^2 / (2 n^(q+1)), the lam^2 exponent weight,
+    with each binom(n,q) / (2 n^(q+1)) one correctly rounded int / int ratio."""
     return sum(
-        math.comb(n, q) * spec.sigmas[q - 1] ** 2 / (2 * n ** (q + 1))
+        math.comb(n, q) / (2 * n ** (q + 1)) * spec.sigmas[q - 1] ** 2
         for q in range(1, min(spec.d, n) + 1)
     )
 
 
-def _check_n(n: int, cap: int, reason: str) -> None:
+def _check_n(n, cap: Optional[int] = None, reason: str = "") -> int:
+    """n as an exact Python int >= 1, at most ``cap`` when one is given.  A
+    numpy integer is converted, so the binomials and powers of n stay exact
+    integers; anything that is not an integer raises ValidationError."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValidationError(f"n must be an integer, got {n!r}") from None
     if n < 1:
         raise ValidationError(f"need n >= 1, got n={n}")
-    if n > cap:
+    if cap is not None and n > cap:
         raise CapExceededError(f"n={n} exceeds the cap {cap}: {reason}")
+    return n
 
 
 def _require_real(z: complex, what: str, scale: float = 0.0) -> float:
@@ -428,14 +443,12 @@ def sketch_moment_grid(
     grid.  Both moments are real by construction.
 
     A variance below -1e-10 raises NumericalError; smaller negative
-    variances are set to 0 and flagged in ``clamped``.  n is capped at
-    SKETCH_MAX_N, the range the high-precision reference tests cover.
+    variances are set to 0 and flagged in ``clamped``.  Every integer n >= 1
+    is taken: only the block count min(2d, n) + 1 and the digits of the
+    integer blocks depend on n, so a grid takes the same time at every n up
+    to about 10^18 and then grows with the number of digits of n.
     """
-    _check_n(
-        n,
-        SKETCH_MAX_N,
-        "the high-precision reference tests cover sketch_moments only up to there",
-    )
+    n = _check_n(n)
     betas, gammas = require_finite_grid(betas, gammas)
     blocks1, blocks2 = _moment_blocks(spec, n)
     # beta factors, shape (len(betas), blocks)
@@ -448,7 +461,7 @@ def sketch_moment_grid(
     columns = _g_columns(spec, n, entries)
     for gi, gamma in enumerate(gammas):
         gamma = float(gamma)
-        K = _k_table(columns, gamma, n, entries)
+        K = _k_table(columns, gamma, entries)
         for i, (t, _, _) in enumerate(blocks1):
             g1[i, gi] = gamma * math.exp(K[t])
         for i, (t, _, _) in enumerate(blocks2):
@@ -470,7 +483,7 @@ def sketch_moments(spec: MixtureSpec, angles: Angles, n: int) -> MomentReport:
     the 1x1 case of ``sketch_moment_grid``."""
     grid = sketch_moment_grid(spec, [angles.beta], [angles.gamma], n)
     return MomentReport(
-        n=n,
+        n=grid.n,
         first=float(grid.first[0, 0]),
         second=float(grid.second[0, 0]),
         variance=float(grid.variance[0, 0]),
@@ -491,7 +504,7 @@ def generating_function(spec: MixtureSpec, angles: Angles, n: int, lam: float) -
     is capped at ORACLE_MAX_N, where the oracle checks it.  At lam = 0 the
     value is the squared state norm, 1.
     """
-    _check_n(n, ORACLE_MAX_N, "the oracle checks the direct sketch sum only up to there")
+    n = _check_n(n, ORACLE_MAX_N, "the oracle checks the direct sketch sum only up to there")
     require_finite(angles)
     if lam == 0.0 and angles.gamma == 0.0:
         # the exponent vanishes for every sketch and the sum telescopes to 1
@@ -500,7 +513,7 @@ def generating_function(spec: MixtureSpec, angles: Angles, n: int, lam: float) -
     sc, c2, s2 = sb * cb, cb * cb, sb * sb
     phi_int, den = _phi_integers(spec, n, n)
     phi = [v / den for v in phi_int]
-    K = _k_table(_g_columns(spec, n, n + 1), angles.gamma, n, n + 1)
+    K = _k_table(_g_columns(spec, n, n + 1), angles.gamma, n + 1)
     glam = angles.gamma * lam
     total = 0j
     for t in range(n + 1):
@@ -515,6 +528,8 @@ def generating_function(spec: MixtureSpec, angles: Angles, n: int, lam: float) -
 
 
 # -- brute-force double-string oracle ----------------------------------------
+
+_ORACLE_CAP_REASON = "the oracle enumerates 4^n pairs"
 
 
 class _Kahan:
@@ -565,13 +580,8 @@ def _oracle_sums(
     spec: MixtureSpec, angles: Angles, n: int, lam: Optional[float]
 ) -> tuple[complex, complex, complex, complex, float, float, np.ndarray]:
     """(sum WE, sum WED, sum WED^2, sum WE e^(-i gamma lam D), K, R, upper
-    bounds on sum |WE|, sum |WED|, sum |WED^2|) over all string pairs."""
-    if n < 1:
-        raise ValidationError(f"need n >= 1, got n={n}")
-    if n > ORACLE_MAX_N:
-        raise CapExceededError(
-            f"oracle enumerates 4^n pairs; n={n} exceeds the cap {ORACLE_MAX_N}"
-        )
+    bounds on sum |WE|, sum |WED|, sum |WED^2|) over all string pairs, for an
+    n already through ``_check_n``."""
     require_finite(angles)
     d = spec.d
     sb, cb = math.sin(angles.beta), math.cos(angles.beta)
@@ -632,6 +642,7 @@ def oracle_moments(spec: MixtureSpec, angles: Angles, n: int) -> MomentReport:
     Independent ground truth for ``sketch_moments``: subset sums are taken
     explicitly per string, with no sketch collapse and no binomial formulas.
     """
+    n = _check_n(n, ORACLE_MAX_N, _ORACLE_CAP_REASON)
     s0, s1, s2sum, _, k_const, r, (a0, a1, a2) = _oracle_sums(spec, angles, n, None)
     ek = math.exp(k_const)
     g = angles.gamma
@@ -648,6 +659,7 @@ def oracle_moments(spec: MixtureSpec, angles: Angles, n: int) -> MomentReport:
 
 def oracle_mgf(spec: MixtureSpec, angles: Angles, n: int, lam: float) -> complex:
     """E_J<exp(i lam H/n)> by direct summation over all string pairs."""
+    n = _check_n(n, ORACLE_MAX_N, _ORACLE_CAP_REASON)
     _, _, _, sl, k_const, r, _ = _oracle_sums(spec, angles, n, lam)
     return math.exp(k_const - lam * lam * r) * sl
 
@@ -685,6 +697,7 @@ def b_factor(b: int, t: int, n: int, beta: float) -> float:
     """
     if b < 0:
         raise ValidationError(f"need b >= 0, got b={b}")
+    n = _check_n(n)
     if not 0 <= t <= n:
         raise ValidationError(f"need 0 <= t <= n={n}, got t={t}")
     return _block_values([(0, _b_coeffs(b, n - t), 1)], beta)[0]
@@ -708,10 +721,9 @@ def t_sum(
         raise ValidationError(f"need a, b >= 0, got a={a}, b={b}")
     if a + b > n_power:
         raise ValidationError(f"need a+b <= n_power, got {a}+{b} > {n_power}")
-    if n < 1:
-        raise ValidationError(f"need n >= 1, got n={n}")
+    n = _check_n(n)
     top = min(a, n)
-    K = _k_table(_g_columns(spec, n, top + 1), angles.gamma, n, top + 1)
+    K = _k_table(_g_columns(spec, n, top + 1), angles.gamma, top + 1)
     blocks = []
     for t in range(top + 1):
         scale = _a_kernel(a, t) * math.comb(n, t)

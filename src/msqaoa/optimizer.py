@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -33,9 +33,7 @@ from .model import MixtureSpec
 __all__ = [
     "SearchConfig",
     "Optimum",
-    "CurveRow",
     "optimize_closed_form",
-    "optimal_angle_curve",
     "approximation_factor",
     "pure_d_spec",
 ]
@@ -201,40 +199,6 @@ def optimize_closed_form(
         converged=gradient_norm < 1e-7 and _positive_definite(at_optimum),
         gradient_norm=gradient_norm,
     )
-
-
-@dataclass(frozen=True)
-class CurveRow:
-    d: int
-    beta: float
-    gamma: float
-    value: float
-    refinement_iterations: int
-    converged: bool
-    gradient_norm: float
-
-
-def optimal_angle_curve(
-    d_values: Sequence[int], search: SearchConfig = SearchConfig()
-) -> list[CurveRow]:
-    """Optimal angles and energy per spin for pure d-spin models, one row per d."""
-    rows = []
-    for d in d_values:
-        if d < 2:
-            raise ValidationError(f"pure-d curve needs d >= 2, got {d}")
-        opt = optimize_closed_form(pure_d_spec(d), search)
-        rows.append(
-            CurveRow(
-                d,
-                opt.angles.beta,
-                opt.angles.gamma,
-                opt.value,
-                opt.refinement_iterations,
-                opt.converged,
-                opt.gradient_norm,
-            )
-        )
-    return rows
 
 
 def approximation_factor(value: float, ground_state_per_spin: float) -> float:

@@ -102,17 +102,20 @@ def build_phase_table(instance: ProblemInstance) -> np.ndarray:
     return _apply_kron(values, _kron_factors(HADAMARD, n))
 
 
-def _apply_mixer(amp: np.ndarray, n: int, beta: float) -> np.ndarray:
-    return _apply_kron(amp, _kron_factors(_mixer_gate(beta), n))
-
-
 def _phased(table: np.ndarray, n: int, gamma: float) -> np.ndarray:
-    """exp(-i gamma H) applied to the uniform state."""
-    return np.exp(-1j * gamma * table) * 2.0 ** (-n / 2)
+    """exp(-i gamma H) applied to the uniform state, phased in place in one
+    complex array."""
+    x = -1j * gamma * table
+    np.exp(x, out=x)
+    x *= 2.0 ** (-n / 2)
+    return x
 
 
 def _state_from_table(table: np.ndarray, n: int, angles: Angles) -> np.ndarray:
-    return _apply_mixer(_phased(table, n, angles.gamma), n, angles.beta)
+    # the phased vector goes to _apply_kron as a temporary, so that the first
+    # slice product frees it
+    mixer = _kron_factors(_mixer_gate(angles.beta), n)
+    return _apply_kron(_phased(table, n, angles.gamma), mixer)
 
 
 def qaoa_state(instance: ProblemInstance, angles: Angles) -> np.ndarray:

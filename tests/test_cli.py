@@ -57,6 +57,16 @@ class TestOptimizeCommand:
         assert len(rows) == 4  # header + three degrees
         assert rows[1].startswith("2,")
 
+    def test_pure_d_one_is_the_one_sigma_model(self, tmp_path, capsys):
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["optimize", "--pure-d", "1", "--out", str(a)]) == 0
+        assert main(["optimize", "--sigmas", "0.7071067811865476", "--out", str(b)]) == 0
+        rows = (a / "optimum.csv").read_text()
+        assert rows == (b / "optimum.csv").read_text()
+        assert rows.splitlines()[1].startswith("1,")
+        health = json.loads((a / "manifest.json").read_text())["health"]
+        assert health["converged"] == {"1": True}
+
     def test_conflicting_spec_flags(self, tmp_path):
         assert main(["optimize", "--sk", "--sigmas", "0,1", "--out", str(tmp_path)]) == 2
 
@@ -320,6 +330,7 @@ class TestLandscapeCommand:
         }
 
     def test_budget_exit_code(self, tmp_path):
+        # finite:N has no size cap; n = 600 is past the 60-digit reference's 512
         code = main(
             [
                 "landscape",
@@ -334,7 +345,21 @@ class TestLandscapeCommand:
                 str(tmp_path),
             ]
         )
-        assert code == 3
+        assert code == 0
+        _, _, rows = read_grid(tmp_path / "landscape_sk_finite_n600.csv")
+        ref = finite_n.sketch_moments(model.make_mixture_spec(2, [0.0, 1.0]),
+                                      closed_form.Angles(0.3, 0.5), 600)
+        assert rows == [[ref.first]]
+
+    def test_huge_finite_n_exit_code(self, tmp_path, capsys):
+        n = 10**30
+        argv = ["landscape", "--pure-d", "20", "--mode", f"finite:{n}",
+                "--beta=0:1:5", "--gamma=-1:1:5", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+        betas, gammas, rows = read_grid(tmp_path / f"landscape_pure20_finite_n{n}.csv")
+        limit = closed_form.energy_sigma_grid(optimizer.pure_d_spec(20), betas, gammas)
+        assert max(abs(v - w) for r, s in zip(rows, limit) for v, w in zip(r, s)) <= 1e-14
 
     @pytest.mark.parametrize("mode", ["finite:abc", "instance:x:1"])
     def test_malformed_mode_numbers_exit_code(self, tmp_path, mode):
@@ -581,7 +606,7 @@ def test_failed_run_removes_the_directories_it_made(tmp_path, monkeypatch, capsy
     monkeypatch.chdir(tmp_path)
     argv = [
         "landscape", "--sk", "--beta=0:0.4:2", "--gamma=0:1:2",
-        "--mode", "infinite", "--mode", "finite:600",
+        "--mode", "infinite", "--mode", "instance:30:1",
     ]
     assert main(argv + ["--out", "nest/a/b"]) == 3
     assert not (tmp_path / "nest").exists()

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msqaoa import finite_n, verify
-from msqaoa.closed_form import Angles, damping_rate, energy_sigma_form
+from msqaoa.closed_form import Angles, damping_rate, energy_sigma_form, energy_sigma_grid
 from msqaoa.errors import CapExceededError, NumericalError, ValidationError
 from msqaoa.finite_n import (
     Sketch,
@@ -325,8 +325,9 @@ class TestMoments:
         assert all(a > b for a, b in zip(variances, variances[1:]))
 
     def test_budget_checks(self):
-        with pytest.raises(CapExceededError, match=r"exceeds the cap 512"):
-            sketch_moments(SK, Angles(0.3, 0.4), 513)
+        # no size cap: n = 513, one past the range of the other reference
+        # tests, is computed and matches the 60-digit reference
+        assert_matches_reference(SK, 0.3, 0.4, 513)
 
     def test_oracle_cap(self):
         with pytest.raises(CapExceededError, match=r"oracle enumerates 4\^n pairs"):
@@ -357,9 +358,9 @@ class TestMoments:
         sizes = []
         real = finite_n._k_table
 
-        def spy(spec, gamma, n, entries):
+        def spy(columns, gamma, entries):
             sizes.append(entries)
-            return real(spec, gamma, n, entries)
+            return real(columns, gamma, entries)
 
         monkeypatch.setattr(finite_n, "_k_table", spy)
         ang = Angles(0.3, -0.4)
@@ -775,8 +776,11 @@ class TestMomentGrid:
             sketch_moment_grid(MIX3, betas, gammas, 8)
 
     def test_cap(self):
-        with pytest.raises(CapExceededError, match=r"exceeds the cap 512"):
-            sketch_moment_grid(SK, [0.3], [0.4], 513)
+        # no size cap: the grid at n = 513 matches the 60-digit reference
+        grid = sketch_moment_grid(MIX3, [0.3], [0.4], 513)
+        first, second = reference_moments(MIX3, 0.3, 0.4, 513)
+        assert abs(grid.first[0, 0] - first) <= max(1e-12 * abs(first), 1e-15)
+        assert abs(grid.second[0, 0] - second) <= max(1e-12 * abs(second), 1e-15)
 
     def test_work_splits_into_beta_and_gamma_factors(self, monkeypatch):
         calls = {"_moment_blocks": 0, "_block_values": 0, "_k_table": 0}
@@ -893,6 +897,158 @@ class TestMomentAccuracy:
         b = sketch_moment_grid(pure_d_spec(12), betas, gammas, 100)
         assert a.first.tobytes() == b.first.tobytes()
         assert a.second.tobytes() == b.second.tobytes()
+
+
+HUGE_SPECS = [
+    pure_d_spec(2),
+    pure_d_spec(8),
+    pure_d_spec(20),
+    make_mixture_spec(9, [0.0, 0.8, 0.0, 1.1, 0.0, 0.0, 0.4, 0.0, 1.5]),
+]
+PAST_REFERENCE_N = [513, 2**16, 2**20, 2**30, 2**64, 10**30, 10**100]
+BLOCK_BETAS = [0.3, math.pi / 4, 1e-7, math.pi / 2 - 1e-7, -math.pi / 4]
+BLOCK_GAMMAS = [-0.4, -5.0, 0.9, -2.0, 1.1]
+
+
+def n_id(n):
+    """2^k or 10^k where n is such a power, for readable test ids."""
+    for base in (2, 10):
+        k = round(math.log(n, base))
+        if base**k == n:
+            return f"{base}^{k}"
+    return str(n)
+
+
+def moments_from_blocks_at_60_digits(spec, betas, gammas, n):
+    """(first, second) over the grid from the engine's own integer blocks,
+    with cos^2 b, sc^t, e^K(t) and the lambda^2 weight R taken at 60 digits.
+    Past the range of ``reference_moments`` this checks the float evaluation
+    of the blocks; the 1/n fit below checks the blocks against the closed
+    form."""
+    blocks1, blocks2 = finite_n._moment_blocks(spec, n)
+    terms = [
+        (q, *(s * s).as_integer_ratio()) for q, s in enumerate(spec.sigmas, start=1) if s
+    ]
+    first = np.empty((len(betas), len(gammas)))
+    second = np.empty_like(first)
+    with mpmath.workdps(60):
+        polys = [
+            [(t, [mpmath.mpf(c) for c in reversed(cs)], mpmath.mpf(den)) for t, cs, den in blocks]
+            for blocks in (blocks1, blocks2)
+        ]
+        R = sum(
+            math.comb(n, q) * mpmath.mpf(num) / s2_den / (2 * mpmath.mpf(n) ** (q + 1))
+            for q, num, s2_den in terms
+        )
+        # sum_q sigma_q^2 g_q(t) / (2 n^(q-1)), so that K(t) = -gamma^2 damping[t]
+        damping = {
+            t: sum(
+                g_q(q, t, n) * mpmath.mpf(num) / s2_den / (2 * mpmath.mpf(n) ** (q - 1))
+                for q, num, s2_den in terms
+            )
+            for t in range(min(2 * spec.d, n) + 1)
+        }
+        for bi, beta in enumerate(betas):
+            b = mpmath.mpf(beta)
+            c2, sc = mpmath.cos(b) ** 2, mpmath.sin(b) * mpmath.cos(b)
+            for gi, gamma in enumerate(gammas):
+                g = mpmath.mpf(gamma)
+                sums = [
+                    sum(
+                        mpmath.exp(-g * g * damping[t]) * sc**t * mpmath.polyval(poly, c2) / den
+                        for t, poly, den in blocks
+                    )
+                    for blocks in polys
+                ]
+                first[bi, gi] = float(g * sums[0])
+                second[bi, gi] = float(2 * R - g * g * sums[1])
+    return first, second
+
+
+class TestBeyondTheReference:
+    """n above the 512 of ``reference_moments``: the engine takes every n."""
+
+    @pytest.mark.parametrize("n", [2**64, 10**30, 10**100], ids=n_id)
+    @pytest.mark.parametrize("spec", HUGE_SPECS, ids=lambda s: f"d{s.d}")
+    def test_huge_n_is_finite_and_at_the_closed_form(self, spec, n):
+        betas, gammas = np.linspace(-0.7, 0.7, 3), np.linspace(-1.0, 1.0, 3)
+        grid = sketch_moment_grid(spec, betas, gammas, n)
+        for values in (grid.first, grid.second, grid.variance):
+            assert np.isfinite(values).all()
+        limit = np.asarray(energy_sigma_grid(spec, betas, gammas))
+        assert np.abs(grid.first - limit).max() <= 1e-14
+
+    @pytest.mark.parametrize("n", PAST_REFERENCE_N, ids=n_id)
+    @pytest.mark.parametrize("spec", HUGE_SPECS, ids=lambda s: f"d{s.d}")
+    def test_blocks_at_60_digits(self, spec, n):
+        grid = sketch_moment_grid(spec, BLOCK_BETAS, BLOCK_GAMMAS, n)
+        first, second = moments_from_blocks_at_60_digits(spec, BLOCK_BETAS, BLOCK_GAMMAS, n)
+        for got, want in ((grid.first, first), (grid.second, second)):
+            bound = np.maximum(1e-12 * np.abs(want), 1e-15)
+            assert (np.abs(got - want) <= bound).all(), np.abs(got - want).max()
+
+    @pytest.mark.parametrize(
+        "spec",
+        [pure_d_spec(d) for d in range(2, 9)]
+        + [
+            make_mixture_spec(d, np.random.default_rng(seed).uniform(0.1, 1.5, d))
+            for seed, d in ((1, 3), (2, 5), (3, 7))
+        ],
+        ids=lambda s: f"d{s.d}",
+    )
+    def test_first_moment_fits_the_closed_form_in_1_over_n(self, spec):
+        # a quadratic in x = 2^16 / n over n = 2^16..2^22; its value at
+        # x = 0 is the n -> infinity limit
+        ang = Angles(0.3, -0.4)
+        ns = [2**k for k in range(16, 23)]
+        firsts = [sketch_moments(spec, ang, n).first for n in ns]
+        limit = np.polynomial.polynomial.polyfit([2**16 / n for n in ns], firsts, 2)[0]
+        assert abs(limit - energy_sigma_form(spec, ang)) <= 1e-12
+
+    def test_sk_concentration_rate_settles(self):
+        # n * variance -> 0.36134 at (0.3, -0.4): 0.36097 at 2^10, 0.36132 at
+        # 2^14, then within 1e-5 relative from 2^18 to 2^22
+        ang = Angles(0.3, -0.4)
+        scaled = [n * sketch_moments(SK, ang, n).variance for n in (2**10, 2**14, 2**18, 2**22)]
+        assert all(a < b for a, b in zip(scaled, scaled[1:]))
+        assert abs(scaled[3] - scaled[2]) < 1e-5 * scaled[3]
+
+
+class TestIntegerN:
+    """n is taken as an exact Python int wherever a numpy integer is given."""
+
+    def test_numpy_integers_give_identical_results(self):
+        ang = Angles(0.3, -0.4)
+        spec8 = pure_d_spec(8)
+        cases = [
+            (lambda n: sketch_moments(pure_d_spec(2), ang, n).first, 512),
+            (lambda n: sketch_moments(spec8, ang, n).second, 64),
+            (lambda n: sketch_moments(spec8, ang, n).first, 512),
+            (lambda n: sketch_moment_grid(spec8, [0.3, 0.5], [-0.4], n).second.tobytes(), 512),
+            (lambda n: t_sum(spec8, ang, n, 3, 2, 5), 512),
+            (lambda n: b_factor(3, 2, n, 0.3), 512),
+            (lambda n: generating_function(MIX3, ang, n, 0.5), 9),
+            (lambda n: oracle_moments(MIX3, ang, n).second, 6),
+        ]
+        for fn, n in cases:
+            assert fn(np.int64(n)) == fn(n)
+        assert type(sketch_moments(SK, ang, np.int64(12)).n) is int
+
+    @pytest.mark.parametrize(
+        "fn",
+        [
+            lambda n: sketch_moments(SK, Angles(0.3, -0.4), n),
+            lambda n: sketch_moment_grid(SK, [0.3], [-0.4], n),
+            lambda n: t_sum(SK, Angles(0.3, -0.4), n, 1, 0, 1),
+            lambda n: b_factor(1, 0, n, 0.3),
+            lambda n: generating_function(SK, Angles(0.3, -0.4), n, 0.5),
+            lambda n: oracle_moments(SK, Angles(0.3, -0.4), n),
+            lambda n: oracle_mgf(SK, Angles(0.3, -0.4), n, 0.5),
+        ],
+    )
+    def test_non_integer_n_rejected(self, fn):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            fn(8.0)
 
 
 class TestVerifyCheck:

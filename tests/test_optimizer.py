@@ -19,7 +19,6 @@ from msqaoa.model import make_mixture_spec
 from msqaoa.optimizer import (
     SearchConfig,
     approximation_factor,
-    optimal_angle_curve,
     optimize_closed_form,
     pure_d_spec,
 )
@@ -195,8 +194,9 @@ class TestGradientNorm:
         assert math.isfinite(opt.gradient_norm) and opt.gradient_norm > 1e-7
 
     def test_curve_rows_carry_it(self):
-        for row in optimal_angle_curve([2, 3]):
-            assert row.converged and 0 <= row.gradient_norm < 1e-7
+        for d in (2, 3):
+            opt = optimize_closed_form(pure_d_spec(d))
+            assert opt.converged and 0 <= opt.gradient_norm < 1e-7
 
 
 def test_underflowing_damping_rate_rejected():
@@ -307,31 +307,35 @@ class TestNewtonPolish:
 
 
 class TestCurve:
+    """The pure d-spin optima, one per degree, as ``optimize --pure-d`` lists them."""
+
     def test_known_rows(self):
-        rows = optimal_angle_curve([2, 3])
-        assert rows[0].d == 2
-        assert rows[0].value == pytest.approx(-0.303265, abs=1e-5)
-        assert rows[0].beta == pytest.approx(math.pi / 8, abs=1e-4)
-        assert rows[0].gamma == pytest.approx(-0.5, abs=1e-4)
-        assert rows[1].value == pytest.approx(-0.270638, abs=1e-5)
+        two, three = (optimize_closed_form(pure_d_spec(d)) for d in (2, 3))
+        assert two.value == pytest.approx(-0.303265, abs=1e-5)
+        assert two.angles.beta == pytest.approx(math.pi / 8, abs=1e-4)
+        assert two.angles.gamma == pytest.approx(-0.5, abs=1e-4)
+        assert three.value == pytest.approx(-0.270638, abs=1e-5)
 
     def test_rows_are_stationary(self):
         h = 1e-6
-        for row in optimal_angle_curve([2, 3, 4, 5]):
-            spec = pure_d_spec(row.d)
+        for d in (2, 3, 4, 5):
+            spec = pure_d_spec(d)
+            angles = optimize_closed_form(spec).angles
+            beta, gamma = angles.beta, angles.gamma
             db = (
-                energy_sigma_form(spec, Angles(row.beta + h, row.gamma))
-                - energy_sigma_form(spec, Angles(row.beta - h, row.gamma))
+                energy_sigma_form(spec, Angles(beta + h, gamma))
+                - energy_sigma_form(spec, Angles(beta - h, gamma))
             ) / (2 * h)
             dg = (
-                energy_sigma_form(spec, Angles(row.beta, row.gamma + h))
-                - energy_sigma_form(spec, Angles(row.beta, row.gamma - h))
+                energy_sigma_form(spec, Angles(beta, gamma + h))
+                - energy_sigma_form(spec, Angles(beta, gamma - h))
             ) / (2 * h)
             assert math.hypot(db, dg) < 1e-6
 
-    def test_d_below_two_rejected(self):
-        with pytest.raises(ValidationError):
-            optimal_angle_curve([1])
+    def test_d_below_one_rejected(self):
+        # d = 1 is a model like any other (the --pure-d 1 CLI test); d = 0 is not
+        with pytest.raises(ValidationError, match="needs d >= 1"):
+            pure_d_spec(0)
 
 
 class TestApproximationFactor:
