@@ -185,10 +185,9 @@ class _Outputs:
 
 
 def _grid_csv(betas: np.ndarray, gammas: np.ndarray, values: np.ndarray) -> str:
-    lines = ["beta," + ",".join(repr(float(g)) for g in gammas)]
-    for bi, b in enumerate(betas):
-        row = ",".join(repr(float(v)) for v in values[bi])
-        lines.append(f"{float(b)!r},{row}")
+    lines = ["beta," + ",".join(map(repr, gammas.tolist()))]
+    for b, row in zip(betas.tolist(), values.tolist()):
+        lines.append(f"{b!r}," + ",".join(map(repr, row)))
     return "\n".join(lines) + "\n"
 
 

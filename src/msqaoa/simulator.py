@@ -10,16 +10,32 @@ Two exact identities keep the work per instance small:
   c[mask_S] = n^((1-q)/2) J_S into a 2^n vector and applying the
   unnormalized transform H^{(x)n} gives H(z) at every index.
 * The mixer exp(-i beta sum_k X_k) is (exp(-i beta X))^{(x)n}, another
-  tensor power of a 2x2 gate.  Both are applied by one helper that cuts the
-  index into SLICE_BITS-bit slices and multiplies each slice by the
-  Kronecker power of the gate: ceil(n / SLICE_BITS) matrix products.
+  tensor power of a 2x2 gate.  With S = diag(1, i),
+  exp(-i beta X) = S R_beta S^dagger, where
+  R_beta = [[cos beta, sin beta], [-sin beta, cos beta]] is real.
+  S^{(x)n} = diag(i^popcount(idx)) is diagonal, so it commutes with
+  exp(-i gamma H), and the outer S^{(x)n} drops out of |amplitude|^2:
+  the probabilities are those of R_beta^{(x)n} applied to
+  exp(-i (gamma H(idx) + (pi/2) (popcount(idx) mod 4))) / 2^(n/2).
+  The state is therefore kept as one real (2, 2^n) array [re; im], phased
+  by the cosine and sine of that angle, and every transform is real.  The
+  rows leave out the 2^(-n/2): the sums over probabilities take the exact
+  factor 2^-n instead.
+
+Both gates, the Hadamard for the table and R_beta for the mixer, are
+applied by one helper that cuts the index into SLICE_BITS-bit slices and
+multiplies each slice by the Kronecker power of the gate:
+ceil(n / SLICE_BITS) matrix products.  ``qaoa_state`` multiplies by
+i^popcount(idx) to return the complex amplitudes themselves.
 
 At fixed gamma, <H>(beta) is a trigonometric polynomial of degree at most d
 in 2 beta (each Z_S conjugated by the mixer is a product of |S| <= d factors
 linear in cos 2b and sin 2b).  ``landscape_instance`` therefore applies the
 mixer only at the 2d+1 nodes beta_j = pi j / (2d+1) and obtains every grid
 beta from them by Dirichlet-kernel interpolation, which is exact for such
-polynomials.
+polynomials.  Node beta_0 = 0 is the identity mixer, which leaves the
+uniform distribution: its value is the table's mean over n, with no
+transform.
 """
 
 from __future__ import annotations
@@ -42,7 +58,7 @@ __all__ = [
     "landscape_instance",
 ]
 
-SIM_MAX_N = 24  # 2^24 complex doubles ~ 256 MB
+SIM_MAX_N = 24  # a 2^24-entry state: two real rows, 256 MB
 
 
 def check_size(n: int) -> None:
@@ -55,12 +71,15 @@ SLICE_BITS = 5  # index bits per matrix product; 32x32 factors measured fastest
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]])
 
+# minus the gauge phase (pi/2) k for k = popcount(idx) mod 4
+QUARTER = -0.5 * math.pi * np.arange(4)
 
-def _mixer_gate(beta: float) -> np.ndarray:
-    """exp(-i beta X) on one spin."""
+
+def _rotation(beta: float) -> np.ndarray:
+    """R_beta = S^dagger exp(-i beta X) S on one spin, with S = diag(1, i)."""
     c = math.cos(beta)
-    s = -1j * math.sin(beta)
-    return np.array([[c, s], [s, c]])
+    s = math.sin(beta)
+    return np.array([[c, s], [-s, c]])
 
 
 def _kron_factors(u: np.ndarray, n: int) -> list[np.ndarray]:
@@ -69,15 +88,18 @@ def _kron_factors(u: np.ndarray, n: int) -> list[np.ndarray]:
     Entry [a, b] is prod_i u[a_i, b_i] over the k bits of a and b.  Every
     slice has SLICE_BITS bits except possibly the top one.
     """
-    powers = [np.ones((1, 1), dtype=u.dtype)]
+    powers = [np.ones((1, 1))]
     for _ in range(min(n, SLICE_BITS)):
-        powers.append(np.kron(powers[-1], u))
+        p = powers[-1]
+        m = 2 * len(p)
+        powers.append((p[:, None, :, None] * u[None, :, None, :]).reshape(m, m))
     return [powers[min(SLICE_BITS, n - lo)] for lo in range(0, n, SLICE_BITS)]
 
 
 def _apply_kron(x: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndarray:
     """A new array: the 2x2 gate behind ``factors`` applied to every bit of
-    x's index, one matrix product per slice."""
+    the index along x's last axis, one matrix product per slice."""
+    shape = x.shape
     lo = 0
     for f in factors:
         if lo == 0:
@@ -85,7 +107,7 @@ def _apply_kron(x: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndarray:
         else:
             x = f @ x.reshape(-1, len(f), 1 << lo)
         lo += len(f).bit_length() - 1
-    return x.reshape(-1)
+    return x.reshape(shape)
 
 
 def build_phase_table(instance: ProblemInstance) -> np.ndarray:
@@ -102,26 +124,43 @@ def build_phase_table(instance: ProblemInstance) -> np.ndarray:
     return _apply_kron(values, _kron_factors(HADAMARD, n))
 
 
-def _phased(table: np.ndarray, n: int, gamma: float) -> np.ndarray:
-    """exp(-i gamma H) applied to the uniform state, phased in place in one
-    complex array."""
-    x = -1j * gamma * table
-    np.exp(x, out=x)
-    x *= 2.0 ** (-n / 2)
+def _quarter_turns(n: int) -> np.ndarray:
+    """popcount(idx) mod 4 for idx = 0 .. 2^n - 1."""
+    k = np.zeros(1 << n, dtype=np.uint8)
+    for b in range(n):
+        np.add(k[: 1 << b], 1, out=k[1 << b : 2 << b])
+    k &= 3
+    return k
+
+
+def _phased(table: np.ndarray, turns: np.ndarray, gamma: float) -> np.ndarray:
+    """[re; im] of 2^(n/2) S^dagger^{(x)n} exp(-i gamma H)|+>: rows cos and
+    sin of -(gamma H + (pi/2) turns)."""
+    x = np.empty((2, len(table)))
+    np.take(QUARTER, turns, out=x[0], mode="clip")  # "raise" would buffer
+    np.multiply(table, -gamma, out=x[1])
+    x[1] += x[0]
+    np.cos(x[1], out=x[0])
+    np.sin(x[1], out=x[1])
     return x
 
 
-def _state_from_table(table: np.ndarray, n: int, angles: Angles) -> np.ndarray:
-    # the phased vector goes to _apply_kron as a temporary, so that the first
-    # slice product frees it
-    mixer = _kron_factors(_mixer_gate(angles.beta), n)
-    return _apply_kron(_phased(table, n, angles.gamma), mixer)
+def _evolved(table: np.ndarray, n: int, angles: Angles) -> np.ndarray:
+    """[re; im] of R_beta^{(x)n} applied to the phased vector."""
+    # the gauge and the phased vector are temporaries: the first is freed
+    # once phased, the second by the first slice product
+    mixer = _kron_factors(_rotation(angles.beta), n)
+    return _apply_kron(_phased(table, _quarter_turns(n), angles.gamma), mixer)
 
 
 def qaoa_state(instance: ProblemInstance, angles: Angles) -> np.ndarray:
     """Amplitudes of exp(-i beta B) exp(-i gamma H) applied to the uniform state."""
     require_finite(angles)
-    return _state_from_table(build_phase_table(instance), instance.n, angles)
+    n = instance.n
+    y = _evolved(build_phase_table(instance), n, angles)
+    # S^{(x)n} = diag(i^popcount) undoes the gauge
+    gauge = np.array([1, 1j, -1, -1j]).take(_quarter_turns(n))
+    return gauge * (y[0] + 1j * y[1]) * 2.0 ** (-n / 2)
 
 
 def expectation(
@@ -137,10 +176,13 @@ def expectation(
     require_finite(angles)
     if table is None:
         table = build_phase_table(instance)
-    amp = _state_from_table(table, instance.n, angles)
-    prob = np.abs(amp) ** 2
-    h = float(prob @ table)
-    h2 = float(prob @ (table * table))
+    n = instance.n
+    y = _evolved(table, n, angles)
+    # both rows of 2^n |amplitude|^2, summed by the products with the table
+    weights = np.square(y, out=y)
+    h = float((weights @ table).sum()) * 2.0**-n
+    weights *= table
+    h2 = float((weights @ table).sum()) * 2.0**-n
     return h, h2
 
 
@@ -171,12 +213,16 @@ def landscape_instance(
     n = instance.n
     d = instance.spec.d
     table = build_phase_table(instance)
+    turns = _quarter_turns(n)
     node_betas = math.pi * np.arange(2 * d + 1) / (2 * d + 1)
-    mixers = [_kron_factors(_mixer_gate(float(beta)), n) for beta in node_betas]
+    mixers = [_kron_factors(_rotation(float(beta)), n) for beta in node_betas[1:]]
     node_values = np.empty((2 * d + 1, len(gammas)))
+    # node 0 is beta = 0: the identity mixer leaves the uniform distribution
+    node_values[0] = table.mean() / n
     for gi, gamma in enumerate(gammas):
-        phased = _phased(table, n, float(gamma))
-        for j, factors in enumerate(mixers):
-            amp = _apply_kron(phased, factors)
-            node_values[j, gi] = float(np.abs(amp) ** 2 @ table) / n
+        phased = _phased(table, turns, float(gamma))
+        for j, factors in enumerate(mixers, start=1):
+            y = _apply_kron(phased, factors)
+            # sum over both rows of 2^n |amplitude|^2 H
+            node_values[j, gi] = float((np.square(y, out=y) @ table).sum()) * 2.0**-n / n
     return _interpolation_matrix(betas, node_betas) @ node_values

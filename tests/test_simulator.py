@@ -20,7 +20,8 @@ from msqaoa.simulator import (
     SLICE_BITS,
     _apply_kron,
     _kron_factors,
-    _mixer_gate,
+    _quarter_turns,
+    _rotation,
     build_phase_table,
     expectation,
     landscape_instance,
@@ -97,11 +98,23 @@ class TestKronTransform:
     @pytest.mark.parametrize("gate", ["hadamard", "mixer"])
     def test_matches_tensordot_reference(self, n, gate):
         rng = np.random.default_rng(n)
-        u = HADAMARD if gate == "hadamard" else _mixer_gate(0.61)
+        u = HADAMARD if gate == "hadamard" else _rotation(0.61)
         x = random_vector(rng, n)
         got = _apply_kron(x, _kron_factors(u, n))
         want = tensordot_reference(x, u, n)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+
+    @pytest.mark.parametrize("n", [1, 5, 7, 12])
+    def test_rows_transformed_independently(self, n):
+        # a (2, 2^n) array [re; im] is transformed row by row
+        rng = np.random.default_rng(200 + n)
+        x = rng.standard_normal((2, 1 << n))
+        u = _rotation(-1.1)
+        got = _apply_kron(x, _kron_factors(u, n))
+        assert got.shape == x.shape
+        for row in range(2):
+            want = tensordot_reference(x[row], u, n)
+            np.testing.assert_allclose(got[row], want, rtol=0, atol=1e-13 * np.abs(want).max())
 
     @pytest.mark.parametrize("n", range(1, 14))
     def test_hadamard_twice_is_scaled_identity(self, n):
@@ -163,6 +176,41 @@ class TestPhaseTable:
             assert table[idx] == pytest.approx(want, rel=1e-13, abs=1e-13)
 
 
+def dense_reference_state(instance, angles):
+    """exp(-i beta X) on every spin, as a complex gate applied by
+    ``tensordot_reference``, after exp(-i gamma H)|+> with H from the parity
+    reference: no gauge and no Kronecker factors."""
+    n = instance.n
+    phased = np.exp(-1j * angles.gamma * parity_reference_table(instance)) * 2.0 ** (-n / 2)
+    c, s = math.cos(angles.beta), math.sin(angles.beta)
+    gate = np.array([[c, -1j * s], [-1j * s, c]])
+    return tensordot_reference(phased, gate, n)
+
+
+class TestDenseReference:
+    # the real gauge-rotated state against the complex dense one
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_state_and_expectation(self, n):
+        d = min(n, 3)
+        inst = sample_instance(spec_with_gaps(d), n, 40 + n)
+        table = parity_reference_table(inst)
+        rng = np.random.default_rng(60 + n)
+        for b, g in [(0.0, 0.8), (math.pi / 2, -0.4), *rng.uniform(-2, 2, (4, 2))]:
+            ang = Angles(float(b), float(g))
+            want = dense_reference_state(inst, ang)
+            np.testing.assert_allclose(qaoa_state(inst, ang), want, rtol=0, atol=1e-13)
+            prob = np.abs(want) ** 2
+            h, h2 = expectation(inst, ang)
+            scale = np.abs(table).max()
+            assert abs(h - prob @ table) < 1e-13 * scale
+            assert abs(h2 - prob @ (table * table)) < 1e-13 * scale**2
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    def test_quarter_turns(self, n):
+        want = [bin(idx).count("1") % 4 for idx in range(1 << n)]
+        assert _quarter_turns(n).tolist() == want
+
+
 class TestState:
     def test_identity_angles_give_uniform(self):
         inst = sample_instance(SK, 5, 3)
@@ -187,8 +235,8 @@ class TestState:
         for n in range(1, 14):
             amp = random_vector(rng, n)
             amp /= np.linalg.norm(amp)
-            forward = _apply_kron(amp, _kron_factors(_mixer_gate(0.77), n))
-            out = _apply_kron(forward, _kron_factors(_mixer_gate(-0.77), n))
+            forward = _apply_kron(amp, _kron_factors(_rotation(0.77), n))
+            out = _apply_kron(forward, _kron_factors(_rotation(-0.77), n))
             np.testing.assert_allclose(out, amp, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize(
@@ -286,7 +334,8 @@ class TestLandscape:
     @pytest.mark.parametrize("d", [1, 3])
     def test_mixer_passes_per_gamma(self, d, monkeypatch):
         # the mixer's factors are built once per node and applied once per
-        # node and gamma, whatever the number of betas
+        # node and gamma, whatever the number of betas; node 0 (beta = 0) is
+        # the identity and needs neither
         built, applied = [], []
         real_factors, real_apply = simulator._kron_factors, simulator._apply_kron
 
@@ -305,8 +354,8 @@ class TestLandscape:
         monkeypatch.setattr(simulator, "_apply_kron", apply_spy)
         inst = sample_instance(spec_with_gaps(d), 5, 1)
         landscape_instance(inst, np.linspace(-1, 1, 17), [-0.5, 0.2, 0.9])
-        assert len(built) == 2 * d + 1
-        assert len(applied) == (2 * d + 1) * 3
+        assert len(built) == 2 * d
+        assert len(applied) == 2 * d * 3
 
     def test_deviation_shrinks_with_n(self):
         # per-instance landscapes approach the infinite-size surface
