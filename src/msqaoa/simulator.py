@@ -30,12 +30,23 @@ i^popcount(idx) to return the complex amplitudes themselves.
 
 At fixed gamma, <H>(beta) is a trigonometric polynomial of degree at most d
 in 2 beta (each Z_S conjugated by the mixer is a product of |S| <= d factors
-linear in cos 2b and sin 2b).  ``landscape_instance`` therefore applies the
-mixer only at the 2d+1 nodes beta_j = pi j / (2d+1) and obtains every grid
-beta from them by Dirichlet-kernel interpolation, which is exact for such
-polynomials.  Node beta_0 = 0 is the identity mixer, which leaves the
-uniform distribution: its value is the table's mean over n, with no
-transform.
+linear in cos 2b and sin 2b).  ``landscape_instance`` therefore takes it at
+the 2d+2 nodes beta_k = pi k / (2d+2) per gamma and obtains every grid beta
+from them by Dirichlet-kernel interpolation, which is exact for such
+polynomials.  Three more identities leave d mixer transforms per gamma, up
+to sign, and none at gamma = 0:
+
+* R_{pi/2} = [[0, 1], [-1, 0]] on every spin is a bit flip up to signs, so
+  the probabilities at beta + pi/2 are those at beta at the complemented
+  index, and complementing an n-bit index reverses the table.  Nodes 1..d
+  take one transform each; nodes d+2..2d+1 are the same weights against
+  the reversed table.  Nodes 0 and d+1 (beta = 0 and pi/2) leave the
+  uniform distribution: the table's mean over n, with no transform.
+* The table and |+> are real, so complex conjugation gives
+  <H>(beta, -gamma) = <H>(-beta, gamma): a gamma whose exact negative was
+  already taken reads that gamma's node values at the negated nodes.
+* |+> is an eigenstate of the mixer, so at gamma = 0 every beta gives the
+  table's mean over n.
 """
 
 from __future__ import annotations
@@ -110,6 +121,15 @@ def _apply_kron(x: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndarray:
     return x.reshape(shape)
 
 
+def _scattered(instance: ProblemInstance) -> np.ndarray:
+    """The scaled couplings n^((1-q)/2) J_S at their subset masks (2^n entries)."""
+    n = instance.n
+    values = np.zeros(1 << n)
+    for q, j in enumerate(instance.couplings, start=1):
+        values[(1 << subsets(n, q)).sum(axis=1)] = n ** ((1 - q) / 2) * j
+    return values
+
+
 def build_phase_table(instance: ProblemInstance) -> np.ndarray:
     """values[idx] = H(z) for the basis string encoded by idx (2^n entries).
 
@@ -118,10 +138,8 @@ def build_phase_table(instance: ProblemInstance) -> np.ndarray:
     """
     n = instance.n
     check_size(n)
-    values = np.zeros(1 << n)
-    for q, j in enumerate(instance.couplings, start=1):
-        values[(1 << subsets(n, q)).sum(axis=1)] = n ** ((1 - q) / 2) * j
-    return _apply_kron(values, _kron_factors(HADAMARD, n))
+    # the scattered couplings are a temporary, freed by the first slice product
+    return _apply_kron(_scattered(instance), _kron_factors(HADAMARD, n))
 
 
 def _quarter_turns(n: int) -> np.ndarray:
@@ -186,15 +204,15 @@ def expectation(
     return h, h2
 
 
-def _interpolation_matrix(betas: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+def _interpolation_matrix(betas: np.ndarray, nodes: np.ndarray, d: int) -> np.ndarray:
     """M[i, j] = weight of the value at nodes[j] in the value at betas[i].
 
-    The Dirichlet kernel (1 + 2 sum_{k<=d} cos k x) / (2d+1), with x the
+    The Dirichlet kernel (1 + 2 sum_{k<=d} cos k x) / N, with x the
     difference in 2 beta, reproduces every trigonometric polynomial of degree
-    <= d in 2 beta from its values at the 2d+1 nodes pi j / (2d+1).
+    <= d in 2 beta from its values at N > 2d equispaced nodes pi j / N.
     """
     x = 2.0 * (betas[:, None] - nodes[None, :])
-    k = np.arange(1, len(nodes) // 2 + 1)
+    k = np.arange(1, d + 1)
     return (1.0 + 2.0 * np.cos(x[..., None] * k).sum(axis=-1)) / len(nodes)
 
 
@@ -205,24 +223,36 @@ def landscape_instance(
 ) -> np.ndarray:
     """Per-instance <H>/n over the grid; rows follow beta, columns gamma.
 
-    The mixer runs at the 2d+1 interpolation nodes per gamma, whatever the
-    number of betas (see the module docstring); each node's factor matrices
-    are built once per call.
+    The 2d+2 node values per gamma take d mixer transforms, whatever the
+    number of betas; a gamma whose exact negative came earlier in the grid,
+    a repeated gamma and gamma = 0 take none (see the module docstring).
+    The d mixers' factor matrices are built once per call.
     """
     betas, gammas = require_finite_grid(beta_grid, gamma_grid)
     n = instance.n
     d = instance.spec.d
     table = build_phase_table(instance)
     turns = _quarter_turns(n)
-    node_betas = math.pi * np.arange(2 * d + 1) / (2 * d + 1)
-    mixers = [_kron_factors(_rotation(float(beta)), n) for beta in node_betas[1:]]
-    node_values = np.empty((2 * d + 1, len(gammas)))
-    # node 0 is beta = 0: the identity mixer leaves the uniform distribution
-    node_values[0] = table.mean() / n
-    for gi, gamma in enumerate(gammas):
-        phased = _phased(table, turns, float(gamma))
-        for j, factors in enumerate(mixers, start=1):
-            y = _apply_kron(phased, factors)
-            # sum over both rows of 2^n |amplitude|^2 H
-            node_values[j, gi] = float((np.square(y, out=y) @ table).sum()) * 2.0**-n / n
-    return _interpolation_matrix(betas, node_betas) @ node_values
+    nodes = 2 * d + 2
+    node_betas = math.pi * np.arange(nodes) / nodes
+    mixers = [_kron_factors(_rotation(float(beta)), n) for beta in node_betas[1 : d + 1]]
+    # node -k is node k at -beta, modulo the period pi
+    negated = -np.arange(nodes) % nodes
+    uniform = table.mean() / n
+    columns = {0.0: np.full(nodes, uniform)}  # node values by gamma
+    node_values = np.empty((nodes, len(gammas)))
+    for gi, gamma in enumerate(gammas.tolist()):
+        if gamma not in columns:
+            column = np.full(nodes, uniform)
+            phased = _phased(table, turns, gamma)
+            for j, factors in enumerate(mixers, start=1):
+                weights = _apply_kron(phased, factors)
+                np.square(weights, out=weights)  # both rows of 2^n |amplitude|^2
+                column[j] = float((weights @ table).sum()) * 2.0**-n / n
+                # read at the complemented index: the value at beta + pi/2
+                column[j + d + 1] = float((weights @ table[::-1]).sum()) * 2.0**-n / n
+                del weights  # freed before the next transform allocates
+            columns[gamma] = column
+            columns[-gamma] = column[negated]
+        node_values[:, gi] = columns[gamma]
+    return _interpolation_matrix(betas, node_betas, d) @ node_values

@@ -330,7 +330,8 @@ def _monte_carlo_consistency() -> tuple[bool, dict]:
 def _statevector_consistency() -> tuple[bool, dict]:
     """The transform-built phase table against ``model.cost`` at sampled
     strings, and one interpolated instance landscape against per-point
-    ``expectation``."""
+    ``expectation``: two gammas take the mixer, one is the first's negative
+    and one is zero."""
     n = 10
     samples = 50
     spec = model.make_mixture_spec(3, [0.3, 0.5, 1.0])
@@ -344,7 +345,7 @@ def _statevector_consistency() -> tuple[bool, dict]:
         err = abs(float(table[idx]) - want) / max(abs(want), 1.0)
         table_error = max(table_error, err)
     betas = np.linspace(-1.0, 1.0, 5)
-    gammas = np.linspace(-0.8, 0.8, 3)
+    gammas = np.array([-0.8, 0.0, 0.35, 0.8])
     grid = simulator.landscape_instance(inst, betas, gammas)
     landscape_error = 0.0
     for bi, b in enumerate(betas):

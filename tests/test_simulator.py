@@ -317,7 +317,7 @@ class TestLandscape:
         [
             [-2.1, -0.9, -0.3, 0.0, 0.55, 1.2, 1.9, 3.3],  # well outside [-pi/4, pi/4]
             [0.37],  # one beta
-            [-0.2, 0.6, 2.5],  # fewer betas than the 2d+1 nodes
+            [-0.2, 0.6, 2.5],  # fewer betas than the 2d+2 nodes
         ],
     )
     def test_matches_pointwise_expectation(self, d, betas):
@@ -331,11 +331,57 @@ class TestLandscape:
                 h, _ = expectation(inst, Angles(b, g))
                 assert abs(grid[bi, gi] - h / n) < 1e-12
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            make_mixture_spec(1, [1.0]),
+            spec_with_gaps(4),
+            make_mixture_spec(3, [0.3, 0.5, 1.0]),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "gammas",
+        [
+            [-0.0, 0.4],  # negative zero
+            [0.45, 0.7, -0.45],  # an exactly mirrored pair
+            [0.3, -0.30000000000000004],  # a near-mirrored pair
+            [-1.1, 0.0, 1.1, 0.6],
+        ],
+    )
+    def test_shared_columns_match_pointwise_expectation(self, spec, gammas):
+        n = spec.d + 4
+        inst = sample_instance(spec, n, 5 * spec.d)
+        betas = [-4.0, -1.7, -0.2, 0.9, 1.8, 5.1]  # outside [-pi/2, pi/2]
+        grid = landscape_instance(inst, betas, gammas)
+        for bi, b in enumerate(betas):
+            for gi, g in enumerate(gammas):
+                h, _ = expectation(inst, Angles(b, g))
+                assert abs(grid[bi, gi] - h / n) < 1e-12
+
+    def test_time_reversal(self):
+        # a real table and a real |+>: conjugation maps (beta, gamma) to
+        # (-beta, -gamma) and leaves every expectation unchanged
+        inst = sample_instance(spec_with_gaps(3), 7, 4)
+        rng = np.random.default_rng(19)
+        for b, g in rng.uniform(-2, 2, (6, 2)):
+            forward = expectation(inst, Angles(float(b), float(g)))
+            reversed_ = expectation(inst, Angles(float(-b), float(-g)))
+            np.testing.assert_allclose(forward, reversed_, rtol=0, atol=1e-13)
+
+    def test_quarter_turn_complements_index(self):
+        # R_{pi/2} on every spin is a bit flip up to signs
+        inst = sample_instance(spec_with_gaps(3), 7, 4)
+        rng = np.random.default_rng(20)
+        for b, g in rng.uniform(-2, 2, (6, 2)):
+            weights = np.abs(qaoa_state(inst, Angles(float(b), float(g)))) ** 2
+            turned = np.abs(qaoa_state(inst, Angles(float(b) + math.pi / 2, float(g)))) ** 2
+            np.testing.assert_allclose(turned, weights[::-1], rtol=0, atol=1e-13)
+
     @pytest.mark.parametrize("d", [1, 3])
     def test_mixer_passes_per_gamma(self, d, monkeypatch):
-        # the mixer's factors are built once per node and applied once per
-        # node and gamma, whatever the number of betas; node 0 (beta = 0) is
-        # the identity and needs neither
+        # the d mixers' factors are built once per call and applied once per
+        # gamma whose value or negative has not come before; gamma = 0 and a
+        # mirrored gamma need no transform, whatever the number of betas
         built, applied = [], []
         real_factors, real_apply = simulator._kron_factors, simulator._apply_kron
 
@@ -353,9 +399,12 @@ class TestLandscape:
         monkeypatch.setattr(simulator, "_kron_factors", factors_spy)
         monkeypatch.setattr(simulator, "_apply_kron", apply_spy)
         inst = sample_instance(spec_with_gaps(d), 5, 1)
-        landscape_instance(inst, np.linspace(-1, 1, 17), [-0.5, 0.2, 0.9])
-        assert len(built) == 2 * d
-        assert len(applied) == 2 * d * 3
+        for gammas, computed in [([-0.5, 0.2, 0.9], 3), ([-0.5, 0.0, 0.5], 1)]:
+            built.clear()
+            applied.clear()
+            landscape_instance(inst, np.linspace(-1, 1, 17), gammas)
+            assert len(built) == d
+            assert len(applied) == d * computed
 
     def test_deviation_shrinks_with_n(self):
         # per-instance landscapes approach the infinite-size surface
