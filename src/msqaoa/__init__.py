@@ -11,7 +11,6 @@ from .closed_form import (
     EnergyDerivatives,
     d3_stationarity_residuals,
     energy_derivatives,
-    energy_higher_moment_limit,
     energy_mixture_form,
     energy_pure_d,
     energy_sigma_form,
@@ -45,7 +44,6 @@ from .model import (
 )
 from .optimizer import (
     Optimum,
-    SearchConfig,
     approximation_factor,
     optimize_closed_form,
     pure_d_spec,
@@ -63,7 +61,6 @@ __all__ = [
     "MomentReport",
     "Optimum",
     "ProblemInstance",
-    "SearchConfig",
     "Sketch",
     "__version__",
     "approximation_factor",
@@ -71,7 +68,6 @@ __all__ = [
     "cost",
     "d3_stationarity_residuals",
     "energy_derivatives",
-    "energy_higher_moment_limit",
     "energy_mixture_form",
     "energy_pure_d",
     "energy_sigma_form",

@@ -26,7 +26,6 @@ __all__ = [
     "energy_sigma_grid",
     "energy_mixture_form",
     "energy_pure_d",
-    "energy_higher_moment_limit",
     "EnergyDerivatives",
     "energy_derivatives",
     "StationarityResiduals",
@@ -123,7 +122,9 @@ def energy_sigma_form(spec: MixtureSpec, angles: Angles) -> float:
         for a, coef in _TERMS[q]:
             inner += coef * math.exp(-2 * g * g * a * rate) * s2b**a * c2b ** (q - a)
         total += sig2 * inner
-    return 2 * g * total
+    # not (2 * g) * total: past gamma ~ 9e307, 2 * g is inf where the damping
+    # has made total exactly 0; doubling total is exact, so g * 0 stays 0
+    return g * (2 * total)
 
 
 def energy_sigma_grid(
@@ -160,7 +161,7 @@ def energy_sigma_grid(
             term *= cos_pow[q - a]
             inner += term
         total += sig2 * inner
-    return (2 * gammas) * total
+    return gammas * (2 * total)
 
 
 def energy_mixture_form(xi: MixtureFunction, angles: Angles) -> float:
@@ -169,7 +170,7 @@ def energy_mixture_form(xi: MixtureFunction, angles: Angles) -> float:
     require_finite(angles)
     damp = math.exp(-2 * (angles.gamma * angles.gamma) * xi.xi_prime_at_one())
     w = complex(math.cos(2 * angles.beta), math.sin(2 * angles.beta) * damp)
-    return 2 * angles.gamma * xi.xi(w).imag
+    return angles.gamma * (2 * xi.xi(w).imag)
 
 
 def energy_pure_d(d: int, angles: Angles) -> float:
@@ -183,17 +184,6 @@ def energy_pure_d(d: int, angles: Angles) -> float:
     damp = math.exp(-d * (angles.gamma * angles.gamma))
     w = complex(math.cos(2 * angles.beta), math.sin(2 * angles.beta) * damp)
     return angles.gamma * (w**d).imag
-
-
-def energy_higher_moment_limit(spec: MixtureSpec, angles: Angles, m: int) -> float:
-    """Infinite-n limit of the m-th disorder-averaged moment of H/n.
-
-    All higher moments factorize into powers of the first moment, so this is
-    simply energy_sigma_form(...) ** m.
-    """
-    if m < 1:
-        raise ValidationError(f"moment order must be >= 1, got m={m}")
-    return energy_sigma_form(spec, angles) ** m
 
 
 @dataclass(frozen=True)
@@ -213,8 +203,9 @@ def energy_derivatives(spec: MixtureSpec, angles: Angles) -> EnergyDerivatives:
     xi(x) = sum_q sigma_q^2 x^q / q!, so every derivative is a short
     combination of xi, xi', xi'' at w (one Horner pass) and the derivatives
     of w: w_bb = -4w, and the g derivatives come from D_g = -4 g xi'(1) D.
-    Products are written x*x, so a huge gamma gives inf or NaN entries
-    instead of raising OverflowError.
+    Products are written x*x, so a huge gamma gives inf or NaN gradient and
+    Hessian entries instead of raising OverflowError; the value, g * (2f),
+    stays 0 there.
     """
     _check_degree(spec.d)
     require_finite(angles)
@@ -244,7 +235,7 @@ def energy_derivatives(spec: MixtureSpec, angles: Angles) -> EnergyDerivatives:
     f_bg = (x2 * w_b * w_g + x1 * w_bg).imag
     f_gg = (x2 * w_g * w_g + x1 * w_gg).imag
     return EnergyDerivatives(
-        value=2 * g * f,
+        value=g * (2 * f),
         gradient=(2 * g * f_b, 2 * f + 2 * g * f_g),
         hessian=(2 * g * f_bb, 2 * f_b + 2 * g * f_bg, 4 * f_g + 2 * g * f_gg),
     )

@@ -221,7 +221,11 @@ def _k_table(columns: Sequence, gamma: float, entries: int) -> np.ndarray:
     K = np.zeros(entries)
     g2 = gamma * gamma
     for s2, col in columns:
-        K -= (g2 * s2) * col
+        w = g2 * s2
+        if w < math.inf:
+            K -= w * col
+        else:  # gamma^2 overflowed: e^K(t) is 0 where g_q(t) > 0, never inf * 0
+            K[col != 0] = -math.inf
     return K
 
 
@@ -263,24 +267,17 @@ def _require_real(z: complex, what: str, scale: float = 0.0) -> float:
 
 @dataclass(frozen=True)
 class MomentReport:
-    """First and second disorder-averaged moments of H/n at finite n."""
+    """First and second disorder-averaged moments of H/n at finite n.
+    ``second`` is E_J<H^2>/n^2, so ``variance`` is the total variance of H/n,
+    quantum spread included."""
 
     n: int
     first: float
     second: float
     variance: float
-    method: str
     spec: MixtureSpec
     angles: Angles
     clamped: bool = False
-
-    def to_line(self) -> str:
-        """Single-line record: n first second variance method beta gamma sigmas..."""
-        sig = " ".join(repr(s) for s in self.spec.sigmas)
-        return (
-            f"{self.n} {self.first!r} {self.second!r} {self.variance!r} "
-            f"{self.method} {self.angles.beta!r} {self.angles.gamma!r} {sig}"
-        )
 
 
 def _clamped_variance(first, second) -> tuple[np.ndarray, np.ndarray]:
@@ -296,22 +293,6 @@ def _clamped_variance(first, second) -> tuple[np.ndarray, np.ndarray]:
             )
         variance = np.where(clamped, 0.0, variance)
     return variance, clamped
-
-
-def _finalize_report(
-    n: int, first: float, second: float, method: str, spec: MixtureSpec, angles: Angles
-) -> MomentReport:
-    variance, clamped = _clamped_variance(first, second)
-    return MomentReport(
-        n=n,
-        first=first,
-        second=second,
-        variance=float(variance),
-        method=method,
-        spec=spec,
-        angles=angles,
-        clamped=bool(clamped),
-    )
 
 
 # -- exact block evaluation of the sketch-sum moments -------------------------
@@ -480,7 +461,9 @@ def sketch_moment_grid(
     m2 = np.zeros((len(betas), len(gammas)))
     for i in range(len(blocks2)):
         m2 += g2[i] * f2[:, i, None]
-    second = 2 * _lambda_quadratic(spec, n) - gammas * gammas * m2
+    # not (gammas * gammas) * m2: past |gamma| ~ 1.3e154 gamma^2 is inf where
+    # every e^K(t), and so m2, is 0; the limit is second = 2R
+    second = 2 * _lambda_quadratic(spec, n) - gammas * (gammas * m2)
     variance, clamped = _clamped_variance(first, second)
     return MomentGrid(n, spec, betas, gammas, first, second, variance, clamped)
 
@@ -494,7 +477,6 @@ def sketch_moments(spec: MixtureSpec, angles: Angles, n: int) -> MomentReport:
         first=float(grid.first[0, 0]),
         second=float(grid.second[0, 0]),
         variance=float(grid.variance[0, 0]),
-        method="sketch",
         spec=spec,
         angles=angles,
         clamped=bool(grid.clamped[0, 0]),
@@ -661,7 +643,16 @@ def oracle_moments(spec: MixtureSpec, angles: Angles, n: int) -> MomentReport:
         "oracle second moment",
         2 * r * ek * a0 + g**2 * ek * a2,
     )
-    return _finalize_report(n, first, second, "oracle", spec, angles)
+    variance, clamped = _clamped_variance(first, second)
+    return MomentReport(
+        n=n,
+        first=first,
+        second=second,
+        variance=float(variance),
+        spec=spec,
+        angles=angles,
+        clamped=bool(clamped),
+    )
 
 
 def oracle_mgf(spec: MixtureSpec, angles: Angles, n: int, lam: float) -> complex:

@@ -1,14 +1,16 @@
 """Optimal (beta*, gamma*) for the infinite-size closed-form energy per spin.
 
-A coarse grid scan handles the multimodal beta landscape; a safeguarded
-Newton descent on the closed form's exact gradient and Hessian
+The search is fixed.  A 65x65 grid scan over beta in [-pi/4, pi/4] and
+gamma in +-2/sqrt(xi'(1)) handles the multimodal beta landscape; a
+safeguarded Newton descent on the closed form's exact gradient and Hessian
 (``closed_form.energy_derivatives``) polishes the best cell.  A step is the
 Newton step where the Hessian is positive definite and the negative gradient
 elsewhere, halved until the energy does not increase, so the polish only
-ever descends from the grid value.  The reported optimum is the canonical
-representative of the (+-beta, -+gamma) symmetry pair, with gamma* <= 0 and
-beta* >= 0; it counts as converged when the exact gradient there is below
-1e-7 and the exact Hessian is positive definite.
+ever descends from the grid value; it stops after at most 500 evaluations.
+The reported optimum is the canonical representative of the
+(+-beta, -+gamma) symmetry pair, with gamma* <= 0 and beta* >= 0; it counts
+as converged when the exact gradient there is below 1e-7 and the exact
+Hessian is positive definite.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .errors import ValidationError
 from .model import MixtureSpec
 
 __all__ = [
-    "SearchConfig",
     "Optimum",
     "optimize_closed_form",
     "approximation_factor",
@@ -39,21 +40,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    """Deterministic search settings; identical configs give identical optima."""
-
-    beta_range: tuple[float, float] = (-math.pi / 4, math.pi / 4)
-    gamma_range: Optional[tuple[float, float]] = None  # default +-2/sqrt(xi'(1))
-    grid: tuple[int, int] = (65, 65)
-    refine_budget: int = 500  # bound on the polish's evaluations
+_POLISH_BUDGET = 500  # bound on the polish's evaluations
 
 
 @dataclass(frozen=True)
 class Optimum:
     angles: Angles
     value: float
-    grid_resolution: tuple[int, int]
     grid_value: float = field(repr=False, default=math.nan)
     refinement_iterations: int = 0
     converged: bool = False
@@ -144,34 +137,31 @@ def _newton_polish(
     return x, iterations
 
 
-def optimize_closed_form(
-    spec: MixtureSpec, search: SearchConfig = SearchConfig()
-) -> Optimum:
-    """Minimize the infinite-n energy per spin over (beta, gamma)."""
-    nb, ng = search.grid
-    if nb < 1 or ng < 1:
-        raise ValidationError(f"grid must be non-empty, got {search.grid}")
-    if search.gamma_range is None:
-        rate = damping_rate(spec)
-        if not rate > 0:
-            raise ValidationError(
-                f"the damping rate of sigmas {spec.sigmas} underflows to 0, "
-                "so the default gamma range +-2/sqrt(rate) does not exist"
-            )
-        gmax = 2.0 / math.sqrt(rate)
-        # the closed form decays as exp(-2 g^2 a rate); below a rate of about
-        # 2.2e-308 gmax*gmax overflows and every grid value would come out +-0
-        if not math.isfinite(gmax * gmax * rate):
-            raise ValidationError(
-                f"the damping rate {rate!r} of sigmas {spec.sigmas} is so small "
-                "that g*g*rate overflows on the default gamma range +-2/sqrt(rate)"
-            )
-        gamma_range = (-gmax, gmax)
-    else:
-        gamma_range = search.gamma_range
+def optimize_closed_form(spec: MixtureSpec) -> Optimum:
+    """Minimize the infinite-n energy per spin over (beta, gamma).
 
-    betas = np.linspace(search.beta_range[0], search.beta_range[1], nb)
-    gammas = np.linspace(gamma_range[0], gamma_range[1], ng)
+    Scans the 65x65 grid of beta in [-pi/4, pi/4] and gamma in
+    +-2/sqrt(rate), rate = xi'(1) (``damping_rate``), then polishes the best
+    cell below inf with ``_newton_polish``.  ValidationError when that gamma
+    range cannot be formed in floats.
+    """
+    rate = damping_rate(spec)
+    if not rate > 0:
+        raise ValidationError(
+            f"the damping rate of sigmas {spec.sigmas} underflows to 0, "
+            "so the gamma range +-2/sqrt(rate) does not exist"
+        )
+    gmax = 2.0 / math.sqrt(rate)
+    # the closed form decays as exp(-2 g^2 a rate); below a rate of about
+    # 2.2e-308 gmax*gmax overflows and every grid value would come out +-0
+    if not math.isfinite(gmax * gmax * rate):
+        raise ValidationError(
+            f"the damping rate {rate!r} of sigmas {spec.sigmas} is so small "
+            "that g*g*rate overflows on the gamma range +-2/sqrt(rate)"
+        )
+
+    betas = np.linspace(-math.pi / 4, math.pi / 4, 65)
+    gammas = np.linspace(-gmax, gmax, 65)
     # The first row-major minimum among values below inf, as a strict-< scan
     # from inf keeps it; with no such value, the first cell and inf.
     grid = energy_sigma_grid(spec, betas, gammas)
@@ -180,7 +170,7 @@ def optimize_closed_form(
     grid_best = float(below_inf[bi, gi])
     x0 = (float(betas[bi]), float(gammas[gi]))
 
-    x, iterations = _newton_polish(spec, x0, grid_best, search.refine_budget)
+    x, iterations = _newton_polish(spec, x0, grid_best, _POLISH_BUDGET)
     # Canonicalizing can move beta by pi, which rounds; keep the contract that
     # the reported value never exceeds the grid's.
     angles = _canonical(Angles(*x))
@@ -193,7 +183,6 @@ def optimize_closed_form(
     return Optimum(
         angles=angles,
         value=value,
-        grid_resolution=(nb, ng),
         grid_value=grid_best,
         refinement_iterations=iterations,
         converged=gradient_norm < 1e-7 and _positive_definite(at_optimum),

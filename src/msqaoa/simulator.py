@@ -19,8 +19,9 @@ Two exact identities keep the work per instance small:
   exp(-i (gamma H(idx) + (pi/2) (popcount(idx) mod 4))) / 2^(n/2).
   The state is therefore kept as one real (2, 2^n) array [re; im], phased
   by the cosine and sine of that angle, and every transform is real.  The
-  rows leave out the 2^(-n/2): the sums over probabilities take the exact
-  factor 2^-n instead.
+  rows leave out the 2^(-n/2): the squared rows are added into one row of
+  probabilities, whose dot products with the table take the exact factor
+  2^-n instead.
 
 Both gates, the Hadamard for the table and R_beta for the mixer, are
 applied by one helper that cuts the index into SLICE_BITS-bit slices and
@@ -39,7 +40,7 @@ to sign, and none at gamma = 0:
 * R_{pi/2} = [[0, 1], [-1, 0]] on every spin is a bit flip up to signs, so
   the probabilities at beta + pi/2 are those at beta at the complemented
   index, and complementing an n-bit index reverses the table.  Nodes 1..d
-  take one transform each; nodes d+2..2d+1 are the same weights against
+  take one transform each; nodes d+2..2d+1 are the same probabilities against
   the reversed table.  Nodes 0 and d+1 (beta = 0 and pi/2) leave the
   uniform distribution: the table's mean over n, with no transform.
 * The table and |+> are real, so complex conjugation gives
@@ -181,6 +182,14 @@ def qaoa_state(instance: ProblemInstance, angles: Angles) -> np.ndarray:
     return gauge * (y[0] + 1j * y[1]) * 2.0 ** (-n / 2)
 
 
+def _probabilities(y: np.ndarray) -> np.ndarray:
+    """2^n |amplitude|^2 from the [re; im] rows of y, in y's first row: both
+    rows squared in place, the second added into the first."""
+    np.square(y, out=y)
+    y[0] += y[1]
+    return y[0]
+
+
 def expectation(
     instance: ProblemInstance,
     angles: Angles,
@@ -195,12 +204,10 @@ def expectation(
     if table is None:
         table = build_phase_table(instance)
     n = instance.n
-    y = _evolved(table, n, angles)
-    # both rows of 2^n |amplitude|^2, summed by the products with the table
-    weights = np.square(y, out=y)
-    h = float((weights @ table).sum()) * 2.0**-n
-    weights *= table
-    h2 = float((weights @ table).sum()) * 2.0**-n
+    p = _probabilities(_evolved(table, n, angles))
+    h = float(p @ table) * 2.0**-n
+    p *= table
+    h2 = float(p @ table) * 2.0**-n
     return h, h2
 
 
@@ -246,12 +253,11 @@ def landscape_instance(
             column = np.full(nodes, uniform)
             phased = _phased(table, turns, gamma)
             for j, factors in enumerate(mixers, start=1):
-                weights = _apply_kron(phased, factors)
-                np.square(weights, out=weights)  # both rows of 2^n |amplitude|^2
-                column[j] = float((weights @ table).sum()) * 2.0**-n / n
+                p = _probabilities(_apply_kron(phased, factors))
+                column[j] = float(p @ table) * 2.0**-n / n
                 # read at the complemented index: the value at beta + pi/2
-                column[j + d + 1] = float((weights @ table[::-1]).sum()) * 2.0**-n / n
-                del weights  # freed before the next transform allocates
+                column[j + d + 1] = float(p @ table[::-1]) * 2.0**-n / n
+                del p  # freed before the next transform allocates
             columns[gamma] = column
             columns[-gamma] = column[negated]
         node_values[:, gi] = columns[gamma]

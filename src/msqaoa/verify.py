@@ -304,25 +304,36 @@ def _concentration() -> tuple[bool, dict]:
 
 
 def _monte_carlo_consistency() -> tuple[bool, dict]:
+    """Instance means of <H>/n and <H^2>/n^2 against ``first`` and ``second``
+    (3 standard errors each), and the sample variance of <H>/n at most
+    ``variance``, which adds the quantum spread to it (Jensen)."""
     instances = 400
     n = 12
     spec = _sk_spec()
     ang = closed_form.Angles(*SK_TARGET_ANGLES)
-    vals = np.empty(instances)
+    vals = np.empty((2, instances))
     for seed in range(instances):
         inst = model.sample_instance(spec, n, seed)
-        h, _ = simulator.expectation(inst, ang)
-        vals[seed] = h / n
-    exact = finite_n.sketch_moments(spec, ang, n).first
-    se = float(vals.std(ddof=1)) / math.sqrt(instances)
-    z = abs(float(vals.mean()) - exact) / se
-    return z < 3.0, {
+        h, h2 = simulator.expectation(inst, ang)
+        vals[:, seed] = h / n, h2 / (n * n)
+    exact = finite_n.sketch_moments(spec, ang, n)
+    means = vals.mean(axis=1)
+    se = vals.std(axis=1, ddof=1) / math.sqrt(instances)
+    z = np.abs(means - (exact.first, exact.second)) / se
+    spread = float(vals[0].var(ddof=1))
+    return bool((z < 3.0).all()) and spread <= exact.variance, {
         "instances": instances,
         "n": n,
-        "mc_mean": float(vals.mean()),
-        "exact_first": exact,
-        "standard_error": se,
-        "z_score": z,
+        "mc_mean": float(means[0]),
+        "exact_first": exact.first,
+        "standard_error": float(se[0]),
+        "z_score": float(z[0]),
+        "mc_mean_second": float(means[1]),
+        "exact_second": exact.second,
+        "standard_error_second": float(se[1]),
+        "z_score_second": float(z[1]),
+        "mc_variance": spread,
+        "exact_variance": exact.variance,
         "tolerance_sigma": 3.0,
     }
 

@@ -373,6 +373,20 @@ class TestLandscapeCommand:
         assert code == 2
         assert list(tmp_path.glob("*.csv")) == []
 
+    def test_huge_finite_gamma_writes_no_nan(self, tmp_path, capsys):
+        # at gamma = 1e308 both 2 gamma and gamma^2 overflow; the energy and
+        # the finite-n moments damp to 0 there
+        argv = ["landscape", "--sk", "--mode", "infinite", "--mode", "finite:10",
+                "--beta=0:0.5:2", "--gamma=0:1e308:3", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+        for name in ("landscape_sk_infinite.csv", "landscape_sk_finite_n10.csv"):
+            assert "nan" not in (tmp_path / name).read_text()
+            _, gammas, rows = read_grid(tmp_path / name)
+            assert gammas[-1] == 1e308 and [row[-1] for row in rows] == [0.0, 0.0]
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["health"]["clamped_variances"] == {"landscape_sk_finite_n10.csv": 0}
+
     def test_numerical_self_check_exit_code(self, tmp_path, capsys, monkeypatch):
         # injected fault: the lambda^2 weight R short by 1 gives a negative
         # variance; the infinite grid written first must be removed with the rest

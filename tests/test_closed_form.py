@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from msqaoa.closed_form import (
     Angles,
     d3_stationarity_residuals,
     energy_derivatives,
-    energy_higher_moment_limit,
     energy_mixture_form,
     energy_pure_d,
     energy_sigma_form,
@@ -276,23 +276,6 @@ class TestStationarity:
         assert res.r2 is not None
 
 
-class TestHigherMoments:
-    def test_m1_identity(self):
-        ang = Angles(0.4, -0.8)
-        assert energy_higher_moment_limit(SK, ang, 1) == energy_sigma_form(SK, ang)
-
-    def test_m2_sk_value(self):
-        got = energy_higher_moment_limit(SK, SK_OPT, 2)
-        assert got == pytest.approx(0.091970, abs=1e-6)
-
-    def test_m3_gamma_zero(self):
-        assert energy_higher_moment_limit(SK, Angles(0.7, 0.0), 3) == 0.0
-
-    def test_nonpositive_m(self):
-        with pytest.raises(ValidationError, match=r"moment order must be >= 1"):
-            energy_higher_moment_limit(SK, SK_OPT, 0)
-
-
 NON_FINITE = [math.nan, math.inf, -math.inf]
 NON_FINITE_ANGLES = [Angles(v, 0.3) for v in NON_FINITE] + [
     Angles(0.2, v) for v in NON_FINITE
@@ -306,11 +289,6 @@ class TestNonFiniteAngles:
             energy_sigma_form(D3, ang)
 
     @pytest.mark.parametrize("ang", NON_FINITE_ANGLES)
-    def test_higher_moment_limit(self, ang):
-        with pytest.raises(ValidationError):
-            energy_higher_moment_limit(D3, ang, 2)
-
-    @pytest.mark.parametrize("ang", NON_FINITE_ANGLES)
     def test_mixture_and_pure_forms_and_derivatives(self, ang):
         with pytest.raises(ValidationError):
             energy_mixture_form(D3.mixture_function(), ang)
@@ -321,14 +299,19 @@ class TestNonFiniteAngles:
 
 
 class TestHugeGamma:
-    @pytest.mark.parametrize("gamma", [1e200, -1e200])
+    @pytest.mark.parametrize(
+        "gamma", [1e200, -1e200, 1e308, -1e308, sys.float_info.max, -sys.float_info.max]
+    )
     def test_every_form_damps_to_zero(self, gamma):
-        # gamma^2 overflows to inf, so the damping is exactly 0 and so is E
+        # gamma^2 overflows to inf, so the damping is exactly 0 and so is E;
+        # past 9e307 so does 2 gamma, which the forms never form
         spec = make_mixture_spec(3, [0.3, 0.5, 1.0])
         ang = Angles(0.3, gamma)
         assert energy_pure_d(2, ang) == 0.0
         assert energy_mixture_form(spec.mixture_function(), ang) == 0.0
         assert energy_sigma_form(spec, ang) == 0.0
+        assert energy_derivatives(spec, ang).value == 0.0
+        assert (energy_sigma_grid(spec, [0.3, -1.1], [gamma, 0.5])[:, 0] == 0.0).all()
 
 
 def _derivative_specs():

@@ -15,7 +15,8 @@ from msqaoa.closed_form import Angles, damping_rate, energy_sigma_form, energy_s
 from msqaoa.errors import CapExceededError, NumericalError, ValidationError
 from msqaoa.finite_n import (
     Sketch,
-    _finalize_report,
+    _clamped_variance,
+    _lambda_quadratic,
     _require_real,
     a_factor,
     b_factor,
@@ -333,23 +334,10 @@ class TestMoments:
         with pytest.raises(CapExceededError, match=r"oracle enumerates 4\^n pairs"):
             oracle_moments(SK, Angles(0.3, 0.4), 15)
 
-    def test_report_line_format(self):
-        rep = sketch_moments(SK, Angles(0.3, 0.4), 6)
-        fields = rep.to_line().split()
-        assert fields[0] == "6"
-        assert float(fields[1]) == rep.first
-        assert float(fields[2]) == rep.second
-        assert float(fields[3]) == rep.variance
-        assert fields[4] == "sketch"
-        assert float(fields[5]) == 0.3 and float(fields[6]) == 0.4
-        assert [float(v) for v in fields[7:]] == [0.0, 1.0]
-
     def test_report_line_numbers_parse_for_both_methods(self):
         ang = Angles(0.3, -0.4)
         for fn in (sketch_moments, oracle_moments):
             rep = fn(MIX3, ang, 6)
-            fields = rep.to_line().split()
-            assert [float(v) for v in fields[1:4]] == [rep.first, rep.second, rep.variance]
             assert all(type(v) is float for v in (rep.first, rep.second, rep.variance))
 
     def test_k_table_sizes(self, monkeypatch):
@@ -396,14 +384,32 @@ class TestNonFiniteAngles:
             generating_function(SK, ang, 8, 0.5)
 
 
+class TestHugeGamma:
+    """Past |gamma| ~ 1.3e154 gamma^2 overflows and every e^K(t) is 0, so
+    first is 0 and second is its limit 2R, finite, like the variance."""
+
+    @pytest.mark.parametrize("gamma", [1e200, -1e200, 1e308, -1e308])
+    @pytest.mark.parametrize("spec", [MIX3, pure_d_spec(2), pure_d_spec(3)])
+    def test_moments_are_finite(self, spec, gamma):
+        for n in (2, 3, 10):
+            rep = sketch_moments(spec, Angles(0.3, gamma), n)
+            assert rep.first == 0.0 and not rep.clamped
+            assert rep.second == 2 * _lambda_quadratic(spec, n) == rep.variance
+            grid = sketch_moment_grid(spec, [0.3, -1.1, 0.0], [gamma, 0.5], n)
+            for values in (grid.first, grid.second, grid.variance):
+                assert np.isfinite(values).all()
+            assert (grid.second[:, 0] == rep.second).all()
+            assert not grid.clamped.any()
+
+
 class TestReportGuards:
     def test_variance_clamp(self):
-        rep = _finalize_report(4, 1.0, 1.0 - 5e-11, "sketch", SK, Angles(0.1, 0.1))
-        assert rep.variance == 0.0 and rep.clamped
+        variance, clamped = _clamped_variance(1.0, 1.0 - 5e-11)
+        assert variance == 0.0 and clamped
 
     def test_variance_error(self):
         with pytest.raises(NumericalError, match=r"below the -1e-10 allowance"):
-            _finalize_report(4, 1.0, 1.0 - 1e-8, "sketch", SK, Angles(0.1, 0.1))
+            _clamped_variance(1.0, 1.0 - 1e-8)
 
     def test_grid_variance_clamp_is_per_point(self):
         first = np.array([[1.0, 1.0, 0.5]])

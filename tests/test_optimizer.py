@@ -17,7 +17,6 @@ from msqaoa.closed_form import (
 from msqaoa.errors import ValidationError
 from msqaoa.model import make_mixture_spec
 from msqaoa.optimizer import (
-    SearchConfig,
     approximation_factor,
     optimize_closed_form,
     pure_d_spec,
@@ -56,22 +55,7 @@ class TestOptimize:
         assert opt.value == energy_sigma_form(D3, opt.angles)
 
     def test_determinism(self):
-        cfg = SearchConfig(grid=(33, 33))
-        assert optimize_closed_form(SK, cfg) == optimize_closed_form(SK, cfg)
-
-    def test_gamma_half_space_starts_agree(self):
-        # searching only gamma > 0 or only gamma < 0 lands on the same
-        # canonical optimum thanks to the (beta, gamma) -> (-beta, -gamma)
-        # symmetry
-        pos = optimize_closed_form(SK, SearchConfig(gamma_range=(0.05, 2.0)))
-        neg = optimize_closed_form(SK, SearchConfig(gamma_range=(-2.0, -0.05)))
-        assert pos.value == pytest.approx(neg.value, abs=1e-9)
-        assert pos.angles.beta == pytest.approx(neg.angles.beta, abs=1e-5)
-        assert pos.angles.gamma == pytest.approx(neg.angles.gamma, abs=1e-5)
-
-    def test_empty_grid(self):
-        with pytest.raises(ValidationError, match=r"grid must be non-empty"):
-            optimize_closed_form(SK, SearchConfig(grid=(0, 5)))
+        assert optimize_closed_form(SK) == optimize_closed_form(SK)
 
     def test_gradient_at_optimum(self):
         opt = optimize_closed_form(SK)
@@ -88,26 +72,42 @@ class TestOptimize:
         assert math.hypot(db, dg) < 1e-7
 
 
-def reference_scan(spec, search=SearchConfig()):
+def reference_scan(spec, value=None):
     """The coarse scan point by point: (grid_best, x0) of a strict-< scan
-    from inf in row-major order."""
-    nb, ng = search.grid
-    if search.gamma_range is None:
-        gmax = 2.0 / math.sqrt(damping_rate(spec))
-        gamma_range = (-gmax, gmax)
-    else:
-        gamma_range = search.gamma_range
-    betas = np.linspace(search.beta_range[0], search.beta_range[1], nb)
-    gammas = np.linspace(gamma_range[0], gamma_range[1], ng)
+    from inf in row-major order over the 65 betas in [-pi/4, pi/4] and 65
+    gammas in +-2/sqrt(rate), of ``value(bi, gi)``, by default the energy."""
+    gmax = 2.0 / math.sqrt(damping_rate(spec))
+    betas = np.linspace(-math.pi / 4, math.pi / 4, 65)
+    gammas = np.linspace(-gmax, gmax, 65)
+    if value is None:
+        def value(bi, gi):
+            return energy_sigma_form(spec, Angles(float(betas[bi]), float(gammas[gi])))
     grid_best = math.inf
     x0 = np.array([betas[0], gammas[0]])
-    for b in betas:
-        for g in gammas:
-            v = energy_sigma_form(spec, Angles(float(b), float(g)))
+    for bi, b in enumerate(betas):
+        for gi, g in enumerate(gammas):
+            v = value(bi, gi)
             if v < grid_best:
                 grid_best = v
                 x0 = np.array([b, g])
     return grid_best, x0
+
+
+def _scan_sees(monkeypatch, grid):
+    """Make the optimizer's scan see ``grid`` in place of the energies."""
+    monkeypatch.setattr(optimizer, "energy_sigma_grid", lambda *args: grid.copy())
+
+
+def _ties_and_nan_grids():
+    """Value grids for the scan: all +0.0, all -0.0, a minimum tied at
+    three cells among signed zeros, a NaN column that np.argmin would
+    pick, all NaN."""
+    ties = np.where(np.random.default_rng(5).random((65, 65)) < 0.5, 0.0, -0.0)
+    ties[3, 5] = ties[3, 7] = ties[10, 2] = -1.0
+    nan_column = np.random.default_rng(6).uniform(-1.0, 1.0, (65, 65))
+    nan_column[:, 2] = math.nan
+    return [np.zeros((65, 65)), np.full((65, 65), -0.0), ties, nan_column,
+            np.full((65, 65), math.nan)]
 
 
 def _seeded_mixtures(count=5, seed=3):
@@ -127,7 +127,7 @@ class TestGridScan:
     per-point scan, so the polish and the optimum are unchanged."""
 
     @staticmethod
-    def run_with_start(monkeypatch, spec, search=SearchConfig()):
+    def run_with_start(monkeypatch, spec):
         starts = []
         real = optimizer._newton_polish
 
@@ -136,7 +136,7 @@ class TestGridScan:
             return real(spec, x0, *args)
 
         monkeypatch.setattr(optimizer, "_newton_polish", recording)
-        opt = optimize_closed_form(spec, search)
+        opt = optimize_closed_form(spec)
         [x0] = starts
         return opt, x0
 
@@ -152,19 +152,12 @@ class TestGridScan:
         assert opt.value <= opt.grid_value
         assert opt.value == energy_sigma_form(spec, opt.angles)
 
-    @pytest.mark.parametrize(
-        "search",
-        [
-            SearchConfig(grid=(9, 5), gamma_range=(0.0, 0.0)),  # all +-0.0
-            SearchConfig(grid=(9, 5), gamma_range=(-0.0, -0.0)),
-            SearchConfig(grid=(1, 1), gamma_range=(0.3, 0.3)),
-            SearchConfig(grid=(5, 3), gamma_range=(0.5, 1.7e308)),  # a NaN column
-            SearchConfig(grid=(4, 4), gamma_range=(1e308, 1.5e308)),  # all NaN
-        ],
-    )
+    @pytest.mark.parametrize("search", _ties_and_nan_grids())
     def test_ties_signed_zeros_and_nan(self, monkeypatch, search):
-        opt, x0 = self.run_with_start(monkeypatch, D3, search)
-        grid_best, ref_x0 = reference_scan(D3, search)
+        # ``search`` is the value grid the scan sees
+        _scan_sees(monkeypatch, search)
+        opt, x0 = self.run_with_start(monkeypatch, D3)
+        grid_best, ref_x0 = reference_scan(D3, lambda bi, gi: float(search[bi, gi]))
         assert [repr(v) for v in x0] == [repr(v) for v in ref_x0]
         assert repr(opt.grid_value) == repr(grid_best)
 
@@ -178,9 +171,8 @@ class TestGridScan:
             return real(spec, angles)
 
         monkeypatch.setattr(optimizer, "energy_sigma_form", counted)
-        search = SearchConfig()
-        optimize_closed_form(make_mixture_spec(3, [0.3, 0.5, 1.0]), search)
-        assert 0 < calls <= search.refine_budget + 7
+        optimize_closed_form(make_mixture_spec(3, [0.3, 0.5, 1.0]))
+        assert 0 < calls <= optimizer._POLISH_BUDGET + 7
 
 
 class TestGradientNorm:
@@ -188,8 +180,9 @@ class TestGradientNorm:
         opt = optimize_closed_form(SK)
         assert opt.converged and 0 <= opt.gradient_norm < 1e-7
 
-    def test_recorded_when_the_simplex_stops_early(self):
-        opt = optimize_closed_form(D3, SearchConfig(refine_budget=5))
+    def test_recorded_when_the_simplex_stops_early(self, monkeypatch):
+        monkeypatch.setattr(optimizer, "_POLISH_BUDGET", 5)
+        opt = optimize_closed_form(D3)
         assert not opt.converged
         assert math.isfinite(opt.gradient_norm) and opt.gradient_norm > 1e-7
 
@@ -208,7 +201,7 @@ def test_underflowing_damping_rate_rejected():
 
 @pytest.mark.parametrize("sigmas", [[1e-160], [0.0, 2e-155], [1e-154]])
 def test_tiny_damping_rate_rejected(sigmas):
-    # below a rate of about 2.2e-308 (1e-320 here at most) the default gamma
+    # below a rate of about 2.2e-308 (1e-320 here at most) the gamma
     # range +-2/sqrt(rate) reaches up to +-2e160, where g*g overflows
     spec = make_mixture_spec(len(sigmas), sigmas)
     assert 0 < damping_rate(spec) < 2.3e-308
@@ -245,19 +238,17 @@ class TestNewtonPolish:
             opt = optimize_closed_form(spec)
             assert opt.converged and opt.refinement_iterations >= 1
 
-    def test_overflowing_gamma_range_is_not_converged(self):
-        # g*g overflows over most of the range, so every grid value is +-0
-        opt = optimize_closed_form(SK, SearchConfig(gamma_range=(-1e200, 1e200)))
-        assert not opt.converged
-
     @pytest.mark.parametrize(
-        "search",
-        [
-            SearchConfig(grid=(5, 3), gamma_range=(0.5, 1.7e308)),
-            SearchConfig(grid=(4, 4), gamma_range=(1e308, 1.5e308)),
-        ],
+        "search", [np.full((65, 65), math.nan), np.full((65, 65), math.inf)]
     )
     def test_never_evaluates_a_non_finite_point(self, monkeypatch, search):
+        # The scan finds no value below inf, so the first step, to gamma =
+        # -max float, is accepted; every later trial point overflows to -inf
+        # until the halved step no longer moves gamma.
+        _scan_sees(monkeypatch, search)
+        monkeypatch.setattr(
+            optimizer, "_descent_direction", lambda der: (0.0, -sys.float_info.max)
+        )
         points = []
 
         def spy(name):
@@ -271,8 +262,9 @@ class TestNewtonPolish:
 
         for name in ("energy_sigma_form", "energy_derivatives"):
             monkeypatch.setattr(optimizer, name, spy(name))
-        optimize_closed_form(D3, search)
+        optimize_closed_form(D3)
         assert points and all(math.isfinite(v) for p in points for v in p)
+        assert min(g for _, g in points) == -sys.float_info.max
 
     def test_budget_bounds_evaluations(self, monkeypatch):
         calls = 0
@@ -286,7 +278,8 @@ class TestNewtonPolish:
         monkeypatch.setattr(optimizer, "energy_derivatives", counted)
         for budget in (1, 2, 3, 7):
             calls = 0
-            opt = optimize_closed_form(D3, SearchConfig(refine_budget=budget))
+            monkeypatch.setattr(optimizer, "_POLISH_BUDGET", budget)
+            opt = optimize_closed_form(D3)
             # the polish's evaluations plus one at the reported angles
             assert opt.refinement_iterations == calls - 1 <= budget
 

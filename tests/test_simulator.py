@@ -1,10 +1,11 @@
+import dataclasses
 import math
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from msqaoa import simulator, verify
+from msqaoa import finite_n, simulator, verify
 from msqaoa.closed_form import Angles, energy_sigma_form
 from msqaoa.errors import CapExceededError, ValidationError
 from msqaoa.finite_n import sketch_moments
@@ -452,3 +453,22 @@ class TestVerifyCheck:
         real = simulator.build_phase_table
         monkeypatch.setattr(simulator, "build_phase_table", lambda inst: real(inst) + 1e-9)
         assert not verify.run_check("statevector_consistency").passed
+
+    def test_monte_carlo_consistency_checks_second(self):
+        res = verify.run_check("monte_carlo_consistency")
+        assert res.passed, res.details
+        assert res.details["z_score_second"] < 3.0
+        assert res.details["mc_variance"] <= res.details["exact_variance"]
+
+    def test_corrupted_second_fails(self, monkeypatch):
+        # negative control: second 6% high must trip the check (a 1% offset
+        # is within its sampling noise); first and variance stay true
+        real = finite_n.sketch_moments
+
+        def corrupted(*args):
+            rep = real(*args)
+            return dataclasses.replace(rep, second=rep.second * 1.06)
+
+        monkeypatch.setattr(finite_n, "sketch_moments", corrupted)
+        res = verify.run_check("monte_carlo_consistency")
+        assert not res.passed and res.details["z_score"] < 3.0
