@@ -6,6 +6,8 @@ form 2*gamma*Im[xi(cos(2b) + i sin(2b) exp(-2 g^2 xi'(1)))]
 (``energy_mixture_form``).  Their agreement to ~1e-12 relative is one of the
 package's standing cross-checks.  ``energy_derivatives`` adds the exact
 gradient and Hessian of the complex form, for the optimizer's Newton polish.
+``Angles`` refuses NaN and +-inf, so no per-point form checks its angles; the
+grid form checks its axes with ``require_finite_grid``.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ __all__ = [
     "energy_derivatives",
     "StationarityResiduals",
     "d3_stationarity_residuals",
-    "require_finite",
     "require_finite_grid",
 ]
 
@@ -41,32 +42,27 @@ MAX_DEGREE = 20
 
 @dataclass(frozen=True)
 class Angles:
-    """A (beta, gamma) parameter pair, in radians.
+    """A (beta, gamma) parameter pair, in radians, both finite: NaN or +-inf
+    raises ValidationError, also through ``dataclasses.replace``, so no entry
+    point that takes an ``Angles`` checks its angles again.
 
     The energy is pi-periodic in beta (all dependence is through sin(2b),
     cos(2b)); the canonical representative has beta in (-pi/2, pi/2].
-    gamma is unrestricted.
+    gamma is otherwise unrestricted.
     """
 
     beta: float
     gamma: float
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.beta) and math.isfinite(self.gamma)):
+            raise ValidationError(f"angles must be finite, got {self}")
 
     def canonical(self) -> "Angles":
         beta = self.beta - math.pi * math.floor(self.beta / math.pi + 0.5)
         if beta == -math.pi / 2:
             beta = math.pi / 2
         return Angles(beta, self.gamma)
-
-
-def require_finite(angles: Angles) -> None:
-    """Raise ValidationError unless both angles are finite.
-
-    Called by every per-point entry point (the closed forms, the finite-n
-    moments and the statevector), which would otherwise return NaN or raise
-    a bare math error.  ``Angles`` itself does not check.
-    """
-    if not (math.isfinite(angles.beta) and math.isfinite(angles.gamma)):
-        raise ValidationError(f"angles must be finite, got {angles}")
 
 
 def require_finite_grid(
@@ -108,7 +104,6 @@ _TERMS = tuple(
 def energy_sigma_form(spec: MixtureSpec, angles: Angles) -> float:
     """Infinite-n disorder-averaged energy per spin, explicit degree sum."""
     _check_degree(spec.d)
-    require_finite(angles)
     s2b = math.sin(2 * angles.beta)
     c2b = math.cos(2 * angles.beta)
     g = angles.gamma
@@ -167,7 +162,6 @@ def energy_sigma_grid(
 def energy_mixture_form(xi: MixtureFunction, angles: Angles) -> float:
     """Infinite-n energy per spin via the complex mixture-function form."""
     _check_degree(xi.d)
-    require_finite(angles)
     damp = math.exp(-2 * (angles.gamma * angles.gamma) * xi.xi_prime_at_one())
     w = complex(math.cos(2 * angles.beta), math.sin(2 * angles.beta) * damp)
     return angles.gamma * (2 * xi.xi(w).imag)
@@ -180,7 +174,6 @@ def energy_pure_d(d: int, angles: Angles) -> float:
     gamma * Im[(cos(2b) + i sin(2b) exp(-d g^2))^d].
     """
     _check_degree(d)
-    require_finite(angles)
     damp = math.exp(-d * (angles.gamma * angles.gamma))
     w = complex(math.cos(2 * angles.beta), math.sin(2 * angles.beta) * damp)
     return angles.gamma * (w**d).imag
@@ -208,7 +201,6 @@ def energy_derivatives(spec: MixtureSpec, angles: Angles) -> EnergyDerivatives:
     stays 0 there.
     """
     _check_degree(spec.d)
-    require_finite(angles)
     b, g = angles.beta, angles.gamma
     rate = damping_rate(spec)
     c, s = math.cos(2 * b), math.sin(2 * b)

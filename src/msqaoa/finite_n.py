@@ -53,7 +53,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .closed_form import Angles, require_finite, require_finite_grid
+from .closed_form import Angles, require_finite_grid
 from .errors import CapExceededError, NumericalError, ValidationError
 from .model import MixtureSpec
 
@@ -201,10 +201,11 @@ def f_q_abc(q: int) -> dict[tuple[int, int, int], Fraction]:
 
 
 def _g_columns(spec: MixtureSpec, n: int, entries: int) -> list:
-    """(sigma_q^2, g_q(t) / (2 n^(q-1)) for t < entries) for each q <= min(d, n)
-    with sigma_q != 0: the part of the K table that does not depend on gamma.
-    Each weight is one correctly rounded int / int division, which stays
-    finite at any n because the quotient is O(1) for t <= 2d."""
+    """(sigma_q^2, g_q(t) / (2 n^(q-1)) for t < entries, reach) for each q <=
+    min(d, n) with sigma_q != 0: the part of the K table that does not depend
+    on gamma.  Each weight is one correctly rounded int / int division, O(1)
+    for t <= 2d at any n.  reach is 2 x column count x largest weight: while
+    gamma^2 sigma_q^2 reach is finite, no column product or sum overflows."""
     columns = []
     for q in range(1, min(spec.d, n) + 1):
         s2 = spec.sigmas[q - 1] ** 2
@@ -212,7 +213,7 @@ def _g_columns(spec: MixtureSpec, n: int, entries: int) -> list:
             continue
         scale = 2 * n ** (q - 1)
         columns.append((s2, np.array([g_q(q, t, n) / scale for t in range(entries)])))
-    return columns
+    return [(s2, col, 2.0 * len(columns) * float(col.max())) for s2, col in columns]
 
 
 def _k_table(columns: Sequence, gamma: float, entries: int) -> np.ndarray:
@@ -220,11 +221,11 @@ def _k_table(columns: Sequence, gamma: float, entries: int) -> np.ndarray:
     from the ``_g_columns(spec, n, entries)`` of the model."""
     K = np.zeros(entries)
     g2 = gamma * gamma
-    for s2, col in columns:
+    for s2, col, reach in columns:
         w = g2 * s2
-        if w < math.inf:
+        if w * reach < math.inf:
             K -= w * col
-        else:  # gamma^2 overflowed: e^K(t) is 0 where g_q(t) > 0, never inf * 0
+        else:  # e^K(t) is 0 where g_q(t) > 0; no array overflow, never inf * 0
             K[col != 0] = -math.inf
     return K
 
@@ -494,7 +495,6 @@ def generating_function(spec: MixtureSpec, angles: Angles, n: int, lam: float) -
     value is the squared state norm, 1.
     """
     n = _check_n(n, ORACLE_MAX_N, "the oracle checks the direct sketch sum only up to there")
-    require_finite(angles)
     if lam == 0.0 and angles.gamma == 0.0:
         # the exponent vanishes for every sketch and the sum telescopes to 1
         return 1.0 + 0.0j
@@ -502,17 +502,20 @@ def generating_function(spec: MixtureSpec, angles: Angles, n: int, lam: float) -
     sc, c2, s2 = sb * cb, cb * cb, sb * sb
     phi_int, den = _phi_integers(spec, n, n)
     phi = [v / den for v in phi_int]
-    K = _k_table(_g_columns(spec, n, n + 1), angles.gamma, n + 1)
-    glam = angles.gamma * lam
+    # k(t) = K(t) / gamma^2 <= 0: each term's damping and e^(-gamma lam P) are
+    # one exponent gamma (gamma k(t) - lam P), -inf where a huge gamma overflows
+    k = _k_table(_g_columns(spec, n, n + 1), 1.0, n + 1).tolist()
+    g = angles.gamma
     total = 0j
     for t in range(n + 1):
         s = n - t
+        gk = g * k[t]
         block = 0.0
         for i in range(t + 1):  # i = npm
             for j in range(s + 1):  # j = npp
                 w = (-1) ** i * math.comb(t, i) * math.comb(s, j) * c2**j * s2 ** (s - j)
-                block += w * math.exp(-glam * (phi[i + j] - phi[t - i + j]))
-        total += math.comb(n, t) * math.exp(K[t]) * (1j * sc) ** t * block
+                block += w * math.exp(g * (gk - lam * (phi[i + j] - phi[t - i + j])))
+        total += math.comb(n, t) * (1j * sc) ** t * block
     return math.exp(-(lam**2) * _lambda_quadratic(spec, n)) * total
 
 
@@ -522,7 +525,8 @@ _ORACLE_CAP_REASON = "the oracle enumerates 4^n pairs"
 
 
 class _Kahan:
-    """Compensated complex accumulator (Kahan)."""
+    """Compensated complex accumulator (Kahan), in Python complex numbers,
+    which overflow to inf without a numpy warning."""
 
     __slots__ = ("total", "carry")
 
@@ -531,7 +535,7 @@ class _Kahan:
         self.carry = 0j
 
     def add(self, x: complex) -> None:
-        y = x - self.carry
+        y = complex(x) - self.carry
         t = self.total + y
         self.carry = (t - self.total) - y
         self.total = t
@@ -567,28 +571,29 @@ def _string_subset_tables(n: int, d: int) -> np.ndarray:
 
 def _oracle_sums(
     spec: MixtureSpec, angles: Angles, n: int, lam: Optional[float]
-) -> tuple[complex, complex, complex, complex, float, float, np.ndarray]:
-    """(sum WE, sum WED, sum WED^2, sum WE e^(-i gamma lam D), K, R, upper
-    bounds on sum |WE|, sum |WED|, sum |WED^2|) over all string pairs, for an
-    n already through ``_check_n``."""
-    require_finite(angles)
+) -> tuple[complex, complex, complex, complex, float, list]:
+    """(sum WE, sum WED, sum WED^2, sum WE e^(-gamma lam D), R, upper bounds on
+    sum |WE|, sum |WED|, sum |WED^2|) over all string pairs, for an n already
+    through ``_check_n``.  A pair's damping is E = e^(gamma (gamma x)), with
+    x = sum_q sigma_q^2 (tables[q][z xor z'] - binom(n,q)) / n^(q-1) <= 0, and
+    e^(-gamma lam D) joins it as the one exponent gamma (gamma x - lam D).
+    gamma is finite, so an exponent that a huge gamma overflows is -inf, E is
+    0 there and nothing forms inf * 0 (x = 0 only where D = 0)."""
     d = spec.d
+    g = angles.gamma
     sb, cb = math.sin(angles.beta), math.cos(angles.beta)
-    g2 = angles.gamma**2
     tables = _string_subset_tables(n, d)
     sigma2 = spec.sigma_sq()
 
     size = 1 << n
     phi = np.zeros(size)
-    psi = np.zeros(size)
-    k_const = 0.0
+    x = np.zeros(size)
     for q in range(1, min(d, n) + 1):
         s2 = sigma2[q - 1]
         if s2 == 0:
             continue
         phi += (s2 / n**q) * tables[q]
-        psi += (g2 * s2 / n ** (q - 1)) * tables[q]
-        k_const -= g2 * s2 * math.comb(n, q) / n ** (q - 1)
+        x += (s2 / n ** (q - 1)) * (tables[q] - math.comb(n, q))
 
     pc = _popcounts(np.arange(size), n)
     wa = cb ** (n - pc) * (1j * sb) ** pc  # <z|e^{i beta B}|(+1)^n>
@@ -597,7 +602,9 @@ def _oracle_sums(
     # |W| = amp_r amp_c, |D| <= |phi_r| + |phi_c| and the symmetry of E.
     amp = np.abs(wa)
     bound_rows = np.array([amp, 2 * amp * np.abs(phi), 4 * amp * phi * phi])
-    damp = np.exp(psi)
+    with np.errstate(over="ignore"):  # a huge gamma: exponents of -inf
+        gx = g * x
+        damp = np.exp(g * gx)
 
     s0 = _Kahan()
     s1 = _Kahan()
@@ -609,7 +616,8 @@ def _oracle_sums(
     for lo in range(0, size, chunk):
         hi = min(size, lo + chunk)
         rows = masks[lo:hi]
-        E = damp[rows[:, None] ^ masks[None, :]]
+        pairs = rows[:, None] ^ masks[None, :]  # z xor z'
+        E = damp[pairs]
         W = wa[rows][:, None] * wb[None, :]
         WE = W * E
         D = phi[rows][:, None] - phi[None, :]
@@ -619,10 +627,12 @@ def _oracle_sums(
         s2acc.add((WED * D).sum())
         magnitudes += bound_rows[:, rows] @ (E @ amp)
         if lam is not None:
-            sl.add((WE * np.exp(-angles.gamma * lam * D)).sum())
+            with np.errstate(over="ignore"):
+                exponent = g * (gx[pairs] - lam * D)
+            sl.add((W * np.exp(exponent)).sum())
 
     r = _lambda_quadratic(spec, n)
-    return s0.total, s1.total, s2acc.total, sl.total, k_const, r, magnitudes
+    return s0.total, s1.total, s2acc.total, sl.total, r, magnitudes.tolist()
 
 
 def oracle_moments(spec: MixtureSpec, angles: Angles, n: int) -> MomentReport:
@@ -632,16 +642,14 @@ def oracle_moments(spec: MixtureSpec, angles: Angles, n: int) -> MomentReport:
     explicitly per string, with no sketch collapse and no binomial formulas.
     """
     n = _check_n(n, ORACLE_MAX_N, _ORACLE_CAP_REASON)
-    s0, s1, s2sum, _, k_const, r, (a0, a1, a2) = _oracle_sums(spec, angles, n, None)
-    ek = math.exp(k_const)
+    s0, s1, s2sum, _, r, (a0, a1, a2) = _oracle_sums(spec, angles, n, None)
     g = angles.gamma
-    first = _require_real(
-        1j * g * ek * s1, "oracle first moment", abs(g) * ek * a1
-    )
+    first = _require_real(1j * g * s1, "oracle first moment", abs(g) * a1)
+    # g * (g * ...), not g**2: g**2 raises OverflowError past |g| ~ 1.3e154
     second = _require_real(
-        2 * r * ek * s0 - g**2 * ek * s2sum,
+        2 * r * s0 - g * (g * s2sum),
         "oracle second moment",
-        2 * r * ek * a0 + g**2 * ek * a2,
+        2 * r * a0 + g * (g * a2),
     )
     variance, clamped = _clamped_variance(first, second)
     return MomentReport(
@@ -658,8 +666,8 @@ def oracle_moments(spec: MixtureSpec, angles: Angles, n: int) -> MomentReport:
 def oracle_mgf(spec: MixtureSpec, angles: Angles, n: int, lam: float) -> complex:
     """E_J<exp(i lam H/n)> by direct summation over all string pairs."""
     n = _check_n(n, ORACLE_MAX_N, _ORACLE_CAP_REASON)
-    _, _, _, sl, k_const, r, _ = _oracle_sums(spec, angles, n, lam)
-    return math.exp(k_const - lam * lam * r) * sl
+    _, _, _, sl, r, _ = _oracle_sums(spec, angles, n, lam)
+    return math.exp(-(lam * lam) * r) * sl
 
 
 # -- T-sum building blocks ----------------------------------------------------

@@ -57,7 +57,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .closed_form import Angles, require_finite, require_finite_grid
+from .closed_form import Angles, require_finite_grid
 from .errors import CapExceededError
 from .model import ProblemInstance, subsets
 
@@ -174,7 +174,6 @@ def _evolved(table: np.ndarray, n: int, angles: Angles) -> np.ndarray:
 
 def qaoa_state(instance: ProblemInstance, angles: Angles) -> np.ndarray:
     """Amplitudes of exp(-i beta B) exp(-i gamma H) applied to the uniform state."""
-    require_finite(angles)
     n = instance.n
     y = _evolved(build_phase_table(instance), n, angles)
     # S^{(x)n} = diag(i^popcount) undoes the gauge
@@ -200,7 +199,6 @@ def expectation(
     Both expectations come from the same diagonal table: <H^2> weights the
     squared table entries, no operator squaring.
     """
-    require_finite(angles)
     if table is None:
         table = build_phase_table(instance)
     n = instance.n

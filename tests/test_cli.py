@@ -1,6 +1,10 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -386,6 +390,23 @@ class TestLandscapeCommand:
             assert gammas[-1] == 1e308 and [row[-1] for row in rows] == [0.0, 0.0]
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["health"]["clamped_variances"] == {"landscape_sk_finite_n10.csv": 0}
+
+    def test_k_product_overflow_prints_no_warning(self, tmp_path):
+        # at 6e153 < gamma < 1.3e154 gamma^2 sigma_q^2 is finite but its
+        # products with the K-table columns are not; a fresh process shows
+        # what numpy would print on stderr
+        src = Path(finite_n.__file__).resolve().parent.parent
+        argv = ["landscape", "--sigmas", "0.3,0.5,1.0", "--mode", "finite:10",
+                "--beta=0:0.5:2", "--gamma=1e154:1.2e154:2", "--out", str(tmp_path)]
+        done = subprocess.run(
+            [sys.executable, "-m", "msqaoa.cli", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        csv = (tmp_path / "landscape_mix_finite_n10.csv").read_text()
+        assert csv == "beta,1e+154,1.2e+154\n0.0,0.0,0.0\n0.5,0.0,0.0\n"
 
     def test_numerical_self_check_exit_code(self, tmp_path, capsys, monkeypatch):
         # injected fault: the lambda^2 weight R short by 1 gives a negative

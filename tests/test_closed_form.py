@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 
@@ -277,25 +278,48 @@ class TestStationarity:
 
 
 NON_FINITE = [math.nan, math.inf, -math.inf]
-NON_FINITE_ANGLES = [Angles(v, 0.3) for v in NON_FINITE] + [
-    Angles(0.2, v) for v in NON_FINITE
-]
+# (beta, gamma) pairs: an Angles of them cannot be made
+NON_FINITE_ANGLES = [(v, 0.3) for v in NON_FINITE] + [(0.2, v) for v in NON_FINITE]
+
+
+class TestAnglesAreFinite:
+    """``Angles`` refuses NaN and +-inf in either slot, so no entry point
+    that takes one (t_sum, d3_stationarity_residuals and Angles.canonical
+    included) ever sees a non-finite angle."""
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("slot", ["beta", "gamma"])
+    def test_construction_and_replace(self, slot, value):
+        finite = Angles(0.2, 0.3)
+        message = r"angles must be finite, got Angles\(beta="
+        with pytest.raises(ValidationError, match=message):
+            Angles(**{**dataclasses.asdict(finite), slot: value})
+        with pytest.raises(ValidationError, match=message):
+            dataclasses.replace(finite, **{slot: value})
+
+    def test_largest_finite_angles_are_taken(self):
+        top = sys.float_info.max
+        ang = dataclasses.replace(Angles(-top, top), gamma=-top)
+        assert (ang.beta, ang.gamma) == (-top, -top)
+        assert math.isfinite(ang.canonical().beta)
 
 
 class TestNonFiniteAngles:
+    """Each entry point is reached only through the ``Angles`` constructor."""
+
     @pytest.mark.parametrize("ang", NON_FINITE_ANGLES)
     def test_sigma_form(self, ang):
         with pytest.raises(ValidationError):
-            energy_sigma_form(D3, ang)
+            energy_sigma_form(D3, Angles(*ang))
 
     @pytest.mark.parametrize("ang", NON_FINITE_ANGLES)
     def test_mixture_and_pure_forms_and_derivatives(self, ang):
         with pytest.raises(ValidationError):
-            energy_mixture_form(D3.mixture_function(), ang)
+            energy_mixture_form(D3.mixture_function(), Angles(*ang))
         with pytest.raises(ValidationError):
-            energy_pure_d(3, ang)
+            energy_pure_d(3, Angles(*ang))
         with pytest.raises(ValidationError):
-            energy_derivatives(D3, ang)
+            energy_derivatives(D3, Angles(*ang))
 
 
 class TestHugeGamma:

@@ -1,5 +1,7 @@
 import cmath
 import math
+import sys
+import warnings
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -359,29 +361,31 @@ class TestMoments:
         assert sizes == [7, 5, 9, 2]
 
 
-NON_FINITE_ANGLES = [
-    Angles(math.nan, 0.3),
-    Angles(0.2, math.nan),
-    Angles(math.inf, 0.3),
-    Angles(0.2, -math.inf),
-]
+# (beta, gamma) pairs: an Angles of them cannot be made
+NON_FINITE_ANGLES = [(math.nan, 0.3), (0.2, math.nan), (math.inf, 0.3), (0.2, -math.inf)]
 
 
 class TestNonFiniteAngles:
+    """Each entry point is reached only through the ``Angles`` constructor."""
+
     @pytest.mark.parametrize("ang", NON_FINITE_ANGLES)
     def test_sketch_moments(self, ang):
         with pytest.raises(ValidationError):
-            sketch_moments(SK, ang, 8)
+            sketch_moments(SK, Angles(*ang), 8)
 
     @pytest.mark.parametrize("ang", NON_FINITE_ANGLES)
     def test_oracle_moments(self, ang):
         with pytest.raises(ValidationError):
-            oracle_moments(SK, ang, 4)
+            oracle_moments(SK, Angles(*ang), 4)
 
     @pytest.mark.parametrize("ang", NON_FINITE_ANGLES)
     def test_generating_function(self, ang):
         with pytest.raises(ValidationError):
-            generating_function(SK, ang, 8, 0.5)
+            generating_function(SK, Angles(*ang), 8, 0.5)
+
+
+MIX_035 = make_mixture_spec(3, [0.3, 0.5, 1.0])
+HUGE_GAMMAS = [1e100, -1e100, 1e200, -1e200, sys.float_info.max, -sys.float_info.max]
 
 
 class TestHugeGamma:
@@ -400,6 +404,50 @@ class TestHugeGamma:
                 assert np.isfinite(values).all()
             assert (grid.second[:, 0] == rep.second).all()
             assert not grid.clamped.any()
+
+    @pytest.mark.parametrize("spec", [SK, MIX_035])
+    def test_no_overflow_warning_where_only_the_k_products_overflow(self, spec):
+        # 6e153 < |gamma| < 1.3e154: gamma^2 sigma_q^2 is finite, but its
+        # products with the g_q column are not
+        gammas = np.geomspace(5e153, 1.4e154, 40)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = sketch_moment_grid(spec, [0.0, 0.3, -1.1], np.concatenate([gammas, -gammas]), 10)
+        assert (grid.first == 0.0).all()
+        assert (grid.second == 2 * _lambda_quadratic(spec, 10)).all()
+
+
+class TestOracleAtLargeGamma:
+    """Each pair's damping is one exponent gamma (gamma x), x <= 0, so the
+    oracle neither overflows to inf * 0 nor raises where gamma^2 overflows,
+    and the generating functions reach their limit e^(-lam^2 R)."""
+
+    @pytest.mark.parametrize("spec", [SK, MIX_035])
+    @pytest.mark.parametrize(
+        "n, betas", [(4, [0.3, -0.6]), (8, [0.3, -0.6]), (10, [0.3])], ids=["n4", "n8", "n10"]
+    )
+    def test_moments_match_the_sketch_sum(self, spec, n, betas):
+        for gamma in [15.0, -15.0, 30.0, *HUGE_GAMMAS]:
+            for beta in betas:
+                orc = oracle_moments(spec, Angles(beta, gamma), n)
+                sk = sketch_moments(spec, Angles(beta, gamma), n)
+                assert math.isfinite(orc.first) and math.isfinite(orc.second)
+                assert abs(sk.first - orc.first) <= 1e-10 * abs(sk.first)
+                assert abs(sk.second - orc.second) <= 1e-10 * abs(sk.second)
+
+    @pytest.mark.parametrize("gamma", HUGE_GAMMAS)
+    @pytest.mark.parametrize("spec", [SK, MIX_035])
+    def test_generating_functions_reach_the_limit(self, spec, gamma):
+        for n in (4, 6):
+            limit = math.exp(-0.25 * _lambda_quadratic(spec, n))
+            gf = generating_function(spec, Angles(0.3, gamma), n, 0.5)
+            ogf = oracle_mgf(spec, Angles(0.3, gamma), n, 0.5)
+            assert cmath.isfinite(gf) and cmath.isfinite(ogf)
+            assert abs(gf - ogf) <= 1e-10 and abs(gf - limit) <= 1e-10
+
+    def test_sk_is_at_the_limit_by_gamma_1e3(self):
+        gf = generating_function(SK, Angles(0.3, 1e3), 4, 0.5)
+        assert gf == pytest.approx(math.exp(-0.25 * 6 / 128), abs=1e-15)
 
 
 class TestReportGuards:

@@ -240,15 +240,14 @@ class TestState:
             out = _apply_kron(forward, _kron_factors(_rotation(-0.77), n))
             np.testing.assert_allclose(out, amp, rtol=0, atol=1e-13)
 
-    @pytest.mark.parametrize(
-        "ang", [Angles(math.nan, 0.3), Angles(0.2, math.nan), Angles(math.inf, 0.1)]
-    )
+    # (beta, gamma) pairs: an Angles of them cannot be made
+    @pytest.mark.parametrize("ang", [(math.nan, 0.3), (0.2, math.nan), (math.inf, 0.1)])
     def test_non_finite_angles_rejected(self, ang):
         inst = sample_instance(SK, 4, 0)
         with pytest.raises(ValidationError):
-            qaoa_state(inst, ang)
+            qaoa_state(inst, Angles(*ang))
         with pytest.raises(ValidationError):
-            expectation(inst, ang)
+            expectation(inst, Angles(*ang))
 
     def test_one_spin_expectation(self):
         # <H> = J sin(2b) sin(2 g J) for a single spin with coupling J
@@ -459,6 +458,15 @@ class TestVerifyCheck:
         assert res.passed, res.details
         assert res.details["z_score_second"] < 3.0
         assert res.details["mc_variance"] <= res.details["exact_variance"]
+
+    def test_offset_table_fails(self, monkeypatch):
+        # negative control: every energy 0.5 too high must trip the check
+        # (an offset of 0.1 reaches only z ~ 4 and 0.05 passes)
+        real = simulator.build_phase_table
+        monkeypatch.setattr(simulator, "build_phase_table", lambda inst: real(inst) + 0.5)
+        res = verify.run_check("monte_carlo_consistency")
+        assert not res.passed
+        assert res.details["z_score"] > 3.0 and res.details["z_score_second"] > 3.0
 
     def test_corrupted_second_fails(self, monkeypatch):
         # negative control: second 6% high must trip the check (a 1% offset
