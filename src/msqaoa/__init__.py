@@ -38,16 +38,11 @@ from .model import (
     estimate_spec,
     from_mixture_function,
     make_mixture_spec,
+    pure_d_spec,
     read_instance,
     sample_instance,
-    write_instance,
 )
-from .optimizer import (
-    Optimum,
-    approximation_factor,
-    optimize_closed_form,
-    pure_d_spec,
-)
+from .optimizer import Optimum, approximation_factor, optimize_closed_form
 from .simulator import build_phase_table, expectation, landscape_instance, qaoa_state
 
 __version__ = "0.1.0"
@@ -91,5 +86,4 @@ __all__ = [
     "sketch_moment_grid",
     "sketch_moments",
     "t_sum",
-    "write_instance",
 ]

@@ -55,13 +55,13 @@ def _parse_float_list(text: str, what: str) -> list[float]:
         raise ValidationError(f"--{what} expects a comma list of reals, got {text!r}")
 
 
-def _parse_d_range(text: str) -> list[int]:
+def _parse_d_range(text: str) -> range:
     try:
         if ".." in text:
             lo, hi = text.split("..")
-            degrees = list(range(int(lo), int(hi) + 1))
+            degrees = range(int(lo), int(hi) + 1)
         else:
-            degrees = [int(text)]
+            degrees = range(int(text), int(text) + 1)
     except ValueError:
         raise ValidationError(f"--pure-d expects D or LO..HI, got {text!r}")
     if not degrees:
@@ -85,14 +85,14 @@ def _specs_from_args(args) -> list[tuple[str, model.MixtureSpec]]:
             f"exactly one of --sk/--sigmas/--cs/--pure-d is required, got {chosen or 'none'}"
         )
     if args.sk:
-        return [("sk", model.make_mixture_spec(2, [0.0, 1.0]))]
+        return [("sk", model.pure_d_spec(2))]
     if args.sigmas:
         sig = _parse_float_list(args.sigmas, "sigmas")
         return [("mix", model.make_mixture_spec(len(sig), sig))]
     if args.cs:
         cs = _parse_float_list(args.cs, "cs")
         return [("mix", model.from_mixture_function(len(cs), cs))]
-    return [(f"pure{d}", optimizer.pure_d_spec(d)) for d in _parse_d_range(args.pure_d)]
+    return [(f"pure{d}", model.pure_d_spec(d)) for d in _parse_d_range(args.pure_d)]
 
 
 def _parse_mode(text: str) -> tuple:
@@ -235,6 +235,8 @@ def cmd_landscape(args) -> int:
 
 def cmd_optimize(args) -> int:
     specs = _specs_from_args(args)
+    if args.ground_state is not None and len(specs) != 1:
+        raise ValidationError("--ground-state needs exactly one model, not a --pure-d range")
     with _Outputs(args.out) as outputs:
         optima = [(spec.d, optimizer.optimize_closed_form(spec)) for _, spec in specs]
         rows = [(d, opt.angles.beta, opt.angles.gamma, opt.value) for d, opt in optima]

@@ -7,7 +7,10 @@ form 2*gamma*Im[xi(cos(2b) + i sin(2b) exp(-2 g^2 xi'(1)))]
 package's standing cross-checks.  ``energy_derivatives`` adds the exact
 gradient and Hessian of the complex form, for the optimizer's Newton polish.
 ``Angles`` refuses NaN and +-inf, so no per-point form checks its angles; the
-grid form checks its axes with ``require_finite_grid``.
+grid form checks its axes with ``require_finite_grid``.  The model types take
+every degree bound 1..``model.MAX_DEGREE`` and no other, so no form checks
+the degree either; ``energy_pure_d``, which takes a bare d, checks it with
+``model.check_degree``.
 """
 
 from __future__ import annotations
@@ -19,11 +22,17 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .model import MixtureFunction, MixtureSpec, damping_rate
+from .model import (
+    MAX_DEGREE,
+    MixtureFunction,
+    MixtureSpec,
+    check_degree,
+    damping_rate,
+    pure_d_spec,
+)
 
 __all__ = [
     "Angles",
-    "MAX_DEGREE",
     "energy_sigma_form",
     "energy_sigma_grid",
     "energy_mixture_form",
@@ -34,11 +43,6 @@ __all__ = [
     "d3_stationarity_residuals",
     "require_finite_grid",
 ]
-
-# Factorials are taken exactly up to this degree; beyond it the per-degree
-# weights sigma_q^2/(q-1)! are no longer desk-scale meaningful.
-MAX_DEGREE = 20
-
 
 @dataclass(frozen=True)
 class Angles:
@@ -79,13 +83,6 @@ def require_finite_grid(
     return betas, gammas
 
 
-def _check_degree(d: int) -> None:
-    if d < 1:
-        raise ValidationError(f"degree must be >= 1, got {d}")
-    if d > MAX_DEGREE:
-        raise ValidationError(f"degree {d} exceeds the supported cap {MAX_DEGREE}")
-
-
 # (a, coef) for each odd a <= q: coef = (-1)^((a-1)/2) / (a! (q-a)!), the
 # weight of sin^a(2b) cos^(q-a)(2b) exp(-2 g^2 a rate) in the degree-q term.
 _TERMS = tuple(
@@ -103,7 +100,6 @@ _TERMS = tuple(
 
 def energy_sigma_form(spec: MixtureSpec, angles: Angles) -> float:
     """Infinite-n disorder-averaged energy per spin, explicit degree sum."""
-    _check_degree(spec.d)
     s2b = math.sin(2 * angles.beta)
     c2b = math.cos(2 * angles.beta)
     g = angles.gamma
@@ -135,7 +131,6 @@ def energy_sigma_grid(
     are combined in ``energy_sigma_form``'s operand order with the same
     scalar ``math`` functions, so every value is bit-identical to it.
     """
-    _check_degree(spec.d)
     betas, gammas = require_finite_grid(beta_grid, gamma_grid)
     rate = damping_rate(spec)
     gs = gammas.tolist()
@@ -161,7 +156,6 @@ def energy_sigma_grid(
 
 def energy_mixture_form(xi: MixtureFunction, angles: Angles) -> float:
     """Infinite-n energy per spin via the complex mixture-function form."""
-    _check_degree(xi.d)
     damp = math.exp(-2 * (angles.gamma * angles.gamma) * xi.xi_prime_at_one())
     w = complex(math.cos(2 * angles.beta), math.sin(2 * angles.beta) * damp)
     return angles.gamma * (2 * xi.xi(w).imag)
@@ -173,7 +167,7 @@ def energy_pure_d(d: int, angles: Angles) -> float:
     This is the specialization of the general formula with c_d^2 = 1/2, i.e.
     gamma * Im[(cos(2b) + i sin(2b) exp(-d g^2))^d].
     """
-    _check_degree(d)
+    check_degree(d)
     damp = math.exp(-d * (angles.gamma * angles.gamma))
     w = complex(math.cos(2 * angles.beta), math.sin(2 * angles.beta) * damp)
     return angles.gamma * (w**d).imag
@@ -200,7 +194,6 @@ def energy_derivatives(spec: MixtureSpec, angles: Angles) -> EnergyDerivatives:
     Hessian entries instead of raising OverflowError; the value, g * (2f),
     stays 0 there.
     """
-    _check_degree(spec.d)
     b, g = angles.beta, angles.gamma
     rate = damping_rate(spec)
     c, s = math.cos(2 * b), math.sin(2 * b)
@@ -233,7 +226,7 @@ def energy_derivatives(spec: MixtureSpec, angles: Angles) -> EnergyDerivatives:
     )
 
 
-_D3_SPEC = MixtureSpec(3, (0.0, 0.0, math.sqrt(3.0)))
+_D3_SPEC = pure_d_spec(3)
 
 
 @dataclass(frozen=True)

@@ -489,10 +489,10 @@ def generating_function(spec: MixtureSpec, angles: Angles, n: int, lam: float) -
 
     One plain float sum over the binom(n+3,3) sketches, grouped by the
     disagreement count t: binom(n,t) e^K(t) (i sc)^t times the real sum of
-    (-1)^npm binom(t,npm) binom(n-t,npp) c2^npp s2^nmm e^(-gamma lam P), with
-    P = sum_q sigma_q^2 f_q / n^q.  Its blocks cancel more as n grows, so n
-    is capped at ORACLE_MAX_N, where the oracle checks it.  At lam = 0 the
-    value is the squared state norm, 1.
+    (-1)^npm binom(t,npm) binom(n-t,npp) c2^npp s2^nmm e^(-gamma lam P - lam^2 R),
+    with P = sum_q sigma_q^2 f_q / n^q and R = ``_lambda_quadratic``.  Its
+    blocks cancel more as n grows, so n is capped at ORACLE_MAX_N, where the
+    oracle checks it.  At lam = 0 the value is the squared state norm, 1.
     """
     n = _check_n(n, ORACLE_MAX_N, "the oracle checks the direct sketch sum only up to there")
     if lam == 0.0 and angles.gamma == 0.0:
@@ -502,10 +502,12 @@ def generating_function(spec: MixtureSpec, angles: Angles, n: int, lam: float) -
     sc, c2, s2 = sb * cb, cb * cb, sb * sb
     phi_int, den = _phi_integers(spec, n, n)
     phi = [v / den for v in phi_int]
-    # k(t) = K(t) / gamma^2 <= 0: each term's damping and e^(-gamma lam P) are
-    # one exponent gamma (gamma k(t) - lam P), -inf where a huge gamma overflows
+    # k(t) = K(t) / gamma^2 <= 0: each term's damping, e^(-gamma lam P) and
+    # e^(-lam^2 R) are one exponent gamma (gamma k(t) - lam P) - lam (lam R),
+    # -inf where a huge gamma or lam overflows
     k = _k_table(_g_columns(spec, n, n + 1), 1.0, n + 1).tolist()
     g = angles.gamma
+    lam2r = lam * (lam * _lambda_quadratic(spec, n))
     total = 0j
     for t in range(n + 1):
         s = n - t
@@ -514,9 +516,10 @@ def generating_function(spec: MixtureSpec, angles: Angles, n: int, lam: float) -
         for i in range(t + 1):  # i = npm
             for j in range(s + 1):  # j = npp
                 w = (-1) ** i * math.comb(t, i) * math.comb(s, j) * c2**j * s2 ** (s - j)
-                block += w * math.exp(g * (gk - lam * (phi[i + j] - phi[t - i + j])))
+                p = phi[i + j] - phi[t - i + j]
+                block += w * math.exp(g * (gk - lam * p) - lam2r)
         total += math.comb(n, t) * (1j * sc) ** t * block
-    return math.exp(-(lam**2) * _lambda_quadratic(spec, n)) * total
+    return total
 
 
 # -- brute-force double-string oracle ----------------------------------------
@@ -572,11 +575,12 @@ def _string_subset_tables(n: int, d: int) -> np.ndarray:
 def _oracle_sums(
     spec: MixtureSpec, angles: Angles, n: int, lam: Optional[float]
 ) -> tuple[complex, complex, complex, complex, float, list]:
-    """(sum WE, sum WED, sum WED^2, sum WE e^(-gamma lam D), R, upper bounds on
-    sum |WE|, sum |WED|, sum |WED^2|) over all string pairs, for an n already
-    through ``_check_n``.  A pair's damping is E = e^(gamma (gamma x)), with
-    x = sum_q sigma_q^2 (tables[q][z xor z'] - binom(n,q)) / n^(q-1) <= 0, and
-    e^(-gamma lam D) joins it as the one exponent gamma (gamma x - lam D).
+    """(sum WE, sum WED, sum WED^2, sum WE e^(-gamma lam D - lam^2 R), R, upper
+    bounds on sum |WE|, sum |WED|, sum |WED^2|) over all string pairs, for an n
+    already through ``_check_n``.  A pair's damping is E = e^(gamma (gamma x)),
+    with x = sum_q sigma_q^2 (tables[q][z xor z'] - binom(n,q)) / n^(q-1) <= 0,
+    and the lam factors join it as the one exponent
+    gamma (gamma x - lam D) - lam (lam R).
     gamma is finite, so an exponent that a huge gamma overflows is -inf, E is
     0 there and nothing forms inf * 0 (x = 0 only where D = 0)."""
     d = spec.d
@@ -606,6 +610,7 @@ def _oracle_sums(
         gx = g * x
         damp = np.exp(g * gx)
 
+    r = _lambda_quadratic(spec, n)
     s0 = _Kahan()
     s1 = _Kahan()
     s2acc = _Kahan()
@@ -628,10 +633,9 @@ def _oracle_sums(
         magnitudes += bound_rows[:, rows] @ (E @ amp)
         if lam is not None:
             with np.errstate(over="ignore"):
-                exponent = g * (gx[pairs] - lam * D)
+                exponent = g * (gx[pairs] - lam * D) - lam * (lam * r)
             sl.add((W * np.exp(exponent)).sum())
 
-    r = _lambda_quadratic(spec, n)
     return s0.total, s1.total, s2acc.total, sl.total, r, magnitudes.tolist()
 
 
@@ -666,8 +670,7 @@ def oracle_moments(spec: MixtureSpec, angles: Angles, n: int) -> MomentReport:
 def oracle_mgf(spec: MixtureSpec, angles: Angles, n: int, lam: float) -> complex:
     """E_J<exp(i lam H/n)> by direct summation over all string pairs."""
     n = _check_n(n, ORACLE_MAX_N, _ORACLE_CAP_REASON)
-    _, _, _, sl, r, _ = _oracle_sums(spec, angles, n, lam)
-    return math.exp(-(lam * lam) * r) * sl
+    return _oracle_sums(spec, angles, n, lam)[3]
 
 
 # -- T-sum building blocks ----------------------------------------------------
@@ -685,6 +688,8 @@ def a_factor(a: int, t: int, beta: float) -> complex:
     """
     if a < 0 or t < 0:
         raise ValidationError(f"need a, t >= 0, got a={a}, t={t}")
+    if not math.isfinite(beta):
+        raise ValidationError(f"beta must be finite, got {beta}")
     sc = math.sin(beta) * math.cos(beta)
     return _a_kernel(a, t) * (1j * sc) ** t
 
@@ -706,6 +711,8 @@ def b_factor(b: int, t: int, n: int, beta: float) -> float:
     n = _check_n(n)
     if not 0 <= t <= n:
         raise ValidationError(f"need 0 <= t <= n={n}, got t={t}")
+    if not math.isfinite(beta):
+        raise ValidationError(f"beta must be finite, got {beta}")
     return _block_values([(0, _b_coeffs(b, n - t), 1)], beta)[0]
 
 

@@ -10,6 +10,12 @@ z in {+1,-1}^n is
 The equivalent "mixture function" notation uses coefficients
 c_q = sigma_q / sqrt(q!) and xi(x) = sum_q c_q^2 x^q.
 
+Both views take every degree bound d in 1..MAX_DEGREE = 24 and raise
+ValidationError for any other d, before any factorial is taken, so every
+engine (closed form, finite-n moments, statevector) accepts the same models.
+The bound is the instance cap's: an instance has n >= d spins and at least
+2^d - 1 couplings, and INSTANCE_MAX_COUPLINGS = 2^24 admits no d > 24.
+
 An instance stores the couplings of each degree q as one array of
 binom(n, q) values in colexicographic subset order: ascending bitmask, with
 bit i-1 set when spin i is in S.  ``subsets(n, q)`` lists the subsets in
@@ -36,9 +42,10 @@ __all__ = [
     "ProblemInstance",
     "make_mixture_spec",
     "from_mixture_function",
+    "pure_d_spec",
+    "check_degree",
     "sample_instance",
     "cost",
-    "write_instance",
     "read_instance",
     "instance_to_text",
     "instance_from_text",
@@ -47,10 +54,19 @@ __all__ = [
     "subsets",
     "damping_rate",
     "INSTANCE_MAX_COUPLINGS",
+    "MAX_DEGREE",
 ]
 
 RNG_ALGORITHM = "PCG64"  # recorded in run manifests; seeding is documented below
 INSTANCE_MAX_COUPLINGS = 1 << 24  # the statevector's own table size at n = 24
+# sum_q binom(n, q) >= 2^d - 1 at n >= d, so no instance has a larger degree
+MAX_DEGREE = INSTANCE_MAX_COUPLINGS.bit_length() - 1
+
+
+def check_degree(d: int) -> None:
+    """ValidationError unless 1 <= d <= MAX_DEGREE."""
+    if not 1 <= d <= MAX_DEGREE:
+        raise ValidationError(f"degree bound must be >= 1 and <= {MAX_DEGREE}, got d={d}")
 
 
 @dataclass(frozen=True)
@@ -65,8 +81,7 @@ class MixtureSpec:
     sigmas: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.d < 1:
-            raise ValidationError(f"degree bound must be >= 1, got d={self.d}")
+        check_degree(self.d)
         if len(self.sigmas) != self.d:
             raise ValidationError(
                 f"expected {self.d} sigmas, got {len(self.sigmas)}"
@@ -111,8 +126,7 @@ class MixtureFunction:
     cs: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not self.cs:
-            raise ValidationError("mixture function needs at least one coefficient")
+        check_degree(len(self.cs))
         if any(c < 0 or not math.isfinite(c) for c in self.cs):
             raise ValidationError(f"coefficients must be finite and >= 0: {self.cs}")
         if all(c == 0 for c in self.cs):
@@ -146,11 +160,17 @@ def make_mixture_spec(d: int, sigmas: Sequence[float]) -> MixtureSpec:
 
 def from_mixture_function(d: int, cs: Sequence[float]) -> MixtureSpec:
     """Build a MixtureSpec from mixture coefficients, sigma_q = c_q sqrt(q!)."""
-    if d < 1:
-        raise ValidationError(f"degree bound must be >= 1, got d={d}")
     if len(cs) != d:
         raise ValidationError(f"expected {d} coefficients, got {len(cs)}")
     return MixtureFunction(tuple(float(c) for c in cs)).to_spec()
+
+
+def pure_d_spec(d: int) -> MixtureSpec:
+    """Pure d-spin disorder, sigma_q = delta_{dq} sqrt(d!/2)."""
+    check_degree(d)
+    sigmas = [0.0] * d
+    sigmas[d - 1] = math.sqrt(math.factorial(d) / 2)
+    return MixtureSpec(d, tuple(sigmas))
 
 
 def subsets(n: int, q: int) -> np.ndarray:
@@ -331,11 +351,6 @@ def instance_from_text(text: str) -> ProblemInstance:
         j[slots] = values
         couplings.append(j)
     return ProblemInstance(n=n, spec=spec, seed=seed, couplings=tuple(couplings))
-
-
-def write_instance(instance: ProblemInstance, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(instance_to_text(instance))
 
 
 def read_instance(path) -> ProblemInstance:

@@ -36,7 +36,6 @@ __all__ = [
     "Optimum",
     "optimize_closed_form",
     "approximation_factor",
-    "pure_d_spec",
 ]
 
 
@@ -51,15 +50,6 @@ class Optimum:
     refinement_iterations: int = 0
     converged: bool = False
     gradient_norm: float = math.nan
-
-
-def pure_d_spec(d: int) -> MixtureSpec:
-    """Pure d-spin disorder, sigma_q = delta_{dq} sqrt(d!/2)."""
-    if d < 1:
-        raise ValidationError(f"pure d-spin model needs d >= 1, got {d}")
-    sigmas = [0.0] * d
-    sigmas[d - 1] = math.sqrt(math.factorial(d) / 2)
-    return MixtureSpec(d, tuple(sigmas))
 
 
 def _canonical(angles: Angles) -> Angles:

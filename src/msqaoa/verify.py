@@ -52,15 +52,6 @@ class VerifyReport:
         return all(r.passed for r in self.results)
 
     def to_json(self) -> str:
-        def jsonable(obj):
-            if isinstance(obj, (np.bool_,)):
-                return bool(obj)
-            if isinstance(obj, np.integer):
-                return int(obj)
-            if isinstance(obj, np.floating):
-                return float(obj)
-            raise TypeError(f"not JSON serializable: {type(obj)}")
-
         return json.dumps(
             {
                 "level": self.level,
@@ -76,20 +67,15 @@ class VerifyReport:
                 ],
             },
             indent=2,
-            default=jsonable,
         )
 
 
-def _sk_spec() -> model.MixtureSpec:
-    return model.make_mixture_spec(2, [0.0, 1.0])
-
-
-def _d3_spec() -> model.MixtureSpec:
-    return model.make_mixture_spec(3, [0.0, 0.0, math.sqrt(3.0)])
+_SK = model.pure_d_spec(2)
+_D3 = model.pure_d_spec(3)
 
 
 def _sk_optimum() -> tuple[bool, dict]:
-    opt = optimizer.optimize_closed_form(_sk_spec())
+    opt = optimizer.optimize_closed_form(_SK)
     dv = abs(opt.value - SK_TARGET_VALUE)
     db = abs(opt.angles.beta - SK_TARGET_ANGLES[0])
     dg = abs(opt.angles.gamma - SK_TARGET_ANGLES[1])
@@ -104,7 +90,7 @@ def _sk_optimum() -> tuple[bool, dict]:
 
 
 def _d3_optimum() -> tuple[bool, dict]:
-    opt = optimizer.optimize_closed_form(_d3_spec())
+    opt = optimizer.optimize_closed_form(_D3)
     dv = abs(opt.value - D3_TARGET_VALUE)
     db = abs(opt.angles.beta - D3_TARGET_ANGLES[0])
     dg = abs(opt.angles.gamma - D3_TARGET_ANGLES[1])
@@ -123,7 +109,7 @@ def _d3_optimum() -> tuple[bool, dict]:
 
 
 def _approximation_factor() -> tuple[bool, dict]:
-    opt = optimizer.optimize_closed_form(_d3_spec())
+    opt = optimizer.optimize_closed_form(_D3)
     factor = optimizer.approximation_factor(opt.value, PARISI_D3_REFERENCE)
     err = abs(factor - APPROX_FACTOR_TARGET)
     return err < 1e-3, {
@@ -172,7 +158,7 @@ def _moment_pair_discrepancy(spec, ang, n, lam) -> dict[str, float]:
 
 
 def _oracle_match_n6() -> tuple[bool, dict]:
-    rel = _moment_pair_discrepancy(_sk_spec(), closed_form.Angles(0.3, 0.4), 6, 0.7)
+    rel = _moment_pair_discrepancy(_SK, closed_form.Angles(0.3, 0.4), 6, 0.7)
     worst = max(rel.values())
     return worst < 1e-10, {"relative": rel, "tolerance": 1e-10, "n": 6}
 
@@ -275,7 +261,7 @@ def _combinatorial_identities() -> tuple[bool, dict]:
 
 
 def _infinite_n_convergence() -> tuple[bool, dict]:
-    spec, ang = _sk_spec(), closed_form.Angles(*SK_TARGET_ANGLES)
+    spec, ang = _SK, closed_form.Angles(*SK_TARGET_ANGLES)
     limit = closed_form.energy_sigma_form(spec, ang)
     ns = [16, 32, 64, 128]
     discs = {n: abs(finite_n.sketch_moments(spec, ang, n).first - limit) for n in ns}
@@ -291,7 +277,7 @@ def _infinite_n_convergence() -> tuple[bool, dict]:
 
 
 def _concentration() -> tuple[bool, dict]:
-    spec, ang = _sk_spec(), closed_form.Angles(*SK_TARGET_ANGLES)
+    spec, ang = _SK, closed_form.Angles(*SK_TARGET_ANGLES)
     ns = [8, 16, 32, 64]
     variances = {n: finite_n.sketch_moments(spec, ang, n).variance for n in ns}
     positive = all(v > 0 for v in variances.values())
@@ -309,7 +295,7 @@ def _monte_carlo_consistency() -> tuple[bool, dict]:
     ``variance``, which adds the quantum spread to it (Jensen)."""
     instances = 400
     n = 12
-    spec = _sk_spec()
+    spec = _SK
     ang = closed_form.Angles(*SK_TARGET_ANGLES)
     vals = np.empty((2, instances))
     for seed in range(instances):
@@ -464,7 +450,7 @@ def _t_sum_asymptotics() -> tuple[bool, dict]:
     if worst_diag >= 1e-12:
         return False, details
 
-    spec = _sk_spec()
+    spec = _SK
     ang = closed_form.Angles(0.3, 0.45)
     ratios = {}
     for a, b, p in ((0, 0, 1), (1, 0, 2)):

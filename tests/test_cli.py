@@ -74,6 +74,14 @@ class TestOptimizeCommand:
     def test_conflicting_spec_flags(self, tmp_path):
         assert main(["optimize", "--sk", "--sigmas", "0,1", "--out", str(tmp_path)]) == 2
 
+    def test_ground_state_needs_one_model(self, tmp_path, capsys):
+        argv = ["optimize", "--pure-d", "2..5", "--ground-state=-0.7"]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("ground", ["nan", "-inf", "0.5"])
     def test_bad_ground_state_exit_code(self, tmp_path, ground):
         code = main(["optimize", "--sk", f"--ground-state={ground}", "--out", str(tmp_path)])
@@ -136,9 +144,9 @@ def test_overflowing_or_underflowing_damping_rate_exit_code(tmp_path, capsys, ar
         ["optimize", "--pure-d", "5..2"],
         ["optimize", "--pure-d", "5..2", "--ground-state=-0.7"],
         ["landscape", "--pure-d", "5..2"],
-        ["landscape", "--pure-d", "21", "--beta=0:1:3", "--gamma=0:1:3"],
-        # writes the d = 20 grids, then fails at d = 21 and removes them
-        ["landscape", "--pure-d", "20..21", "--mode", "finite:8", "--mode", "infinite",
+        ["landscape", "--pure-d", "25", "--beta=0:1:3", "--gamma=0:1:3"],
+        # d = 25 is refused before the d = 24 grids are computed
+        ["landscape", "--pure-d", "24..25", "--mode", "finite:8", "--mode", "infinite",
          "--beta=0:1:3", "--gamma=0:1:3"],
     ],
 )
@@ -148,6 +156,37 @@ def test_pure_d_out_of_range_exit_code(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["optimize", "--pure-d", "171"],
+        ["optimize", "--cs", ",".join(["0.5"] * 171)],
+        ["optimize", "--sigmas", ",".join(["0.5"] * 172)],
+        ["landscape", "--pure-d", "25", "--mode", "finite:64"],
+        ["sample", "--pure-d", "25", "--n", "25"],
+        # the range is taken lazily, so d = 25 stops it
+        ["optimize", "--pure-d", "1..1000000"],
+    ],
+    ids=["pure171", "cs171", "sigmas172", "finite-pure25", "sample-pure25", "long-range"],
+)
+def test_degree_beyond_the_model_range_exit_code(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: degree bound must be >= 1 and <= 24, got d=")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_closed_form_and_finite_n_take_the_top_degree(tmp_path, capsys):
+    argv = ["landscape", "--pure-d", "24", "--mode", "infinite", "--mode", "finite:64",
+            "--beta=0.1:0.3:2", "--gamma=-0.3:-0.1:2"]
+    assert main(argv + ["--out", str(tmp_path / "l")]) == 0
+    assert main(["optimize", "--pure-d", "21..24", "--out", str(tmp_path / "o")]) == 0
+    health = json.loads((tmp_path / "o" / "manifest.json").read_text())["health"]
+    assert health["converged"] == {str(d): True for d in range(21, 25)}
 
 
 class TestLandscapeCommand:
@@ -362,7 +401,7 @@ class TestLandscapeCommand:
         assert main(argv) == 0
         assert capsys.readouterr().err == ""
         betas, gammas, rows = read_grid(tmp_path / f"landscape_pure20_finite_n{n}.csv")
-        limit = closed_form.energy_sigma_grid(optimizer.pure_d_spec(20), betas, gammas)
+        limit = closed_form.energy_sigma_grid(model.pure_d_spec(20), betas, gammas)
         assert max(abs(v - w) for r, s in zip(rows, limit) for v, w in zip(r, s)) <= 1e-14
 
     @pytest.mark.parametrize("mode", ["finite:abc", "instance:x:1"])

@@ -1,7 +1,9 @@
 import dataclasses
+import itertools
 import math
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -16,8 +18,7 @@ from msqaoa.closed_form import (
     energy_sigma_grid,
 )
 from msqaoa.errors import ValidationError
-from msqaoa.model import damping_rate, make_mixture_spec
-from msqaoa.optimizer import pure_d_spec
+from msqaoa.model import damping_rate, make_mixture_spec, pure_d_spec
 
 SK = make_mixture_spec(2, [0, 1])
 D3 = make_mixture_spec(3, [0, 0, math.sqrt(3)])
@@ -106,8 +107,8 @@ class TestSigmaForm:
             assert math.isfinite(v)
 
     def test_degree_cap(self):
-        with pytest.raises(ValidationError, match=r"exceeds the supported cap 20"):
-            energy_sigma_form(make_mixture_spec(21, [1.0] * 21), SK_OPT)
+        with pytest.raises(ValidationError, match=r"must be >= 1 and <= 24, got d=25"):
+            energy_sigma_form(make_mixture_spec(25, [1.0] * 25), SK_OPT)
 
 
 GRID_BETAS = [0.0, -0.0, math.pi / 4, -math.pi / 4, math.pi / 2, 2.9, -1e-300, 0.37, -1.3]
@@ -139,7 +140,7 @@ class TestSigmaGrid:
                 want = energy_sigma_form(spec, Angles(float(b), float(g)))
                 assert repr(float(grid[i, j])) == repr(want), (spec, b, g)
 
-    @pytest.mark.parametrize("d", range(1, 21))
+    @pytest.mark.parametrize("d", range(1, 25))
     def test_pure_d(self, d):
         self.assert_bit_identical(pure_d_spec(d), GRID_BETAS, GRID_GAMMAS)
 
@@ -175,8 +176,8 @@ class TestSigmaGrid:
             energy_sigma_grid(D3, betas, gammas)
 
     def test_degree_cap(self):
-        with pytest.raises(ValidationError, match=r"exceeds the supported cap 20"):
-            energy_sigma_grid(make_mixture_spec(21, [1.0] * 21), [0.1], [0.2])
+        with pytest.raises(ValidationError, match=r"must be >= 1 and <= 24, got d=25"):
+            energy_sigma_grid(make_mixture_spec(25, [1.0] * 25), [0.1], [0.2])
 
 
 class TestInfiniteGridCheck:
@@ -247,8 +248,71 @@ class TestPureD:
                 assert abs(a - b) < 1e-12 * (1 + abs(a))
 
     def test_degree_zero(self):
-        with pytest.raises(ValidationError, match=r"degree must be >= 1"):
+        with pytest.raises(ValidationError, match=r"degree bound must be >= 1"):
             energy_pure_d(0, SK_OPT)
+
+    @pytest.mark.parametrize("d", [25, 171, 10**30])
+    def test_degree_above_the_model_range(self, d):
+        with pytest.raises(ValidationError, match=r"must be >= 1 and <= 24"):
+            energy_pure_d(d, SK_OPT)
+
+
+def _top_degree_specs():
+    rng = np.random.default_rng(29)
+    specs = [pure_d_spec(d) for d in range(21, 25)]
+    for d in (21, 22, 23, 24, 24, 24):
+        sigmas = rng.uniform(0.0, 1.5, d)
+        sigmas[rng.random(d) < 0.3] = 0.0
+        sigmas[-1] = max(sigmas[-1], 0.5)
+        specs.append(make_mixture_spec(d, sigmas))
+    return specs
+
+
+def energy_at_50_digits(spec, beta, gamma):
+    """2 gamma Im xi(w) in mpmath, xi(x) = sum_q sigma_q^2 x^q / q!."""
+    with mpmath.workdps(50):
+        b, g = mpmath.mpf(beta), mpmath.mpf(gamma)
+        weights = [
+            (q, mpmath.mpf(s) ** 2 / mpmath.factorial(q))
+            for q, s in enumerate(spec.sigmas, start=1)
+        ]
+        rate = sum(q * c for q, c in weights)
+        w = mpmath.mpc(mpmath.cos(2 * b), mpmath.sin(2 * b) * mpmath.exp(-2 * g * g * rate))
+        return float(2 * g * sum(c * w**q for q, c in weights).imag)
+
+
+class TestDegreesAbove20:
+    """d = 21..24, which every engine takes since the model types hold the
+    one degree rule."""
+
+    @pytest.mark.parametrize("spec", _top_degree_specs())
+    def test_sigma_and_mixture_forms_agree(self, spec):
+        rng = np.random.default_rng(spec.d)
+        for _ in range(50):
+            ang = Angles(
+                float(rng.uniform(-math.pi / 2, math.pi / 2)),
+                float(rng.uniform(-2, 2)),
+            )
+            a = energy_sigma_form(spec, ang)
+            b = energy_mixture_form(spec.mixture_function(), ang)
+            assert abs(a - b) < 1e-12 * (1 + abs(a))
+
+    @pytest.mark.parametrize("spec", _top_degree_specs())
+    def test_against_50_digits(self, spec):
+        # On the optimizer's scan ranges.  The explicit degree sum cancels
+        # near gamma = 0, where its terms reach (|sin 2b| + |cos 2b|)^d / 2:
+        # on 65x65 grids it errs by up to 1.2e-14 of max |E| at pure d = 20
+        # and 3.6e-14 at d = 24.  The complex forms stay within 2e-15.
+        gmax = 2 / math.sqrt(damping_rate(spec))
+        betas = np.linspace(-math.pi / 4, math.pi / 4, 13)
+        gammas = np.linspace(-gmax, gmax, 13)
+        want = np.array([[energy_at_50_digits(spec, b, g) for g in gammas] for b in betas])
+        top = np.max(np.abs(want))
+        grid = energy_sigma_grid(spec, betas, gammas)
+        assert np.max(np.abs(grid - want)) <= 1e-13 * top
+        xi = spec.mixture_function()
+        for (b, g), e in zip(itertools.product(betas, gammas), want.flat):
+            assert abs(energy_mixture_form(xi, Angles(b, g)) - e) <= 1e-14 * top
 
 
 class TestStationarity:
@@ -340,7 +404,7 @@ class TestHugeGamma:
 
 def _derivative_specs():
     rng = np.random.default_rng(23)
-    specs = [pure_d_spec(d) for d in range(1, 21)]
+    specs = [pure_d_spec(d) for d in range(1, 25)]
     for _ in range(8):
         d = int(rng.integers(1, 9))
         sigmas = rng.uniform(0.0, 1.5, d)

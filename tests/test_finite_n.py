@@ -32,8 +32,7 @@ from msqaoa.finite_n import (
     sketch_moments,
     t_sum,
 )
-from msqaoa.model import make_mixture_spec
-from msqaoa.optimizer import pure_d_spec
+from msqaoa.model import make_mixture_spec, pure_d_spec
 
 SK = make_mixture_spec(2, [0, 1])
 MIX3 = make_mixture_spec(3, [1 / 3, 1 / 2, 1.0])
@@ -450,6 +449,18 @@ class TestOracleAtLargeGamma:
         assert gf == pytest.approx(math.exp(-0.25 * 6 / 128), abs=1e-15)
 
 
+class TestHugeLambda:
+    """e^(-lam^2 R) is part of each term's exponent, so a huge lam drives
+    both generating functions to their limit 0 without an OverflowError,
+    NaN or numpy warning."""
+
+    @pytest.mark.parametrize("lam", HUGE_GAMMAS)
+    def test_generating_functions_reach_zero(self, lam):
+        gf = generating_function(SK, Angles(0.3, 0.4), 4, lam)
+        ogf = oracle_mgf(SK, Angles(0.3, 0.4), 4, lam)
+        assert gf == 0 and ogf == 0
+
+
 class TestReportGuards:
     def test_variance_clamp(self):
         variance, clamped = _clamped_variance(1.0, 1.0 - 5e-11)
@@ -595,6 +606,13 @@ class TestTSum:
             want = math.factorial(a) * (-1j) ** a * math.sin(2 * 0.37) ** a
             assert abs(a_factor(a, a, 0.37) - want) < 1e-12
 
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_beta_rejected(self, beta):
+        with pytest.raises(ValidationError, match=r"beta must be finite"):
+            a_factor(1, 1, beta)
+        with pytest.raises(ValidationError, match=r"beta must be finite"):
+            b_factor(0, 3, 20, beta)
+
     def test_b_factor_values(self):
         assert b_factor(0, 3, 20, 0.4) == pytest.approx(1.0, rel=1e-13)
         # first moment of (npp - nmm) under the Q weights is (n-t) cos(2b)
@@ -676,14 +694,16 @@ class TestConvergenceTrend:
         assert discs[-1] < discs[0] / 4
 
 
-def reference_moments(spec, beta, gamma, n):
+def reference_moments(spec, beta, gamma, n, scales=False):
     """(first, second) at 60 digits from the uncollapsed block sums over every
     t <= min(2d, n): exact integer block integrands
         h_t(j) = sum_i (-1)^i binom(t,i) X(i,j), X = P or P^2,
         P(i,j) = phi(i+j) - phi(t-i+j),
     averaged term by term over j ~ Binomial(n-t, cos^2 b) in mpmath, with the
     complex weight binom(n,t) e^K(t) (i sc)^t.  It shares no code with the
-    engine's block build (no Newton basis, no binomial-moment identity)."""
+    engine's block build (no Newton basis, no binomial-moment identity).
+    With ``scales``, also the summed magnitudes of the terms of each moment
+    (|gamma| sum_t |block| and 2R + gamma^2 sum_t |block|)."""
     d = spec.d
     terms = [
         (q, *(spec.sigmas[q - 1] ** 2).as_integer_ratio())
@@ -707,6 +727,7 @@ def reference_moments(spec, beta, gamma, n):
         sb, cb = mpmath.sin(b), mpmath.cos(b)
         sc, c2, s2 = sb * cb, cb * cb, sb * sb
         sums = [mpmath.mpc(0), mpmath.mpc(0)]
+        sizes = [mpmath.mpf(0), mpmath.mpf(0)]
         for t in range(min(2 * d, n) + 1):
             K = -sum(
                 g * g * g_q(q, t, n) * mpmath.mpf(num) / s2_den / (2 * mpmath.mpf(n) ** (q - 1))
@@ -723,6 +744,7 @@ def reference_moments(spec, beta, gamma, n):
                     if h:
                         avg += math.comb(n - t, j) * c2**j * s2 ** (n - t - j) * h
                 sums[power - 1] += weight * avg / den**power
+                sizes[power - 1] += abs(weight * avg / den**power)
         first = mpmath.mpc(0, 1) * g * sums[0]
         R = sum(
             math.comb(n, q) * mpmath.mpf(num) / s2_den / (2 * mpmath.mpf(n) ** (q + 1))
@@ -731,6 +753,13 @@ def reference_moments(spec, beta, gamma, n):
         second = 2 * R - g * g * sums[1]
         # the blocks of the wrong parity vanish exactly, so both are real
         assert first.imag == 0 and second.imag == 0
+        if scales:
+            return (
+                float(first.real),
+                float(second.real),
+                float(abs(g) * sizes[0]),
+                float(2 * R + g * g * sizes[1]),
+            )
         return float(first.real), float(second.real)
 
 
@@ -882,7 +911,7 @@ EDGE_BETAS = [math.pi / 4, -math.pi / 4, 1e-7, -1e-7, math.pi / 2 - 1e-7, math.p
 
 @st.composite
 def small_moment_cases(draw):
-    d = draw(st.integers(1, 20))
+    d = draw(st.integers(1, 24))
     if draw(st.booleans()):
         spec = pure_d_spec(d)
     else:
@@ -917,10 +946,35 @@ class TestMomentAccuracy:
             (pure_d_spec(14), math.pi / 2 - 1e-7, -2.0, 256),
             (make_mixture_spec(9, [0.0, 0.8, 0.0, 1.1, 0.0, 0.0, 0.4, 0.0, 1.5]),
              -math.pi / 4, 1.1, 512),
+            (pure_d_spec(24), 0.3, -0.3, 512),
+            (pure_d_spec(22), 0.3, -1.1, 128),
+            (pure_d_spec(21), 0.6, -0.2, 21),
         ],
     )
     def test_large_n_matches_reference(self, spec, beta, gamma, n):
         assert_matches_reference(spec, beta, gamma, n)
+
+    @pytest.mark.parametrize(
+        "d, beta, gamma, n",
+        [
+            (16, 1.1, 0.35, 256),
+            (21, 0.6, -0.2, 256),
+            (22, -0.4, 0.7, 128),
+            (22, 1.1, 0.35, 128),
+            (24, 1.1, 0.35, 256),
+        ],
+    )
+    def test_cancelling_blocks_err_by_rounding_of_their_terms(self, d, beta, gamma, n):
+        # At these moderate gammas the blocks sum to a moment up to 1e5
+        # times smaller than their magnitudes, so the relative error reaches
+        # 1.3e-12 (d = 16) to 1.2e-11 (d = 24); the error itself stays below
+        # 1e-15 of the summed magnitudes (measured at most 4.0e-16).
+        rep = sketch_moments(pure_d_spec(d), Angles(beta, gamma), n)
+        first, second, scale1, scale2 = reference_moments(
+            pure_d_spec(d), beta, gamma, n, scales=True
+        )
+        assert abs(rep.first - first) <= 1e-15 * scale1
+        assert abs(rep.second - second) <= 1e-15 * scale2
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_oracle_agreement_for_every_degree_up_to_n(self, n):
@@ -937,10 +991,10 @@ class TestMomentAccuracy:
                 assert abs(sk.first - orc.first) <= 1e-10 * abs(orc.first) + 1e-15
                 assert abs(sk.second - orc.second) <= 1e-10 * abs(orc.second) + 1e-15
 
-    def test_no_negative_variance_for_pure_degrees_up_to_20(self):
+    def test_no_negative_variance_for_every_pure_degree(self):
         betas = np.linspace(-math.pi / 2, math.pi / 2, 9)
         gammas = np.linspace(-5.0, 5.0, 9)
-        for d in range(1, 21):
+        for d in range(1, 25):
             for n in sorted({d, 2 * d, 32, 128, 512}):
                 grid = sketch_moment_grid(pure_d_spec(d), betas, gammas, n)
                 assert not grid.clamped.any()

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from msqaoa.errors import CapExceededError, ValidationError
 from msqaoa.model import (
     INSTANCE_MAX_COUPLINGS,
+    MAX_DEGREE,
+    MixtureFunction,
     MixtureSpec,
     ProblemInstance,
     cost,
@@ -19,6 +21,7 @@ from msqaoa.model import (
     instance_from_text,
     instance_to_text,
     make_mixture_spec,
+    pure_d_spec,
     sample_instance,
     subsets,
 )
@@ -61,6 +64,43 @@ class TestMixtureSpec:
     def test_overflowing_damping_rate_rejected(self, build):
         with pytest.raises(ValidationError, match="must be finite"):
             build()
+
+
+class TestDegreeRange:
+    """Every model type and constructor takes d = 1..24 and refuses any other
+    d with ValidationError, before a factorial can overflow a float."""
+
+    def test_bound_is_the_instance_cap(self):
+        # sum_q binom(n, q) >= 2^d - 1 at n >= d
+        assert MAX_DEGREE == 24
+        assert 2**MAX_DEGREE - 1 <= INSTANCE_MAX_COUPLINGS < 2 ** (MAX_DEGREE + 1) - 1
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda d: MixtureSpec(d, (0.5,) * d),
+            lambda d: MixtureFunction((0.5,) * d),
+            lambda d: make_mixture_spec(d, [0.5] * d),
+            lambda d: from_mixture_function(d, [0.5] * d),
+            pure_d_spec,
+        ],
+        ids=["MixtureSpec", "MixtureFunction", "make_mixture_spec",
+             "from_mixture_function", "pure_d_spec"],
+    )
+    def test_range(self, build):
+        assert build(MAX_DEGREE).d == MAX_DEGREE
+        for d in (0, MAX_DEGREE + 1, 171, 172):
+            with pytest.raises(ValidationError, match=r"must be >= 1 and <= 24"):
+                build(d)
+
+    def test_pure_d_spec_is_the_literal_model(self):
+        assert pure_d_spec(2) == MixtureSpec(2, (0.0, 1.0))
+        assert pure_d_spec(3) == MixtureSpec(3, (0.0, 0.0, math.sqrt(3.0)))
+
+    def test_instance_file_beyond_the_range(self):
+        sigmas = ",".join(["1.0"] * 25)
+        with pytest.raises(ValidationError, match=r"bad spec in header"):
+            instance_from_text(f"n=25 d=25 sigmas={sigmas} seed=0\n")
 
 
 class TestMixtureFunction:

@@ -15,12 +15,8 @@ from msqaoa.closed_form import (
     energy_sigma_form,
 )
 from msqaoa.errors import ValidationError
-from msqaoa.model import make_mixture_spec
-from msqaoa.optimizer import (
-    approximation_factor,
-    optimize_closed_form,
-    pure_d_spec,
-)
+from msqaoa.model import make_mixture_spec, pure_d_spec
+from msqaoa.optimizer import approximation_factor, optimize_closed_form
 
 SK = make_mixture_spec(2, [0, 1])
 D3 = make_mixture_spec(3, [0, 0, math.sqrt(3)])
@@ -226,7 +222,7 @@ class TestNewtonPolish:
         res = d3_stationarity_residuals(optimize_closed_form(D3).angles)
         assert all(r is not None and abs(r) < 1e-10 for r in (res.r1, res.r2, res.r3))
 
-    @pytest.mark.parametrize("d", range(2, 21))
+    @pytest.mark.parametrize("d", range(2, 25))
     def test_pure_d_converges(self, d):
         opt = optimize_closed_form(pure_d_spec(d))
         assert opt.converged and opt.gradient_norm < 1e-7
@@ -327,7 +323,7 @@ class TestCurve:
 
     def test_d_below_one_rejected(self):
         # d = 1 is a model like any other (the --pure-d 1 CLI test); d = 0 is not
-        with pytest.raises(ValidationError, match="needs d >= 1"):
+        with pytest.raises(ValidationError, match="degree bound must be >= 1"):
             pure_d_spec(0)
 
 
