@@ -29,7 +29,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, closed_form, finite_n, model, optimizer, simulator, verify
+# The closed-form commands need only these engines; the finite-n engine, the
+# simulator and the verification suite are imported by the commands that run
+# them, so a closed-form launch never loads them.
+from . import __version__, closed_form, model, optimizer
 from .errors import CapExceededError, NumericalError, ValidationError
 
 __all__ = ["main"]
@@ -113,12 +116,13 @@ class _Outputs:
     """The output directory of one command, as a context manager.
 
     ``with _Outputs(args.out) as outputs:`` wraps everything a command
-    computes and writes.  Each file is written as soon as it is ready.  The
-    directory is made at the first write, so a command that fails before
-    writing leaves nothing behind.  When the block raises, the files this
-    run wrote are removed, and so are the directories on the way to it that
-    were missing at the start, if they are empty; anything else stays.  An
-    ``--out`` whose nearest existing ancestor is not a directory raises
+    computes and writes.  Each file is written as soon as it is ready, and
+    the manifest takes its SHA-256 from the bytes written, reading nothing
+    back.  The directory is made at the first write, so a command that fails
+    before writing leaves nothing behind.  When the block raises, the files
+    this run wrote are removed, and so are the directories on the way to it
+    that were missing at the start, if they are empty; anything else stays.
+    An ``--out`` whose nearest existing ancestor is not a directory raises
     ``ValidationError`` (exit 2) on entry, before any work; so does a write
     that fails later (a full disk, no permission).
     """
@@ -127,6 +131,7 @@ class _Outputs:
         self.dir = Path(outdir)
         self.missing: list[Path] = []  # deepest first
         self.written: list[Path] = []
+        self.digests: list[str] = []  # SHA-256 of each written file's bytes
 
     def __enter__(self) -> _Outputs:
         try:
@@ -153,23 +158,26 @@ class _Outputs:
 
     def write_text(self, name: str, text: str) -> Path:
         path = self.dir / name
+        data = text.encode()
         try:
-            self.dir.mkdir(parents=True, exist_ok=True)
-            with path.open("w") as handle:
+            if not self.written:
+                self.dir.mkdir(parents=True, exist_ok=True)
+            with path.open("wb") as handle:
                 self.written.append(path)
-                handle.write(text)
+                handle.write(data)
         except OSError as exc:
             raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        self.digests.append(hashlib.sha256(data).hexdigest())
         return path
 
     def manifest(self, command: str, config: dict, seeds=(), health=None) -> Path:
         """Write manifest.json with the digests of every file written so far;
         ``health`` holds the run's numeric-health counters (clamped
         variances, optimizer convergence) when given."""
-        entries = []
-        for path in self.written:
-            digest = hashlib.sha256(path.read_bytes()).hexdigest()
-            entries.append({"path": path.name, "sha256": digest})
+        entries = [
+            {"path": path.name, "sha256": digest}
+            for path, digest in zip(self.written, self.digests)
+        ]
         doc = {
             "command": command,
             "config": config,
@@ -205,12 +213,16 @@ def cmd_landscape(args) -> int:
                     values = closed_form.energy_sigma_grid(spec, betas, gammas)
                     name = f"landscape_{label}_infinite.csv"
                 elif kind == "finite":
+                    from . import finite_n
+
                     [n] = ints
                     grid = finite_n.sketch_moment_grid(spec, betas, gammas, n)
                     values = grid.first
                     name = f"landscape_{label}_finite_n{n}.csv"
                     clamped[name] = int(grid.clamped.sum())
                 else:
+                    from . import simulator
+
                     n, seed = ints
                     simulator.check_size(n)
                     inst = model.sample_instance(spec, n, seed)
@@ -269,6 +281,8 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify
+
     with _Outputs(args.out) as outputs:
         report = verify.run(args.level)
         for res in report.results:
@@ -351,7 +365,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_optimize)
 
     p = subs.add_parser("verify", help="run the verification suite")
-    p.add_argument("--level", choices=verify.LEVELS, default="quick")
+    p.add_argument("--level", default="quick",
+                   help="quick or full (default quick)")
     p.add_argument("--out", default="msqaoa_out", help="output directory")
     p.set_defaults(func=cmd_verify)
 

@@ -6,7 +6,8 @@ plain function with its sizes and tolerances inside; it returns ``(passed,
 details)``.  ``CHECKS`` is the one list of checks: name, function and levels,
 in report order.  ``run_check(name)`` times one check and returns a
 ``CheckResult``; ``run(level)`` runs every check of the level, ``quick`` (3
-checks) or ``full`` (14).
+checks) or ``full`` (14).  Both raise ``ValidationError`` for an unknown
+name or level.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from itertools import combinations
 
 import numpy as np
 
-from . import closed_form, finite_n, model, optimizer, simulator
+from . import cli, closed_form, finite_n, model, optimizer, simulator
+from .errors import ValidationError
 
 __all__ = ["CheckResult", "VerifyReport", "CHECKS", "LEVELS", "run", "run_check"]
 
@@ -480,8 +482,6 @@ def _manifest_round_trip() -> tuple[bool, dict]:
     import tempfile
     from pathlib import Path
 
-    from . import cli  # imported lazily; cli imports this module
-
     args = [
         "landscape",
         "--sk",
@@ -544,12 +544,12 @@ def run_check(name: str) -> CheckResult:
             t0 = time.perf_counter()
             passed, details = check()
             return CheckResult(name, bool(passed), details, time.perf_counter() - t0)
-    raise ValueError(f"unknown check {name!r}")
+    raise ValidationError(f"unknown check {name!r}")
 
 
 def run(level: str = "quick") -> VerifyReport:
     """Run every check of ``level`` ('quick' or 'full') in table order."""
     if level not in LEVELS:
-        raise ValueError(f"level must be 'quick' or 'full', got {level!r}")
+        raise ValidationError(f"level must be 'quick' or 'full', got {level!r}")
     names = [name for name, _, levels in CHECKS if level in levels]
     return VerifyReport(level=level, results=tuple(run_check(name) for name in names))

@@ -10,6 +10,7 @@ import pytest
 
 from msqaoa import closed_form, finite_n, model, optimizer, verify
 from msqaoa.cli import main
+from msqaoa.errors import ValidationError
 
 
 def read_grid(path):
@@ -632,6 +633,25 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "[FAIL] form_equivalence" in out
 
+    def test_unknown_level_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["verify", "--level", "bogus", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: level must be 'quick' or 'full', got 'bogus'"]
+        assert not out.exists()
+
+    def test_unknown_level_or_check_is_a_validation_error(self):
+        with pytest.raises(ValidationError, match="level must be"):
+            verify.run("bogus")
+        with pytest.raises(ValidationError, match="unknown check 'bogus'"):
+            verify.run_check("bogus")
+
+    def test_help_lists_every_level(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["verify", "--help"])
+        help_text = capsys.readouterr().out
+        assert all(level in help_text for level in verify.LEVELS)
+
     def test_manifest_round_trip_prints_nothing(self, capsys):
         res = verify.run_check("manifest_round_trip")
         assert res.passed, res.details
@@ -674,6 +694,36 @@ def test_unwritable_out_exit_code(tmp_path, capsys, monkeypatch, command, sub):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert blocker.read_text() == "not a directory\n"
+
+
+def test_outputs_are_digested_from_memory(tmp_path, monkeypatch):
+    # the manifest reads no file back, and the directory is made once
+    made = []
+    real_mkdir = Path.mkdir
+
+    def counted_mkdir(self, *args, **kwargs):
+        made.append(self)
+        return real_mkdir(self, *args, **kwargs)
+
+    def no_read_back(self, *args, **kwargs):
+        raise AssertionError(f"read back {self}")
+
+    monkeypatch.setattr(Path, "mkdir", counted_mkdir)
+    monkeypatch.setattr(Path, "read_bytes", no_read_back)
+    monkeypatch.setattr(Path, "read_text", no_read_back)
+    out = tmp_path / "out"
+    argv = [
+        "landscape", "--pure-d", "2..3", "--beta=0:0.4:2", "--gamma=0:1:2",
+        "--mode", "infinite", "--mode", "finite:8", "--out", str(out),
+    ]
+    assert main(argv) == 0
+    assert made == [out]
+    monkeypatch.undo()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert len(manifest["outputs"]) == 4
+    for entry in manifest["outputs"]:
+        digest = hashlib.sha256((out / entry["path"]).read_bytes()).hexdigest()
+        assert digest == entry["sha256"]
 
 
 def test_failed_run_removes_the_directories_it_made(tmp_path, monkeypatch, capsys):

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -280,19 +281,54 @@ class TestNewtonPolish:
             assert opt.refinement_iterations == calls - 1 <= budget
 
     def test_importing_the_cli_loads_no_scipy(self):
-        src = Path(optimizer.__file__).resolve().parent.parent
-        code = (
-            "import sys, msqaoa.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-        )
-        done = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": str(src)},
-            check=True,
-        )
-        assert done.stdout.strip() == "[]"
+        loaded = _modules_loaded_by()
+        assert not any(m.split(".")[0] == "scipy" for m in loaded)
+        assert not loaded & _LAZY_ENGINES
+
+
+# Engines a closed-form command never runs, and the stdlib module only the
+# finite-n engine needs.
+_LAZY_ENGINES = {"msqaoa.finite_n", "msqaoa.simulator", "msqaoa.verify", "fractions"}
+
+
+def _modules_loaded_by(*argv: str) -> set[str]:
+    """The modules a fresh interpreter holds after ``import msqaoa.cli`` and,
+    when ``argv`` is given, after ``msqaoa.cli.main(argv)`` returns 0."""
+    src = Path(optimizer.__file__).resolve().parent.parent
+    code = (
+        "import json, sys, msqaoa.cli; "
+        f"argv = {list(argv)!r}; "
+        "assert not argv or msqaoa.cli.main(argv) == 0; "
+        "print(json.dumps(sorted(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        check=True,
+    )
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+_SMALL_GRID = ("--beta=0:0.4:3", "--gamma=-1:1:3")
+
+
+@pytest.mark.parametrize(
+    "argv, engines",
+    [
+        (("optimize", "--sk"), set()),
+        (("landscape", "--sk", "--mode", "infinite"), set()),
+        (("landscape", "--sk", *_SMALL_GRID, "--mode", "finite:8"),
+         {"msqaoa.finite_n", "fractions"}),
+        (("landscape", "--sk", *_SMALL_GRID, "--mode", "instance:6:1"), {"msqaoa.simulator"}),
+    ],
+)
+def test_a_command_loads_only_the_engines_it_runs(tmp_path, argv, engines):
+    loaded = _modules_loaded_by(*argv, "--out", str(tmp_path))
+    assert loaded & _LAZY_ENGINES == engines
+    assert {"msqaoa.closed_form", "msqaoa.model", "msqaoa.optimizer"} <= loaded
+    assert (tmp_path / "manifest.json").exists()
 
 
 class TestCurve:
