@@ -38,7 +38,11 @@ from .errors import CapExceededError, NumericalError, ValidationError
 __all__ = ["main"]
 
 
-def _parse_grid(text: str, what: str) -> np.ndarray:
+# The most (beta, gamma) points one landscape grid may have: 4096 x 4096.
+_GRID_MAX_POINTS = 1 << 24
+
+
+def _parse_grid(text: str, what: str) -> tuple[float, float, int]:
     try:
         lo, hi, count = text.split(":")
         lo, hi, count = float(lo), float(hi), int(count)
@@ -48,7 +52,7 @@ def _parse_grid(text: str, what: str) -> np.ndarray:
         raise ValidationError(f"--{what} needs count >= 1, got {count}")
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValidationError(f"--{what} needs finite bounds, got {text!r}")
-    return np.linspace(lo, hi, count)
+    return lo, hi, count
 
 
 def _parse_float_list(text: str, what: str) -> list[float]:
@@ -201,9 +205,17 @@ def _grid_csv(betas: np.ndarray, gammas: np.ndarray, values: np.ndarray) -> str:
 
 def cmd_landscape(args) -> int:
     specs = _specs_from_args(args)
-    betas = _parse_grid(args.beta, "beta")
-    gammas = _parse_grid(args.gamma, "gamma")
-    modes = [_parse_mode(mode) for mode in args.mode]
+    beta_axis = _parse_grid(args.beta, "beta")
+    gamma_axis = _parse_grid(args.gamma, "gamma")
+    mode_texts = args.mode or ["infinite"]
+    modes = [_parse_mode(mode) for mode in mode_texts]
+    points = beta_axis[2] * gamma_axis[2]
+    if points > _GRID_MAX_POINTS:
+        raise CapExceededError(
+            f"a {beta_axis[2]} x {gamma_axis[2]} grid has {points} points, "
+            f"more than the {_GRID_MAX_POINTS} (4096 x 4096) a landscape takes"
+        )
+    betas, gammas = np.linspace(*beta_axis), np.linspace(*gamma_axis)
     seeds = []
     clamped = {}
     with _Outputs(args.out) as outputs:
@@ -236,7 +248,7 @@ def cmd_landscape(args) -> int:
                 "specs": {label: list(s.sigmas) for label, s in specs},
                 "beta": args.beta,
                 "gamma": args.gamma,
-                "modes": args.mode,
+                "modes": mode_texts,
             },
             seeds=seeds,
             health={"clamped_variances": clamped},
@@ -353,7 +365,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="beta grid min:max:count")
     p.add_argument("--gamma", default="-1.5:1.5:65", help="gamma grid min:max:count")
     p.add_argument("--mode", action="append", default=None,
-                   help="infinite | finite:N | instance:N:SEED (repeatable)")
+                   help="infinite | finite:N | instance:N:SEED (repeatable; default infinite)")
     p.add_argument("--out", default="msqaoa_out", help="output directory")
     p.set_defaults(func=cmd_landscape)
 
@@ -387,8 +399,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "landscape" and args.mode is None:
-        args.mode = ["infinite"]
     try:
         return args.func(args)
     except ValidationError as exc:

@@ -1,11 +1,13 @@
-"""Infinite-size closed forms for the depth-1 QAOA energy per spin.
+"""Infinite-size closed form for the depth-1 QAOA energy per spin.
 
-Two algebraically identical forms are provided: the explicit double sum over
-degrees q and odd powers a (``energy_sigma_form``), and the compact complex
-form 2*gamma*Im[xi(cos(2b) + i sin(2b) exp(-2 g^2 xi'(1)))]
-(``energy_mixture_form``).  Their agreement to ~1e-12 relative is one of the
-package's standing cross-checks.  ``energy_derivatives`` adds the exact
-gradient and Hessian of the complex form, for the optimizer's Newton polish.
+E = 2g Im xi(w), w = cos 2b + i sin 2b exp(-2 g^2 xi'(1)), xi(x) =
+sum_q sigma_q^2 x^q / q!, comes from one Horner recurrence in real arithmetic
+(``_im_xi``): ``energy_sigma_form`` runs it on floats, ``energy_sigma_grid``
+on arrays, and ``energy_derivatives`` (adding the exact gradient and Hessian
+for the optimizer's Newton polish) takes the same steps in complex
+arithmetic, so all three give one value bit for bit.  Two independent forms
+check it to ~1e-12 relative, a standing cross-check: ``energy_mixture_form``
+(complex arithmetic on the c_q^2) and ``verify``'s explicit degree sum.
 ``Angles`` refuses NaN and +-inf, so no per-point form checks its angles; the
 grid form checks its axes with ``require_finite_grid``.  The model types take
 every degree bound 1..``model.MAX_DEGREE`` and no other, so no form checks
@@ -23,7 +25,6 @@ import numpy as np
 
 from .errors import ValidationError
 from .model import (
-    MAX_DEGREE,
     MixtureFunction,
     MixtureSpec,
     check_degree,
@@ -83,39 +84,32 @@ def require_finite_grid(
     return betas, gammas
 
 
-# (a, coef) for each odd a <= q: coef = (-1)^((a-1)/2) / (a! (q-a)!), the
-# weight of sin^a(2b) cos^(q-a)(2b) exp(-2 g^2 a rate) in the degree-q term.
-_TERMS = tuple(
-    tuple(
-        (
-            a,
-            (-1.0 if (a - 1) // 2 % 2 else 1.0)
-            / (math.factorial(a) * math.factorial(q - a)),
-        )
-        for a in range(1, q + 1, 2)
-    )
-    for q in range(MAX_DEGREE + 1)
-)
+def _xi_coefficients(spec: MixtureSpec) -> list[float]:
+    """[0, sigma_1^2/1!, ..., sigma_d^2/d!]: entry q is the coefficient of
+    x^q in xi(x) = sum_q sigma_q^2 x^q / q!."""
+    return [0.0] + [s * s / math.factorial(q) for q, s in enumerate(spec.sigmas, 1)]
+
+
+def _im_xi(coefficients: list[float], c, s):
+    """Im xi(c + i s) by Horner's rule on floats or broadcasting arrays.
+
+    Each step is ``energy_derivatives``' complex ``z * w + complex(a)``
+    written out in CPython's operand order; the ``+ 0.0`` is complex(a)'s
+    imaginary part, so signed zeros agree too."""
+    re = im = 0.0
+    for a in reversed(coefficients):
+        re, im = re * c - im * s + a, re * s + im * c + 0.0
+    return im
 
 
 def energy_sigma_form(spec: MixtureSpec, angles: Angles) -> float:
-    """Infinite-n disorder-averaged energy per spin, explicit degree sum."""
-    s2b = math.sin(2 * angles.beta)
-    c2b = math.cos(2 * angles.beta)
-    g = angles.gamma
-    rate = damping_rate(spec)
-    total = 0.0
-    for q in range(1, spec.d + 1):
-        sig2 = spec.sigmas[q - 1] ** 2
-        if sig2 == 0:
-            continue
-        inner = 0.0
-        for a, coef in _TERMS[q]:
-            inner += coef * math.exp(-2 * g * g * a * rate) * s2b**a * c2b ** (q - a)
-        total += sig2 * inner
-    # not (2 * g) * total: past gamma ~ 9e307, 2 * g is inf where the damping
-    # has made total exactly 0; doubling total is exact, so g * 0 stays 0
-    return g * (2 * total)
+    """Infinite-n disorder-averaged energy per spin, 2g Im xi(w) with
+    w = cos 2b + i sin 2b exp(-2 g^2 xi'(1))."""
+    damp = math.exp(-2 * angles.gamma * angles.gamma * damping_rate(spec))
+    c, s = math.cos(2 * angles.beta), math.sin(2 * angles.beta) * damp
+    # not (2 * g) * f: past gamma ~ 9e307, 2 * g is inf where the damping
+    # has made f exactly 0; doubling f is exact, so g * 0 stays 0
+    return angles.gamma * (2 * _im_xi(_xi_coefficients(spec), c, s))
 
 
 def energy_sigma_grid(
@@ -123,35 +117,18 @@ def energy_sigma_grid(
 ) -> np.ndarray:
     """``energy_sigma_form`` at every (beta, gamma) of a grid, as a
     (len(betas), len(gammas)) array; ValidationError unless each axis is a
-    non-empty 1-D sequence of finite angles.
-
-    Each term is a beta factor times a gamma factor, so ``sin``/``cos`` and
-    their powers are taken once per beta, ``exp`` once per gamma and odd
-    power a, and each point costs a few array multiply-adds.  The points
-    are combined in ``energy_sigma_form``'s operand order with the same
-    scalar ``math`` functions, so every value is bit-identical to it.
+    non-empty 1-D sequence of finite angles.  ``sin``/``cos`` are taken once
+    per beta and ``exp`` once per gamma with the same ``math`` functions, and
+    ``_im_xi`` runs on the whole grid, so every value is bit-identical to
+    ``energy_sigma_form``.
     """
     betas, gammas = require_finite_grid(beta_grid, gamma_grid)
     rate = damping_rate(spec)
-    gs = gammas.tolist()
-    sines = [math.sin(2 * b) for b in betas.tolist()]
-    cosines = [math.cos(2 * b) for b in betas.tolist()]
-    odd = range(1, spec.d + 1, 2)
-    damping = {a: np.array([math.exp(-2 * g * g * a * rate) for g in gs]) for a in odd}
-    sin_pow = {a: np.array([s**a for s in sines]) for a in odd}
-    cos_pow = [np.array([c**k for c in cosines])[:, None] for k in range(spec.d)]
-    total = np.zeros((betas.size, gammas.size))
-    for q in range(1, spec.d + 1):
-        sig2 = spec.sigmas[q - 1] ** 2
-        if sig2 == 0:
-            continue
-        inner = np.zeros_like(total)
-        for a, coef in _TERMS[q]:
-            term = np.multiply.outer(sin_pow[a], coef * damping[a])
-            term *= cos_pow[q - a]
-            inner += term
-        total += sig2 * inner
-    return gammas * (2 * total)
+    damp = np.array([math.exp(-2 * g * g * rate) for g in gammas.tolist()])
+    cosines = np.array([[math.cos(2 * b)] for b in betas.tolist()])
+    sines = np.array([math.sin(2 * b) for b in betas.tolist()])
+    im = _im_xi(_xi_coefficients(spec), cosines, np.multiply.outer(sines, damp))
+    return gammas * (2 * im)
 
 
 def energy_mixture_form(xi: MixtureFunction, angles: Angles) -> float:
@@ -205,13 +182,12 @@ def energy_derivatives(spec: MixtureSpec, angles: Angles) -> EnergyDerivatives:
     w_bg = complex(0.0, 2 * c * damp * log_damp_g)
     w_gg = complex(0.0, s * damp * (log_damp_g * log_damp_g - 4 * rate))
     w_bb = -4 * w
-    # Horner for xi, xi' and xi''/2 together; xi has no constant term
+    # Horner for xi, xi' and xi''/2 together; x0 is _im_xi's recurrence
     x0 = x1 = x2 = 0j
-    for q in range(spec.d, -1, -1):
+    for a in reversed(_xi_coefficients(spec)):
         x2 = x2 * w + x1
         x1 = x1 * w + x0
-        sigma = spec.sigmas[q - 1] if q else 0.0
-        x0 = x0 * w + sigma * sigma / math.factorial(q)
+        x0 = x0 * w + complex(a)
     x2 *= 2
     f = x0.imag
     f_b = (x1 * w_b).imag

@@ -162,17 +162,17 @@ def optimize_closed_form(spec: MixtureSpec) -> Optimum:
 
     x, iterations = _newton_polish(spec, x0, grid_best, _POLISH_BUDGET)
     # Canonicalizing can move beta by pi, which rounds; keep the contract that
-    # the reported value never exceeds the grid's.
+    # the reported value never exceeds the grid's.  The derivatives' value is
+    # energy_sigma_form's, bit for bit.
     angles = _canonical(Angles(*x))
-    value = energy_sigma_form(spec, angles)
-    if value > grid_best:
-        angles = _canonical(Angles(*x0))
-        value = energy_sigma_form(spec, angles)
     at_optimum = energy_derivatives(spec, angles)
+    if at_optimum.value > grid_best:
+        angles = _canonical(Angles(*x0))
+        at_optimum = energy_derivatives(spec, angles)
     gradient_norm = math.hypot(*at_optimum.gradient)
     return Optimum(
         angles=angles,
-        value=value,
+        value=at_optimum.value,
         grid_value=grid_best,
         refinement_iterations=iterations,
         converged=gradient_norm < 1e-7 and _positive_definite(at_optimum),

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from msqaoa import closed_form, finite_n, model, optimizer, verify
+from msqaoa import cli, closed_form, finite_n, model, optimizer, verify
 from msqaoa.cli import main
 from msqaoa.errors import ValidationError
 
@@ -190,6 +190,35 @@ def test_closed_form_and_finite_n_take_the_top_degree(tmp_path, capsys):
     assert health["converged"] == {str(d): True for d in range(21, 25)}
 
 
+@pytest.mark.parametrize(
+    "grid",
+    [
+        ["--beta=0:1:100000000000000000"],
+        # past numpy's largest array
+        ["--beta=0:1:9223372036854775808"],
+        ["--beta=0:1:1", "--gamma=0:1:100000000000000000"],
+        ["--beta=0:1:100000000000000000", "--gamma=0:1:100000000000000000"],
+    ],
+    ids=["beta", "beta-2^63", "gamma", "both"],
+)
+def test_oversized_grid_exit_code(tmp_path, capsys, grid):
+    out = tmp_path / "out"
+    assert main(["landscape", "--sk", *grid, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("cap exceeded: a ") and err.count("\n") == 1
+    assert "4096 x 4096" in err
+    assert not out.exists()
+
+
+def test_grid_cap_counts_points(tmp_path, monkeypatch):
+    # the product of the two counts is capped, not each count
+    monkeypatch.setattr(cli, "_GRID_MAX_POINTS", 6)
+    argv = ["landscape", "--sk", "--beta=0:1:2", "--out"]
+    assert main(argv + [str(tmp_path / "a"), "--gamma=0:1:3"]) == 0
+    assert main(argv + [str(tmp_path / "b"), "--gamma=0:1:4"]) == 3
+    assert not (tmp_path / "b").exists()
+
+
 class TestLandscapeCommand:
     def test_single_zero_cell(self, tmp_path):
         code = main(
@@ -300,6 +329,13 @@ class TestLandscapeCommand:
         for entry in manifest["outputs"]:
             digest = hashlib.sha256((tmp_path / entry["path"]).read_bytes()).hexdigest()
             assert digest == entry["sha256"]
+
+    def test_default_mode_is_infinite(self, tmp_path):
+        argv = ["landscape", "--sk", "--beta=0:1:2", "--gamma=0:1:2"]
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["config"]["modes"] == ["infinite"]
+        assert [e["path"] for e in manifest["outputs"]] == ["landscape_sk_infinite.csv"]
 
     def test_bad_mode_exit_code(self, tmp_path):
         code = main(

@@ -180,6 +180,72 @@ class TestSigmaGrid:
             energy_sigma_grid(make_mixture_spec(25, [1.0] * 25), [0.1], [0.2])
 
 
+EXTREME_BETAS = [s * b for b in (0.0, math.pi / 4, math.pi / 2) for s in (1, -1)]
+EXTREME_GAMMAS = [
+    s * g for g in (0.0, 1e-300, 30.0, 1e154, 1e200, sys.float_info.max) for s in (1, -1)
+]
+
+
+def _dense_mixtures(count=8, seed=41):
+    rng = np.random.default_rng(seed)
+    return [
+        make_mixture_spec(d, rng.uniform(0.05, 1.5, d))
+        for d in rng.integers(1, 25, count).tolist()
+    ]
+
+
+class TestOneRecurrence:
+    """``energy_derivatives``' value is ``energy_sigma_form``'s, compared by
+    ``repr``, so the optimizer's scan, line search, convergence test and
+    reported value all see one function."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [pure_d_spec(d) for d in range(1, 25)]
+        + _dense_mixtures()
+        + _mixtures_with_zero_sigmas(),
+    )
+    def test_derivatives_value_is_the_sigma_form(self, spec):
+        for b, g in itertools.product(EXTREME_BETAS, EXTREME_GAMMAS):
+            ang = Angles(b, g)
+            assert repr(energy_derivatives(spec, ang).value) == repr(
+                energy_sigma_form(spec, ang)
+            ), (spec, b, g)
+
+
+class TestFormEquivalenceCheck:
+    @pytest.mark.parametrize("spec", [pure_d_spec(d) for d in range(1, 7)] + [
+        make_mixture_spec(6, [0.3, 0.0, 1.2, 0.5, 0.0, 0.9]),
+        make_mixture_spec(4, [1.4, 0.2, 0.7, 0.05]),
+    ])
+    def test_reference_against_50_digits(self, spec):
+        # verify's explicit degree sum on the optimizer's scan ranges, d <= 6
+        gmax = 2 / math.sqrt(damping_rate(spec))
+        points = list(
+            itertools.product(
+                np.linspace(-math.pi / 4, math.pi / 4, 13), np.linspace(-gmax, gmax, 13)
+            )
+        )
+        want = [energy_at_50_digits(spec, b, g) for b, g in points]
+        top = max(abs(e) for e in want)
+        for (b, g), e in zip(points, want):
+            got = verify._explicit_degree_sum(spec, Angles(float(b), float(g)))
+            assert abs(got - e) <= 2e-15 * top, (b, g)
+
+    def test_passes(self):
+        res = verify.run_check("form_equivalence")
+        assert res.passed, res.details
+        assert set(res.details) == {"points", "max_relative_discrepancy", "tolerance"}
+
+    def test_corrupted_engine_fails(self, monkeypatch):
+        # negative control: the engine off by 1e-11 relative
+        real = closed_form.energy_sigma_form
+        monkeypatch.setattr(
+            closed_form, "energy_sigma_form", lambda *args: real(*args) * (1 + 1e-11)
+        )
+        assert not verify.run_check("form_equivalence").passed
+
+
 class TestInfiniteGridCheck:
     def test_passes(self):
         res = verify.run_check("infinite_grid_consistency")
@@ -299,17 +365,17 @@ class TestDegreesAbove20:
 
     @pytest.mark.parametrize("spec", _top_degree_specs())
     def test_against_50_digits(self, spec):
-        # On the optimizer's scan ranges.  The explicit degree sum cancels
-        # near gamma = 0, where its terms reach (|sin 2b| + |cos 2b|)^d / 2:
-        # on 65x65 grids it errs by up to 1.2e-14 of max |E| at pure d = 20
-        # and 3.6e-14 at d = 24.  The complex forms stay within 2e-15.
+        # On the optimizer's scan ranges.  The Horner recurrence errs by at
+        # most 1.5e-15 of max |E| here; the explicit degree sum it replaced
+        # cancelled near gamma = 0, where its terms reach
+        # (|sin 2b| + |cos 2b|)^d / 2, and erred by up to 3.0e-14 at d = 24.
         gmax = 2 / math.sqrt(damping_rate(spec))
         betas = np.linspace(-math.pi / 4, math.pi / 4, 13)
         gammas = np.linspace(-gmax, gmax, 13)
         want = np.array([[energy_at_50_digits(spec, b, g) for g in gammas] for b in betas])
         top = np.max(np.abs(want))
         grid = energy_sigma_grid(spec, betas, gammas)
-        assert np.max(np.abs(grid - want)) <= 1e-13 * top
+        assert np.max(np.abs(grid - want)) <= 2e-15 * top
         xi = spec.mixture_function()
         for (b, g), e in zip(itertools.product(betas, gammas), want.flat):
             assert abs(energy_mixture_form(xi, Angles(b, g)) - e) <= 1e-14 * top
