@@ -55,7 +55,7 @@ import numpy as np
 
 from .closed_form import Angles, require_finite_grid
 from .errors import CapExceededError, NumericalError, ValidationError
-from .model import MixtureSpec
+from .model import MixtureSpec, popcounts
 
 __all__ = [
     "Sketch",
@@ -544,13 +544,6 @@ class _Kahan:
         self.total = t
 
 
-def _popcounts(values: np.ndarray, n: int) -> np.ndarray:
-    out = np.zeros_like(values)
-    for b in range(n):
-        out += (values >> b) & 1
-    return out
-
-
 def _string_subset_tables(n: int, d: int) -> np.ndarray:
     """tables[q][m] = sum_{|S|=q} prod_{i in S} z_i for the string with bitmask m.
 
@@ -599,7 +592,7 @@ def _oracle_sums(
         phi += (s2 / n**q) * tables[q]
         x += (s2 / n ** (q - 1)) * (tables[q] - math.comb(n, q))
 
-    pc = _popcounts(np.arange(size), n)
+    pc = popcounts(n)  # spins at -1 in string z: bit b set means z_{b+1} = -1
     wa = cb ** (n - pc) * (1j * sb) ** pc  # <z|e^{i beta B}|(+1)^n>
     wb = wa.conj()  # <(+1)^n|e^{-i beta B}|z'>
     # Bounds on sum |WE|, sum |WE D| and sum |WE| D^2 over all pairs, from

@@ -18,10 +18,11 @@ The bound is the instance cap's: an instance has n >= d spins and at least
 
 An instance stores the couplings of each degree q as one array of
 binom(n, q) values in colexicographic subset order: ascending bitmask, with
-bit i-1 set when spin i is in S.  ``subsets(n, q)`` lists the subsets in
-that order and is the one place that order is written down; sampling, cost
-evaluation, the instance file and the statevector's phase table all index
-through it.
+bit i-1 set when spin i is in S.  That order is the one subset convention:
+the statevector's phase table writes degree q at the bitmasks of popcount q
+(``popcounts(n) == q``, in index order), and ``subsets(n, q)`` lists it as
+rows of spin indices for sampling, cost evaluation and the instance file,
+which have no bitmask cap on n.
 """
 
 from __future__ import annotations
@@ -173,17 +174,26 @@ def pure_d_spec(d: int) -> MixtureSpec:
     return MixtureSpec(d, tuple(sigmas))
 
 
+def popcounts(n: int) -> np.ndarray:
+    """popcount(idx), the size of the subset idx, as uint8 for idx < 2^n."""
+    k = np.zeros(1 << n, dtype=np.uint8)
+    for b in range(n):
+        np.add(k[: 1 << b], 1, out=k[1 << b : 2 << b])
+    return k
+
+
 def subsets(n: int, q: int) -> np.ndarray:
     """The size-q subsets of spins 0..n-1 as a (binom(n, q), q) array.
 
     Each row holds sorted 0-based indices; rows run in colexicographic order
     (ascending bitmask), the storage order of ``ProblemInstance.couplings``.
+    They mirror the lexicographic enumeration (i -> n-1-i, reversed): no sort.
     """
     count = math.comb(n, q)
     rows = np.fromiter(
         chain.from_iterable(combinations(range(n), q)), dtype=np.int64, count=count * q
     ).reshape(count, q)
-    return rows[np.lexsort(rows.T)]
+    return n - 1 - rows[::-1, ::-1]
 
 
 def _check_coupling_count(n: int, d: int) -> None:
@@ -200,8 +210,8 @@ class ProblemInstance:
     """One sampled realization of the disorder for n spins.
 
     ``couplings[q-1]`` holds the binom(n, q) raw couplings J_S with |S| = q,
-    in the row order of ``subsets(n, q)``.  Every degree q = 1..d is
-    materialized, including exact zeros for degrees with sigma_q = 0.
+    in ascending bitmask order (the rows of ``subsets(n, q)``).  Every degree
+    q = 1..d is materialized, including exact zeros for sigma_q = 0.
     Instances compare equal when n, spec, seed and every coupling agree.
     """
 
@@ -254,10 +264,10 @@ def sample_instance(spec: MixtureSpec, n: int, seed: int) -> ProblemInstance:
     rng = _instance_rng(spec, n, seed)
     couplings = []
     for q, sigma in enumerate(spec.sigmas, start=1):
-        rows = subsets(n, q)
-        draws = rng.normal(0.0, sigma, size=len(rows)) if sigma > 0 else np.zeros(len(rows))
-        j = np.empty(len(rows))
-        j[np.lexsort(rows.T[::-1])] = draws  # lexicographic rank -> storage slot
+        j = np.zeros(math.comb(n, q))
+        if sigma > 0:  # drawn in lexicographic order, placed at storage slots
+            rows = subsets(n, q)
+            j[np.lexsort(rows.T[::-1])] = rng.normal(0.0, sigma, size=len(rows))
         couplings.append(j)
     return ProblemInstance(n=n, spec=spec, seed=seed, couplings=tuple(couplings))
 

@@ -8,7 +8,8 @@ Two exact identities keep the work per instance small:
 * The cost table is a Walsh–Hadamard transform of the couplings.  Since
   prod_{i in S} z_i = (-1)^popcount(idx & mask_S), scattering
   c[mask_S] = n^((1-q)/2) J_S into a 2^n vector and applying the
-  unnormalized transform H^{(x)n} gives H(z) at every index.
+  unnormalized transform H^{(x)n} gives H(z) at every index.  Degree q,
+  stored by ascending mask, fills the masks of popcount q in index order.
 * The mixer exp(-i beta sum_k X_k) is (exp(-i beta X))^{(x)n}, another
   tensor power of a 2x2 gate.  With S = diag(1, i),
   exp(-i beta X) = S R_beta S^dagger, where
@@ -59,7 +60,7 @@ import numpy as np
 
 from .closed_form import Angles, require_finite_grid
 from .errors import CapExceededError
-from .model import ProblemInstance, subsets
+from .model import ProblemInstance, popcounts
 
 __all__ = [
     "SIM_MAX_N",
@@ -125,9 +126,10 @@ def _apply_kron(x: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndarray:
 def _scattered(instance: ProblemInstance) -> np.ndarray:
     """The scaled couplings n^((1-q)/2) J_S at their subset masks (2^n entries)."""
     n = instance.n
+    sizes = popcounts(n)
     values = np.zeros(1 << n)
     for q, j in enumerate(instance.couplings, start=1):
-        values[(1 << subsets(n, q)).sum(axis=1)] = n ** ((1 - q) / 2) * j
+        values[sizes == q] = n ** ((1 - q) / 2) * j
     return values
 
 
@@ -141,15 +143,6 @@ def build_phase_table(instance: ProblemInstance) -> np.ndarray:
     check_size(n)
     # the scattered couplings are a temporary, freed by the first slice product
     return _apply_kron(_scattered(instance), _kron_factors(HADAMARD, n))
-
-
-def _quarter_turns(n: int) -> np.ndarray:
-    """popcount(idx) mod 4 for idx = 0 .. 2^n - 1."""
-    k = np.zeros(1 << n, dtype=np.uint8)
-    for b in range(n):
-        np.add(k[: 1 << b], 1, out=k[1 << b : 2 << b])
-    k &= 3
-    return k
 
 
 def _phased(table: np.ndarray, turns: np.ndarray, gamma: float) -> np.ndarray:
@@ -169,7 +162,7 @@ def _evolved(table: np.ndarray, n: int, angles: Angles) -> np.ndarray:
     # the gauge and the phased vector are temporaries: the first is freed
     # once phased, the second by the first slice product
     mixer = _kron_factors(_rotation(angles.beta), n)
-    return _apply_kron(_phased(table, _quarter_turns(n), angles.gamma), mixer)
+    return _apply_kron(_phased(table, popcounts(n) & 3, angles.gamma), mixer)
 
 
 def qaoa_state(instance: ProblemInstance, angles: Angles) -> np.ndarray:
@@ -177,7 +170,7 @@ def qaoa_state(instance: ProblemInstance, angles: Angles) -> np.ndarray:
     n = instance.n
     y = _evolved(build_phase_table(instance), n, angles)
     # S^{(x)n} = diag(i^popcount) undoes the gauge
-    gauge = np.array([1, 1j, -1, -1j]).take(_quarter_turns(n))
+    gauge = np.array([1, 1j, -1, -1j]).take(popcounts(n) & 3)
     return gauge * (y[0] + 1j * y[1]) * 2.0 ** (-n / 2)
 
 
@@ -237,7 +230,7 @@ def landscape_instance(
     n = instance.n
     d = instance.spec.d
     table = build_phase_table(instance)
-    turns = _quarter_turns(n)
+    turns = popcounts(n) & 3
     nodes = 2 * d + 2
     node_betas = math.pi * np.arange(nodes) / nodes
     mixers = [_kron_factors(_rotation(float(beta)), n) for beta in node_betas[1 : d + 1]]

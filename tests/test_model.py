@@ -22,9 +22,31 @@ from msqaoa.model import (
     instance_to_text,
     make_mixture_spec,
     pure_d_spec,
+    _instance_rng,
     sample_instance,
     subsets,
 )
+
+
+def sorted_subsets_reference(n, q):
+    """Subset rows sorted by a lexsort of the columns, the last column
+    primary: the bitmask order reached by sorting, not by mirroring."""
+    rows = np.array(list(combinations(range(n), q)), dtype=np.int64).reshape(-1, q)
+    return rows[np.lexsort(rows.T)]
+
+
+def sampling_reference(spec, n, seed):
+    """Couplings drawn in lexicographic order for every degree, zeros for
+    sigma_q = 0, each moved to its sorted-row slot by a second lexsort."""
+    rng = _instance_rng(spec, n, seed)
+    couplings = []
+    for q, sigma in enumerate(spec.sigmas, start=1):
+        rows = sorted_subsets_reference(n, q)
+        draws = rng.normal(0.0, sigma, size=len(rows)) if sigma > 0 else np.zeros(len(rows))
+        j = np.empty(len(rows))
+        j[np.lexsort(rows.T[::-1])] = draws
+        couplings.append(j)
+    return couplings
 
 
 class TestMixtureSpec:
@@ -161,6 +183,29 @@ class TestSampling:
         assert all(j == 0.0 for j in inst.couplings[0])
         assert any(j != 0.0 for j in inst.couplings[1])
 
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_matches_sorting_reference(self, n):
+        # every degree up to n, drawn under one spec and zeroed under the other
+        for zeroed in (0, 1):
+            sigmas = [0.0 if q % 2 == zeroed else 0.3 + 0.1 * q for q in range(1, n + 1)]
+            if not any(sigmas):
+                continue
+            spec = make_mixture_spec(n, sigmas)
+            inst = sample_instance(spec, n, 1000 + n)
+            for got, want in zip(inst.couplings, sampling_reference(spec, n, 1000 + n)):
+                assert got.tobytes() == want.tobytes()
+
+    def test_subsets_listed_only_for_drawn_degrees(self, monkeypatch):
+        calls = []
+
+        def counted(n, q):
+            calls.append(q)
+            return subsets(n, q)
+
+        monkeypatch.setattr("msqaoa.model.subsets", counted)
+        sample_instance(pure_d_spec(3), 9, 0)
+        assert calls == [3]
+
     def test_too_few_spins(self):
         with pytest.raises(ValidationError, match=r"n=2 < d=3"):
             sample_instance(make_mixture_spec(3, [0, 0, 1]), 2, 0)
@@ -224,11 +269,21 @@ class TestSubsets:
             assert rows.shape == (math.comb(n, q), q)
             assert [tuple(r) for r in rows.tolist()] == want
 
+    def test_bitmask_order_beyond_63_spins(self):
+        # bitmasks past 2^63 compared as Python integers
+        want = sorted(combinations(range(64), 2), key=lambda s: sum(1 << i for i in s))
+        rows = subsets(64, 2)
+        assert [tuple(r) for r in rows.tolist()] == want
+        assert rows.tobytes() == sorted_subsets_reference(64, 2).tobytes()
+
 
 class TestBeyond63Spins:
     @pytest.mark.parametrize("d, n", [(3, 64), (2, 100)])
     def test_round_trip_and_cost(self, d, n):
-        inst = sample_instance(make_mixture_spec(d, [0.3, 0.5, 1.0][:d]), n, 17)
+        spec = make_mixture_spec(d, [0.3, 0.5, 1.0][:d])
+        inst = sample_instance(spec, n, 17)
+        for got, want in zip(inst.couplings, sampling_reference(spec, n, 17)):
+            assert got.tobytes() == want.tobytes()
         text = instance_to_text(inst)
         back = instance_from_text(text)
         assert back == inst

@@ -14,6 +14,7 @@ from msqaoa.model import (
     ProblemInstance,
     cost,
     make_mixture_spec,
+    popcounts,
     sample_instance,
 )
 from msqaoa.simulator import (
@@ -21,7 +22,6 @@ from msqaoa.simulator import (
     SLICE_BITS,
     _apply_kron,
     _kron_factors,
-    _quarter_turns,
     _rotation,
     build_phase_table,
     expectation,
@@ -157,6 +157,19 @@ class TestPhaseTable:
             got = build_phase_table(inst)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
 
+    def test_scatter_lists_no_subsets(self, monkeypatch):
+        # the table places each degree by popcount, never through subset rows
+        assert not hasattr(simulator, "subsets")
+        inst = sample_instance(spec_with_gaps(4), 10, 5)
+
+        def refused(n, q):
+            raise AssertionError("the phase table listed subsets")
+
+        monkeypatch.setattr("msqaoa.model.subsets", refused)
+        want = parity_reference_table(inst)
+        got = build_phase_table(inst)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+
     @pytest.mark.parametrize("n", [11, 17])
     def test_partial_top_slice_matches_cost(self, n):
         assert n % SLICE_BITS
@@ -206,10 +219,14 @@ class TestDenseReference:
             assert abs(h - prob @ table) < 1e-13 * scale
             assert abs(h2 - prob @ (table * table)) < 1e-13 * scale**2
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    @pytest.mark.parametrize("n", range(1, 13))
     def test_quarter_turns(self, n):
-        want = [bin(idx).count("1") % 4 for idx in range(1 << n)]
-        assert _quarter_turns(n).tolist() == want
+        # the gauge's quarter turns are the model's popcounts mod 4
+        want = [bin(idx).count("1") for idx in range(1 << n)]
+        sizes = popcounts(n)
+        assert sizes.dtype == np.uint8
+        assert sizes.tolist() == want
+        assert (sizes & 3).tolist() == [k % 4 for k in want]
 
 
 class TestState:
