@@ -22,8 +22,9 @@ the block integrand at the integers, built once per n and model.
 ``sketch_moment_grid`` evaluates every block exactly at cos^2 b taken as
 (1 + cos 2b) / 2 from the float cos 2b (integer Horner and one correctly
 rounded division), so only the angle factors and the sum over t are rounded,
-at any d and n.  The damping weights g_q(t) / (2 n^(q-1)) and the lambda^2
-weights binom(n,q) / (2 n^(q+1)) are each one correctly rounded ratio of
+at any d and n.  The damping sum_q sigma_q^2 g_q(t) / (2 n^(q-1)) and the
+lambda^2 weight sum_q binom(n,q) sigma_q^2 / (2 n^(q+1)) are values of the
+same exact polynomial phi as the blocks, each one correctly rounded ratio of
 exact integers, so nothing overflows and every integer n >= 1 is taken; the
 tests certify n above the reference's 512 by evaluating the same integer
 blocks at 60 digits and by fitting the first moment in 1/n against the
@@ -200,45 +201,6 @@ def f_q_abc(q: int) -> dict[tuple[int, int, int], Fraction]:
 # -- sketch-sum engine -------------------------------------------------------
 
 
-def _g_columns(spec: MixtureSpec, n: int, entries: int) -> list:
-    """(sigma_q^2, g_q(t) / (2 n^(q-1)) for t < entries, reach) for each q <=
-    min(d, n) with sigma_q != 0: the part of the K table that does not depend
-    on gamma.  Each weight is one correctly rounded int / int division, O(1)
-    for t <= 2d at any n.  reach is 2 x column count x largest weight: while
-    gamma^2 sigma_q^2 reach is finite, no column product or sum overflows."""
-    columns = []
-    for q in range(1, min(spec.d, n) + 1):
-        s2 = spec.sigmas[q - 1] ** 2
-        if s2 == 0:
-            continue
-        scale = 2 * n ** (q - 1)
-        columns.append((s2, np.array([g_q(q, t, n) / scale for t in range(entries)])))
-    return [(s2, col, 2.0 * len(columns) * float(col.max())) for s2, col in columns]
-
-
-def _k_table(columns: Sequence, gamma: float, entries: int) -> np.ndarray:
-    """K(t) = -sum_q gamma^2 sigma_q^2 g_q(t) / (2 n^(q-1)) for t < entries,
-    from the ``_g_columns(spec, n, entries)`` of the model."""
-    K = np.zeros(entries)
-    g2 = gamma * gamma
-    for s2, col, reach in columns:
-        w = g2 * s2
-        if w * reach < math.inf:
-            K -= w * col
-        else:  # e^K(t) is 0 where g_q(t) > 0; no array overflow, never inf * 0
-            K[col != 0] = -math.inf
-    return K
-
-
-def _lambda_quadratic(spec: MixtureSpec, n: int) -> float:
-    """R = sum_q binom(n,q) sigma_q^2 / (2 n^(q+1)), the lam^2 exponent weight,
-    with each binom(n,q) / (2 n^(q+1)) one correctly rounded int / int ratio."""
-    return sum(
-        math.comb(n, q) / (2 * n ** (q + 1)) * spec.sigmas[q - 1] ** 2
-        for q in range(1, min(spec.d, n) + 1)
-    )
-
-
 def _check_n(n, cap: Optional[int] = None, reason: str = "") -> int:
     """n as an exact Python int >= 1, at most ``cap`` when one is given.  A
     numpy integer is converted, so the binomials and powers of n stay exact
@@ -314,9 +276,11 @@ def _clamped_variance(first, second) -> tuple[np.ndarray, np.ndarray]:
 # sum over t are rounded.
 
 
-def _phi_integers(spec: MixtureSpec, n: int, top: int) -> tuple[list[int], int]:
-    """(L phi(u) for u = 0..top, L): phi at the integers, exactly, over the
-    common denominator L of its terms sigma_q^2 F_q(u) / n^q."""
+def _phi_integers(spec: MixtureSpec, n: int, top: int) -> tuple[list[int], list[int], int]:
+    """(L phi(u), L phi(n - u)) for u = 0..top, and L: phi at the integers,
+    exactly, over the common denominator L of its terms sigma_q^2 F_q(u) / n^q.
+    Flipping every spin gives F_q(n - u) = (-1)^q F_q(u), so phi(n - u) is
+    phi(u) with its odd degrees negated: no point near u = n is evaluated."""
     terms = [
         (q, *(spec.sigmas[q - 1] ** 2).as_integer_ratio())
         for q in range(1, min(spec.d, n) + 1)
@@ -324,11 +288,25 @@ def _phi_integers(spec: MixtureSpec, n: int, top: int) -> tuple[list[int], int]:
     ]
     den = math.lcm(1, *(s2_den * n**q for q, _, s2_den in terms))
     weights = [(q, s2_num * (den // (s2_den * n**q))) for q, s2_num, s2_den in terms]
-    phi = [
-        sum(w * _subset_sum_by_plus_count(q, u, n) for q, w in weights)
+    parts = [  # (even, odd) degrees of L phi(u)
+        (
+            sum(w * _subset_sum_by_plus_count(q, u, n) for q, w in weights if q % 2 == 0),
+            sum(w * _subset_sum_by_plus_count(q, u, n) for q, w in weights if q % 2),
+        )
         for u in range(top + 1)
     ]
-    return phi, den
+    return [e + o for e, o in parts], [e - o for e, o in parts], den
+
+
+def _weights(flip: list[int], den: int, n: int) -> tuple[list[float], float]:
+    """(k(t) for t = 0..top, R) from flip = L phi(n - t), each one correctly
+    rounded int / int ratio.  z_S z'_S is the subset product of a string with
+    n - t entries +1, so g_q(t) = 2 binom(n,q) - 2 F_q(n - t) and the damping
+    is e^K(t) = e^(-gamma^2 k(t)) with
+        k(t) = sum_q sigma_q^2 g_q(t) / (2 n^(q-1)) = n (phi(n) - phi(n - t)),
+    k(t) >= 0 and k(0) = 0; the lambda^2 weight is
+        R = sum_q binom(n,q) sigma_q^2 / (2 n^(q+1)) = phi(n) / (2n)."""
+    return [n * (flip[0] - v) / den for v in flip], flip[0] / (2 * n * den)
 
 
 def _binomial_moment_coeffs(h: list[int], s: int) -> list[int]:
@@ -342,13 +320,12 @@ def _binomial_moment_coeffs(h: list[int], s: int) -> list[int]:
     return coeffs
 
 
-def _moment_blocks(spec: MixtureSpec, n: int) -> tuple[list, list]:
+def _moment_blocks(phi: list[int], den: int, n: int, d: int) -> tuple[list, list]:
     """The surviving blocks of the first and of the second moment, each as
     (t, coeffs, den) with sum_m coeffs[m] c2^m / den = s binom(n,t) E_j h_t(j),
     where s = i^(t+1) for the first moment (odd t <= d) and s = i^t for the
-    second (even t <= 2d, from t = 2 on, since P(0, j) = 0)."""
-    d = spec.d
-    phi, den = _phi_integers(spec, n, min(2 * d, n))
+    second (even t <= 2d, from t = 2 on, since P(0, j) = 0).  phi and den are
+    the L phi(u), u <= min(2d, n), and L of ``_phi_integers`` for degree d."""
 
     def block(t: int, power: int, deg: int, sign: int):
         h = [
@@ -419,10 +396,10 @@ def sketch_moment_grid(
     with p = sum_q sigma_q^2 f_q / n^q), and the sketch sums collapse to the
     blocks described above.  Each block is a beta factor (sc^t times its
     polynomial in cos^2 b, built once per grid and evaluated exactly once per
-    beta) times a gamma factor (gamma e^K(t) or e^K(t), from one K table per
-    gamma, which scales integer g_q columns built once per grid), so each
-    point costs one multiply-add per block, in the same order as the 1x1
-    grid.  Both moments are real by construction.
+    beta) times a gamma factor (gamma e^K(t) or e^K(t), K(t) = -gamma^2 k(t)).
+    One exact phi table per grid gives the blocks, every k(t) and the lambda^2
+    weight R, so each point costs one multiply-add per block, in the same
+    order as the 1x1 grid.  Both moments are real by construction.
 
     A variance below -1e-10 raises NumericalError; smaller negative
     variances are set to 0 and flagged in ``clamped``.  Every integer n >= 1
@@ -439,22 +416,23 @@ def sketch_moment_grid(
     """
     n = _check_n(n)
     betas, gammas = require_finite_grid(betas, gammas)
-    blocks1, blocks2 = _moment_blocks(spec, n)
+    phi, flip, den = _phi_integers(spec, n, min(2 * spec.d, n))
+    blocks1, blocks2 = _moment_blocks(phi, den, n, spec.d)
+    k, r = _weights(flip, den, n)
     # beta factors, shape (len(betas), blocks)
     rows = np.array([_block_values(blocks1 + blocks2, float(b)) for b in betas])
     f1, f2 = rows[:, : len(blocks1)], rows[:, len(blocks1) :]
     # gamma factors, shape (blocks, len(gammas))
     g1 = np.empty((len(blocks1), len(gammas)))
     g2 = np.empty((len(blocks2), len(gammas)))
-    entries = min(2 * spec.d, n) + 1
-    columns = _g_columns(spec, n, entries)
     for gi, gamma in enumerate(gammas):
+        # Python floats: k(t) >= 0 and k(0) = 0, so a huge gamma takes
+        # gamma (gamma k(t)) only to +inf and e^K(t) to 0, never to NaN
         gamma = float(gamma)
-        K = _k_table(columns, gamma, entries)
         for i, (t, _, _) in enumerate(blocks1):
-            g1[i, gi] = gamma * math.exp(K[t])
+            g1[i, gi] = gamma * math.exp(-(gamma * (gamma * k[t])))
         for i, (t, _, _) in enumerate(blocks2):
-            g2[i, gi] = math.exp(K[t])
+            g2[i, gi] = math.exp(-(gamma * (gamma * k[t])))
 
     first = np.zeros((len(betas), len(gammas)))
     for i in range(len(blocks1)):
@@ -464,7 +442,7 @@ def sketch_moment_grid(
         m2 += g2[i] * f2[:, i, None]
     # not (gammas * gammas) * m2: past |gamma| ~ 1.3e154 gamma^2 is inf where
     # every e^K(t), and so m2, is 0; the limit is second = 2R
-    second = 2 * _lambda_quadratic(spec, n) - gammas * (gammas * m2)
+    second = 2 * r - gammas * (gammas * m2)
     variance, clamped = _clamped_variance(first, second)
     return MomentGrid(n, spec, betas, gammas, first, second, variance, clamped)
 
@@ -490,7 +468,7 @@ def generating_function(spec: MixtureSpec, angles: Angles, n: int, lam: float) -
     One plain float sum over the binom(n+3,3) sketches, grouped by the
     disagreement count t: binom(n,t) e^K(t) (i sc)^t times the real sum of
     (-1)^npm binom(t,npm) binom(n-t,npp) c2^npp s2^nmm e^(-gamma lam P - lam^2 R),
-    with P = sum_q sigma_q^2 f_q / n^q and R = ``_lambda_quadratic``.  Its
+    with P = sum_q sigma_q^2 f_q / n^q and K(t), R from phi.  Its
     blocks cancel more as n grows, so n is capped at ORACLE_MAX_N, where the
     oracle checks it.  At lam = 0 the value is the squared state norm, 1.
     """
@@ -500,14 +478,14 @@ def generating_function(spec: MixtureSpec, angles: Angles, n: int, lam: float) -
         return 1.0 + 0.0j
     sb, cb = math.sin(angles.beta), math.cos(angles.beta)
     sc, c2, s2 = sb * cb, cb * cb, sb * sb
-    phi_int, den = _phi_integers(spec, n, n)
+    phi_int, flip, den = _phi_integers(spec, n, n)
     phi = [v / den for v in phi_int]
-    # k(t) = K(t) / gamma^2 <= 0: each term's damping, e^(-gamma lam P) and
-    # e^(-lam^2 R) are one exponent gamma (gamma k(t) - lam P) - lam (lam R),
-    # -inf where a huge gamma or lam overflows
-    k = _k_table(_g_columns(spec, n, n + 1), 1.0, n + 1).tolist()
+    # each term's damping e^(-gamma^2 k(t)), e^(-gamma lam P) and e^(-lam^2 R)
+    # are one exponent -gamma (gamma k(t) + lam P) - lam (lam R), -inf where a
+    # huge gamma or lam overflows
+    k, r = _weights(flip, den, n)
     g = angles.gamma
-    lam2r = lam * (lam * _lambda_quadratic(spec, n))
+    lam2r = lam * (lam * r)
     total = 0j
     for t in range(n + 1):
         s = n - t
@@ -517,7 +495,7 @@ def generating_function(spec: MixtureSpec, angles: Angles, n: int, lam: float) -
             for j in range(s + 1):  # j = npp
                 w = (-1) ** i * math.comb(t, i) * math.comb(s, j) * c2**j * s2 ** (s - j)
                 p = phi[i + j] - phi[t - i + j]
-                block += w * math.exp(g * (gk - lam * p) - lam2r)
+                block += w * math.exp(-g * (gk + lam * p) - lam2r)
         total += math.comb(n, t) * (1j * sc) ** t * block
     return total
 
@@ -603,7 +581,8 @@ def _oracle_sums(
         gx = g * x
         damp = np.exp(g * gx)
 
-    r = _lambda_quadratic(spec, n)
+    # R = sum_q binom(n,q) sigma_q^2 / (2 n^(q+1)), from its definition
+    r = sum(math.comb(n, q) / (2 * n ** (q + 1)) * sigma2[q - 1] for q in range(1, min(d, n) + 1))
     s0 = _Kahan()
     s1 = _Kahan()
     s2acc = _Kahan()
@@ -729,10 +708,12 @@ def t_sum(
         raise ValidationError(f"need a+b <= n_power, got {a}+{b} > {n_power}")
     n = _check_n(n)
     top = min(a, n)
-    K = _k_table(_g_columns(spec, n, top + 1), angles.gamma, top + 1)
+    _, flip, den = _phi_integers(spec, n, top)
+    k, _ = _weights(flip, den, n)
+    g = angles.gamma
     blocks = []
     for t in range(top + 1):
         scale = _a_kernel(a, t) * math.comb(n, t)
         blocks.append((t, [scale * c for c in _b_coeffs(b, n - t)], n**n_power))
     values = _block_values(blocks, angles.beta)
-    return sum(1j**t * math.exp(K[t]) * v for t, v in enumerate(values))
+    return sum(1j**t * math.exp(-(g * (g * k[t]))) * v for t, v in enumerate(values))

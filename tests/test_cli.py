@@ -468,8 +468,8 @@ class TestLandscapeCommand:
         assert manifest["health"]["clamped_variances"] == {"landscape_sk_finite_n10.csv": 0}
 
     def test_k_product_overflow_prints_no_warning(self, tmp_path):
-        # at 6e153 < gamma < 1.3e154 gamma^2 sigma_q^2 is finite but its
-        # products with the K-table columns are not; a fresh process shows
+        # at 6e153 < gamma < 1.3e154 gamma^2 sigma_q^2 is finite but the
+        # product gamma (gamma k(t)) is not; a fresh process shows
         # what numpy would print on stderr
         src = Path(finite_n.__file__).resolve().parent.parent
         argv = ["landscape", "--sigmas", "0.3,0.5,1.0", "--mode", "finite:10",
@@ -487,8 +487,13 @@ class TestLandscapeCommand:
     def test_numerical_self_check_exit_code(self, tmp_path, capsys, monkeypatch):
         # injected fault: the lambda^2 weight R short by 1 gives a negative
         # variance; the infinite grid written first must be removed with the rest
-        real = finite_n._lambda_quadratic
-        monkeypatch.setattr(finite_n, "_lambda_quadratic", lambda *args: real(*args) - 1.0)
+        real = finite_n._weights
+
+        def short(*args):
+            k, r = real(*args)
+            return k, r - 1.0
+
+        monkeypatch.setattr(finite_n, "_weights", short)
         code = main(
             [
                 "landscape",

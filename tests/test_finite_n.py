@@ -18,7 +18,6 @@ from msqaoa.errors import CapExceededError, NumericalError, ValidationError
 from msqaoa.finite_n import (
     Sketch,
     _clamped_variance,
-    _lambda_quadratic,
     _require_real,
     a_factor,
     b_factor,
@@ -36,6 +35,15 @@ from msqaoa.model import make_mixture_spec, pure_d_spec
 
 SK = make_mixture_spec(2, [0, 1])
 MIX3 = make_mixture_spec(3, [1 / 3, 1 / 2, 1.0])
+
+
+def lambda_weight(spec, n):
+    """R = sum_q binom(n,q) sigma_q^2 / (2 n^(q+1)), exactly, from its definition
+    with the float sigma_q^2 of the model."""
+    return sum(
+        Fraction(math.comb(n, q)) * Fraction(s * s) / (2 * n ** (q + 1))
+        for q, s in enumerate(spec.sigmas[:n], start=1)
+    )
 
 
 def direct_pair_sums(z, zp, q):
@@ -145,6 +153,74 @@ class TestGq:
             g_q(0, 1, 4)
         with pytest.raises(ValidationError):
             g_q(2, 9, 4)
+
+
+# pure degrees and mixtures of both parities with zeroed sigmas; 0.3 and 1.1
+# square to rationals with large denominators
+PHI_SPECS = [pure_d_spec(d) for d in range(1, 25)] + [
+    make_mixture_spec(24, [0.0 if q % 3 == 0 else 0.1 * q for q in range(1, 25)]),
+    make_mixture_spec(23, [0.0 if q % 4 else 1.1 for q in range(1, 24)]),
+    make_mixture_spec(9, [0.0, 0.8, 0.0, 1.1, 0.0, 0.0, 0.4, 0.0, 1.5]),
+    make_mixture_spec(6, [0.3, 0.0, 0.5, 0.0, 0.0, 1.0]),
+    make_mixture_spec(4, [0.0, 0.0, 0.7, 0.0]),
+]
+
+
+def phi_spec_id(spec):
+    return f"{'pure' if spec == pure_d_spec(spec.d) else 'mix'}{spec.d}"
+
+
+@lru_cache(maxsize=None)
+def plus_count_subset_sum(q, u, n):
+    """sum_{|S|=q} z_S for a string of length n with u entries +1."""
+    return sum((-1) ** (q - k) * math.comb(u, k) * math.comb(n - u, q - k) for k in range(q + 1))
+
+
+def phi_at(spec, n, u):
+    """phi(u) = sum_q sigma_q^2 F_q(u) / n^q, exactly, with the float sigma_q^2."""
+    return sum(
+        Fraction(s * s) * plus_count_subset_sum(q, u, n) / Fraction(n) ** q
+        for q, s in enumerate(spec.sigmas[:n], start=1)
+        if s
+    )
+
+
+def assert_phi_gives_every_weight(spec, n, top):
+    """The engine's phi tables against phi evaluated directly at u and n - u,
+    and its k(t) and R against their definitions from g_q and the binomials."""
+    phi, flip, den = finite_n._phi_integers(spec, n, top)
+    k, r = finite_n._weights(flip, den, n)
+    assert len(phi) == len(flip) == len(k) == top + 1
+    phi_n = phi_at(spec, n, n)
+    for u in range(top + 1):
+        assert Fraction(phi[u], den) == phi_at(spec, n, u)
+        assert Fraction(flip[u], den) == phi_at(spec, n, n - u)
+        damping = sum(
+            Fraction(s * s) * g_q(q, u, n) / (2 * Fraction(n) ** (q - 1))
+            for q, s in enumerate(spec.sigmas[:n], start=1)
+            if s
+        )
+        assert n * (phi_n - Fraction(flip[u], den)) == damping
+        assert k[u] == float(damping)
+    assert phi_n / (2 * n) == lambda_weight(spec, n)
+    assert r == float(lambda_weight(spec, n))
+    assert k[0] == 0.0 and min(k) >= 0.0
+
+
+class TestPhiIdentities:
+    """phi(n - u) is phi(u) with the odd degrees negated, the damping weight is
+    k(t) = n (phi(n) - phi(n - t)) and the lambda^2 weight is R = phi(n) / (2n),
+    in exact rationals, and the engine rounds each weight once."""
+
+    @pytest.mark.parametrize("spec", PHI_SPECS, ids=phi_spec_id)
+    def test_every_t_up_to_n_40(self, spec):
+        for n in range(1, 41):
+            assert_phi_gives_every_weight(spec, n, n)
+
+    @pytest.mark.parametrize("n", [2**64, 10**30], ids=["2^64", "10^30"])
+    @pytest.mark.parametrize("spec", PHI_SPECS, ids=phi_spec_id)
+    def test_t_up_to_2d_at_huge_n(self, spec, n):
+        assert_phi_gives_every_weight(spec, n, 2 * spec.d)
 
 
 class TestFqAbc:
@@ -341,23 +417,27 @@ class TestMoments:
             rep = fn(MIX3, ang, 6)
             assert all(type(v) is float for v in (rep.first, rep.second, rep.variance))
 
-    def test_k_table_sizes(self, monkeypatch):
-        # the moments read K(t) only for t <= 2d, t_sum only for t <= a; the
-        # direct sketch sum reads all n + 1
+    def test_phi_is_built_once_per_call(self, monkeypatch):
+        # one phi table gives the blocks, every k(t) and R: the moments read
+        # it only for u <= 2d, t_sum only for u <= a; the direct sketch sum
+        # reads all n + 1
         sizes = []
-        real = finite_n._k_table
+        real = finite_n._phi_integers
 
-        def spy(columns, gamma, entries):
-            sizes.append(entries)
-            return real(columns, gamma, entries)
+        def spy(spec, n, top):
+            phi, flip, den = real(spec, n, top)
+            assert len(phi) == len(flip) == top + 1
+            sizes.append(top + 1)
+            return phi, flip, den
 
-        monkeypatch.setattr(finite_n, "_k_table", spy)
+        monkeypatch.setattr(finite_n, "_phi_integers", spy)
         ang = Angles(0.3, -0.4)
-        sketch_moments(MIX3, ang, 64)
+        sketch_moment_grid(MIX3, np.linspace(-0.7, 0.7, 7), np.linspace(-1, 1, 11), 64)
         sketch_moments(MIX3, ang, 4)
         generating_function(MIX3, ang, 8, 0.5)
         t_sum(MIX3, ang, 9, 1, 0, 1)
-        assert sizes == [7, 5, 9, 2]
+        t_sum(MIX3, ang, 1, 3, 0, 3)
+        assert sizes == [7, 5, 9, 2, 2]
 
 
 # (beta, gamma) pairs: an Angles of them cannot be made
@@ -397,7 +477,7 @@ class TestHugeGamma:
         for n in (2, 3, 10):
             rep = sketch_moments(spec, Angles(0.3, gamma), n)
             assert rep.first == 0.0 and not rep.clamped
-            assert rep.second == 2 * _lambda_quadratic(spec, n) == rep.variance
+            assert rep.second == float(2 * lambda_weight(spec, n)) == rep.variance
             grid = sketch_moment_grid(spec, [0.3, -1.1, 0.0], [gamma, 0.5], n)
             for values in (grid.first, grid.second, grid.variance):
                 assert np.isfinite(values).all()
@@ -406,14 +486,14 @@ class TestHugeGamma:
 
     @pytest.mark.parametrize("spec", [SK, MIX_035])
     def test_no_overflow_warning_where_only_the_k_products_overflow(self, spec):
-        # 6e153 < |gamma| < 1.3e154: gamma^2 sigma_q^2 is finite, but its
-        # products with the g_q column are not
+        # 6e153 < |gamma| < 1.3e154: gamma^2 sigma_q^2 is finite, but the
+        # product gamma (gamma k(t)) is not
         gammas = np.geomspace(5e153, 1.4e154, 40)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             grid = sketch_moment_grid(spec, [0.0, 0.3, -1.1], np.concatenate([gammas, -gammas]), 10)
         assert (grid.first == 0.0).all()
-        assert (grid.second == 2 * _lambda_quadratic(spec, 10)).all()
+        assert (grid.second == float(2 * lambda_weight(spec, 10))).all()
 
 
 class TestOracleAtLargeGamma:
@@ -438,7 +518,7 @@ class TestOracleAtLargeGamma:
     @pytest.mark.parametrize("spec", [SK, MIX_035])
     def test_generating_functions_reach_the_limit(self, spec, gamma):
         for n in (4, 6):
-            limit = math.exp(-0.25 * _lambda_quadratic(spec, n))
+            limit = math.exp(-0.25 * float(lambda_weight(spec, n)))
             gf = generating_function(spec, Angles(0.3, gamma), n, 0.5)
             ogf = oracle_mgf(spec, Angles(0.3, gamma), n, 0.5)
             assert cmath.isfinite(gf) and cmath.isfinite(ogf)
@@ -838,8 +918,13 @@ class TestMomentGrid:
 
     def test_negative_variance_beyond_allowance_raises(self, monkeypatch):
         # injected fault: the lambda^2 weight R short by 1, so second < first^2
-        real = finite_n._lambda_quadratic
-        monkeypatch.setattr(finite_n, "_lambda_quadratic", lambda *args: real(*args) - 1.0)
+        real = finite_n._weights
+
+        def short(*args):
+            k, r = real(*args)
+            return k, r - 1.0
+
+        monkeypatch.setattr(finite_n, "_weights", short)
         with pytest.raises(NumericalError, match=r"below the -1e-10 allowance"):
             sketch_moment_grid(MIX3, [0.3, 0.1], [-0.3], 32)
 
@@ -866,7 +951,7 @@ class TestMomentGrid:
         assert abs(grid.second[0, 0] - second) <= max(1e-12 * abs(second), 1e-15)
 
     def test_work_splits_into_beta_and_gamma_factors(self, monkeypatch):
-        calls = {"_moment_blocks": 0, "_block_values": 0, "_k_table": 0}
+        calls = {"_moment_blocks": 0, "_block_values": 0}
 
         def spy(name):
             real = getattr(finite_n, name)
@@ -881,29 +966,7 @@ class TestMomentGrid:
             monkeypatch.setattr(finite_n, name, spy(name))
         betas, gammas, n = np.linspace(-0.7, 0.7, 7), np.linspace(-1, 1, 11), 64
         sketch_moment_grid(MIX3, betas, gammas, n)
-        assert calls == {
-            "_moment_blocks": 1,
-            "_block_values": len(betas),
-            "_k_table": len(gammas),
-        }
-
-    def test_g_columns_are_built_once_per_grid(self, monkeypatch):
-        calls = {"_g_columns": 0, "_k_table": 0}
-
-        def spy(name):
-            real = getattr(finite_n, name)
-
-            def counted(*args):
-                calls[name] += 1
-                return real(*args)
-
-            return counted
-
-        for name in calls:
-            monkeypatch.setattr(finite_n, name, spy(name))
-        gammas = np.linspace(-1, 1, 11)
-        sketch_moment_grid(MIX3, np.linspace(-0.7, 0.7, 7), gammas, 64)
-        assert calls == {"_g_columns": 1, "_k_table": len(gammas)}
+        assert calls == {"_moment_blocks": 1, "_block_values": len(betas)}
 
 
 EDGE_BETAS = [math.pi / 4, -math.pi / 4, 1e-7, -1e-7, math.pi / 2 - 1e-7, math.pi / 2]
@@ -1033,7 +1096,8 @@ def moments_from_blocks_at_60_digits(spec, betas, gammas, n):
     Past the range of ``reference_moments`` this checks the float evaluation
     of the blocks; the 1/n fit below checks the blocks against the closed
     form."""
-    blocks1, blocks2 = finite_n._moment_blocks(spec, n)
+    phi, _, den = finite_n._phi_integers(spec, n, min(2 * spec.d, n))
+    blocks1, blocks2 = finite_n._moment_blocks(phi, den, n, spec.d)
     terms = [
         (q, *(s * s).as_integer_ratio()) for q, s in enumerate(spec.sigmas, start=1) if s
     ]
