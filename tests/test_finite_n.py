@@ -417,20 +417,26 @@ class TestMoments:
             rep = fn(MIX3, ang, 6)
             assert all(type(v) is float for v in (rep.first, rep.second, rep.variance))
 
-    def test_phi_is_built_once_per_call(self, monkeypatch):
+    def test_k_table_sizes(self, monkeypatch):
         # one phi table gives the blocks, every k(t) and R: the moments read
-        # it only for u <= 2d, t_sum only for u <= a; the direct sketch sum
+        # k(t) only for t <= 2d, t_sum only for t <= a; the direct sketch sum
         # reads all n + 1
         sizes = []
-        real = finite_n._phi_integers
+        real_phi, real_weights = finite_n._phi_integers, finite_n._weights
 
-        def spy(spec, n, top):
-            phi, flip, den = real(spec, n, top)
+        def phi_spy(spec, n, top):
+            phi, flip, den = real_phi(spec, n, top)
             assert len(phi) == len(flip) == top + 1
-            sizes.append(top + 1)
             return phi, flip, den
 
-        monkeypatch.setattr(finite_n, "_phi_integers", spy)
+        def weights_spy(flip, den, n):
+            k, r = real_weights(flip, den, n)
+            assert len(k) == len(flip)
+            sizes.append(len(k))
+            return k, r
+
+        monkeypatch.setattr(finite_n, "_phi_integers", phi_spy)
+        monkeypatch.setattr(finite_n, "_weights", weights_spy)
         ang = Angles(0.3, -0.4)
         sketch_moment_grid(MIX3, np.linspace(-0.7, 0.7, 7), np.linspace(-1, 1, 11), 64)
         sketch_moments(MIX3, ang, 4)
@@ -967,6 +973,26 @@ class TestMomentGrid:
         betas, gammas, n = np.linspace(-0.7, 0.7, 7), np.linspace(-1, 1, 11), 64
         sketch_moment_grid(MIX3, betas, gammas, n)
         assert calls == {"_moment_blocks": 1, "_block_values": len(betas)}
+
+    def test_g_columns_are_built_once_per_grid(self, monkeypatch):
+        # the phi table stands for every g_q column, and k(t) no longer
+        # depends on gamma: one build of each per grid
+        calls = {"_phi_integers": 0, "_weights": 0}
+
+        def spy(name):
+            real = getattr(finite_n, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(finite_n, name, spy(name))
+        gammas = np.linspace(-1, 1, 11)
+        sketch_moment_grid(MIX3, np.linspace(-0.7, 0.7, 7), gammas, 64)
+        assert calls == {"_phi_integers": 1, "_weights": 1}
 
 
 EDGE_BETAS = [math.pi / 4, -math.pi / 4, 1e-7, -1e-7, math.pi / 2 - 1e-7, math.pi / 2]
