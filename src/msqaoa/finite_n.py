@@ -125,6 +125,18 @@ def _subset_sum_by_plus_count(q: int, u: int, n: int) -> int:
     )
 
 
+def _subset_sums_by_degree(u: int, n: int, top: int) -> list[int]:
+    """[F_0(u), ..., F_top(u)], F_q(u) = ``_subset_sum_by_plus_count(q, u, n)``,
+    in one pass.  F_q(u) is the t^q coefficient of P = (1+t)^u (1-t)^(n-u),
+    and (1 - t^2) P' = (2u - n - n t) P gives, with F_0 = 1, F_1 = 2u - n,
+        (q + 1) F_{q+1} = (2u - n) F_q - (n - q + 1) F_{q-1},
+    each division exact."""
+    f = [1, 2 * u - n]
+    for q in range(1, top):
+        f.append(((2 * u - n) * f[q] - (n - q + 1) * f[q - 1]) // (q + 1))
+    return f[: top + 1]
+
+
 def f_q(q: int, sketch: Sketch) -> int:
     """sum_{|S|=q}(z_S - z'_S) for any pair with the given sketch."""
     n = sketch.n
@@ -288,13 +300,14 @@ def _phi_integers(spec: MixtureSpec, n: int, top: int) -> tuple[list[int], list[
     ]
     den = math.lcm(1, *(s2_den * n**q for q, _, s2_den in terms))
     weights = [(q, s2_num * (den // (s2_den * n**q))) for q, s2_num, s2_den in terms]
-    parts = [  # (even, odd) degrees of L phi(u)
-        (
-            sum(w * _subset_sum_by_plus_count(q, u, n) for q, w in weights if q % 2 == 0),
-            sum(w * _subset_sum_by_plus_count(q, u, n) for q, w in weights if q % 2),
-        )
-        for u in range(top + 1)
-    ]
+    qmax = max((q for q, _ in weights), default=0)
+    parts = []  # (even, odd) degrees of L phi(u)
+    for u in range(top + 1):
+        f = _subset_sums_by_degree(u, n, qmax)
+        parts.append((
+            sum(w * f[q] for q, w in weights if q % 2 == 0),
+            sum(w * f[q] for q, w in weights if q % 2),
+        ))
     return [e + o for e, o in parts], [e - o for e, o in parts], den
 
 

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -6,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from msqaoa import cli, closed_form, finite_n, model, optimizer, verify
@@ -781,3 +783,83 @@ def test_failed_run_removes_the_directories_it_made(tmp_path, monkeypatch, capsy
     assert main(argv + ["--out", "nest/a/b"]) == 3
     assert [p.name for p in (tmp_path / "nest").iterdir()] == ["keep.txt"]
     assert len(capsys.readouterr().err.splitlines()) == 2
+
+
+def _run_main(argv, capsys) -> tuple:
+    """(exit code, stdout, stderr) of ``main(argv)``, argparse's exits included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+_PARSE_CASES = [
+    [], ["--help"], ["--version"], ["landscape", "--help"], ["optimize", "--help"],
+    ["optimize", "--bogus"], ["lanscape"], ["optimize", "--sk", "--ground-state", "x"],
+    ["sample", "--sk"], ["fit-spec"], ["verify", "--level"],
+    ["landscape", "--sk", "--beta", "1:2"], ["optimize", "--sk", "--sigmas", "1"],
+    *([command, "-h"] for command in _COMMANDS),
+]
+
+
+@pytest.mark.parametrize("argv", _PARSE_CASES, ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_a_command_parses_as_with_every_command_built(tmp_path, capsys, monkeypatch, argv):
+    # a parser with only the named command's subparser prints the same help,
+    # usage errors and exit codes as one with all five
+    monkeypatch.chdir(tmp_path)
+    got = _run_main(argv, capsys)
+    full = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda *_: full())
+    assert got == _run_main(argv, capsys)
+    assert got[0] in (0, 2) and "Traceback" not in got[2]
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["lanscape"], "argument command: invalid choice: 'lanscape'"),
+    (["optimize", "--sk", "--bogus"], "unrecognized arguments: --bogus"),
+])
+def test_usage_errors_list_every_command(capsys, argv, error):
+    code, out, err = _run_main(argv, capsys)
+    assert (code, out) == (2, "")
+    usage, message = err.splitlines()
+    assert usage == "usage: msqaoa [-h] [--version] {landscape,optimize,verify,fit-spec,sample} ..."
+    assert message.startswith(f"msqaoa: error: {error}")
+
+
+def test_a_command_builds_only_its_own_subparser(tmp_path, capsys, monkeypatch):
+    built = []
+    real = argparse._SubParsersAction.add_parser
+
+    def spy(self, name, **kwargs):
+        built.append(name)
+        return real(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+    assert main(["optimize", "--sk", "--out", str(tmp_path / "a")]) == 0
+    assert built == ["optimize"]
+    built.clear()
+    # main() reads the command name from sys.argv
+    monkeypatch.setattr(sys, "argv", ["msqaoa", "optimize", "--sk", "--out", str(tmp_path / "b")])
+    assert main() == 0
+    assert built == ["optimize"]
+    built.clear()
+    assert _run_main(["-h"], capsys)[0] == 0
+    assert built == ["landscape", "optimize", "verify", "fit-spec", "sample"]
+
+
+def test_grid_csv_is_written_a_row_at_a_time(tmp_path):
+    betas, gammas = np.array([0.0, 0.5, 1.0]), np.array([-1.0, 1.0])
+    values = np.array([[0.0, 0.25], [0.125, -0.5], [1e-300, 2.0]])
+    lines = cli._grid_csv(betas, gammas, values)
+    assert next(lines) == "beta,-1.0,1.0\n"
+    rest = list(lines)
+    assert rest == ["0.0,0.0,0.25\n", "0.5,0.125,-0.5\n", "1.0,1e-300,2.0\n"]
+    with cli._Outputs(str(tmp_path)) as outputs:
+        a = outputs.write_lines("a.csv", cli._grid_csv(betas, gammas, values))
+        b = outputs.write_text("b.csv", "beta,-1.0,1.0\n" + "".join(rest))
+    assert a.read_bytes() == b.read_bytes()
+    digest = hashlib.sha256(a.read_bytes()).hexdigest()
+    assert outputs.digests == [digest, digest]

@@ -223,6 +223,27 @@ class TestPhiIdentities:
         assert_phi_gives_every_weight(spec, n, 2 * spec.d)
 
 
+class TestSubsetSumRecurrence:
+    """The one-pass recurrence in q gives the binomial sums F_q(u) exactly."""
+
+    def test_every_u_up_to_n_40(self):
+        for n in range(1, 41):
+            top = min(24, n)
+            for u in range(n + 1):
+                want = [finite_n._subset_sum_by_plus_count(q, u, n) for q in range(top + 1)]
+                assert finite_n._subset_sums_by_degree(u, n, top) == want, (n, u)
+
+    @pytest.mark.parametrize("n", [2**30, 10**30], ids=["2^30", "10^30"])
+    def test_u_up_to_48_at_huge_n(self, n):
+        for u in range(49):
+            want = [finite_n._subset_sum_by_plus_count(q, u, n) for q in range(25)]
+            assert finite_n._subset_sums_by_degree(u, n, 24) == want, u
+
+    @pytest.mark.parametrize("top", [0, 1])
+    def test_lowest_degrees(self, top):
+        assert finite_n._subset_sums_by_degree(2, 5, top) == [1, -1][: top + 1]
+
+
 class TestFqAbc:
     def test_q1(self):
         assert f_q_abc(1) == {(1, 0, 0): Fraction(2)}
