@@ -38,7 +38,6 @@ _EXPORTS = {
         "oracle_moments",
         "sketch_moment_grid",
         "sketch_moments",
-        "t_sum",
     ),
     "model": (
         "MixtureFunction",

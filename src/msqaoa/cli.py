@@ -60,6 +60,8 @@ def _parse_grid(text: str, what: str) -> tuple[float, float, int]:
         raise ValidationError(f"--{what} needs count >= 1, got {count}")
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValidationError(f"--{what} needs finite bounds, got {text!r}")
+    if not math.isfinite(hi - lo):
+        raise ValidationError(f"--{what} span max - min overflows, got {text!r}")
     return lo, hi, count
 
 
@@ -225,7 +227,14 @@ def cmd_landscape(args) -> int:
     beta_axis = _parse_grid(args.beta, "beta")
     gamma_axis = _parse_grid(args.gamma, "gamma")
     mode_texts = args.mode or ["infinite"]
-    modes = [_parse_mode(mode) for mode in mode_texts]
+    modes = {}  # parsed mode -> its first text, in flag order
+    for text in mode_texts:
+        mode = _parse_mode(text)
+        if mode in modes:
+            raise ValidationError(
+                f"--mode {text!r} repeats {modes[mode]!r}; each mode writes one file"
+            )
+        modes[mode] = text
     points = beta_axis[2] * gamma_axis[2]
     if points > _GRID_MAX_POINTS:
         raise CapExceededError(

@@ -70,9 +70,6 @@ __all__ = [
     "generating_function",
     "oracle_moments",
     "oracle_mgf",
-    "a_factor",
-    "b_factor",
-    "t_sum",
     "ORACLE_MAX_N",
 ]
 
@@ -656,77 +653,3 @@ def oracle_mgf(spec: MixtureSpec, angles: Angles, n: int, lam: float) -> complex
     """E_J<exp(i lam H/n)> by direct summation over all string pairs."""
     n = _check_n(n, ORACLE_MAX_N, _ORACLE_CAP_REASON)
     return _oracle_sums(spec, angles, n, lam)[3]
-
-
-# -- T-sum building blocks ----------------------------------------------------
-
-
-def _a_kernel(a: int, t: int) -> int:
-    """sum_i (-1)^i binom(t,i) (2i-t)^a, exact; vanishes for t > a."""
-    return sum((-1) ** i * math.comb(t, i) * (2 * i - t) ** a for i in range(t + 1))
-
-
-def a_factor(a: int, t: int, beta: float) -> complex:
-    """A^a_t = sum over npm+nmp=t of binom(t,npm)(npm-nmp)^a Q+-^npm Q-+^nmp.
-
-    Exactly zero for t > a; equals a! (-i)^a sin^a(2 beta) at t = a.
-    """
-    if a < 0 or t < 0:
-        raise ValidationError(f"need a, t >= 0, got a={a}, t={t}")
-    if not math.isfinite(beta):
-        raise ValidationError(f"beta must be finite, got {beta}")
-    sc = math.sin(beta) * math.cos(beta)
-    return _a_kernel(a, t) * (1j * sc) ** t
-
-
-def _b_coeffs(b: int, s: int) -> list[int]:
-    """B^b over npp+nmm = s as a polynomial in c2 = cos^2 beta: the
-    coefficients of E[(2j-s)^b] for j ~ Binomial(s, c2)."""
-    return _binomial_moment_coeffs([(2 * j - s) ** b for j in range(min(b, s) + 1)], s)
-
-
-def b_factor(b: int, t: int, n: int, beta: float) -> float:
-    """B^b_t = sum over npp+nmm=n-t of binom(n-t,npp)(npp-nmm)^b Q++^npp Q--^nmm.
-
-    A polynomial of degree <= b in cos^2 beta, evaluated exactly at
-    (1 + cos 2 beta) / 2 like the moment blocks.
-    """
-    if b < 0:
-        raise ValidationError(f"need b >= 0, got b={b}")
-    n = _check_n(n)
-    if not 0 <= t <= n:
-        raise ValidationError(f"need 0 <= t <= n={n}, got t={t}")
-    if not math.isfinite(beta):
-        raise ValidationError(f"beta must be finite, got {beta}")
-    return _block_values([(0, _b_coeffs(b, n - t), 1)], beta)[0]
-
-
-def t_sum(
-    spec: MixtureSpec, angles: Angles, n: int, a: int, b: int, n_power: int
-) -> complex:
-    """Finite-n T^{ab} with prefactor 1/n^n_power, via the A/B factorization.
-
-    T = sum_t binom(n,t) e^K(t) A^a_t B^b_t / n^n_power, and A^a_t vanishes
-    for t > a, so only t <= min(a, n) is summed.  Each term is i^t e^K(t)
-    times an exact block: sc^t times the integer polynomial
-    kern binom(n,t) B^b_t in cos^2 beta over n^n_power.
-
-    Converges for a + b = n_power to
-    (-i)^a exp(-2 a gamma^2 sum_q sigma_q^2/(q-1)!) sin^a(2b) cos^b(2b)
-    and to zero (like 1/n) for a + b < n_power.
-    """
-    if a < 0 or b < 0:
-        raise ValidationError(f"need a, b >= 0, got a={a}, b={b}")
-    if a + b > n_power:
-        raise ValidationError(f"need a+b <= n_power, got {a}+{b} > {n_power}")
-    n = _check_n(n)
-    top = min(a, n)
-    _, flip, den = _phi_integers(spec, n, top)
-    k, _ = _weights(flip, den, n)
-    g = angles.gamma
-    blocks = []
-    for t in range(top + 1):
-        scale = _a_kernel(a, t) * math.comb(n, t)
-        blocks.append((t, [scale * c for c in _b_coeffs(b, n - t)], n**n_power))
-    values = _block_values(blocks, angles.beta)
-    return sum(1j**t * math.exp(-(g * (g * k[t]))) * v for t, v in enumerate(values))

@@ -6,7 +6,7 @@ plain function with its sizes and tolerances inside; it returns ``(passed,
 details)``.  ``CHECKS`` is the one list of checks: name, function and levels,
 in report order.  ``run_check(name)`` times one check and returns a
 ``CheckResult``; ``run(level)`` runs every check of the level, ``quick`` (3
-checks) or ``full`` (14).  Both raise ``ValidationError`` for an unknown
+checks) or ``full`` (15).  Both raise ``ValidationError`` for an unknown
 name or level.
 """
 
@@ -451,43 +451,64 @@ def _finite_grid_consistency() -> tuple[bool, dict]:
     }
 
 
-def _t_sum_asymptotics() -> tuple[bool, dict]:
-    beta = 0.37
-    details: dict = {}
-    # A^a_t vanishes exactly above the diagonal, closed form on it
-    for a in range(1, 4):
-        for t in range(a + 1, a + 4):
-            if finite_n.a_factor(a, t, beta) != 0:
-                return False, {"failed": "a_factor_zero", "a": a, "t": t}
-    worst_diag = 0.0
-    for a in range(1, 5):
-        got = finite_n.a_factor(a, a, beta)
-        want = math.factorial(a) * (-1j) ** a * math.sin(2 * beta) ** a
-        worst_diag = max(worst_diag, abs(got - want))
-    details["a_factor_diag_error"] = worst_diag
-    if worst_diag >= 1e-12:
-        return False, details
+# models of both parities, d = 2 to 8, and the angles of the 1/n rates
+_LIMIT_SPECS = (
+    ("sk", _SK),
+    ("pure3", _D3),
+    ("mix", model.make_mixture_spec(3, [0.3, 0.5, 1.0])),
+    ("pure8", model.pure_d_spec(8)),
+)
+_RATE_ANGLES = closed_form.Angles(0.3, -0.4)
+_RATE_NS = (2**24, 2**28)
 
-    spec = _SK
-    ang = closed_form.Angles(0.3, 0.45)
-    ratios = {}
-    for a, b, p in ((0, 0, 1), (1, 0, 2)):
-        t256 = finite_n.t_sum(spec, ang, 256, a, b, p)
-        t512 = finite_n.t_sum(spec, ang, 512, a, b, p)
-        ratios[f"a{a}b{b}pow{p}"] = abs(t512) / abs(t256)
-    details["halving_ratios"] = ratios
-    details["halving_band"] = [0.35, 0.65]
-    ok = all(0.35 <= r <= 0.65 for r in ratios.values())
 
-    limit = (
-        (-1j)
-        * math.exp(-2 * ang.gamma**2 * closed_form.damping_rate(spec))
-        * math.sin(2 * ang.beta)
-    )
-    e256 = abs(finite_n.t_sum(spec, ang, 256, 1, 0, 1) - limit)
-    e512 = abs(finite_n.t_sum(spec, ang, 512, 1, 0, 1) - limit)
-    details["limit_errors"] = {"n256": e256, "n512": e512}
-    return ok and e512 < e256, details
+def _rate_spread(values: list[float]) -> float:
+    """|a - b| / |b| for the values at the two ``_RATE_NS``."""
+    return abs(values[0] - values[1]) / abs(values[1])
+
+
+def _infinite_limit() -> tuple[bool, dict]:
+    """The paper's n -> infinity limit on the finite-n engine's first moment:
+    at n = 2^64 it equals ``energy_sigma_grid`` on a 5x5 grid, and the gap
+    closes like 1/n, so n (first - E_inf) agrees at n = 2^24 and 2^28."""
+    betas, gammas = np.linspace(-0.7, 0.7, 5), np.linspace(-1.0, 1.0, 5)
+    limit_errors, rates, spreads = {}, {}, {}
+    for label, spec in _LIMIT_SPECS:
+        grid = finite_n.sketch_moment_grid(spec, betas, gammas, 2**64)
+        limit = closed_form.energy_sigma_grid(spec, betas, gammas)
+        limit_errors[label] = float(np.max(np.abs(grid.first - limit)))
+        e_inf = closed_form.energy_sigma_form(spec, _RATE_ANGLES)
+        scaled = [
+            n * (finite_n.sketch_moments(spec, _RATE_ANGLES, n).first - e_inf)
+            for n in _RATE_NS
+        ]
+        rates[label], spreads[label] = scaled[-1], _rate_spread(scaled)
+    passed = max(limit_errors.values()) <= 1e-14 and max(spreads.values()) <= 1e-4
+    return passed, {
+        "limit_abs_errors": limit_errors,
+        "n_times_gap": rates,
+        "rate_relative_spread": spreads,
+        "tolerances": {"limit": 1e-14, "rate": 1e-4},
+    }
+
+
+def _concentration_rate() -> tuple[bool, dict]:
+    """The variance of H/n vanishes like 1/n: n variance is positive and
+    agrees at n = 2^24 and 2^28, for the models and angles of
+    ``infinite_limit``."""
+    rates, spreads, positive = {}, {}, True
+    for label, spec in _LIMIT_SPECS:
+        scaled = [
+            n * finite_n.sketch_moments(spec, _RATE_ANGLES, n).variance for n in _RATE_NS
+        ]
+        positive = positive and min(scaled) > 0
+        rates[label], spreads[label] = scaled[-1], _rate_spread(scaled)
+    return positive and max(spreads.values()) <= 1e-4, {
+        "positive": positive,
+        "n_times_variance": rates,
+        "rate_relative_spread": spreads,
+        "tolerance": 1e-4,
+    }
 
 
 def _manifest_round_trip() -> tuple[bool, dict]:
@@ -548,7 +569,8 @@ CHECKS = (
     ("statevector_consistency", _statevector_consistency, ("full",)),
     ("infinite_grid_consistency", _infinite_grid_consistency, ("full",)),
     ("finite_grid_consistency", _finite_grid_consistency, ("full",)),
-    ("t_sum_asymptotics", _t_sum_asymptotics, ("full",)),
+    ("infinite_limit", _infinite_limit, ("full",)),
+    ("concentration_rate", _concentration_rate, ("full",)),
     ("manifest_round_trip", _manifest_round_trip, ("full",)),
 )
 

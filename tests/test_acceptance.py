@@ -65,7 +65,8 @@ def test_criterion_9_monte_carlo_consistency():
     _report(9, res)
 
 
-def test_criterion_10_t_sum_asymptotics():
-    res = verify.run_check("t_sum_asymptotics")
-    assert res.seconds < 60.0
-    _report(10, res)
+def test_criterion_10_infinite_limit_and_concentration_rate():
+    for name in ("infinite_limit", "concentration_rate"):
+        res = verify.run_check(name)
+        assert res.seconds < 60.0
+        _report(10, res)

@@ -449,11 +449,41 @@ class TestLandscapeCommand:
         assert code == 2
         assert list(tmp_path.glob("*.csv")) == []
 
-    @pytest.mark.parametrize("grid", ["--beta=nan:1:3", "--beta=0:inf:3", "--gamma=-inf:1:3"])
-    def test_non_finite_grid_exit_code(self, tmp_path, grid):
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            "--beta=nan:1:3",
+            "--beta=0:inf:3",
+            "--gamma=-inf:1:3",
+            # finite bounds whose span max - min overflows
+            "--beta=-1e308:1e308:3",
+            "--gamma=1.7e308:-1.7e308:1",
+        ],
+    )
+    def test_non_finite_grid_exit_code(self, tmp_path, capsys, grid):
         code = main(["landscape", "--sk", grid, "--out", str(tmp_path)])
         assert code == 2
         assert list(tmp_path.glob("*.csv")) == []
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {grid.split('=')[0]} ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "modes, repeated",
+        [
+            (["infinite", "infinite"], "'infinite' repeats 'infinite'"),
+            (["finite:8", "infinite", "finite:08"], "'finite:08' repeats 'finite:8'"),
+            (["instance:5:1", "instance:05:1"], "'instance:05:1' repeats 'instance:5:1'"),
+        ],
+    )
+    def test_repeated_mode_exit_code(self, tmp_path, capsys, modes, repeated):
+        out = tmp_path / "out"
+        argv = ["landscape", "--sk", "--beta=0:0.4:2", "--gamma=0:1:2", "--out", str(out)]
+        for mode in modes:
+            argv += ["--mode", mode]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: --mode {repeated}; each mode writes one file\n"
+        assert not out.exists()
 
     def test_huge_finite_gamma_writes_no_nan(self, tmp_path, capsys):
         # at gamma = 1e308 both 2 gamma and gamma^2 overflow; the energy and
@@ -688,6 +718,32 @@ class TestVerifyCommand:
             verify.run("bogus")
         with pytest.raises(ValidationError, match="unknown check 'bogus'"):
             verify.run_check("bogus")
+
+    def test_each_level_runs_its_pinned_checks(self):
+        names = {
+            level: [name for name, _, levels in verify.CHECKS if level in levels]
+            for level in verify.LEVELS
+        }
+        assert names == {
+            "quick": ["sk_optimum", "form_equivalence", "oracle_match_n6"],
+            "full": [
+                "sk_optimum",
+                "d3_optimum",
+                "approximation_factor",
+                "form_equivalence",
+                "oracle_equivalence",
+                "combinatorial_identities",
+                "infinite_n_convergence",
+                "concentration",
+                "monte_carlo_consistency",
+                "statevector_consistency",
+                "infinite_grid_consistency",
+                "finite_grid_consistency",
+                "infinite_limit",
+                "concentration_rate",
+                "manifest_round_trip",
+            ],
+        }
 
     def test_help_lists_every_level(self, capsys):
         with pytest.raises(SystemExit):

@@ -414,7 +414,7 @@ NON_FINITE_ANGLES = [(v, 0.3) for v in NON_FINITE] + [(0.2, v) for v in NON_FINI
 
 class TestAnglesAreFinite:
     """``Angles`` refuses NaN and +-inf in either slot, so no entry point
-    that takes one (t_sum, d3_stationarity_residuals and Angles.canonical
+    that takes one (d3_stationarity_residuals and Angles.canonical
     included) ever sees a non-finite angle."""
 
     @pytest.mark.parametrize("value", NON_FINITE, ids=["nan", "inf", "-inf"])

@@ -13,14 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msqaoa import finite_n, verify
-from msqaoa.closed_form import Angles, damping_rate, energy_sigma_form, energy_sigma_grid
+from msqaoa.closed_form import Angles, energy_sigma_form, energy_sigma_grid
 from msqaoa.errors import CapExceededError, NumericalError, ValidationError
 from msqaoa.finite_n import (
     Sketch,
     _clamped_variance,
     _require_real,
-    a_factor,
-    b_factor,
     f_q,
     f_q_abc,
     g_q,
@@ -29,7 +27,6 @@ from msqaoa.finite_n import (
     oracle_moments,
     sketch_moment_grid,
     sketch_moments,
-    t_sum,
 )
 from msqaoa.model import make_mixture_spec, pure_d_spec
 
@@ -440,8 +437,7 @@ class TestMoments:
 
     def test_k_table_sizes(self, monkeypatch):
         # one phi table gives the blocks, every k(t) and R: the moments read
-        # k(t) only for t <= 2d, t_sum only for t <= a; the direct sketch sum
-        # reads all n + 1
+        # k(t) only for t <= 2d; the direct sketch sum reads all n + 1
         sizes = []
         real_phi, real_weights = finite_n._phi_integers, finite_n._weights
 
@@ -462,9 +458,7 @@ class TestMoments:
         sketch_moment_grid(MIX3, np.linspace(-0.7, 0.7, 7), np.linspace(-1, 1, 11), 64)
         sketch_moments(MIX3, ang, 4)
         generating_function(MIX3, ang, 8, 0.5)
-        t_sum(MIX3, ang, 9, 1, 0, 1)
-        t_sum(MIX3, ang, 1, 3, 0, 3)
-        assert sizes == [7, 5, 9, 2, 2]
+        assert sizes == [7, 5, 9]
 
 
 # (beta, gamma) pairs: an Angles of them cannot be made
@@ -653,143 +647,6 @@ def reference_generating_function(spec, beta, gamma, n, lam):
                     )
         R = sum(math.comb(n, q) * v / (2 * nn ** (q + 1)) for q, v in s2.items())
         return complex(mpmath.exp(-lm * lm * R) * total)
-
-
-@lru_cache(maxsize=None)
-def reference_a_kernels(a, n):
-    """sum_i (-1)^i binom(t,i) (2i-t)^a for every t <= n, as exact integers."""
-    return [
-        sum((-1) ** i * math.comb(t, i) * (2 * i - t) ** a for i in range(t + 1))
-        for t in range(n + 1)
-    ]
-
-
-@lru_cache(maxsize=None)
-def reference_b_factor(b, s, beta):
-    """B^b over s positions at 50 digits, by the direct binomial sum."""
-    with mpmath.workdps(50):
-        sb, cb = mpmath.sin(mpmath.mpf(beta)), mpmath.cos(mpmath.mpf(beta))
-        return sum(
-            math.comb(s, j) * (cb * cb) ** j * (sb * sb) ** (s - j) * (2 * j - s) ** b
-            for j in range(s + 1)
-        )
-
-
-def reference_t_sum(spec, beta, gamma, n, a, b, p):
-    """T^{ab} / n^p at 50 digits, uncollapsed: every t <= n, with the A kernel
-    an exact integer (it is 0 above t = a by the identity, not by a cutoff, so
-    those terms add exactly nothing) and B by the direct binomial sum."""
-    with mpmath.workdps(50):
-        g, nn = mpmath.mpf(gamma), mpmath.mpf(n)
-        sc = mpmath.sin(mpmath.mpf(beta)) * mpmath.cos(mpmath.mpf(beta))
-        total = mpmath.mpc(0)
-        for t, kern in enumerate(reference_a_kernels(a, n)):
-            if kern == 0:
-                continue
-            K = -sum(
-                g * g * g_q(q, t, n) * mpmath.mpf(spec.sigmas[q - 1]) ** 2 / (2 * nn ** (q - 1))
-                for q in range(1, min(spec.d, n) + 1)
-            )
-            total += (
-                math.comb(n, t) * mpmath.exp(K) * kern * (mpmath.mpc(0, 1) * sc) ** t
-                * reference_b_factor(b, n - t, beta)
-            )
-        return complex(total / nn**p)
-
-
-# (beta, gamma): +-pi/4 make every odd-b value 0 by symmetry
-T_SUM_ANGLES = [(0.3, 0.45), (-1.1, -1.3), (math.pi / 4, 0.45), (-math.pi / 4, 0.9)]
-T_SUM_ORDERS = [(a, b, p) for a in range(4) for b in range(3) for p in range(max(a + b, 1), 6)]
-
-
-class TestTSum:
-    def test_a_factor_zero_above_diagonal(self):
-        for a in range(1, 4):
-            for t in range(a + 1, a + 4):
-                assert a_factor(a, t, 0.37) == 0
-
-    def test_a_factor_diagonal(self):
-        for a in range(1, 5):
-            want = math.factorial(a) * (-1j) ** a * math.sin(2 * 0.37) ** a
-            assert abs(a_factor(a, a, 0.37) - want) < 1e-12
-
-    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
-    def test_non_finite_beta_rejected(self, beta):
-        with pytest.raises(ValidationError, match=r"beta must be finite"):
-            a_factor(1, 1, beta)
-        with pytest.raises(ValidationError, match=r"beta must be finite"):
-            b_factor(0, 3, 20, beta)
-
-    def test_b_factor_values(self):
-        assert b_factor(0, 3, 20, 0.4) == pytest.approx(1.0, rel=1e-13)
-        # first moment of (npp - nmm) under the Q weights is (n-t) cos(2b)
-        assert b_factor(1, 3, 100, 0.3) == pytest.approx(
-            97 * math.cos(0.6), rel=1e-12
-        )
-
-    def test_b_factor_near_cancellation(self):
-        # At beta = pi/4, B^1 = n cos(2b) cancels to 1.6e-14; taking cos^2 b
-        # as a rounded square left an error of 4e-14 here.
-        want = float(reference_b_factor(1, 256, math.pi / 4))
-        assert abs(b_factor(1, 0, 256, math.pi / 4) - want) <= 1e-15 * abs(want)
-
-    def test_limit_case(self):
-        ang = Angles(0.3, 0.45)
-        limit = (
-            (-1j)
-            * math.exp(-2 * ang.gamma**2 * damping_rate(SK))
-            * math.sin(2 * ang.beta)
-        )
-        e256 = abs(t_sum(SK, ang, 256, 1, 0, 1) - limit)
-        e512 = abs(t_sum(SK, ang, 512, 1, 0, 1) - limit)
-        assert e512 < e256 < 0.05
-
-    def test_vanishing_case_halves(self):
-        ang = Angles(0.3, 0.45)
-        for a, b, p in ((0, 0, 1), (1, 0, 2)):
-            r = abs(t_sum(SK, ang, 512, a, b, p)) / abs(t_sum(SK, ang, 256, a, b, p))
-            assert 0.35 <= r <= 0.65
-
-    @pytest.mark.parametrize("n", [9, 16, 64, 256])
-    @pytest.mark.parametrize("spec", [SK, MIX3], ids=["SK", "MIX3"])
-    def test_t_sum_matches_reference(self, spec, n):
-        for beta, gamma in T_SUM_ANGLES:
-            for a, b, p in T_SUM_ORDERS:
-                got = t_sum(spec, Angles(beta, gamma), n, a, b, p)
-                want = reference_t_sum(spec, beta, gamma, n, a, b, p)
-                assert abs(got - want) <= max(1e-12 * abs(want), 1e-15), (beta, a, b, p)
-
-    @pytest.mark.parametrize("n", [9, 16, 64, 256])
-    def test_b_factor_matches_reference(self, n):
-        # The float cos^2 b is rounded to 1.1e-16 relative, which moves B by up
-        # to about 1e-16 (n-t)^b, the size of its largest term; at b = +-pi/4
-        # and odd b the exact value is that small, so the floor scales with it.
-        for beta, _ in T_SUM_ANGLES:
-            for t in sorted({0, 1, 3, n}):
-                for b in range(3):
-                    got = b_factor(b, t, n, beta)
-                    want = float(reference_b_factor(b, n - t, beta))
-                    floor = 1e-15 * max(1, n - t) ** b
-                    assert abs(got - want) <= max(1e-12 * abs(want), floor), (beta, t, b)
-
-    def test_t_sum_reads_only_t_up_to_a(self, monkeypatch):
-        kernels = []
-        real = finite_n._a_kernel
-
-        def spy(a, t):
-            kernels.append(t)
-            return real(a, t)
-
-        monkeypatch.setattr(finite_n, "_a_kernel", spy)
-        t_sum(MIX3, Angles(0.3, 0.45), 512, 2, 1, 3)
-        t_sum(MIX3, Angles(0.3, 0.45), 1, 3, 0, 3)
-        assert kernels == [0, 1, 2, 0, 1]
-
-    def test_preconditions(self):
-        with pytest.raises(ValidationError):
-            t_sum(SK, Angles(0.3, 0.4), 16, 2, 1, 2)
-        with pytest.raises(ValidationError):
-            t_sum(SK, Angles(0.3, 0.4), 16, -1, 0, 1)
 
 
 class TestConvergenceTrend:
@@ -1064,6 +921,18 @@ class TestMomentAccuracy:
     def test_large_n_matches_reference(self, spec, beta, gamma, n):
         assert_matches_reference(spec, beta, gamma, n)
 
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_first_moment_of_order_cos_2b_keeps_its_relative_accuracy(self, d):
+        # At beta = +-pi/4 an even pure degree's first moment is of order
+        # cos 2b, about 1e-17 for the float pi/4, and every block cancels to
+        # that size.  c2 is taken as the exact (1 + cos 2b) / 2; taking it as
+        # the rounded square cos(b)^2 reads these moments 2.6 times too
+        # large, an error of 1e-16 that an absolute floor would hide.
+        for beta in (math.pi / 4, -math.pi / 4):
+            rep = sketch_moments(pure_d_spec(d), Angles(beta, -0.4), 256)
+            first, _ = reference_moments(pure_d_spec(d), beta, -0.4, 256)
+            assert abs(rep.first - first) <= 1e-12 * abs(first), (rep.first, first)
+
     @pytest.mark.parametrize(
         "d, beta, gamma, n",
         [
@@ -1244,8 +1113,6 @@ class TestIntegerN:
             (lambda n: sketch_moments(spec8, ang, n).second, 64),
             (lambda n: sketch_moments(spec8, ang, n).first, 512),
             (lambda n: sketch_moment_grid(spec8, [0.3, 0.5], [-0.4], n).second.tobytes(), 512),
-            (lambda n: t_sum(spec8, ang, n, 3, 2, 5), 512),
-            (lambda n: b_factor(3, 2, n, 0.3), 512),
             (lambda n: generating_function(MIX3, ang, n, 0.5), 9),
             (lambda n: oracle_moments(MIX3, ang, n).second, 6),
         ]
@@ -1258,8 +1125,6 @@ class TestIntegerN:
         [
             lambda n: sketch_moments(SK, Angles(0.3, -0.4), n),
             lambda n: sketch_moment_grid(SK, [0.3], [-0.4], n),
-            lambda n: t_sum(SK, Angles(0.3, -0.4), n, 1, 0, 1),
-            lambda n: b_factor(1, 0, n, 0.3),
             lambda n: generating_function(SK, Angles(0.3, -0.4), n, 0.5),
             lambda n: oracle_moments(SK, Angles(0.3, -0.4), n),
             lambda n: oracle_mgf(SK, Angles(0.3, -0.4), n, 0.5),
@@ -1285,3 +1150,28 @@ class TestVerifyCheck:
 
         monkeypatch.setattr(finite_n, "_block_values", corrupted)
         assert not verify.run_check("finite_grid_consistency").passed
+
+    def test_corrupted_beta_factor_fails_both_limit_rows(self, monkeypatch):
+        # negative control: every block's beta factor off by 1e-9 relative
+        # moves the limit by 3e-10 and the two rates apart by 0.61 (first
+        # moment) and 5.4e-2 (variance)
+        real = finite_n._block_values
+
+        def corrupted(*args):
+            return [v * (1 + 1e-9) for v in real(*args)]
+
+        monkeypatch.setattr(finite_n, "_block_values", corrupted)
+        for name in ("infinite_limit", "concentration_rate"):
+            assert not verify.run_check(name).passed, name
+
+    def test_corrupted_damping_fails_infinite_limit(self, monkeypatch):
+        # negative control: every k(t) off by 1e-9 relative moves the limit
+        # by 2.7e-10 and the two rates apart by 0.105
+        real = finite_n._weights
+
+        def corrupted(*args):
+            k, r = real(*args)
+            return [v * (1 + 1e-9) for v in k], r
+
+        monkeypatch.setattr(finite_n, "_weights", corrupted)
+        assert not verify.run_check("infinite_limit").passed

@@ -49,7 +49,6 @@ PUBLIC = [
     "sample_instance",
     "sketch_moment_grid",
     "sketch_moments",
-    "t_sum",
 ]
 
 
