@@ -1125,6 +1125,8 @@ class TestIntegerN:
         [
             lambda n: sketch_moments(SK, Angles(0.3, -0.4), n),
             lambda n: sketch_moment_grid(SK, [0.3], [-0.4], n),
+            lambda n: sketch_moment_grid(MIX3, [0.3, 0.5], [-0.4], n),
+            lambda n: sketch_moments(pure_d_spec(8), Angles(0.3, -0.4), n),
             lambda n: generating_function(SK, Angles(0.3, -0.4), n, 0.5),
             lambda n: oracle_moments(SK, Angles(0.3, -0.4), n),
             lambda n: oracle_mgf(SK, Angles(0.3, -0.4), n, 0.5),
