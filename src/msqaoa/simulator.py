@@ -24,6 +24,17 @@ Two exact identities keep the work per instance small:
   probabilities, whose dot products with the table take the exact factor
   2^-n instead.
 
+Both rows come from one tangent of the half angle, t = tan(a/2):
+cos a = 2/(1+t^2) - 1 and sin a = t 2/(1+t^2), computed in place.  numpy
+(2.4, AVX-512) evaluates float64 tan with SIMD kernels but cos and sin with
+one scalar libm call per entry, so this phases 2^20 entries about 5x faster,
+within 3.3e-16 absolute of cos and sin of the same angle.  Halving gamma and
+the quarter turns is exact, so the half angle is exactly half of
+-(gamma H + (pi/2) turns).  |tan x| < 1e19 for every finite double, so t^2
+never overflows; the one overflow left is (gamma/2) H itself, and a gamma
+whose half phase (|gamma|/2) max|H| is not finite is refused with
+``ValidationError``, once per table, instead of being phased to NaN.
+
 Both gates, the Hadamard for the table and R_beta for the mixer, are
 applied by one helper that cuts the index into SLICE_BITS-bit slices and
 multiplies each slice by the Kronecker power of the gate:
@@ -59,7 +70,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .closed_form import Angles, require_finite_grid
-from .errors import CapExceededError
+from .errors import CapExceededError, ValidationError
 from .model import ProblemInstance, popcounts
 
 __all__ = [
@@ -84,8 +95,9 @@ SLICE_BITS = 5  # index bits per matrix product; 32x32 factors measured fastest
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]])
 
-# minus the gauge phase (pi/2) k for k = popcount(idx) mod 4
+# minus the gauge phase (pi/2) k for k = popcount(idx) mod 4, and its half
 QUARTER = -0.5 * math.pi * np.arange(4)
+HALF_QUARTER = QUARTER / 2
 
 
 def _rotation(beta: float) -> np.ndarray:
@@ -145,15 +157,30 @@ def build_phase_table(instance: ProblemInstance) -> np.ndarray:
     return _apply_kron(_scattered(instance), _kron_factors(HADAMARD, n))
 
 
+def _check_phase(table: np.ndarray, gamma: float) -> None:
+    """Raise ``ValidationError`` unless the half phase (|gamma|/2) H is
+    finite at every entry of the table."""
+    top = max(float(table.max()), -float(table.min()))  # max |H|, no temporary
+    if not math.isfinite(0.5 * abs(gamma) * top):
+        raise ValidationError(
+            f"gamma {gamma!r} overflows the cost phase: |gamma|/2 * max|H| "
+            f"is not finite (max|H| = {top!r})"
+        )
+
+
 def _phased(table: np.ndarray, turns: np.ndarray, gamma: float) -> np.ndarray:
-    """[re; im] of 2^(n/2) S^dagger^{(x)n} exp(-i gamma H)|+>: rows cos and
-    sin of -(gamma H + (pi/2) turns)."""
+    """[re; im] of 2^(n/2) S^dagger^{(x)n} exp(-i gamma H)|+>: rows cos a and
+    sin a of a = -(gamma H + (pi/2) turns), from t = tan(a/2) in place."""
     x = np.empty((2, len(table)))
-    np.take(QUARTER, turns, out=x[0], mode="clip")  # "raise" would buffer
-    np.multiply(table, -gamma, out=x[1])
+    np.take(HALF_QUARTER, turns, out=x[0], mode="clip")  # "raise" would buffer
+    np.multiply(table, -0.5 * gamma, out=x[1])
     x[1] += x[0]
-    np.cos(x[1], out=x[0])
-    np.sin(x[1], out=x[1])
+    np.tan(x[1], out=x[1])
+    np.square(x[1], out=x[0])
+    x[0] += 1.0
+    np.divide(2.0, x[0], out=x[0])  # 2/(1+t^2) = 1 + cos a
+    x[1] *= x[0]
+    x[0] -= 1.0
     return x
 
 
@@ -161,6 +188,7 @@ def _evolved(table: np.ndarray, n: int, angles: Angles) -> np.ndarray:
     """[re; im] of R_beta^{(x)n} applied to the phased vector."""
     # the gauge and the phased vector are temporaries: the first is freed
     # once phased, the second by the first slice product
+    _check_phase(table, angles.gamma)
     mixer = _kron_factors(_rotation(angles.beta), n)
     return _apply_kron(_phased(table, popcounts(n) & 3, angles.gamma), mixer)
 
@@ -230,6 +258,7 @@ def landscape_instance(
     n = instance.n
     d = instance.spec.d
     table = build_phase_table(instance)
+    _check_phase(table, float(gammas[np.abs(gammas).argmax()]))
     turns = popcounts(n) & 3
     nodes = 2 * d + 2
     node_betas = math.pi * np.arange(nodes) / nodes

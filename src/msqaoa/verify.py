@@ -344,9 +344,11 @@ def _monte_carlo_consistency() -> tuple[bool, dict]:
 
 def _statevector_consistency() -> tuple[bool, dict]:
     """The transform-built phase table against ``model.cost`` at sampled
-    strings, and one interpolated instance landscape against per-point
-    ``expectation``: two gammas take the mixer, one is the first's negative
-    and one is zero."""
+    strings; the phased rows, which both the landscape and ``expectation``
+    take from one tangent of the half angle, against libm cosine and sine
+    of the whole angle; and one interpolated instance landscape against
+    per-point ``expectation``: two gammas take the mixer, one is the first's
+    negative and one is zero."""
     n = 10
     samples = 50
     spec = model.make_mixture_spec(3, [0.3, 0.5, 1.0])
@@ -361,6 +363,14 @@ def _statevector_consistency() -> tuple[bool, dict]:
         table_error = max(table_error, err)
     betas = np.linspace(-1.0, 1.0, 5)
     gammas = np.array([-0.8, 0.0, 0.35, 0.8])
+    turns = model.popcounts(n) & 3
+    phased_error = 0.0
+    for gamma in [*gammas.tolist(), 1e300]:
+        # -(gamma H + (pi/2) turns), twice the half angle exactly
+        angle = table * -gamma + (-0.5 * math.pi) * turns
+        rows = simulator._phased(table, turns, gamma)
+        for row, want in ((rows[0], np.cos(angle)), (rows[1], np.sin(angle))):
+            phased_error = max(phased_error, float(np.abs(row - want).max()))
     grid = simulator.landscape_instance(inst, betas, gammas)
     landscape_error = 0.0
     for bi, b in enumerate(betas):
@@ -368,13 +378,15 @@ def _statevector_consistency() -> tuple[bool, dict]:
             ang = closed_form.Angles(float(b), float(g))
             h, _ = simulator.expectation(inst, ang, table)
             landscape_error = max(landscape_error, abs(float(grid[bi, gi]) - h / n))
-    return table_error < 1e-13 and landscape_error < 1e-12, {
+    passed = table_error < 1e-13 and phased_error < 1e-14 and landscape_error < 1e-12
+    return passed, {
         "n": n,
         "table_samples": samples,
         "table_relative_error": table_error,
+        "phased_abs_error": phased_error,
         "landscape_points": grid.size,
         "landscape_abs_error": landscape_error,
-        "tolerances": {"table": 1e-13, "landscape": 1e-12},
+        "tolerances": {"table": 1e-13, "phased": 1e-14, "landscape": 1e-12},
     }
 
 

@@ -516,6 +516,18 @@ class TestLandscapeCommand:
         csv = (tmp_path / "landscape_mix_finite_n10.csv").read_text()
         assert csv == "beta,1e+154,1.2e+154\n0.0,0.0,0.0\n0.5,0.0,0.0\n"
 
+    def test_overflowing_cost_phase_exit_code(self, tmp_path, capsys):
+        # (gamma/2) max|H| overflows at gamma = 1.7e308; it used to write a
+        # column of NaN after three RuntimeWarnings and exit 0
+        out = tmp_path / "out"
+        argv = ["landscape", "--pure-d", "3", "--mode", "instance:8:1", "--beta=0:1:2",
+                "--gamma=1e300:1.7e308:2", "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: gamma 1.7e+308 overflows the cost phase")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_numerical_self_check_exit_code(self, tmp_path, capsys, monkeypatch):
         # injected fault: the lambda^2 weight R short by 1 gives a negative
         # variance; the infinite grid written first must be removed with the rest

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 from itertools import combinations
 
 import numpy as np
@@ -22,6 +23,7 @@ from msqaoa.simulator import (
     SLICE_BITS,
     _apply_kron,
     _kron_factors,
+    _phased,
     _rotation,
     build_phase_table,
     expectation,
@@ -227,6 +229,111 @@ class TestDenseReference:
         assert sizes.dtype == np.uint8
         assert sizes.tolist() == want
         assert (sizes & 3).tolist() == [k % 4 for k in want]
+
+
+def half_angle(table, turns, gamma):
+    """Half of -(gamma H + (pi/2) turns), formed as ``_phased`` forms it:
+    halving gamma and the quarter turns is exact."""
+    return table * (-0.5 * gamma) + (-0.25 * math.pi) * turns
+
+
+def largest_accepted_gamma(table):
+    """The largest gamma at which every (gamma/2) H is finite."""
+    top = max(float(table.max()), -float(table.min()))
+    gamma = min(sys.float_info.max, 2.0 * (sys.float_info.max / top))
+    with np.errstate(over="ignore"):
+        while not np.isfinite(table * (-0.5 * gamma)).all():
+            gamma = math.nextafter(gamma, 0.0)
+        while gamma < sys.float_info.max and np.isfinite(
+            table * (-0.5 * math.nextafter(gamma, math.inf))
+        ).all():
+            gamma = math.nextafter(gamma, math.inf)
+    return gamma
+
+
+def phase_instance(n):
+    return sample_instance(spec_with_gaps(min(n, 3)), n, 80 + n)
+
+
+def turn_arrays(n):
+    """The gauge's own quarter turns, then each of the four on every entry."""
+    return [popcounts(n) & 3, *(np.full(1 << n, k, dtype=np.uint8) for k in range(4))]
+
+
+class TestPhased:
+    # the tangent-built rows against libm cosine and sine of the same angle
+    @pytest.mark.parametrize("n", range(1, 15))
+    @pytest.mark.parametrize(
+        "gamma", [0.0, 5e-324, -5e-324, 0.35, 3.7, -1e3, 1e8, 1e154, 1e300]
+    )
+    def test_matches_libm_of_the_same_angle(self, n, gamma):
+        table = build_phase_table(phase_instance(n))
+        for turns in turn_arrays(n):
+            angle = 2.0 * half_angle(table, turns, gamma)
+            rows = _phased(table, turns, gamma)
+            np.testing.assert_allclose(rows[0], np.cos(angle), rtol=0, atol=1e-15)
+            np.testing.assert_allclose(rows[1], np.sin(angle), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_largest_accepted_gamma(self, n):
+        # the whole angle overflows here, so libm takes the half angle and
+        # the double-angle formulas give the rows
+        table = build_phase_table(phase_instance(n))
+        gamma = largest_accepted_gamma(table)
+        for turns in turn_arrays(n):
+            half = half_angle(table, turns, gamma)
+            c, s = np.cos(half), np.sin(half)
+            rows = _phased(table, turns, gamma)
+            np.testing.assert_allclose(rows[0], (c - s) * (c + s), rtol=0, atol=1e-15)
+            np.testing.assert_allclose(rows[1], 2.0 * s * c, rtol=0, atol=1e-15)
+
+
+class TestPhaseOverflow:
+    # at these seeds max|H| > 1, so a gamma just past the largest accepted
+    # one is a finite float
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_overflowing_half_phase_refused(self, sign):
+        inst = sample_instance(SK, 6, 2)
+        gamma = largest_accepted_gamma(build_phase_table(inst))
+        assert gamma < sys.float_info.max
+        over = sign * math.nextafter(gamma, math.inf)
+        ang = Angles(0.3, over)
+        with pytest.raises(ValidationError, match="overflows the cost phase"):
+            qaoa_state(inst, ang)
+        with pytest.raises(ValidationError, match="overflows the cost phase"):
+            expectation(inst, ang)
+        with pytest.raises(ValidationError, match="overflows the cost phase"):
+            landscape_instance(inst, [0.3, 0.5], [0.1, over, 0.0])
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_largest_accepted_gamma_is_finite(self, sign):
+        # a RuntimeWarning fails the tests, so no step overflows here
+        inst = sample_instance(SK, 6, 2)
+        gamma = sign * largest_accepted_gamma(build_phase_table(inst))
+        state = qaoa_state(inst, Angles(0.3, gamma))
+        assert abs(np.vdot(state, state).real - 1) < 1e-12
+        h, h2 = expectation(inst, Angles(0.3, gamma))
+        grid = landscape_instance(inst, [0.3], [gamma, 0.1])
+        assert math.isfinite(h2)
+        assert abs(grid[0, 0] - h / 6) < 1e-12
+
+    def test_checked_once_per_table(self, monkeypatch):
+        calls = []
+        real = simulator._check_phase
+
+        def spy(table, gamma):
+            calls.append(gamma)
+            return real(table, gamma)
+
+        monkeypatch.setattr(simulator, "_check_phase", spy)
+        inst = sample_instance(SK, 6, 2)
+        landscape_instance(inst, np.linspace(-1, 1, 5), [-0.5, 0.2, 0.9, -1.3, 0.0])
+        assert calls == [-1.3]  # the gamma of largest magnitude, sign kept
+        calls.clear()
+        table = build_phase_table(inst)
+        expectation(inst, Angles(0.3, 0.7), table)
+        qaoa_state(inst, Angles(0.3, -0.7))
+        assert calls == [0.7, -0.7]
 
 
 class TestState:
@@ -463,12 +570,23 @@ class TestVerifyCheck:
     def test_statevector_consistency_passes(self):
         res = verify.run_check("statevector_consistency")
         assert res.passed, res.details
+        assert res.details["tolerances"]["phased"] == 1e-14
+        assert res.details["phased_abs_error"] < 1e-14
 
     def test_corrupted_table_fails(self, monkeypatch):
         # negative control: a table off by 1e-9 must trip the check
         real = simulator.build_phase_table
         monkeypatch.setattr(simulator, "build_phase_table", lambda inst: real(inst) + 1e-9)
         assert not verify.run_check("statevector_consistency").passed
+
+    def test_shifted_half_angle_fails(self, monkeypatch):
+        # negative control: every half angle off by 1e-9 is a global phase,
+        # which no probability sees; only the phased rows can trip the check
+        monkeypatch.setattr(simulator, "HALF_QUARTER", simulator.HALF_QUARTER + 1e-9)
+        res = verify.run_check("statevector_consistency")
+        assert not res.passed
+        assert res.details["phased_abs_error"] > 1e-10
+        assert res.details["landscape_abs_error"] < 1e-12
 
     def test_monte_carlo_consistency_checks_second(self):
         res = verify.run_check("monte_carlo_consistency")
