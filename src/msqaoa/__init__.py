@@ -22,19 +22,12 @@ _EXPORTS = {
         "d3_stationarity_residuals",
         "energy_derivatives",
         "energy_mixture_form",
-        "energy_pure_d",
         "energy_sigma_form",
         "energy_sigma_grid",
     ),
     "finite_n": (
         "MomentGrid",
         "MomentReport",
-        "Sketch",
-        "f_q",
-        "f_q_abc",
-        "g_q",
-        "generating_function",
-        "oracle_mgf",
         "oracle_moments",
         "sketch_moment_grid",
         "sketch_moments",

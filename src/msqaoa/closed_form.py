@@ -11,8 +11,7 @@ check it to ~1e-12 relative, a standing cross-check: ``energy_mixture_form``
 ``Angles`` refuses NaN and +-inf, so no per-point form checks its angles; the
 grid form checks its axes with ``require_finite_grid``.  The model types take
 every degree bound 1..``model.MAX_DEGREE`` and no other, so no form checks
-the degree either; ``energy_pure_d``, which takes a bare d, checks it with
-``model.check_degree``.
+the degree either.
 """
 
 from __future__ import annotations
@@ -24,20 +23,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .model import (
-    MixtureFunction,
-    MixtureSpec,
-    check_degree,
-    damping_rate,
-    pure_d_spec,
-)
+from .model import MixtureFunction, MixtureSpec, damping_rate, pure_d_spec
 
 __all__ = [
     "Angles",
     "energy_sigma_form",
     "energy_sigma_grid",
     "energy_mixture_form",
-    "energy_pure_d",
     "EnergyDerivatives",
     "energy_derivatives",
     "StationarityResiduals",
@@ -136,18 +128,6 @@ def energy_mixture_form(xi: MixtureFunction, angles: Angles) -> float:
     damp = math.exp(-2 * (angles.gamma * angles.gamma) * xi.xi_prime_at_one())
     w = complex(math.cos(2 * angles.beta), math.sin(2 * angles.beta) * damp)
     return angles.gamma * (2 * xi.xi(w).imag)
-
-
-def energy_pure_d(d: int, angles: Angles) -> float:
-    """Infinite-n energy per spin for the pure d-spin model sigma_d = sqrt(d!/2).
-
-    This is the specialization of the general formula with c_d^2 = 1/2, i.e.
-    gamma * Im[(cos(2b) + i sin(2b) exp(-d g^2))^d].
-    """
-    check_degree(d)
-    damp = math.exp(-d * (angles.gamma * angles.gamma))
-    w = complex(math.cos(2 * angles.beta), math.sin(2 * angles.beta) * damp)
-    return angles.gamma * (w**d).imag
 
 
 @dataclass(frozen=True)

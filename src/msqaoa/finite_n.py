@@ -10,7 +10,11 @@ product of
   * mixer factors Q_ss' = {cos^2 b, sin^2 b, +/- i sin b cos b},
 
 where f_q and g_q are the subset sums sum_{|S|=q}(z_S - z'_S) and
-sum_{|S|=q}(z_S - z'_S)^2 written in closed binomial form.
+sum_{|S|=q}(z_S - z'_S)^2.  Both are read off F_q(u) = sum_{|S|=q} z_S for a
+string with u entries +1, which ``_subset_sums_by_degree`` gives for every q
+in one recurrence: f_q = F_q(u) - F_q(u') and g_q(t) = 2 binom(n,q) -
+2 F_q(n - t).  ``verify``'s combinatorial_identities row checks F_q(u) and
+the damping against explicit subset products at n <= 10.
 
 For the moments the sum collapses exactly: grouping sketches by the
 disagreement count t = npm + nmp, the inner alternating sums are t-th finite
@@ -32,11 +36,6 @@ closed form.  Naive term-by-term
 float summation of all binom(n+3,3) sketches would instead lose the
 cancellation catastrophically for n beyond a few dozen, and so does a float
 evaluation of the blocks in a monomial basis at d beyond about 10.
-``generating_function`` keeps the direct
-enumeration, one plain float sum over all sketches, since its integrand is
-not polynomial in the sketch.  That sum cancels across blocks as n grows, so
-it is capped at ORACLE_MAX_N, where the oracle and the tests' 60-digit sketch
-sum check it.
 
 ``oracle_moments`` computes the same moments by direct summation over all
 4^n string pairs with explicit subset sums, and is the independent
@@ -48,7 +47,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -59,152 +57,31 @@ from .errors import CapExceededError, NumericalError, ValidationError
 from .model import MixtureSpec, popcounts
 
 __all__ = [
-    "Sketch",
     "MomentReport",
     "MomentGrid",
-    "f_q",
-    "g_q",
-    "f_q_abc",
     "sketch_moments",
     "sketch_moment_grid",
-    "generating_function",
     "oracle_moments",
-    "oracle_mgf",
     "ORACLE_MAX_N",
 ]
 
-# oracle: 4^n pair enumeration; generating_function: where the oracle and
-# the tests' 60-digit sketch sum check its direct float sum
+# the oracle enumerates 4^n string pairs
 ORACLE_MAX_N = 14
 _REL_IMAG_TOL = 1e-9
 _VARIANCE_ALLOWANCE = 1e-10
 
 
-@dataclass(frozen=True)
-class Sketch:
-    """Counts of (z_k, z'_k) position types for a string pair of length n."""
-
-    npp: int
-    npm: int
-    nmp: int
-    nmm: int
-
-    def __post_init__(self) -> None:
-        if min(self.npp, self.npm, self.nmp, self.nmm) < 0:
-            raise ValidationError(f"sketch counts must be non-negative: {self}")
-
-    @property
-    def n(self) -> int:
-        return self.npp + self.npm + self.nmp + self.nmm
-
-    @property
-    def t(self) -> int:
-        """Number of disagreement positions npm + nmp."""
-        return self.npm + self.nmp
-
-    @staticmethod
-    def of_pair(z: Sequence[int], zp: Sequence[int]) -> "Sketch":
-        if len(z) != len(zp):
-            raise ValidationError("strings must have equal length")
-        counts = {(1, 1): 0, (1, -1): 0, (-1, 1): 0, (-1, -1): 0}
-        for pair in zip(z, zp):
-            if pair not in counts:
-                raise ValidationError(f"spin entries must be +1 or -1, got {pair}")
-            counts[pair] += 1
-        return Sketch(counts[(1, 1)], counts[(1, -1)], counts[(-1, 1)], counts[(-1, -1)])
-
-
-def _subset_sum_by_plus_count(q: int, u: int, n: int) -> int:
-    """sum_{|S|=q} z_S for any z with u entries equal to +1 (exact integer)."""
-    return sum(
-        (-1) ** (q - k) * math.comb(u, k) * math.comb(n - u, q - k)
-        for k in range(q + 1)
-    )
-
-
 def _subset_sums_by_degree(u: int, n: int, top: int) -> list[int]:
-    """[F_0(u), ..., F_top(u)], F_q(u) = ``_subset_sum_by_plus_count(q, u, n)``,
-    in one pass.  F_q(u) is the t^q coefficient of P = (1+t)^u (1-t)^(n-u),
-    and (1 - t^2) P' = (2u - n - n t) P gives, with F_0 = 1, F_1 = 2u - n,
+    """[F_0(u), ..., F_top(u)], F_q(u) = sum_{|S|=q} z_S for any z of length
+    n with u entries +1, in one pass.  F_q(u) is the t^q coefficient of
+    P = (1+t)^u (1-t)^(n-u), and (1 - t^2) P' = (2u - n - n t) P gives, with
+    F_0 = 1, F_1 = 2u - n,
         (q + 1) F_{q+1} = (2u - n) F_q - (n - q + 1) F_{q-1},
     each division exact."""
     f = [1, 2 * u - n]
     for q in range(1, top):
         f.append(((2 * u - n) * f[q] - (n - q + 1) * f[q - 1]) // (q + 1))
     return f[: top + 1]
-
-
-def f_q(q: int, sketch: Sketch) -> int:
-    """sum_{|S|=q}(z_S - z'_S) for any pair with the given sketch."""
-    n = sketch.n
-    if not 0 <= q <= n:
-        raise ValidationError(f"need 0 <= q <= n={n}, got q={q}")
-    u = sketch.npp + sketch.npm  # +1 count of z
-    up = sketch.npp + sketch.nmp  # +1 count of z'
-    return _subset_sum_by_plus_count(q, u, n) - _subset_sum_by_plus_count(q, up, n)
-
-
-def g_q(q: int, t: int, n: int) -> int:
-    """sum_{|S|=q}(z_S - z'_S)^2 for any pair with t = npm + nmp disagreements."""
-    if not 1 <= q <= n:
-        raise ValidationError(f"need 1 <= q <= n={n}, got q={q}")
-    if not 0 <= t <= n:
-        raise ValidationError(f"need 0 <= t <= n={n}, got t={t}")
-    return 4 * sum(
-        math.comb(t, k) * math.comb(n - t, q - k) for k in range(1, min(t, q) + 1, 2)
-    )
-
-
-# -- polynomial expansion of f_q --------------------------------------------
-#
-# f_q is a polynomial of total degree q in x = npm - nmp, y = npp - nmm and n,
-# read off its generating series.  With u = npp + npm and u' = npp + nmp the
-# +1 counts of z and z', sum_{|S|=q} z_S is [t^q] (1+t)^u (1-t)^(n-u), and
-# since 2u = n + x + y and 2u' = n - x + y,
-#
-#   sum_q f_q t^q = (1+t)^u (1-t)^(n-u) - (1+t)^u' (1-t)^(n-u')
-#                 = (1-t^2)^(n/2) e^(y artanh t) 2 sinh(x artanh t).
-#
-# The t^(2k) coefficient of (1-t^2)^(n/2) is (-1)^k binom(n/2, k), of degree
-# k in n, and artanh t = t + t^3/3 + ..., so only k = 0 and the lowest-order
-# term of 2 sinh(x t) e^(y t) reach total degree q.
-
-
-def f_q_abc(q: int) -> dict[tuple[int, int, int], Fraction]:
-    """Exact coefficients of f_q = sum f^{abc} x^a y^b n^c (zero entries omitted).
-
-    x = npm - nmp, y = npp - nmm.  They are the t^q coefficient of the series
-    (1-t^2)^(n/2) e^(y artanh t) 2 sinh(x artanh t), which equals
-    sum_q f_q t^q because 2(npp + npm) = n + x + y.  The leading (a+b+c = q)
-    coefficients equal 2/(a! b!) exactly when a is odd, b = q - a, c = 0, and
-    vanish otherwise.
-    """
-    if q < 1:
-        raise ValidationError(f"need q >= 1, got q={q}")
-    # [t^m] e^(y L) 2 sinh(x L) as {(a, b): coeff}, L = artanh t, from
-    # sum_j L^j sum_{a odd} 2 x^a y^(j-a) / (a! (j-a)!)
-    artanh = [Fraction(m % 2, m) if m else Fraction(0) for m in range(q + 1)]
-    power = [Fraction(1)] + [Fraction(0)] * q  # [t^m] L^j, from j = 0
-    xy_series: list[dict] = [{} for _ in range(q + 1)]
-    for j in range(1, q + 1):
-        power = [sum(power[i] * artanh[m - i] for i in range(m)) for m in range(q + 1)]
-        for a in range(1, j + 1, 2):
-            lead = Fraction(2, math.factorial(a) * math.factorial(j - a))
-            for m in range(j, q + 1, 2):
-                xy_series[m][a, j - a] = xy_series[m].get((a, j - a), 0) + lead * power[m]
-    # times [t^(2k)] (1-t^2)^(n/2) = (-1)^k binom(n/2, k) as coefficients of
-    # n^c, each k from the last by the factor (k - 1 - n/2) / k
-    coeffs: dict[tuple[int, int, int], Fraction] = {}
-    n_poly = [Fraction(1)]
-    for k in range(q // 2 + 1):
-        if k:
-            pad = [Fraction(0)]
-            n_poly = [((k - 1) * lo - hi / 2) / k for lo, hi in zip(n_poly + pad, pad + n_poly)]
-        for (a, b), cf in xy_series[q - 2 * k].items():
-            for c, cn in enumerate(n_poly):
-                coeffs[a, b, c] = coeffs.get((a, b, c), 0) + cf * cn
-    order = sorted(coeffs, key=lambda m: (sum(m), m))  # total degree, then a, b
-    return {mono: coeffs[mono] for mono in order if coeffs[mono]}
 
 
 # -- sketch-sum engine -------------------------------------------------------
@@ -472,44 +349,6 @@ def sketch_moments(spec: MixtureSpec, angles: Angles, n: int) -> MomentReport:
     )
 
 
-def generating_function(spec: MixtureSpec, angles: Angles, n: int, lam: float) -> complex:
-    """Disorder-averaged E_J<exp(i lam H/n)> at finite n via the sketch sum.
-
-    One plain float sum over the binom(n+3,3) sketches, grouped by the
-    disagreement count t: binom(n,t) e^K(t) (i sc)^t times the real sum of
-    (-1)^npm binom(t,npm) binom(n-t,npp) c2^npp s2^nmm e^(-gamma lam P - lam^2 R),
-    with P = sum_q sigma_q^2 f_q / n^q and K(t), R from phi.  Its
-    blocks cancel more as n grows, so n is capped at ORACLE_MAX_N, where the
-    oracle checks it.  At lam = 0 the value is the squared state norm, 1.
-    """
-    n = _check_n(n, ORACLE_MAX_N, "the oracle checks the direct sketch sum only up to there")
-    if lam == 0.0 and angles.gamma == 0.0:
-        # the exponent vanishes for every sketch and the sum telescopes to 1
-        return 1.0 + 0.0j
-    sb, cb = math.sin(angles.beta), math.cos(angles.beta)
-    sc, c2, s2 = sb * cb, cb * cb, sb * sb
-    phi_int, flip, den = _phi_integers(spec, n, n)
-    phi = [v / den for v in phi_int]
-    # each term's damping e^(-gamma^2 k(t)), e^(-gamma lam P) and e^(-lam^2 R)
-    # are one exponent -gamma (gamma k(t) + lam P) - lam (lam R), -inf where a
-    # huge gamma or lam overflows
-    k, r = _weights(flip, den, n)
-    g = angles.gamma
-    lam2r = lam * (lam * r)
-    total = 0j
-    for t in range(n + 1):
-        s = n - t
-        gk = g * k[t]
-        block = 0.0
-        for i in range(t + 1):  # i = npm
-            for j in range(s + 1):  # j = npp
-                w = (-1) ** i * math.comb(t, i) * math.comb(s, j) * c2**j * s2 ** (s - j)
-                p = phi[i + j] - phi[t - i + j]
-                block += w * math.exp(-g * (gk + lam * p) - lam2r)
-        total += math.comb(n, t) * (1j * sc) ** t * block
-    return total
-
-
 # -- brute-force double-string oracle ----------------------------------------
 
 _ORACLE_CAP_REASON = "the oracle enumerates 4^n pairs"
@@ -554,14 +393,12 @@ def _string_subset_tables(n: int, d: int) -> np.ndarray:
 
 
 def _oracle_sums(
-    spec: MixtureSpec, angles: Angles, n: int, lam: Optional[float]
-) -> tuple[complex, complex, complex, complex, float, list]:
-    """(sum WE, sum WED, sum WED^2, sum WE e^(-gamma lam D - lam^2 R), R, upper
-    bounds on sum |WE|, sum |WED|, sum |WED^2|) over all string pairs, for an n
-    already through ``_check_n``.  A pair's damping is E = e^(gamma (gamma x)),
-    with x = sum_q sigma_q^2 (tables[q][z xor z'] - binom(n,q)) / n^(q-1) <= 0,
-    and the lam factors join it as the one exponent
-    gamma (gamma x - lam D) - lam (lam R).
+    spec: MixtureSpec, angles: Angles, n: int
+) -> tuple[complex, complex, complex, float, list]:
+    """(sum WE, sum WED, sum WED^2, R, upper bounds on sum |WE|, sum |WED|,
+    sum |WED^2|) over all string pairs, for an n already through
+    ``_check_n``.  A pair's damping is E = e^(gamma (gamma x)), with
+    x = sum_q sigma_q^2 (tables[q][z xor z'] - binom(n,q)) / n^(q-1) <= 0.
     gamma is finite, so an exponent that a huge gamma overflows is -inf, E is
     0 there and nothing forms inf * 0 (x = 0 only where D = 0)."""
     d = spec.d
@@ -588,15 +425,13 @@ def _oracle_sums(
     amp = np.abs(wa)
     bound_rows = np.array([amp, 2 * amp * np.abs(phi), 4 * amp * phi * phi])
     with np.errstate(over="ignore"):  # a huge gamma: exponents of -inf
-        gx = g * x
-        damp = np.exp(g * gx)
+        damp = np.exp(g * (g * x))
 
     # R = sum_q binom(n,q) sigma_q^2 / (2 n^(q+1)), from its definition
     r = sum(math.comb(n, q) / (2 * n ** (q + 1)) * sigma2[q - 1] for q in range(1, min(d, n) + 1))
     s0 = _Kahan()
     s1 = _Kahan()
     s2acc = _Kahan()
-    sl = _Kahan()
     magnitudes = np.zeros(3)
     masks = np.arange(size)
     chunk = max(1, (1 << 22) // size)
@@ -613,12 +448,8 @@ def _oracle_sums(
         s1.add(WED.sum())
         s2acc.add((WED * D).sum())
         magnitudes += bound_rows[:, rows] @ (E @ amp)
-        if lam is not None:
-            with np.errstate(over="ignore"):
-                exponent = g * (gx[pairs] - lam * D) - lam * (lam * r)
-            sl.add((W * np.exp(exponent)).sum())
 
-    return s0.total, s1.total, s2acc.total, sl.total, r, magnitudes.tolist()
+    return s0.total, s1.total, s2acc.total, r, magnitudes.tolist()
 
 
 def oracle_moments(spec: MixtureSpec, angles: Angles, n: int) -> MomentReport:
@@ -628,7 +459,7 @@ def oracle_moments(spec: MixtureSpec, angles: Angles, n: int) -> MomentReport:
     explicitly per string, with no sketch collapse and no binomial formulas.
     """
     n = _check_n(n, ORACLE_MAX_N, _ORACLE_CAP_REASON)
-    s0, s1, s2sum, _, r, (a0, a1, a2) = _oracle_sums(spec, angles, n, None)
+    s0, s1, s2sum, r, (a0, a1, a2) = _oracle_sums(spec, angles, n)
     g = angles.gamma
     first = _require_real(1j * g * s1, "oracle first moment", abs(g) * a1)
     # g * (g * ...), not g**2: g**2 raises OverflowError past |g| ~ 1.3e154
@@ -648,8 +479,3 @@ def oracle_moments(spec: MixtureSpec, angles: Angles, n: int) -> MomentReport:
         clamped=bool(clamped),
     )
 
-
-def oracle_mgf(spec: MixtureSpec, angles: Angles, n: int, lam: float) -> complex:
-    """E_J<exp(i lam H/n)> by direct summation over all string pairs."""
-    n = _check_n(n, ORACLE_MAX_N, _ORACLE_CAP_REASON)
-    return _oracle_sums(spec, angles, n, lam)[3]

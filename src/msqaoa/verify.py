@@ -1,24 +1,28 @@
 """End-to-end verification checks behind ``msqaoa verify`` and the test suite.
 
 Each check compares a computed quantity against an anchor (a known optimum, an
-independent oracle, or a scaling law) at a pinned tolerance.  A check is a
-plain function with its sizes and tolerances inside; it returns ``(passed,
-details)``.  ``CHECKS`` is the one list of checks: name, function and levels,
-in report order.  ``run_check(name)`` times one check and returns a
-``CheckResult``; ``run(level)`` runs every check of the level, ``quick`` (3
-checks) or ``full`` (15).  Both raise ``ValidationError`` for an unknown
-name or level.
+independent oracle, or a scaling law) at a pinned tolerance, and each checks
+code that an engine runs: ``combinatorial_identities`` the finite-n engine's
+exact subset sums and damping, ``monte_carlo_consistency`` its two moments
+against sampled instances and against a quadrature of ``expectation`` over
+the couplings.  A check is a plain function with its sizes and tolerances
+inside; it returns ``(passed, details)``.  ``CHECKS`` is the one list of
+checks: name, function and levels, in report order.  ``run_check(name)``
+times one check and returns a ``CheckResult``; ``run(level)`` runs every
+check of the level, ``quick`` (3 checks) or ``full`` (15).  Both raise
+``ValidationError`` for an unknown name or level.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import json
 import math
 import time
 from dataclasses import dataclass
-from itertools import combinations
+from fractions import Fraction
 
 import numpy as np
 
@@ -162,21 +166,18 @@ def _form_equivalence() -> tuple[bool, dict]:
     }
 
 
-def _moment_pair_discrepancy(spec, ang, n, lam) -> dict[str, float]:
+def _moment_pair_discrepancy(spec, ang, n) -> dict[str, float]:
     sk = finite_n.sketch_moments(spec, ang, n)
     orc = finite_n.oracle_moments(spec, ang, n)
-    gf = finite_n.generating_function(spec, ang, n, lam)
-    ogf = finite_n.oracle_mgf(spec, ang, n, lam)
     return {
         "first": abs(sk.first - orc.first) / max(abs(sk.first), abs(orc.first), 1e-6),
         "second": abs(sk.second - orc.second)
         / max(abs(sk.second), abs(orc.second), 1e-6),
-        "mgf": abs(gf - ogf) / max(abs(gf), abs(ogf), 1e-6),
     }
 
 
 def _oracle_match_n6() -> tuple[bool, dict]:
-    rel = _moment_pair_discrepancy(_SK, closed_form.Angles(0.3, 0.4), 6, 0.7)
+    rel = _moment_pair_discrepancy(_SK, closed_form.Angles(0.3, 0.4), 6)
     worst = max(rel.values())
     return worst < 1e-10, {"relative": rel, "tolerance": 1e-10, "n": 6}
 
@@ -195,8 +196,7 @@ def _oracle_equivalence() -> tuple[bool, dict]:
                 float(rng.uniform(0.1, 0.6) * rng.choice([-1, 1])),
                 float(rng.uniform(0.2, 0.8) * rng.choice([-1, 1])),
             )
-            lam = float(rng.uniform(-1.0, 1.0))
-            rel = _moment_pair_discrepancy(spec, ang, n, lam)
+            rel = _moment_pair_discrepancy(spec, ang, n)
             m = max(rel.values())
             if m > worst:
                 worst, worst_at = m, {"n": n, "d": d}
@@ -210,72 +210,60 @@ def _oracle_equivalence() -> tuple[bool, dict]:
 
 
 def _direct_pair_sums(z: list[int], zp: list[int], q: int) -> tuple[int, int]:
-    n = len(z)
+    """(sum_{|S|=q} z_S, sum_{|S|=q} (z_S - z'_S)^2) by explicit subset products."""
     f = 0
     g = 0
-    for subset in combinations(range(n), q):
+    for subset in itertools.combinations(range(len(z)), q):
         zs = 1
         zps = 1
         for i in subset:
             zs *= z[i]
             zps *= zp[i]
-        f += zs - zps
+        f += zs
         g += (zs - zps) ** 2
     return f, g
 
 
+# a mixture of both parities whose sigma_q^2 have large denominators, and SK
+_DAMPING_SPECS = (("mix4", model.make_mixture_spec(4, [0.3, 0.5, 1.0, 0.4])), ("sk", _SK))
+
+
 def _combinatorial_identities() -> tuple[bool, dict]:
+    """The engine's exact integers against explicit subset products, for every
+    n <= 10: ``_subset_sums_by_degree``'s F_q(u) = sum_{|S|=q} z_S for a string
+    with u entries +1 (q <= 4), and ``_weights``' damping
+    k(t) = sum_q sigma_q^2 g_q(t) / (2 n^(q-1)), g_q(t) = sum_{|S|=q}
+    (z_S - z'_S)^2 for a pair with t disagreements, which it rounds once."""
     max_n = 10
     max_q = 4
-    max_abc = 5
-    expansions = {q: finite_n.f_q_abc(q) for q in range(1, max_abc + 1)}
-    checked = 0
+    subset_checks = damping_checks = 0
     for n in range(1, max_n + 1):
-        for npp in range(n + 1):
-            for npm in range(n - npp + 1):
-                for nmp in range(n - npp - npm + 1):
-                    nmm = n - npp - npm - nmp
-                    sk = finite_n.Sketch(npp, npm, nmp, nmm)
-                    z = [1] * (npp + npm) + [-1] * (nmp + nmm)
-                    zp = [1] * npp + [-1] * npm + [1] * nmp + [-1] * nmm
-                    for q in range(1, min(max_q, n) + 1):
-                        f_direct, g_direct = _direct_pair_sums(z, zp, q)
-                        if finite_n.f_q(q, sk) != f_direct:
-                            return False, {"failed": "f_q", "sketch": str(sk), "q": q}
-                        if finite_n.g_q(q, sk.t, n) != g_direct:
-                            return False, {"failed": "g_q", "sketch": str(sk), "q": q}
-                        checked += 1
-                    # the polynomial expansion reproduces f_q exactly
-                    x, y = npm - nmp, npp - nmm
-                    for q in range(1, min(max_abc, n) + 1):
-                        value = sum(
-                            cf * x**a * y**b * n**c
-                            for (a, b, c), cf in expansions[q].items()
-                        )
-                        if value != finite_n.f_q(q, sk):
-                            return False, {"failed": "f_q_abc", "sketch": str(sk), "q": q}
-    # its leading coefficients, exact rationals
-    from fractions import Fraction
-
-    for q, coeffs in expansions.items():
-        for a in range(q + 1):
-            for b in range(q + 1 - a):
-                c = q - a - b
-                want = (
-                    Fraction(2, math.factorial(a) * math.factorial(b))
-                    if (a % 2 == 1 and c == 0)
-                    else Fraction(0)
+        top = min(max_q, n)
+        ones = [1] * n
+        direct = []  # entry u: [(F_q(u), g_q(n - u)) for q = 0..top]
+        for u in range(n + 1):
+            z = [1] * u + [-1] * (n - u)  # n - u disagreements with all +1
+            direct.append([_direct_pair_sums(z, ones, q) for q in range(top + 1)])
+            if finite_n._subset_sums_by_degree(u, n, top) != [f for f, _ in direct[u]]:
+                return False, {"failed": "_subset_sums_by_degree", "n": n, "u": u}
+            subset_checks += 1
+        for label, spec in _DAMPING_SPECS:
+            _, flip, den = finite_n._phi_integers(spec, n, n)
+            k, _ = finite_n._weights(flip, den, n)
+            for t in range(n + 1):
+                want = sum(
+                    Fraction(s * s) * direct[n - t][q][1] / (2 * Fraction(n) ** (q - 1))
+                    for q, s in enumerate(spec.sigmas[:top], start=1)
                 )
-                got = coeffs.get((a, b, c), Fraction(0))
-                if got != want:
-                    return False, {
-                        "failed": "f_q_abc",
-                        "q": q,
-                        "abc": [a, b, c],
-                        "got": str(got),
-                        "want": str(want),
-                    }
-    return True, {"pair_sum_checks": checked, "abc_orders": list(expansions)}
+                if k[t] != float(want):
+                    return False, {"failed": "_weights", "spec": label, "n": n, "t": t}
+                damping_checks += 1
+    return True, {
+        "subset_sum_checks": subset_checks,
+        "damping_checks": damping_checks,
+        "max_n": max_n,
+        "max_q": max_q,
+    }
 
 
 def _infinite_n_convergence() -> tuple[bool, dict]:
@@ -307,10 +295,54 @@ def _concentration() -> tuple[bool, dict]:
     }
 
 
+def _coupling_quadrature(spec, n: int, points: int, angles) -> np.ndarray:
+    """Rows (E_J <H>/n, E_J <H^2>/n^2), one per angle, by a tensor
+    Gauss-Hermite rule of ``points`` nodes per coupling, over hand-built
+    instances whose couplings J_S ~ N(0, sigma_q^2) sit at the nodes."""
+    x, w = np.polynomial.hermite_e.hermegauss(points)
+    w = w / math.sqrt(2 * math.pi)
+    slots = [
+        (q, i) for q, s in enumerate(spec.sigmas, start=1) if s for i in range(math.comb(n, q))
+    ]
+    totals = np.zeros((len(angles), 2))
+    for nodes in itertools.product(range(points), repeat=len(slots)):
+        couplings = [np.zeros(math.comb(n, q)) for q in range(1, spec.d + 1)]
+        weight = 1.0
+        for (q, i), k in zip(slots, nodes):
+            couplings[q - 1][i] = spec.sigmas[q - 1] * x[k]
+            weight *= w[k]
+        inst = model.ProblemInstance(n=n, spec=spec, seed=0, couplings=tuple(couplings))
+        table = simulator.build_phase_table(inst)
+        for a, ang in enumerate(angles):
+            h, h2 = simulator.expectation(inst, ang, table)
+            totals[a] += weight * h / n, weight * h2 / (n * n)
+    return totals
+
+
+_QUADRATURE_ANGLES = (closed_form.Angles(0.3, -0.4), closed_form.Angles(-0.6, 1.5))
+# (spec, n, nodes per coupling, angles): pure d at n = d has one coupling; the
+# mixed-parity model at n = 2 has three, so 20^3 instances, taken only at the
+# larger gamma, where the rule converges slowest
+_QUADRATURE_CASES = tuple(
+    (model.pure_d_spec(d), d, 60, _QUADRATURE_ANGLES) for d in range(1, 7)
+) + ((model.make_mixture_spec(2, [0.7, 1.0]), 2, 20, _QUADRATURE_ANGLES[1:]),)
+
+
 def _monte_carlo_consistency() -> tuple[bool, dict]:
     """Instance means of <H>/n and <H^2>/n^2 against ``first`` and ``second``
     (3 standard errors each), and the sample variance of <H>/n at most
-    ``variance``, which adds the quantum spread to it (Jensen)."""
+    ``variance``, which adds the quantum spread to it (Jensen).  A
+    Gauss-Hermite quadrature of ``expectation`` over the couplings of small
+    instances checks both moments exactly (1e-12 relative), and with them
+    the engine's lambda-derivative step, which the sampling sees only to a
+    few percent."""
+    quadrature_error = 0.0
+    for qspec, qn, points, angles in _QUADRATURE_CASES:
+        quad = _coupling_quadrature(qspec, qn, points, angles)
+        for ang, moments in zip(angles, quad):
+            rep = finite_n.sketch_moments(qspec, ang, qn)
+            for got, want in zip(moments.tolist(), (rep.first, rep.second)):
+                quadrature_error = max(quadrature_error, abs(got - want) / max(abs(want), 1e-6))
     instances = 400
     n = 12
     spec = _SK
@@ -325,7 +357,8 @@ def _monte_carlo_consistency() -> tuple[bool, dict]:
     se = vals.std(axis=1, ddof=1) / math.sqrt(instances)
     z = np.abs(means - (exact.first, exact.second)) / se
     spread = float(vals[0].var(ddof=1))
-    return bool((z < 3.0).all()) and spread <= exact.variance, {
+    passed = bool((z < 3.0).all()) and spread <= exact.variance and quadrature_error <= 1e-12
+    return passed, {
         "instances": instances,
         "n": n,
         "mc_mean": float(means[0]),
@@ -339,6 +372,8 @@ def _monte_carlo_consistency() -> tuple[bool, dict]:
         "mc_variance": spread,
         "exact_variance": exact.variance,
         "tolerance_sigma": 3.0,
+        "quadrature_relative_error": quadrature_error,
+        "quadrature_tolerance": 1e-12,
     }
 
 

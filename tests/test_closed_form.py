@@ -13,17 +13,26 @@ from msqaoa.closed_form import (
     d3_stationarity_residuals,
     energy_derivatives,
     energy_mixture_form,
-    energy_pure_d,
     energy_sigma_form,
     energy_sigma_grid,
 )
 from msqaoa.errors import ValidationError
-from msqaoa.model import damping_rate, make_mixture_spec, pure_d_spec
+from msqaoa.model import check_degree, damping_rate, make_mixture_spec, pure_d_spec
 
 SK = make_mixture_spec(2, [0, 1])
 D3 = make_mixture_spec(3, [0, 0, math.sqrt(3)])
 SK_OPT = Angles(math.pi / 8, -0.5)
 D3_OPT = Angles(0.290003, -0.430091)
+
+
+def energy_pure_d(d, angles):
+    """Infinite-n energy per spin for the pure d-spin model sigma_d = sqrt(d!/2):
+    the general formula at c_d^2 = 1/2, gamma Im[(cos 2b + i sin 2b e^(-d g^2))^d],
+    by a complex power, an independent closed form for the engine's recurrence."""
+    check_degree(d)
+    damp = math.exp(-d * (angles.gamma * angles.gamma))
+    w = complex(math.cos(2 * angles.beta), math.sin(2 * angles.beta) * damp)
+    return angles.gamma * (w**d).imag
 
 
 class TestSigmaForm:

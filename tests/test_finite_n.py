@@ -4,7 +4,6 @@ import sys
 import warnings
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 
 import mpmath
 import numpy as np
@@ -16,14 +15,8 @@ from msqaoa import finite_n, verify
 from msqaoa.closed_form import Angles, energy_sigma_form, energy_sigma_grid
 from msqaoa.errors import CapExceededError, NumericalError, ValidationError
 from msqaoa.finite_n import (
-    Sketch,
     _clamped_variance,
     _require_real,
-    f_q,
-    f_q_abc,
-    g_q,
-    generating_function,
-    oracle_mgf,
     oracle_moments,
     sketch_moment_grid,
     sketch_moments,
@@ -43,97 +36,15 @@ def lambda_weight(spec, n):
     )
 
 
-def direct_pair_sums(z, zp, q):
-    f = g = 0
-    for subset in combinations(range(len(z)), q):
-        zs = zps = 1
-        for i in subset:
-            zs *= z[i]
-            zps *= zp[i]
-        f += zs - zps
-        g += (zs - zps) ** 2
-    return f, g
-
-
-def realize(sketch):
-    z = [1] * (sketch.npp + sketch.npm) + [-1] * (sketch.nmp + sketch.nmm)
-    zp = (
-        [1] * sketch.npp
-        + [-1] * sketch.npm
-        + [1] * sketch.nmp
-        + [-1] * sketch.nmm
-    )
-    return z, zp
-
-
-def all_sketches(n):
-    for npp in range(n + 1):
-        for npm in range(n - npp + 1):
-            for nmp in range(n - npp - npm + 1):
-                yield Sketch(npp, npm, nmp, n - npp - npm - nmp)
-
-
-class TestSketchAndQ:
-    def test_of_pair(self):
-        sk = Sketch.of_pair([1, 1, -1, -1, 1], [1, -1, 1, -1, -1])
-        assert (sk.npp, sk.npm, sk.nmp, sk.nmm) == (1, 2, 1, 1)
-        assert sk.n == 5 and sk.t == 3
-
-    def test_negative_counts_rejected(self):
-        with pytest.raises(ValidationError):
-            Sketch(1, -1, 0, 0)
-
-    @pytest.mark.parametrize("z, zp", [([1, 2], [1, 1]), ([1, 1], [0, -1]), ([1], [1.5])])
-    def test_of_pair_rejects_non_spin_entries(self, z, zp):
-        with pytest.raises(ValidationError, match=r"spin entries must be \+1 or -1"):
-            Sketch.of_pair(z, zp)
-
-
-class TestFq:
-    def test_q1_formula(self):
-        for sk in all_sketches(5):
-            assert f_q(1, sk) == 2 * (sk.npm - sk.nmp)
-
-    def test_symmetric_sketch_vanishes(self):
-        for q in range(0, 5):
-            assert f_q(q, Sketch(2, 1, 1, 2)) == 0
-
-    def test_q2_n4_exhaustive(self):
-        for sk in all_sketches(4):
-            z, zp = realize(sk)
-            want, _ = direct_pair_sums(z, zp, 2)
-            assert f_q(2, sk) == want
-
-    def test_out_of_range(self):
-        with pytest.raises(ValidationError, match=r"need 0 <= q <= n=4, got q=5"):
-            f_q(5, Sketch(1, 1, 1, 1))
-        with pytest.raises(ValidationError, match=r"need 0 <= q <= n=4, got q=-1"):
-            f_q(-1, Sketch(1, 1, 1, 1))
-
-    def test_realization_independence(self):
-        # 100 random pairs per (n, q): the sketch determines the pair sums
-        rng = np.random.default_rng(42)
-        for n in range(2, 11):
-            for _ in range(100):
-                z = [int(v) for v in rng.choice([-1, 1], n)]
-                zp = [int(v) for v in rng.choice([-1, 1], n)]
-                sk = Sketch.of_pair(z, zp)
-                for q in range(1, min(4, n) + 1):
-                    fd, gd = direct_pair_sums(z, zp, q)
-                    assert f_q(q, sk) == fd
-                    assert g_q(q, sk.t, n) == gd
-
-    @given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
-    @settings(max_examples=60)
-    def test_swap_antisymmetry(self, npp, npm, nmp, nmm):
-        # exchanging z and z' swaps npm with nmp and negates every f_q
-        sk = Sketch(npp, npm, nmp, nmm)
-        swapped = Sketch(npp, nmp, npm, nmm)
-        for q in range(1, sk.n + 1):
-            assert f_q(q, sk) == -f_q(q, swapped)
+def g_q(q, t, n):
+    """sum_{|S|=q}(z_S - z'_S)^2 for a string pair with t disagreements: the
+    subsets that meet the disagreements an odd number of times, 4 each."""
+    return 4 * sum(math.comb(t, k) * math.comb(n - t, q - k) for k in range(1, min(t, q) + 1, 2))
 
 
 class TestGq:
+    """The reference g_q against hand values."""
+
     def test_q1(self):
         for t in range(7):
             assert g_q(1, t, 6) == 4 * t
@@ -144,12 +55,6 @@ class TestGq:
 
     def test_hand_value(self):
         assert g_q(2, 2, 6) == 32
-
-    def test_range_errors(self):
-        with pytest.raises(ValidationError, match=r"need 1 <= q <= n=4, got q=0"):
-            g_q(0, 1, 4)
-        with pytest.raises(ValidationError):
-            g_q(2, 9, 4)
 
 
 # pure degrees and mixtures of both parities with zeroed sigmas; 0.3 and 1.1
@@ -227,134 +132,18 @@ class TestSubsetSumRecurrence:
         for n in range(1, 41):
             top = min(24, n)
             for u in range(n + 1):
-                want = [finite_n._subset_sum_by_plus_count(q, u, n) for q in range(top + 1)]
+                want = [plus_count_subset_sum(q, u, n) for q in range(top + 1)]
                 assert finite_n._subset_sums_by_degree(u, n, top) == want, (n, u)
 
     @pytest.mark.parametrize("n", [2**30, 10**30], ids=["2^30", "10^30"])
     def test_u_up_to_48_at_huge_n(self, n):
         for u in range(49):
-            want = [finite_n._subset_sum_by_plus_count(q, u, n) for q in range(25)]
+            want = [plus_count_subset_sum(q, u, n) for q in range(25)]
             assert finite_n._subset_sums_by_degree(u, n, 24) == want, u
 
     @pytest.mark.parametrize("top", [0, 1])
     def test_lowest_degrees(self, top):
         assert finite_n._subset_sums_by_degree(2, 5, top) == [1, -1][: top + 1]
-
-
-class TestFqAbc:
-    def test_q1(self):
-        assert f_q_abc(1) == {(1, 0, 0): Fraction(2)}
-
-    def test_q2_even_a_vanishes(self):
-        coeffs = f_q_abc(2)
-        assert coeffs.get((2, 0, 0), Fraction(0)) == 0
-
-    def test_q3_leading(self):
-        coeffs = f_q_abc(3)
-        assert coeffs[(1, 2, 0)] == Fraction(2, 1 * 2)  # 2/(1! 2!) = 1
-        assert coeffs[(3, 0, 0)] == Fraction(2, 6)  # 2/(3! 0!) = 1/3
-
-    @pytest.mark.parametrize("q", [1, 2, 3, 4, 5, 6, 7, 8])
-    def test_leading_structure(self, q):
-        coeffs = f_q_abc(q)
-        for a in range(q + 1):
-            for b in range(q + 1 - a):
-                c = q - a - b
-                want = (
-                    Fraction(2, math.factorial(a) * math.factorial(b))
-                    if a % 2 == 1 and c == 0
-                    else Fraction(0)
-                )
-                assert coeffs.get((a, b, c), Fraction(0)) == want
-
-    def test_reconstructs_f_q(self):
-        # every sketch with q <= n <= 10, q = 1..8
-        for q in range(1, 9):
-            coeffs = f_q_abc(q)
-            for n in range(q, 11):
-                for npp in range(n + 1):
-                    for npm in range(n - npp + 1):
-                        for nmp in range(n - npp - npm + 1):
-                            sk = Sketch(npp, npm, nmp, n - npp - npm - nmp)
-                            x, y = sk.npm - sk.nmp, sk.npp - sk.nmm
-                            val = sum(
-                                cf * x**a * y**b * n**c for (a, b, c), cf in coeffs.items()
-                            )
-                            assert val == f_q(q, sk), (q, sk)
-
-    def test_each_call_returns_a_fresh_dict(self):
-        first = f_q_abc(4)
-        want = dict(first)
-        first[(1, 3, 0)] += 1
-        first.popitem()
-        assert f_q_abc(4) == want
-
-    def test_zero_order_rejected(self):
-        with pytest.raises(ValidationError, match="need q >= 1"):
-            f_q_abc(0)
-
-    def test_verify_catches_a_wrong_lower_order_coefficient(self, monkeypatch):
-        # negative control: the leading coefficients stay right, so only the
-        # reconstruction on the check's sketches can see this
-        true_fn = finite_n.f_q_abc
-
-        def corrupted(q):
-            coeffs = true_fn(q)
-            if q == 3:
-                coeffs[(1, 0, 1)] += 1
-            return coeffs
-
-        monkeypatch.setattr(finite_n, "f_q_abc", corrupted)
-        res = verify.run_check("combinatorial_identities")
-        assert not res.passed
-        assert res.details["failed"] == "f_q_abc"
-        assert res.details["q"] == 3 and "sketch" in res.details
-
-
-class TestGeneratingFunction:
-    def test_normalization(self):
-        rng = np.random.default_rng(9)
-        for n in (2, 4, 8):
-            d = int(rng.integers(1, 4))
-            spec = make_mixture_spec(d, rng.uniform(0.2, 1.2, d))
-            ang = Angles(float(rng.uniform(-1.5, 1.5)), float(rng.uniform(-1.5, 1.5)))
-            gf = generating_function(spec, ang, n, 0.0)
-            assert abs(gf - 1.0) < 1e-9
-
-    def test_degenerate_exact_one(self):
-        assert generating_function(SK, Angles(0.4, 0.0), 12, 0.0) == 1.0 + 0.0j
-
-    def test_matches_oracle(self):
-        ang = Angles(0.3, 0.4)
-        gf = generating_function(SK, ang, 6, 0.7)
-        ogf = oracle_mgf(SK, ang, 6, 0.7)
-        assert abs(gf - ogf) <= 1e-10 * max(abs(gf), abs(ogf))
-
-    def test_budget(self):
-        with pytest.raises(CapExceededError, match=r"exceeds the cap 14"):
-            generating_function(SK, Angles(0.3, 0.4), 600, 0.0)
-
-    def test_cap_is_the_oracle_cap(self):
-        generating_function(SK, Angles(0.3, 0.4), 14, 0.7)
-        with pytest.raises(CapExceededError, match=r"n=15 exceeds the cap 14"):
-            generating_function(SK, Angles(0.3, 0.4), 15, 0.7)
-
-    @pytest.mark.parametrize("n", [6, 10, 14])
-    @pytest.mark.parametrize(
-        "spec, beta, gamma, lam",
-        [
-            (SK, math.pi / 4, 0.4, 3.0),
-            (SK, 0.3, -0.7, 0.7),
-            (MIX3, math.pi / 4, 0.05, 3.0),
-            (MIX3, -1.1, 1.5, 3.0),
-            (pure_d_spec(4), -math.pi / 4, -0.7, 0.7),
-            (pure_d_spec(4), 0.3, 0.4, 3.0),
-        ],
-    )
-    def test_matches_reference(self, spec, beta, gamma, lam, n):
-        got = generating_function(spec, Angles(beta, gamma), n, lam)
-        want = reference_generating_function(spec, beta, gamma, n, lam)
-        assert abs(got - want) <= 1e-12, (got, want)
 
 
 class TestMoments:
@@ -437,7 +226,7 @@ class TestMoments:
 
     def test_k_table_sizes(self, monkeypatch):
         # one phi table gives the blocks, every k(t) and R: the moments read
-        # k(t) only for t <= 2d; the direct sketch sum reads all n + 1
+        # k(t) only for t <= min(2d, n)
         sizes = []
         real_phi, real_weights = finite_n._phi_integers, finite_n._weights
 
@@ -457,8 +246,7 @@ class TestMoments:
         ang = Angles(0.3, -0.4)
         sketch_moment_grid(MIX3, np.linspace(-0.7, 0.7, 7), np.linspace(-1, 1, 11), 64)
         sketch_moments(MIX3, ang, 4)
-        generating_function(MIX3, ang, 8, 0.5)
-        assert sizes == [7, 5, 9]
+        assert sizes == [7, 5]
 
 
 # (beta, gamma) pairs: an Angles of them cannot be made
@@ -477,11 +265,6 @@ class TestNonFiniteAngles:
     def test_oracle_moments(self, ang):
         with pytest.raises(ValidationError):
             oracle_moments(SK, Angles(*ang), 4)
-
-    @pytest.mark.parametrize("ang", NON_FINITE_ANGLES)
-    def test_generating_function(self, ang):
-        with pytest.raises(ValidationError):
-            generating_function(SK, Angles(*ang), 8, 0.5)
 
 
 MIX_035 = make_mixture_spec(3, [0.3, 0.5, 1.0])
@@ -519,8 +302,7 @@ class TestHugeGamma:
 
 class TestOracleAtLargeGamma:
     """Each pair's damping is one exponent gamma (gamma x), x <= 0, so the
-    oracle neither overflows to inf * 0 nor raises where gamma^2 overflows,
-    and the generating functions reach their limit e^(-lam^2 R)."""
+    oracle neither overflows to inf * 0 nor raises where gamma^2 overflows."""
 
     @pytest.mark.parametrize("spec", [SK, MIX_035])
     @pytest.mark.parametrize(
@@ -534,32 +316,6 @@ class TestOracleAtLargeGamma:
                 assert math.isfinite(orc.first) and math.isfinite(orc.second)
                 assert abs(sk.first - orc.first) <= 1e-10 * abs(sk.first)
                 assert abs(sk.second - orc.second) <= 1e-10 * abs(sk.second)
-
-    @pytest.mark.parametrize("gamma", HUGE_GAMMAS)
-    @pytest.mark.parametrize("spec", [SK, MIX_035])
-    def test_generating_functions_reach_the_limit(self, spec, gamma):
-        for n in (4, 6):
-            limit = math.exp(-0.25 * float(lambda_weight(spec, n)))
-            gf = generating_function(spec, Angles(0.3, gamma), n, 0.5)
-            ogf = oracle_mgf(spec, Angles(0.3, gamma), n, 0.5)
-            assert cmath.isfinite(gf) and cmath.isfinite(ogf)
-            assert abs(gf - ogf) <= 1e-10 and abs(gf - limit) <= 1e-10
-
-    def test_sk_is_at_the_limit_by_gamma_1e3(self):
-        gf = generating_function(SK, Angles(0.3, 1e3), 4, 0.5)
-        assert gf == pytest.approx(math.exp(-0.25 * 6 / 128), abs=1e-15)
-
-
-class TestHugeLambda:
-    """e^(-lam^2 R) is part of each term's exponent, so a huge lam drives
-    both generating functions to their limit 0 without an OverflowError,
-    NaN or numpy warning."""
-
-    @pytest.mark.parametrize("lam", HUGE_GAMMAS)
-    def test_generating_functions_reach_zero(self, lam):
-        gf = generating_function(SK, Angles(0.3, 0.4), 4, lam)
-        ogf = oracle_mgf(SK, Angles(0.3, 0.4), 4, lam)
-        assert gf == 0 and ogf == 0
 
 
 class TestReportGuards:
@@ -616,37 +372,6 @@ class TestReportGuards:
         monkeypatch.setattr(finite_n, "_oracle_sums", corrupted)
         with pytest.raises(NumericalError, match=r"oracle first moment has imaginary residue"):
             oracle_moments(MIX3, Angles(0.3, -0.4), 8)
-
-
-def reference_generating_function(spec, beta, gamma, n, lam):
-    """E_J<exp(i lam H/n)> at 60 digits: the sketch sum term by term over every
-    (npm, nmp, npp, nmm), with the multinomial weight, the mixer factors
-    Q+- = -i sc, Q-+ = i sc, Q++ = cos^2 b, Q-- = sin^2 b and
-    e^(K(t) - gamma lam P), P = sum_q sigma_q^2 f_q / n^q, from f_q."""
-    with mpmath.workdps(60):
-        s2 = {q: mpmath.mpf(spec.sigmas[q - 1]) ** 2 for q in range(1, min(spec.d, n) + 1)}
-        b, g, lm, nn = mpmath.mpf(beta), mpmath.mpf(gamma), mpmath.mpf(lam), mpmath.mpf(n)
-        sb, cb = mpmath.sin(b), mpmath.cos(b)
-        q_pm, q_mp = mpmath.mpc(0, -1) * sb * cb, mpmath.mpc(0, 1) * sb * cb
-        total = mpmath.mpc(0)
-        for npm in range(n + 1):
-            for nmp in range(n - npm + 1):
-                t = npm + nmp
-                K = -sum(g * g * g_q(q, t, n) * v / (2 * nn ** (q - 1)) for q, v in s2.items())
-                for npp in range(n - t + 1):
-                    nmm = n - t - npp
-                    sk = Sketch(npp, npm, nmp, nmm)
-                    weight = math.factorial(n) // (
-                        math.factorial(npm) * math.factorial(nmp)
-                        * math.factorial(npp) * math.factorial(nmm)
-                    )
-                    P = sum(v * f_q(q, sk) / nn**q for q, v in s2.items())
-                    total += (
-                        weight * q_pm**npm * q_mp**nmp * (cb * cb) ** npp * (sb * sb) ** nmm
-                        * mpmath.exp(K - g * lm * P)
-                    )
-        R = sum(math.comb(n, q) * v / (2 * nn ** (q + 1)) for q, v in s2.items())
-        return complex(mpmath.exp(-lm * lm * R) * total)
 
 
 class TestConvergenceTrend:
@@ -1102,34 +827,52 @@ class TestBeyondTheReference:
         assert abs(scaled[3] - scaled[2]) < 1e-5 * scaled[3]
 
 
+ANG = Angles(0.3, -0.4)
+
+
 class TestIntegerN:
     """n is taken as an exact Python int wherever a numpy integer is given."""
 
-    def test_numpy_integers_give_identical_results(self):
-        ang = Angles(0.3, -0.4)
-        spec8 = pure_d_spec(8)
-        cases = [
-            (lambda n: sketch_moments(pure_d_spec(2), ang, n).first, 512),
-            (lambda n: sketch_moments(spec8, ang, n).second, 64),
-            (lambda n: sketch_moments(spec8, ang, n).first, 512),
-            (lambda n: sketch_moment_grid(spec8, [0.3, 0.5], [-0.4], n).second.tobytes(), 512),
-            (lambda n: generating_function(MIX3, ang, n, 0.5), 9),
-            (lambda n: oracle_moments(MIX3, ang, n).second, 6),
-        ]
-        for fn, n in cases:
-            assert fn(np.int64(n)) == fn(n)
-        assert type(sketch_moments(SK, ang, np.int64(12)).n) is int
+    @pytest.mark.parametrize(
+        "fn, n",
+        [
+            pytest.param(
+                lambda n: sketch_moments(pure_d_spec(2), ANG, n).first, 512, id="sketch_moments"
+            ),
+            pytest.param(
+                lambda n: sketch_moments(pure_d_spec(8), ANG, n).second,
+                64,
+                id="sketch_moments_pure8_second",
+            ),
+            pytest.param(
+                lambda n: sketch_moments(pure_d_spec(8), ANG, n).first, 512, id="sketch_moments_pure8"
+            ),
+            pytest.param(
+                lambda n: sketch_moment_grid(pure_d_spec(8), [0.3, 0.5], [-0.4], n).second.tobytes(),
+                512,
+                id="sketch_moment_grid_pure8",
+            ),
+            pytest.param(
+                lambda n: oracle_moments(MIX3, ANG, n).second, 6, id="oracle_moments_mix3"
+            ),
+        ],
+    )
+    def test_numpy_integers_give_identical_results(self, fn, n):
+        assert fn(np.int64(n)) == fn(n)
+
+    def test_numpy_integer_n_is_stored_as_int(self):
+        assert type(sketch_moments(SK, ANG, np.int64(12)).n) is int
 
     @pytest.mark.parametrize(
         "fn",
         [
-            lambda n: sketch_moments(SK, Angles(0.3, -0.4), n),
-            lambda n: sketch_moment_grid(SK, [0.3], [-0.4], n),
-            lambda n: sketch_moment_grid(MIX3, [0.3, 0.5], [-0.4], n),
-            lambda n: sketch_moments(pure_d_spec(8), Angles(0.3, -0.4), n),
-            lambda n: generating_function(SK, Angles(0.3, -0.4), n, 0.5),
-            lambda n: oracle_moments(SK, Angles(0.3, -0.4), n),
-            lambda n: oracle_mgf(SK, Angles(0.3, -0.4), n, 0.5),
+            pytest.param(lambda n: sketch_moments(SK, ANG, n), id="sketch_moments"),
+            pytest.param(lambda n: sketch_moment_grid(SK, [0.3], [-0.4], n), id="sketch_moment_grid"),
+            pytest.param(
+                lambda n: sketch_moment_grid(MIX3, [0.3, 0.5], [-0.4], n), id="sketch_moment_grid_mix3"
+            ),
+            pytest.param(lambda n: sketch_moments(pure_d_spec(8), ANG, n), id="sketch_moments_pure8"),
+            pytest.param(lambda n: oracle_moments(SK, ANG, n), id="oracle_moments"),
         ],
     )
     def test_non_integer_n_rejected(self, fn):
@@ -1177,3 +920,32 @@ class TestVerifyCheck:
 
         monkeypatch.setattr(finite_n, "_weights", corrupted)
         assert not verify.run_check("infinite_limit").passed
+
+    def test_corrupted_subset_sum_fails_combinatorial_identities(self, monkeypatch):
+        # negative control: F_3(u) off by one wherever q = 3 is asked for
+        real = finite_n._subset_sums_by_degree
+
+        def corrupted(u, n, top):
+            f = real(u, n, top)
+            if top >= 3:
+                f[3] += 1
+            return f
+
+        monkeypatch.setattr(finite_n, "_subset_sums_by_degree", corrupted)
+        res = verify.run_check("combinatorial_identities")
+        assert not res.passed
+        assert res.details["failed"] == "_subset_sums_by_degree"
+
+    def test_corrupted_damping_fails_combinatorial_identities(self, monkeypatch):
+        # negative control: one k(t) off by 1e-12 relative, a few ulps
+        real = finite_n._weights
+
+        def corrupted(flip, den, n):
+            k, r = real(flip, den, n)
+            k[-1] *= 1 + 1e-12
+            return k, r
+
+        monkeypatch.setattr(finite_n, "_weights", corrupted)
+        res = verify.run_check("combinatorial_identities")
+        assert not res.passed
+        assert res.details["failed"] == "_weights"

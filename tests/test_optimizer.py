@@ -286,8 +286,8 @@ class TestNewtonPolish:
         assert not loaded & _LAZY_ENGINES
 
 
-# Engines a closed-form command never runs, and the stdlib module only the
-# finite-n engine needs.
+# Engines a closed-form command never runs, and the stdlib module only
+# ``verify`` needs.
 _LAZY_ENGINES = {"msqaoa.finite_n", "msqaoa.simulator", "msqaoa.verify", "fractions"}
 
 
@@ -319,8 +319,7 @@ _SMALL_GRID = ("--beta=0:0.4:3", "--gamma=-1:1:3")
     [
         (("optimize", "--sk"), set()),
         (("landscape", "--sk", "--mode", "infinite"), set()),
-        (("landscape", "--sk", *_SMALL_GRID, "--mode", "finite:8"),
-         {"msqaoa.finite_n", "fractions"}),
+        (("landscape", "--sk", *_SMALL_GRID, "--mode", "finite:8"), {"msqaoa.finite_n"}),
         (("landscape", "--sk", *_SMALL_GRID, "--mode", "instance:6:1"), {"msqaoa.simulator"}),
     ],
 )

@@ -20,7 +20,6 @@ PUBLIC = [
     "MomentReport",
     "Optimum",
     "ProblemInstance",
-    "Sketch",
     "__version__",
     "approximation_factor",
     "build_phase_table",
@@ -28,20 +27,14 @@ PUBLIC = [
     "d3_stationarity_residuals",
     "energy_derivatives",
     "energy_mixture_form",
-    "energy_pure_d",
     "energy_sigma_form",
     "energy_sigma_grid",
     "estimate_spec",
     "expectation",
-    "f_q",
-    "f_q_abc",
     "from_mixture_function",
-    "g_q",
-    "generating_function",
     "landscape_instance",
     "make_mixture_spec",
     "optimize_closed_form",
-    "oracle_mgf",
     "oracle_moments",
     "pure_d_spec",
     "qaoa_state",

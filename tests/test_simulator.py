@@ -593,6 +593,7 @@ class TestVerifyCheck:
         assert res.passed, res.details
         assert res.details["z_score_second"] < 3.0
         assert res.details["mc_variance"] <= res.details["exact_variance"]
+        assert res.details["quadrature_relative_error"] <= 1e-12
 
     def test_offset_table_fails(self, monkeypatch):
         # negative control: every energy 0.5 too high must trip the check
@@ -615,3 +616,19 @@ class TestVerifyCheck:
         monkeypatch.setattr(finite_n, "sketch_moments", corrupted)
         res = verify.run_check("monte_carlo_consistency")
         assert not res.passed and res.details["z_score"] < 3.0
+
+    def test_slightly_corrupted_second_fails_through_the_quadrature(self, monkeypatch):
+        # negative control: second 1e-9 high is far inside the sampling noise,
+        # so only the coupling quadrature can trip the check
+        real = finite_n.sketch_moments
+
+        def corrupted(*args):
+            rep = real(*args)
+            return dataclasses.replace(rep, second=rep.second * (1 + 1e-9))
+
+        monkeypatch.setattr(finite_n, "sketch_moments", corrupted)
+        res = verify.run_check("monte_carlo_consistency")
+        assert not res.passed
+        assert res.details["z_score"] < 3.0 and res.details["z_score_second"] < 3.0
+        assert res.details["mc_variance"] <= res.details["exact_variance"]
+        assert res.details["quadrature_relative_error"] > 1e-12
