@@ -105,7 +105,7 @@ def energy_sigma_form(spec: MixtureSpec, angles: Angles) -> float:
 
 
 def energy_sigma_grid(
-    spec: MixtureSpec, beta_grid: Sequence[float], gamma_grid: Sequence[float]
+    spec: MixtureSpec, betas: Sequence[float], gammas: Sequence[float]
 ) -> np.ndarray:
     """``energy_sigma_form`` at every (beta, gamma) of a grid, as a
     (len(betas), len(gammas)) array; ValidationError unless each axis is a
@@ -114,7 +114,7 @@ def energy_sigma_grid(
     ``_im_xi`` runs on the whole grid, so every value is bit-identical to
     ``energy_sigma_form``.
     """
-    betas, gammas = require_finite_grid(beta_grid, gamma_grid)
+    betas, gammas = require_finite_grid(betas, gammas)
     rate = damping_rate(spec)
     damp = np.array([math.exp(-2 * g * g * rate) for g in gammas.tolist()])
     cosines = np.array([[math.cos(2 * b)] for b in betas.tolist()])

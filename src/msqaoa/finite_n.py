@@ -2,24 +2,27 @@
 
 The Gaussian average turns the double sum over string pairs (z, z') into a
 sum over "sketches" (npp, npm, nmp, nmm) -- the counts of positions where
-(z_k, z'_k) equals (+,+), (+,-), (-,+), (-,-).  Per sketch the summand is a
-product of
+(z_k, z'_k) equals (+,+), (+,-), (-,+), (-,-).  Per sketch the summand of the
+power sum S_m = sum_sketch w e^K p^m is a product of
 
   * a multinomial weight n!/(npp! npm! nmp! nmm!),
-  * a Gaussian damping exp(-sum_q gamma^2 g_q sigma_q^2 / (2 n^(q-1))),
+  * a Gaussian damping e^K = exp(-sum_q gamma^2 g_q sigma_q^2 / (2 n^(q-1))),
   * mixer factors Q_ss' = {cos^2 b, sin^2 b, +/- i sin b cos b},
+  * the m-th power of p = sum_q sigma_q^2 f_q / n^q,
 
 where f_q and g_q are the subset sums sum_{|S|=q}(z_S - z'_S) and
 sum_{|S|=q}(z_S - z'_S)^2.  Both are read off F_q(u) = sum_{|S|=q} z_S for a
 string with u entries +1, which ``_subset_sums_by_degree`` gives for every q
 in one recurrence: f_q = F_q(u) - F_q(u') and g_q(t) = 2 binom(n,q) -
 2 F_q(n - t).  ``verify``'s combinatorial_identities row checks F_q(u) and
-the damping against explicit subset products at n <= 10.
+the damping against explicit subset products at n <= 10.  Every moment is a
+combination of these power sums: first = i gamma S_1 and
+second = 2R S_0 - gamma^2 S_2, with S_0 = 1 and R the lambda^2 weight.
 
-For the moments the sum collapses exactly: grouping sketches by the
+Each S_m collapses exactly into blocks of power m: grouping sketches by the
 disagreement count t = npm + nmp, the inner alternating sums are t-th finite
-differences of polynomials of degree <= d (first moment) or <= 2d (second),
-so every block with larger t vanishes identically.  Each surviving block is
+differences of a polynomial of degree <= m d, so only the blocks with
+t = m (mod 2) and 1 <= t <= min(m d, n) survive.  Each surviving block is
 a polynomial in cos^2 b with integer coefficients (over one common
 denominator) that depend on neither angle: they are forward differences of
 the block integrand at the integers, built once per n and model.
@@ -27,7 +30,7 @@ the block integrand at the integers, built once per n and model.
 (1 + cos 2b) / 2 from the float cos 2b (integer Horner and one correctly
 rounded division), so only the angle factors and the sum over t are rounded,
 at any d and n.  The damping sum_q sigma_q^2 g_q(t) / (2 n^(q-1)) and the
-lambda^2 weight sum_q binom(n,q) sigma_q^2 / (2 n^(q+1)) are values of the
+lambda^2 weight R = sum_q binom(n,q) sigma_q^2 / (2 n^(q+1)) are values of the
 same exact polynomial phi as the blocks, each one correctly rounded ratio of
 exact integers, so nothing overflows and every integer n >= 1 is taken; the
 tests certify n above the reference's 512 by evaluating the same integer
@@ -37,7 +40,7 @@ float summation of all binom(n+3,3) sketches would instead lose the
 cancellation catastrophically for n beyond a few dozen, and so does a float
 evaluation of the blocks in a monomial basis at d beyond about 10.
 
-``oracle_moments`` computes the same moments by direct summation over all
+``oracle_moments`` computes the same power sums by direct summation over all
 4^n string pairs with explicit subset sums, and is the independent
 ground truth for the sketch path at small n.
 """
@@ -146,20 +149,19 @@ def _clamped_variance(first, second) -> tuple[np.ndarray, np.ndarray]:
 
 # -- exact block evaluation of the sketch-sum moments -------------------------
 #
-# With j ~ Binomial(n-t, c2), c2 = cos^2 b, a moment block at disagreement
-# count t is binom(n,t) e^{K(t)} (i sc)^t E_j h_t(j), where
-#     h_t(j) = sum_i (-1)^i binom(t,i) X(i,j),  P(i,j) = phi(i+j) - phi(t-i+j),
-# X = P for the first moment and P^2 for the second, and phi(u) =
-# sum_q sigma_q^2 F_q(u)/n^q is a polynomial in u of degree <= d.  Swapping
-# i -> t-i shows the P-block vanishes for even t and the P^2-block for odd t;
-# h_t is a polynomial in j of degree <= deg - t (deg = d or 2d), so blocks
-# with t > deg vanish, and the Newton expansion h_t(j) = sum_m Delta^m h_t(0)
-# binom(j,m) with E_j binom(j,m) = binom(n-t,m) c2^m turns each surviving
-# block into a polynomial in c2 whose integer coefficients depend on neither
-# angle.  sigma_q^2 are dyadic rationals, so phi scaled by a common
-# denominator is an integer at every u, and each block is evaluated exactly
-# at c2 = (1 + cos 2b) / 2 = p / 2^e; only the e^K and sc^t factors and the
-# sum over t are rounded.
+# With j ~ Binomial(n-t, c2), c2 = cos^2 b, the block of power m at
+# disagreement count t is i^(t+m) binom(n,t) e^{K(t)} sc^t E_j h_t(j), where
+#     h_t(j) = sum_i (-1)^i binom(t,i) P(i,j)^m,  P(i,j) = phi(i+j) - phi(t-i+j),
+# and phi(u) = sum_q sigma_q^2 F_q(u)/n^q is a polynomial in u of degree <= d;
+# i^m is the i^m of (i gamma)^m in the moments.  Swapping i -> t-i shows the
+# block vanishes unless t = m (mod 2); h_t is a polynomial in j of degree
+# <= md - t, so blocks with t > md vanish, and so does t = 0 (P(0, j) = 0).  The Newton
+# expansion h_t(j) = sum_r Delta^r h_t(0) binom(j,r) with E_j binom(j,r) =
+# binom(n-t,r) c2^r turns each surviving block into a polynomial in c2 whose
+# integer coefficients depend on neither angle.  sigma_q^2 are dyadic
+# rationals, so phi scaled by a common denominator is an integer at every u,
+# and each block is evaluated exactly at c2 = (1 + cos 2b) / 2 = p / 2^e;
+# only the e^K and sc^t factors and the sum over t are rounded.
 
 
 def _phi_integers(spec: MixtureSpec, n: int, top: int) -> tuple[list[int], list[int], int]:
@@ -207,29 +209,26 @@ def _binomial_moment_coeffs(h: list[int], s: int) -> list[int]:
     return coeffs
 
 
-def _moment_blocks(phi: list[int], den: int, n: int, d: int) -> tuple[list, list]:
-    """The surviving blocks of the first and of the second moment, each as
-    (t, coeffs, den) with sum_m coeffs[m] c2^m / den = s binom(n,t) E_j h_t(j),
-    where s = i^(t+1) for the first moment (odd t <= d) and s = i^t for the
-    second (even t <= 2d, from t = 2 on, since P(0, j) = 0).  phi and den are
-    the L phi(u), u <= min(2d, n), and L of ``_phi_integers`` for degree d."""
-
-    def block(t: int, power: int, deg: int, sign: int):
-        h = [
-            sum(
-                (-1) ** i * math.comb(t, i) * (phi[i + j] - phi[t - i + j]) ** power
-                for i in range(t + 1)
-            )
-            for j in range(min(deg, n) - t + 1)
-        ]
-        scale = sign * math.comb(n, t)
-        return t, [scale * c for c in _binomial_moment_coeffs(h, n - t)], den**power
-
-    first = [
-        block(t, 1, d, (-1) ** ((t + 1) // 2)) for t in range(1, min(d, n) + 1, 2)
-    ]
-    second = [block(t, 2, 2 * d, (-1) ** (t // 2)) for t in range(2, min(2 * d, n) + 1, 2)]
-    return first, second
+def _moment_blocks(phi: list[int], den: int, n: int, d: int) -> list:
+    """The surviving blocks of the power sums S_1 and S_2, each as
+    (m, t, coeffs, den^m) with sum_r coeffs[r] c2^r / den^m =
+    i^(t+m) binom(n,t) E_j h_t(j) for power m at disagreement count t, where
+    t = m (mod 2) and 1 <= t <= min(md, n).  phi and den are the L phi(u),
+    u <= min(2d, n), and L of ``_phi_integers`` for degree d."""
+    blocks = []
+    for m in (1, 2):
+        top = min(m * d, n)
+        for t in range(2 - m % 2, top + 1, 2):
+            h = [
+                sum(
+                    (-1) ** i * math.comb(t, i) * (phi[i + j] - phi[t - i + j]) ** m
+                    for i in range(t + 1)
+                )
+                for j in range(top - t + 1)
+            ]
+            scale = (-1) ** ((t + m) // 2) * math.comb(n, t)
+            blocks.append((m, t, [scale * c for c in _binomial_moment_coeffs(h, n - t)], den**m))
+    return blocks
 
 
 def _block_values(blocks: Sequence, beta: float) -> list[float]:
@@ -243,7 +242,7 @@ def _block_values(blocks: Sequence, beta: float) -> list[float]:
     p, q = p + q, 2 * q
     e = q.bit_length() - 1
     out = []
-    for t, coeffs, den in blocks:
+    for _, t, coeffs, den in blocks:
         num = 0
         for k, a in enumerate(reversed(coeffs)):
             num = num * p + (a << e * k)
@@ -278,15 +277,18 @@ def sketch_moment_grid(
 ) -> MomentGrid:
     """Exact finite-n first and second moments of H/n at every grid point.
 
-    The lambda-derivatives of the generating function are taken analytically
-    (first = i gamma sum_sketch w p, second = 2R - gamma^2 sum_sketch w p^2
-    with p = sum_q sigma_q^2 f_q / n^q), and the sketch sums collapse to the
-    blocks described above.  Each block is a beta factor (sc^t times its
-    polynomial in cos^2 b, built once per grid and evaluated exactly once per
-    beta) times a gamma factor (gamma e^K(t) or e^K(t), K(t) = -gamma^2 k(t)).
-    One exact phi table per grid gives the blocks, every k(t) and the lambda^2
-    weight R, so each point costs one multiply-add per block, in the same
-    order as the 1x1 grid.  Both moments are real by construction.
+    Both moments are sums over the blocks described above, each a beta
+    factor (sc^t times its polynomial in cos^2 b, built once per grid and
+    evaluated exactly once per beta) times a gamma factor e^K(t),
+    K(t) = -gamma^2 k(t); one loop adds every block into the sum of its
+    power m.  The sign i^(t+m) holds the i^m of (i gamma)^m, so the power-2
+    sum is -S_2 and second = 2R + gamma (gamma (-S_2)).  A power-1 block's
+    gamma factor keeps one gamma, gamma e^K(t), so its sum is first itself:
+    at pure d >= 16 the blocks cancel, and gamma times the sum would round
+    differently (by up to 1.1e-13 of the grid's max |value| at d = 24).
+    One exact phi table per grid gives the blocks, every k(t) and the
+    lambda^2 weight R, so each point costs one multiply-add per block, in
+    the same order as the 1x1 grid.  Both moments are real by construction.
 
     A variance below -1e-10 raises NumericalError; smaller negative
     variances are set to 0 and flagged in ``clamped``.  Every integer n >= 1
@@ -304,34 +306,28 @@ def sketch_moment_grid(
     n = _check_n(n)
     betas, gammas = require_finite_grid(betas, gammas)
     phi, flip, den = _phi_integers(spec, n, min(2 * spec.d, n))
-    blocks1, blocks2 = _moment_blocks(phi, den, n, spec.d)
+    blocks = _moment_blocks(phi, den, n, spec.d)
     k, r = _weights(flip, den, n)
     # beta factors, shape (len(betas), blocks)
-    rows = np.array([_block_values(blocks1 + blocks2, float(b)) for b in betas])
-    f1, f2 = rows[:, : len(blocks1)], rows[:, len(blocks1) :]
+    rows = np.array([_block_values(blocks, float(b)) for b in betas])
     # gamma factors, shape (blocks, len(gammas))
-    g1 = np.empty((len(blocks1), len(gammas)))
-    g2 = np.empty((len(blocks2), len(gammas)))
+    cols = np.empty((len(blocks), len(gammas)))
     for gi, gamma in enumerate(gammas):
         # Python floats: k(t) >= 0 and k(0) = 0, so a huge gamma takes
         # gamma (gamma k(t)) only to +inf and e^K(t) to 0, never to NaN
         gamma = float(gamma)
-        for i, (t, _, _) in enumerate(blocks1):
-            g1[i, gi] = gamma * math.exp(-(gamma * (gamma * k[t])))
-        for i, (t, _, _) in enumerate(blocks2):
-            g2[i, gi] = math.exp(-(gamma * (gamma * k[t])))
+        for i, (m, t, _, _) in enumerate(blocks):
+            cols[i, gi] = gamma ** (m % 2) * math.exp(-(gamma * (gamma * k[t])))
 
-    first = np.zeros((len(betas), len(gammas)))
-    for i in range(len(blocks1)):
-        first += g1[i] * f1[:, i, None]
-    m2 = np.zeros((len(betas), len(gammas)))
-    for i in range(len(blocks2)):
-        m2 += g2[i] * f2[:, i, None]
-    # not (gammas * gammas) * m2: past |gamma| ~ 1.3e154 gamma^2 is inf where
-    # every e^K(t), and so m2, is 0; the limit is second = 2R
-    second = 2 * r - gammas * (gammas * m2)
-    variance, clamped = _clamped_variance(first, second)
-    return MomentGrid(n, spec, betas, gammas, first, second, variance, clamped)
+    # the sum of each power's blocks: i gamma S_1 and -S_2
+    sums = {m: np.zeros((len(betas), len(gammas))) for m in (1, 2)}
+    for i, (m, *_) in enumerate(blocks):
+        sums[m] += cols[i] * rows[:, i, None]
+    # not (gammas * gammas) * sums[2]: past |gamma| ~ 1.3e154 gamma^2 is inf
+    # where every e^K(t), and so the sum, is 0; the limit is second = 2R
+    second = 2 * r + gammas * (gammas * sums[2])
+    variance, clamped = _clamped_variance(sums[1], second)
+    return MomentGrid(n, spec, betas, gammas, sums[1], second, variance, clamped)
 
 
 def sketch_moments(spec: MixtureSpec, angles: Angles, n: int) -> MomentReport:
@@ -395,8 +391,8 @@ def _string_subset_tables(n: int, d: int) -> np.ndarray:
 def _oracle_sums(
     spec: MixtureSpec, angles: Angles, n: int
 ) -> tuple[complex, complex, complex, float, list]:
-    """(sum WE, sum WED, sum WED^2, R, upper bounds on sum |WE|, sum |WED|,
-    sum |WED^2|) over all string pairs, for an n already through
+    """(sum WE D^m for m = 0, 1, 2, R, upper bounds on sum |WE D^m| for
+    m = 0, 1, 2) over all string pairs, for an n already through
     ``_check_n``.  A pair's damping is E = e^(gamma (gamma x)), with
     x = sum_q sigma_q^2 (tables[q][z xor z'] - binom(n,q)) / n^(q-1) <= 0.
     gamma is finite, so an exponent that a huge gamma overflows is -inf, E is
@@ -429,9 +425,7 @@ def _oracle_sums(
 
     # R = sum_q binom(n,q) sigma_q^2 / (2 n^(q+1)), from its definition
     r = sum(math.comb(n, q) / (2 * n ** (q + 1)) * sigma2[q - 1] for q in range(1, min(d, n) + 1))
-    s0 = _Kahan()
-    s1 = _Kahan()
-    s2acc = _Kahan()
+    sums = [_Kahan() for _ in range(3)]  # powers m = 0, 1, 2 of D
     magnitudes = np.zeros(3)
     masks = np.arange(size)
     chunk = max(1, (1 << 22) // size)
@@ -441,15 +435,15 @@ def _oracle_sums(
         pairs = rows[:, None] ^ masks[None, :]  # z xor z'
         E = damp[pairs]
         W = wa[rows][:, None] * wb[None, :]
-        WE = W * E
         D = phi[rows][:, None] - phi[None, :]
-        s0.add(WE.sum())
-        WED = WE * D
-        s1.add(WED.sum())
-        s2acc.add((WED * D).sum())
+        term = W * E
+        for m, acc in enumerate(sums):
+            if m:
+                term = term * D
+            acc.add(term.sum())
         magnitudes += bound_rows[:, rows] @ (E @ amp)
 
-    return s0.total, s1.total, s2acc.total, r, magnitudes.tolist()
+    return (*(acc.total for acc in sums), r, magnitudes.tolist())
 
 
 def oracle_moments(spec: MixtureSpec, angles: Angles, n: int) -> MomentReport:
@@ -459,14 +453,14 @@ def oracle_moments(spec: MixtureSpec, angles: Angles, n: int) -> MomentReport:
     explicitly per string, with no sketch collapse and no binomial formulas.
     """
     n = _check_n(n, ORACLE_MAX_N, _ORACLE_CAP_REASON)
-    s0, s1, s2sum, r, (a0, a1, a2) = _oracle_sums(spec, angles, n)
+    *sums, r, bounds = _oracle_sums(spec, angles, n)
     g = angles.gamma
-    first = _require_real(1j * g * s1, "oracle first moment", abs(g) * a1)
+    first = _require_real(1j * g * sums[1], "oracle first moment", abs(g) * bounds[1])
     # g * (g * ...), not g**2: g**2 raises OverflowError past |g| ~ 1.3e154
     second = _require_real(
-        2 * r * s0 - g * (g * s2sum),
+        2 * r * sums[0] - g * (g * sums[2]),
         "oracle second moment",
-        2 * r * a0 + g * (g * a2),
+        2 * r * bounds[0] + g * (g * bounds[2]),
     )
     variance, clamped = _clamped_variance(first, second)
     return MomentReport(
@@ -478,4 +472,3 @@ def oracle_moments(spec: MixtureSpec, angles: Angles, n: int) -> MomentReport:
         angles=angles,
         clamped=bool(clamped),
     )
-

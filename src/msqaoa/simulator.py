@@ -244,8 +244,8 @@ def _interpolation_matrix(betas: np.ndarray, nodes: np.ndarray, d: int) -> np.nd
 
 def landscape_instance(
     instance: ProblemInstance,
-    beta_grid: Sequence[float],
-    gamma_grid: Sequence[float],
+    betas: Sequence[float],
+    gammas: Sequence[float],
 ) -> np.ndarray:
     """Per-instance <H>/n over the grid; rows follow beta, columns gamma.
 
@@ -254,7 +254,7 @@ def landscape_instance(
     a repeated gamma and gamma = 0 take none (see the module docstring).
     The d mixers' factor matrices are built once per call.
     """
-    betas, gammas = require_finite_grid(beta_grid, gamma_grid)
+    betas, gammas = require_finite_grid(betas, gammas)
     n = instance.n
     d = instance.spec.d
     table = build_phase_table(instance)

@@ -373,6 +373,21 @@ class TestReportGuards:
         with pytest.raises(NumericalError, match=r"oracle first moment has imaginary residue"):
             oracle_moments(MIX3, Angles(0.3, -0.4), 8)
 
+    @pytest.mark.parametrize("spec", [MIX3, SK], ids=["mix3", "sk"])
+    def test_oracle_corrupted_second_power_raises(self, monkeypatch, spec):
+        # negative control: the power-2 sum turned by 1e-6 rad leaves a
+        # residue of 2.4e-8 (MIX3) or 4.6e-8 (SK), against allowances of
+        # 1.4e-9 and 1.8e-9
+        real = finite_n._oracle_sums
+
+        def corrupted(*args):
+            s0, s1, s2, *rest = real(*args)
+            return (s0, s1, s2 * cmath.exp(1e-6j), *rest)
+
+        monkeypatch.setattr(finite_n, "_oracle_sums", corrupted)
+        with pytest.raises(NumericalError, match=r"oracle second moment has imaginary residue"):
+            oracle_moments(spec, Angles(0.3, -0.4), 8)
+
 
 class TestConvergenceTrend:
     def test_first_moment_approaches_closed_form(self):
@@ -731,6 +746,24 @@ def n_id(n):
     return str(n)
 
 
+class TestBlockFamily:
+    @pytest.mark.parametrize("n", [1, 2, 5, 64, 2**30], ids=n_id)
+    @pytest.mark.parametrize("d", [1, 2, 3, 24])
+    def test_survival_rule(self, d, n):
+        # the blocks of power m are exactly t = m (mod 2), 1 <= t <= min(md, n):
+        # the ones past n are cut, not built and found zero
+        phi, _, den = finite_n._phi_integers(pure_d_spec(d), n, min(2 * d, n))
+        blocks = finite_n._moment_blocks(phi, den, n, d)
+        assert {m for m, *_ in blocks} <= {1, 2}
+        for m in (1, 2):
+            top = min(m * d, n)
+            family = [(t, coeffs, bden) for power, t, coeffs, bden in blocks if power == m]
+            assert [t for t, _, _ in family] == [t for t in range(1, top + 1) if t % 2 == m % 2]
+            for t, coeffs, bden in family:
+                assert len(coeffs) == top - t + 1
+                assert bden == den**m
+
+
 def moments_from_blocks_at_60_digits(spec, betas, gammas, n):
     """(first, second) over the grid from the engine's own integer blocks,
     with cos^2 b, sc^t, e^K(t) and the lambda^2 weight R taken at 60 digits.
@@ -738,17 +771,21 @@ def moments_from_blocks_at_60_digits(spec, betas, gammas, n):
     of the blocks; the 1/n fit below checks the blocks against the closed
     form."""
     phi, _, den = finite_n._phi_integers(spec, n, min(2 * spec.d, n))
-    blocks1, blocks2 = finite_n._moment_blocks(phi, den, n, spec.d)
+    blocks = finite_n._moment_blocks(phi, den, n, spec.d)
     terms = [
         (q, *(s * s).as_integer_ratio()) for q, s in enumerate(spec.sigmas, start=1) if s
     ]
     first = np.empty((len(betas), len(gammas)))
     second = np.empty_like(first)
     with mpmath.workdps(60):
-        polys = [
-            [(t, [mpmath.mpf(c) for c in reversed(cs)], mpmath.mpf(den)) for t, cs, den in blocks]
-            for blocks in (blocks1, blocks2)
-        ]
+        polys = {
+            power: [
+                (t, [mpmath.mpf(c) for c in reversed(cs)], mpmath.mpf(den))
+                for m, t, cs, den in blocks
+                if m == power
+            ]
+            for power in (1, 2)
+        }
         R = sum(
             math.comb(n, q) * mpmath.mpf(num) / s2_den / (2 * mpmath.mpf(n) ** (q + 1))
             for q, num, s2_den in terms
@@ -766,15 +803,16 @@ def moments_from_blocks_at_60_digits(spec, betas, gammas, n):
             c2, sc = mpmath.cos(b) ** 2, mpmath.sin(b) * mpmath.cos(b)
             for gi, gamma in enumerate(gammas):
                 g = mpmath.mpf(gamma)
-                sums = [
-                    sum(
+                # the blocks of power m sum to i^m S_m
+                sums = {
+                    power: sum(
                         mpmath.exp(-g * g * damping[t]) * sc**t * mpmath.polyval(poly, c2) / den
-                        for t, poly, den in blocks
+                        for t, poly, den in terms
                     )
-                    for blocks in polys
-                ]
-                first[bi, gi] = float(g * sums[0])
-                second[bi, gi] = float(2 * R - g * g * sums[1])
+                    for power, terms in polys.items()
+                }
+                first[bi, gi] = float(g * sums[1])
+                second[bi, gi] = float(2 * R + g * g * sums[2])
     return first, second
 
 

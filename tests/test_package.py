@@ -111,3 +111,12 @@ def test_from_import_of_a_submodule():
         "verify is sys.modules['msqaoa.verify']]))"
     )
     assert found == [True, True]
+
+
+def test_readme_library_example_runs():
+    # every ```python block of the README, run as written
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = [part.split("```", 1)[0] for part in text.split("```python\n")[1:]]
+    assert blocks
+    for code in blocks:
+        exec(compile(code, "README.md", "exec"), {})
