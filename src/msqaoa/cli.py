@@ -9,7 +9,18 @@ manifest itself carries the only timestamp).  The ``landscape`` and
 
 Each command runs inside one ``_Outputs`` context: files are written one at
 a time as they are ready (a landscape CSV row by row), and a command that
-fails removes what it wrote.
+fails removes what it wrote.  A file that exists already is rewritten in
+place and then cut to length, never truncated to zero first.  That trades
+crash safety for time.  On ext4 (with its default ``auto_da_alloc``) a file
+truncated to zero is flushed to disk when it is closed, so that a crash
+cannot leave it empty or holding old bytes; the flush made a rerun into the
+same ``--out`` pay 260-340 us per 30 kB file, against 23 us in place
+(medians, 2-vCPU Xeon).  Written over in place, a file's new length can
+reach the disk before its new bytes, so a crash during or soon after a
+rerun can leave a file, the manifest included, with the old run's bytes or
+with new bytes followed by old ones; a digest in the manifest then no
+longer matches its file.  A first run into a fresh ``--out`` creates every
+file and gains nothing.
 
 ``main`` builds the parser for the command it is given: when the first
 argument names a command, only that command's subparser is added (0.5 ms
@@ -30,6 +41,8 @@ import contextlib
 import hashlib
 import json
 import math
+import os
+import stat
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -126,19 +139,30 @@ def _parse_mode(text: str) -> tuple:
     )
 
 
+def _open_in_place(path: str, flags: int) -> int:
+    """``open``'s opener for an output file: the flags ``open`` asks for, less
+    ``O_TRUNC``, so an existing file is written over, not emptied first."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
 class _Outputs:
     """The output directory of one command, as a context manager.
 
     ``with _Outputs(args.out) as outputs:`` wraps everything a command
     computes and writes.  Each file is written as soon as it is ready, and
     the manifest takes its SHA-256 from the bytes written, reading nothing
-    back.  The directory is made at the first write, so a command that fails
-    before writing leaves nothing behind.  When the block raises, the files
-    this run wrote are removed, and so are the directories on the way to it
-    that were missing at the start, if they are empty; anything else stays.
-    An ``--out`` whose nearest existing ancestor is not a directory raises
-    ``ValidationError`` (exit 2) on entry, before any work; so does a write
-    that fails later (a full disk, no permission).
+    back.  A file that exists already is written over in place and cut to
+    length after its last byte, not truncated to zero when it is opened, at
+    the cost of crash safety (see the module docstring): it keeps its inode
+    and permission bits, and a symlink or hard link to it is written
+    through; a new file, one no longer than the new bytes, and one that is
+    not a regular file (``/dev/null``) are written without the cut.  The directory is made at the first write, so a command
+    that fails before writing leaves nothing behind.  When the block raises,
+    the files this run wrote are removed, and so are the directories on the
+    way to it that were missing at the start, if they are empty; anything
+    else stays.  An ``--out`` whose nearest existing ancestor is not a
+    directory raises ``ValidationError`` (exit 2) on entry, before any work;
+    so does a write that fails later (a full disk, no permission).
     """
 
     def __init__(self, outdir: str) -> None:
@@ -178,12 +202,17 @@ class _Outputs:
         try:
             if not self.written:
                 self.dir.mkdir(parents=True, exist_ok=True)
-            with path.open("wb") as handle:
+            with open(path, "wb", opener=_open_in_place) as handle:
                 self.written.append(path)
                 for line in lines:
                     data = line.encode()
                     handle.write(data)
                     digest.update(data)
+                # cut only a regular file left longer than the new bytes: ftruncate
+                # fails on /dev/null, and elsewhere has nothing to cut
+                old = os.fstat(handle.fileno())
+                if stat.S_ISREG(old.st_mode) and old.st_size > handle.tell():
+                    handle.truncate()
         except OSError as exc:
             raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from exc
         self.digests.append(digest.hexdigest())

@@ -931,3 +931,88 @@ def test_grid_csv_is_written_a_row_at_a_time(tmp_path):
     assert a.read_bytes() == b.read_bytes()
     digest = hashlib.sha256(a.read_bytes()).hexdigest()
     assert outputs.digests == [digest, digest]
+
+
+def _manifest_digests_match(out: Path) -> bool:
+    manifest = json.loads((out / "manifest.json").read_text())
+    return all(
+        hashlib.sha256((out / entry["path"]).read_bytes()).hexdigest() == entry["sha256"]
+        for entry in manifest["outputs"]
+    )
+
+
+@pytest.mark.parametrize("first, rerun", [
+    (["landscape", "--sk"], ["landscape", "--sk", "--beta=0:1:3", "--gamma=-1:1:3"]),
+    (["optimize", "--pure-d", "2..8"], ["optimize", "--pure-d", "2"]),
+], ids=["landscape", "optimize"])
+def test_a_shorter_rerun_leaves_exactly_the_new_bytes(tmp_path, capsys, first, rerun):
+    # every file of the rerun is shorter than the one it writes over in place,
+    # so each must be cut to length after its last byte
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    assert main(first + ["--out", str(out)]) == 0
+    sizes = {path.name: path.stat().st_size for path in out.iterdir()}
+    assert main(rerun + ["--out", str(out)]) == 0
+    assert main(rerun + ["--out", str(fresh)]) == 0
+    capsys.readouterr()
+    assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in fresh.iterdir())
+    for path in fresh.iterdir():
+        got, want = (out / path.name).read_bytes(), path.read_bytes()
+        assert len(want) < sizes[path.name]
+        if path.name == "manifest.json":  # the timestamp is the one byte difference allowed
+            assert got.count(b'"timestamp": ') == 1
+            stamp = [json.loads(data)["timestamp"].encode() for data in (got, want)]
+            got = got.replace(*stamp)
+        assert got == want
+    assert _manifest_digests_match(out)
+
+
+def test_outputs_are_rewritten_in_place(tmp_path, monkeypatch):
+    # no output is opened with O_TRUNC: an existing file keeps its inode and
+    # permission bits, and a hard link or symlink to it sees the new bytes
+    out = tmp_path / "out"
+    out.mkdir()
+    old = out / "a.csv"
+    old.write_text("old bytes, longer than the new ones\n")
+    old.chmod(0o600)
+    inode = old.stat().st_ino
+    os.link(old, tmp_path / "hard.csv")
+    target = tmp_path / "target.csv"
+    target.write_text("the old target, also longer\n")
+    (out / "b.csv").symlink_to(target)
+    opened = []
+    real_open = os.open
+
+    def spy(path, flags, *args, **kwargs):
+        opened.append((Path(path).name, flags))
+        return real_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", spy)
+    with cli._Outputs(str(out)) as outputs:
+        outputs.write_text("a.csv", "new\n")
+        outputs.write_text("b.csv", "linked\n")
+        outputs.write_text("c.csv", "fresh\n")
+        outputs.manifest("test", {})
+    monkeypatch.undo()
+    assert [name for name, _ in opened] == ["a.csv", "b.csv", "c.csv", "manifest.json"]
+    want = os.O_WRONLY | os.O_CREAT | getattr(os, "O_CLOEXEC", 0)
+    assert all(not flags & os.O_TRUNC and flags & want == want for _, flags in opened)
+    assert old.read_text() == "new\n"
+    assert old.stat().st_ino == inode
+    assert old.stat().st_mode & 0o777 == 0o600
+    assert (tmp_path / "hard.csv").read_text() == "new\n"
+    assert (out / "b.csv").is_symlink() and target.read_text() == "linked\n"
+    assert (out / "c.csv").read_text() == "fresh\n"
+    assert _manifest_digests_match(out)
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs /dev/null")
+def test_an_output_symlinked_to_dev_null_is_written_through(tmp_path, capsys):
+    # /dev/null cannot be cut to length; it is written without the cut
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "optimum.csv").symlink_to(os.devnull)
+    assert main(["optimize", "--sk", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert (out / "optimum.csv").is_symlink()
+    assert os.readlink(out / "optimum.csv") == os.devnull
+    assert (out / "manifest.json").is_file()
