@@ -561,7 +561,10 @@ def _concentration_rate() -> tuple[bool, dict]:
 def _manifest_round_trip() -> tuple[bool, dict]:
     """Run one small CLI command into a scratch directory and validate that the
     manifest digests match the files and a re-run reproduces identical bytes.
-    The command's own stdout is discarded, so only the report lines show."""
+    Then rerun a smaller grid into the same directory, which writes each file
+    over in place and cuts it to length, and validate its digests and its bytes
+    against the same command run into a fresh directory.  The command's own
+    stdout is discarded, so only the report lines show."""
     import hashlib
     import tempfile
     from pathlib import Path
@@ -578,27 +581,34 @@ def _manifest_round_trip() -> tuple[bool, dict]:
         "--mode",
         "instance:5:11",
     ]
+    smaller = args[:2] + ["--beta", "0:0.4:2", "--gamma", "0:1:2"] + args[6:]
+    runs = {}  # step -> (every manifest digest matches its file, bytes by name)
     with tempfile.TemporaryDirectory() as tmp:
-        a, b = Path(tmp) / "a", Path(tmp) / "b"
-        with contextlib.redirect_stdout(io.StringIO()):
-            codes = [cli.main(args + ["--out", str(out)]) for out in (a, b)]
-        if codes[0] != 0:
-            return False, {"failed": "command"}
-        if codes[1] != 0:
-            return False, {"failed": "rerun"}
-        manifest = json.loads((a / "manifest.json").read_text())
-        digests_ok = all(
-            hashlib.sha256((a / e["path"]).read_bytes()).hexdigest() == e["sha256"]
-            for e in manifest["outputs"]
-        )
-        reproduced = all(
-            (a / e["path"]).read_bytes() == (b / e["path"]).read_bytes()
-            for e in manifest["outputs"]
-        )
-    return digests_ok and reproduced, {
-        "outputs": len(manifest["outputs"]),
+        a, b, c = Path(tmp) / "a", Path(tmp) / "b", Path(tmp) / "c"
+        for step, argv, out in (
+            ("command", args, a),
+            ("rerun", args, b),
+            ("in_place_rerun", smaller, a),
+            ("fresh_run", smaller, c),
+        ):
+            with contextlib.redirect_stdout(io.StringIO()):
+                if cli.main(argv + ["--out", str(out)]) != 0:
+                    return False, {"failed": step}
+            entries = json.loads((out / "manifest.json").read_text())["outputs"]
+            files = {e["path"]: (out / e["path"]).read_bytes() for e in entries}
+            runs[step] = (
+                all(hashlib.sha256(files[e["path"]]).hexdigest() == e["sha256"] for e in entries),
+                files,
+            )
+    digests_ok, files = runs["command"]
+    rewritten_ok, rewritten = runs["in_place_rerun"]
+    reproduced = files == runs["rerun"][1]
+    in_place_ok = rewritten_ok and rewritten == runs["fresh_run"][1]
+    return digests_ok and reproduced and in_place_ok, {
+        "outputs": len(files),
         "digests_ok": digests_ok,
         "byte_identical_rerun": reproduced,
+        "in_place_rerun_ok": in_place_ok,
     }
 
 # (name, check, levels) in report order; each check returns (passed, details).

@@ -766,7 +766,20 @@ class TestVerifyCommand:
     def test_manifest_round_trip_prints_nothing(self, capsys):
         res = verify.run_check("manifest_round_trip")
         assert res.passed, res.details
+        assert res.details["in_place_rerun_ok"] is True
         assert capsys.readouterr() == ("", "")
+
+    def test_manifest_round_trip_fails_a_rerun_that_keeps_the_old_tail(self, monkeypatch):
+        # with no file taken for a regular one, a rewrite is never cut to length
+        monkeypatch.setattr(cli.stat, "S_ISREG", lambda mode: False)
+        res = verify.run_check("manifest_round_trip")
+        assert not res.passed
+        assert res.details == {
+            "outputs": 2,
+            "digests_ok": True,
+            "byte_identical_rerun": True,
+            "in_place_rerun_ok": False,
+        }
 
 
 _COMMANDS = {
@@ -869,20 +882,41 @@ _PARSE_CASES = [
     ["sample", "--sk"], ["fit-spec"], ["verify", "--level"],
     ["landscape", "--sk", "--beta", "1:2"], ["optimize", "--sk", "--sigmas", "1"],
     *([command, "-h"] for command in _COMMANDS),
+    # left over by the command's parser, so parsed again by the full one
+    ["landscape", "--sk", "--version"], ["landscape", "--sk", "extra"],
+    ["landscape", "--", "--sk"], ["optimize", "--pure", "3", "--bogus"],
+    # help and errors of the command's parser come before any leftover
+    ["optimize", "--bogus", "--help"], ["sample", "--sk", "--n", "x"],
+    # top-level options before a command name
+    ["--version", "landscape"], ["-h", "optimize"],
 ]
 
 
 @pytest.mark.parametrize("argv", _PARSE_CASES, ids=lambda argv: " ".join(argv) or "no-arguments")
 def test_a_command_parses_as_with_every_command_built(tmp_path, capsys, monkeypatch, argv):
-    # a parser with only the named command's subparser prints the same help,
-    # usage errors and exit codes as one with all five
+    # main prints the same help, usage errors and exit codes as it would with
+    # the full parser's own parse_args
     monkeypatch.chdir(tmp_path)
     got = _run_main(argv, capsys)
-    full = cli._build_parser
-    monkeypatch.setattr(cli, "_build_parser", lambda *_: full())
+    monkeypatch.setattr(cli, "_parse", lambda argv: cli._build_parser().parse_args(argv))
     assert got == _run_main(argv, capsys)
     assert got[0] in (0, 2) and "Traceback" not in got[2]
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["optimize", "--pure-d", "2..8"],
+    ["optimize", "--sigmas", "0.3,0.5", "--ground-state", "-0.7"],
+    ["landscape", "--sk", "--beta=0:1:3", "--mode", "finite:64", "--mode", "instance:10:3"],
+    ["sample", "--sk", "--n", "6", "--seed", "3"],
+    ["fit-spec", "f.txt"],
+    ["verify", "--level", "quick"],
+    ["optimize", "--pure", "3"],
+], ids=" ".join)
+def test_a_command_parses_to_the_full_parsers_namespace(argv):
+    full = vars(cli._build_parser().parse_args(argv))
+    assert vars(cli._parse(argv)) == full
+    assert full["command"] == argv[0] and full["func"].__name__.startswith("cmd_")
 
 
 @pytest.mark.parametrize("argv, error", [
@@ -897,25 +931,38 @@ def test_usage_errors_list_every_command(capsys, argv, error):
     assert message.startswith(f"msqaoa: error: {error}")
 
 
-def test_a_command_builds_only_its_own_subparser(tmp_path, capsys, monkeypatch):
-    built = []
-    real = argparse._SubParsersAction.add_parser
+def test_a_command_builds_one_parser_and_no_subparsers(tmp_path, capsys, monkeypatch):
+    made, added = [], []
+    init, add_parser = argparse.ArgumentParser.__init__, argparse._SubParsersAction.add_parser
 
-    def spy(self, name, **kwargs):
-        built.append(name)
-        return real(self, name, **kwargs)
+    def spy_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self.prog)
 
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+    def spy_add_parser(self, name, **kwargs):
+        added.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy_init)
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy_add_parser)
     assert main(["optimize", "--sk", "--out", str(tmp_path / "a")]) == 0
-    assert built == ["optimize"]
-    built.clear()
+    assert (made, added) == (["msqaoa optimize"], [])
+    made.clear()
     # main() reads the command name from sys.argv
     monkeypatch.setattr(sys, "argv", ["msqaoa", "optimize", "--sk", "--out", str(tmp_path / "b")])
     assert main() == 0
-    assert built == ["optimize"]
-    built.clear()
+    assert (made, added) == (["msqaoa optimize"], [])
+    made.clear()
+    # an argument the command's parser leaves over is the full parser's error
+    commands = ["landscape", "optimize", "verify", "fit-spec", "sample"]
+    code, _, err = _run_main(["optimize", "--sk", "extra"], capsys)
+    assert (code, err.splitlines()[-1]) == (2, "msqaoa: error: unrecognized arguments: extra")
+    assert made == ["msqaoa optimize", "msqaoa", *(f"msqaoa {name}" for name in commands)]
+    assert added == commands
+    made.clear()
+    added.clear()
     assert _run_main(["-h"], capsys)[0] == 0
-    assert built == ["landscape", "optimize", "verify", "fit-spec", "sample"]
+    assert (made[0], added) == ("msqaoa", commands)
 
 
 def test_grid_csv_is_written_a_row_at_a_time(tmp_path):
