@@ -42,10 +42,6 @@ class Angles:
     """A (beta, gamma) parameter pair, in radians, both finite: NaN or +-inf
     raises ValidationError, also through ``dataclasses.replace``, so no entry
     point that takes an ``Angles`` checks its angles again.
-
-    The energy is pi-periodic in beta (all dependence is through sin(2b),
-    cos(2b)); the canonical representative has beta in (-pi/2, pi/2].
-    gamma is otherwise unrestricted.
     """
 
     beta: float
@@ -54,12 +50,6 @@ class Angles:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.beta) and math.isfinite(self.gamma)):
             raise ValidationError(f"angles must be finite, got {self}")
-
-    def canonical(self) -> "Angles":
-        beta = self.beta - math.pi * math.floor(self.beta / math.pi + 0.5)
-        if beta == -math.pi / 2:
-            beta = math.pi / 2
-        return Angles(beta, self.gamma)
 
 
 def require_finite_grid(

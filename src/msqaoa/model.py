@@ -328,7 +328,9 @@ def instance_from_text(text: str) -> ProblemInstance:
     if n < d:
         raise ValidationError(f"inconsistent instance file: n={n} < d={d}")
     _check_coupling_count(n, d)
-    per_degree = [([], []) for _ in range(d)]  # (slots, values) of each degree
+    # each degree's couplings in storage order, NaN where no line gave one yet
+    couplings = tuple(np.full(math.comb(n, q), math.nan) for q in range(1, d + 1))
+    listed = [0] * d
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 3:
@@ -339,28 +341,24 @@ def instance_from_text(text: str) -> ProblemInstance:
             value = float(parts[2])
         except ValueError as exc:
             raise ValidationError(f"bad coupling line: {ln!r}") from exc
+        if not math.isfinite(value):
+            raise ValidationError(f"coupling values must be finite, got line {ln!r}")
         if len(idx) != q or any(not 1 <= i <= n for i in idx) or list(idx) != sorted(set(idx)):
             raise ValidationError(f"bad subset in line: {ln!r}")
         if q > d:
             raise ValidationError(
                 f"inconsistent instance file: subset of size {q} exceeds d={d}"
             )
-        slots, values = per_degree[q - 1]
         # the subset's row in subsets(n, q): its colexicographic rank
-        slots.append(sum(math.comb(i - 1, k) for k, i in enumerate(idx, start=1)))
-        values.append(value)
-    couplings = []
-    for q, (slots, values) in enumerate(per_degree, start=1):
-        count = math.comb(n, q)
-        if len(slots) != count or sorted(slots) != list(range(count)):
+        couplings[q - 1][sum(math.comb(i - 1, k) for k, i in enumerate(idx, start=1))] = value
+        listed[q - 1] += 1
+    for q, (j, lines_q) in enumerate(zip(couplings, listed), start=1):
+        if lines_q != len(j) or np.isnan(j).any():
             raise ValidationError(
                 f"inconsistent instance file: degree {q} must list each of its "
-                f"{count} subsets once, got {len(slots)} lines"
+                f"{len(j)} subsets once, got {lines_q} lines"
             )
-        j = np.empty(count)
-        j[slots] = values
-        couplings.append(j)
-    return ProblemInstance(n=n, spec=spec, seed=seed, couplings=tuple(couplings))
+    return ProblemInstance(n=n, spec=spec, seed=seed, couplings=couplings)
 
 
 def read_instance(path) -> ProblemInstance:
@@ -395,17 +393,19 @@ def estimate_spec(instance: ProblemInstance) -> FitResult:
     sigmas = []
     for q, vals in enumerate(instance.couplings, start=1):
         m = len(vals)
-        est = float(np.sqrt(np.mean(vals**2))) if m else 0.0
-        sigmas.append(est)
+        # in units of max|J|, so squares neither overflow nor underflow
+        scale = float(np.max(np.abs(vals)))
+        unit = vals / scale if scale > 0 else vals
+        sigmas.append(scale * float(np.sqrt(np.mean(unit**2))))
         if m < 2:
             warnings.append(f"InsufficientSamples: degree {q} has only {m} coupling(s)")
             continue
-        mean = float(np.mean(vals))
-        se = float(np.std(vals, ddof=1)) / math.sqrt(m)
+        mean = float(np.mean(unit))
+        se = float(np.std(unit, ddof=1)) / math.sqrt(m)
         if se > 0 and abs(mean) > 3 * se:
             warnings.append(
-                f"NonZeroMean: degree {q} sample mean {mean:.3g} exceeds 3 standard "
-                f"errors ({se:.3g}); the zero-mean assumption looks violated"
+                f"NonZeroMean: degree {q} sample mean {scale * mean:.3g} exceeds 3 "
+                f"standard errors ({scale * se:.3g}); the zero-mean assumption looks violated"
             )
     if all(s == 0 for s in sigmas):
         # keep the fit usable even for a degenerate file: report the original

@@ -183,6 +183,24 @@ def test_degree_beyond_the_model_range_exit_code(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["landscape", "--sk", "--beta=0:1:0"], "--beta needs count >= 1, got 0"),
+        (["optimize", "--sigmas", "0.5,x"], "--sigmas expects a comma list of reals"),
+        (["optimize", "--pure-d", "x"], "--pure-d expects D or LO..HI, got 'x'"),
+        (["sample", "--pure-d", "2..3", "--n", "4"], "sample needs exactly one model"),
+    ],
+    ids=["zero-count-grid", "non-real-sigma", "non-integer-degree", "sample-degree-range"],
+)
+def test_malformed_flag_exit_code(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_closed_form_and_finite_n_take_the_top_degree(tmp_path, capsys):
     argv = ["landscape", "--pure-d", "24", "--mode", "infinite", "--mode", "finite:64",
             "--beta=0.1:0.3:2", "--gamma=-0.3:-0.1:2"]
@@ -656,6 +674,34 @@ class TestSampleAndFit:
         path.write_text("\n".join(lines) + "\n")
         assert main(["fit-spec", str(path), "--out", str(tmp_path)]) == 0
         assert "NonZeroMean" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "value", ["inf", "nan", "1.7e308"], ids=["inf", "nan", "near-overflow"]
+    )
+    def test_bad_coupling_values_exit_code(self, tmp_path, capsys, value):
+        path = tmp_path / "instance.txt"
+        path.write_text(f"n=2 d=1 sigmas=1.0 seed=0\n1 1 {value}\n1 2 -1.5e308\n")
+        out = tmp_path / "out"
+        assert main(["fit-spec", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_tiny_couplings_fit_without_underflow(self, tmp_path, capsys):
+        path = tmp_path / "instance.txt"
+        path.write_text("n=2 d=1 sigmas=1.0 seed=0\n1 1 3e-200\n1 2 -4e-200\n")
+        assert main(["fit-spec", str(path), "--out", str(tmp_path / "out")]) == 0
+        out = capsys.readouterr().out
+        assert float(out.splitlines()[0].split(":")[1]) == pytest.approx(3.5355339e-200)
+        assert "AllZero" not in out
+
+    def test_all_zero_couplings_keep_the_header_sigmas(self, tmp_path, capsys):
+        path = tmp_path / "instance.txt"
+        path.write_text("n=2 d=1 sigmas=0.7 seed=0\n1 1 0.0\n1 2 0.0\n")
+        assert main(["fit-spec", str(path), "--out", str(tmp_path / "out")]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[0] == "sigmas: 0.7"
+        assert "warning: AllZero" in out
 
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.txt"

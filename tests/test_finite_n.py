@@ -901,6 +901,10 @@ class TestIntegerN:
     def test_numpy_integer_n_is_stored_as_int(self):
         assert type(sketch_moments(SK, ANG, np.int64(12)).n) is int
 
+    def test_n_below_one_rejected(self):
+        with pytest.raises(ValidationError, match="need n >= 1, got n=0"):
+            sketch_moments(SK, ANG, 0)
+
     @pytest.mark.parametrize(
         "fn",
         [

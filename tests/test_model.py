@@ -163,6 +163,21 @@ class TestMixtureFunction:
             assert abs(a - b) <= math.ulp(a)
 
 
+    @pytest.mark.parametrize(
+        "cs, message",
+        [((-0.1, 0.5), "coefficients must be finite and >= 0"),
+         ((0.0, 0.0), "all mixture coefficients are zero")],
+        ids=["negative", "all-zero"],
+    )
+    def test_bad_coefficients_rejected(self, cs, message):
+        with pytest.raises(ValidationError, match=message):
+            MixtureFunction(cs)
+
+    def test_coefficient_count_must_match_d(self):
+        with pytest.raises(ValidationError, match="expected 3 coefficients, got 2"):
+            from_mixture_function(3, [0.1, 0.2])
+
+
 class TestSampling:
     def test_determinism(self):
         spec = make_mixture_spec(2, [0.4, 1.1])
@@ -353,6 +368,15 @@ class TestCost:
         assert cost(inst, flipped) == (-1) ** q * cost(inst, z)
 
 
+def test_instance_with_fewer_spins_than_the_degree_rejected():
+    with pytest.raises(ValidationError, match="n=2 < d=3"):
+        ProblemInstance(n=2, spec=make_mixture_spec(3, [0, 0, 1]), seed=0, couplings=())
+
+
+# n = 2, d = 1: the header of each bad file below
+HEADER = "n=2 d=1 sigmas=1.0 seed=0\n"
+
+
 class TestSerialization:
     def test_round_trip_bit_exact(self):
         inst = sample_instance(make_mixture_spec(3, [0.3, 0.7, 1.1]), 6, 0xDEADBEEF)
@@ -388,6 +412,35 @@ class TestSerialization:
         lines[-1] = lines[-2]
         with pytest.raises(ValidationError, match=r"inconsistent instance file"):
             instance_from_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "empty instance file"),
+            ("\n  \n", "empty instance file"),
+            ("n=2 d=3 sigmas=0,0,1 seed=0\n", "n=2 < d=3"),
+            (HEADER + "1 1\n1 2 0.5\n", "bad coupling line"),
+            (HEADER + "1 3 0.5\n1 2 0.5\n", "bad subset"),
+            ("n=3 d=2 sigmas=0,1 seed=0\n2 2,1 0.5\n", "bad subset"),
+            ("n=3 d=2 sigmas=0,1 seed=0\n2 1,1 0.5\n", "bad subset"),
+            (HEADER + "1 1 0.5\n2 1,2 0.5\n", "subset of size 2 exceeds d=1"),
+            (HEADER + "1 1 inf\n1 2 0.5\n", "coupling values must be finite, got line '1 1 inf'"),
+            (HEADER + "1 1 0.5\n1 2 -inf\n", "must be finite"),
+            (HEADER + "1 1 nan\n1 2 0.5\n", "must be finite"),
+            (HEADER + "1 1 1e999\n1 2 0.5\n", "must be finite"),
+        ],
+        ids=["empty", "blank", "n-below-d", "two-fields", "index-out-of-range", "unsorted",
+             "repeated-index", "size-above-d", "inf", "minus-inf", "nan", "overflowing"],
+    )
+    def test_bad_file_rejected(self, text, message):
+        with pytest.raises(ValidationError, match=message):
+            instance_from_text(text)
+
+    def test_subset_listed_twice_rejected(self):
+        # every slot is filled, but one line too many
+        lines = instance_to_text(sample_instance(make_mixture_spec(1, [1]), 3, 0)).splitlines()
+        with pytest.raises(ValidationError, match=r"degree 1 must list each of its 3 subsets once, got 4"):
+            instance_from_text("\n".join(lines + lines[-1:]) + "\n")
 
     def test_coupling_cap_from_header_before_allocating(self):
         tracemalloc.start()
@@ -433,3 +486,22 @@ class TestFit:
         inst = ProblemInstance(n=10, spec=spec, seed=0, couplings=(values,))
         fit = estimate_spec(inst)
         assert any("NonZeroMean" in w for w in fit.warnings)
+
+
+    def test_huge_couplings_refused_without_overflow(self):
+        # max|J| scales the squares, so no RuntimeWarning (an error in these
+        # tests) comes first; sigma^2 itself overflows in MixtureSpec
+        inst = instance_from_text(HEADER + "1 1 1e308\n1 2 -1.5e308\n")
+        with pytest.raises(ValidationError, match="sigma_q\\^2"):
+            estimate_spec(inst)
+
+    def test_tiny_couplings_fit_without_underflow(self):
+        fit = estimate_spec(instance_from_text(HEADER + "1 1 3e-200\n1 2 -4e-200\n"))
+        # the RMS of (3, -4) * 1e-200 is 5e-200 / sqrt(2); the squares underflow to 0
+        assert fit.spec.sigmas[0] == pytest.approx(5e-200 / math.sqrt(2), rel=1e-15)
+        assert not any("AllZero" in w for w in fit.warnings)
+
+    def test_all_zero_couplings_keep_the_header_spec(self):
+        fit = estimate_spec(instance_from_text(HEADER + "1 1 0.0\n1 2 -0.0\n"))
+        assert fit.spec == make_mixture_spec(1, [1.0])
+        assert any(w.startswith("AllZero") for w in fit.warnings)

@@ -69,6 +69,76 @@ class TestOptimize:
         assert math.hypot(db, dg) < 1e-7
 
 
+def two_pass_canonical(angles):
+    """The rule ``optimizer._canonical`` replaced: reduce beta by pi and map
+    -pi/2 to pi/2, then, when gamma > 0 or gamma = 0 and beta < 0, flip
+    (beta, gamma) -> (-beta, -gamma) and reduce again."""
+    def reduce(beta, gamma):
+        beta = beta - math.pi * math.floor(beta / math.pi + 0.5)
+        return Angles(math.pi / 2 if beta == -math.pi / 2 else beta, gamma)
+
+    a = reduce(angles.beta, angles.gamma)
+    if a.gamma > 0 or (a.gamma == 0 and a.beta < 0):
+        a = reduce(-a.beta, -a.gamma)
+    return a
+
+
+def keeps_the_rule(a):
+    """beta in (-pi/2, pi/2], gamma <= 0, and beta >= 0 where gamma = 0."""
+    return -math.pi / 2 < a.beta <= math.pi / 2 and a.gamma <= 0 and (a.gamma < 0 or a.beta >= 0)
+
+
+TOP = sys.float_info.max
+CANONICAL_GAMMAS = [0.3, -0.3, 0.0, -0.0, 5e-324, -5e-324, TOP, -TOP]
+
+
+class TestCanonical:
+    """The one-pass ``optimizer._canonical`` against the two-pass rule."""
+
+    def test_random_betas_match_the_two_pass_rule(self):
+        betas = np.random.default_rng(30).uniform(-1e3, 1e3, 5000).tolist()
+        for beta in betas:
+            for gamma in CANONICAL_GAMMAS:
+                a = Angles(beta, gamma)
+                assert repr(optimizer._canonical(a)) == repr(two_pass_canonical(a))
+
+    def test_ends_of_the_beta_range(self):
+        # pi * k rounds beta = +-pi/2 + k pi to an end of (-pi/2, pi/2] or past
+        # one; the two-pass rule can then leave the range, the one-pass rule
+        # reduces beta again and stays in the same class
+        betas = []
+        for k in range(-300, 301):
+            for end in (math.pi / 2 + k * math.pi, -math.pi / 2 + k * math.pi):
+                betas += [end, math.nextafter(end, math.inf), math.nextafter(end, -math.inf)]
+        left = 0
+        for beta in betas:
+            for gamma in CANONICAL_GAMMAS:
+                a = Angles(beta, gamma)
+                new, old = optimizer._canonical(a), two_pass_canonical(a)
+                assert keeps_the_rule(new)
+                if keeps_the_rule(old):
+                    assert repr(new) == repr(old)
+                else:
+                    left += 1
+                    assert new.gamma == old.gamma
+                    assert abs(math.remainder(new.beta - old.beta, math.pi)) < 1e-12
+        assert left > 0
+
+    def test_largest_finite_floats(self):
+        # past 2^52 a float beta is a multiple of pi only to its rounding;
+        # the rule still lands in range and flips gamma as the two-pass one
+        for beta in (TOP, -TOP, math.nextafter(TOP, 0), -math.nextafter(TOP, 0)):
+            for gamma in CANONICAL_GAMMAS:
+                a = Angles(beta, gamma)
+                new = optimizer._canonical(a)
+                assert keeps_the_rule(new)
+                assert repr(new.gamma) == repr(two_pass_canonical(a).gamma)
+
+    def test_a_flipped_half_pi_stays_half_pi(self):
+        for beta in (math.pi / 2, -math.pi / 2):
+            assert optimizer._canonical(Angles(beta, 0.3)) == Angles(math.pi / 2, -0.3)
+
+
 def reference_scan(spec, value=None):
     """The coarse scan point by point: (grid_best, x0) of a strict-< scan
     from inf in row-major order over the 65 betas in [-pi/4, pi/4] and 65
