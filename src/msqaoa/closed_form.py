@@ -66,13 +66,7 @@ def require_finite_grid(
     return betas, gammas
 
 
-def _xi_coefficients(spec: MixtureSpec) -> list[float]:
-    """[0, sigma_1^2/1!, ..., sigma_d^2/d!]: entry q is the coefficient of
-    x^q in xi(x) = sum_q sigma_q^2 x^q / q!."""
-    return [0.0] + [s * s / math.factorial(q) for q, s in enumerate(spec.sigmas, 1)]
-
-
-def _im_xi(coefficients: list[float], c, s):
+def _im_xi(coefficients: Sequence[float], c, s):
     """Im xi(c + i s) by Horner's rule on floats or broadcasting arrays.
 
     Each step is ``energy_derivatives``' complex ``z * w + complex(a)``
@@ -91,7 +85,7 @@ def energy_sigma_form(spec: MixtureSpec, angles: Angles) -> float:
     c, s = math.cos(2 * angles.beta), math.sin(2 * angles.beta) * damp
     # not (2 * g) * f: past gamma ~ 9e307, 2 * g is inf where the damping
     # has made f exactly 0; doubling f is exact, so g * 0 stays 0
-    return angles.gamma * (2 * _im_xi(_xi_coefficients(spec), c, s))
+    return angles.gamma * (2 * _im_xi(spec._xi_coefficients, c, s))
 
 
 def energy_sigma_grid(
@@ -109,7 +103,7 @@ def energy_sigma_grid(
     damp = np.array([math.exp(-2 * g * g * rate) for g in gammas.tolist()])
     cosines = np.array([[math.cos(2 * b)] for b in betas.tolist()])
     sines = np.array([math.sin(2 * b) for b in betas.tolist()])
-    im = _im_xi(_xi_coefficients(spec), cosines, np.multiply.outer(sines, damp))
+    im = _im_xi(spec._xi_coefficients, cosines, np.multiply.outer(sines, damp))
     return gammas * (2 * im)
 
 
@@ -154,7 +148,7 @@ def energy_derivatives(spec: MixtureSpec, angles: Angles) -> EnergyDerivatives:
     w_bb = -4 * w
     # Horner for xi, xi' and xi''/2 together; x0 is _im_xi's recurrence
     x0 = x1 = x2 = 0j
-    for a in reversed(_xi_coefficients(spec)):
+    for a in reversed(spec._xi_coefficients):
         x2 = x2 * w + x1
         x1 = x1 * w + x0
         x0 = x0 * w + complex(a)

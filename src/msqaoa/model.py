@@ -31,7 +31,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 from itertools import chain, combinations
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -75,11 +75,18 @@ class MixtureSpec:
     """Disorder law: degree bound d and standard deviations sigma_1..sigma_d.
 
     ``sigmas[q-1]`` is the standard deviation of the couplings on subsets of
-    size q, in dimensionless energy units.
+    size q, in dimensionless energy units.  The spec also keeps two values
+    that its validation computes and the closed forms read at every point:
+    ``_damping_rate``, xi'(1) = sum_q sigma_q^2/(q-1)! (``damping_rate``),
+    and ``_xi_coefficients``, (0, sigma_1^2/1!, ..., sigma_d^2/d!), the
+    coefficients of xi(x) = sum_q sigma_q^2 x^q / q!.  Neither is an
+    argument, and neither takes part in ``repr``, ``==`` or ``hash``.
     """
 
     d: int
     sigmas: tuple[float, ...]
+    _damping_rate: float = field(init=False, repr=False, compare=False)
+    _xi_coefficients: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         check_degree(self.d)
@@ -91,15 +98,20 @@ class MixtureSpec:
             raise ValidationError(f"sigmas must be finite and >= 0: {self.sigmas}")
         if all(s == 0 for s in self.sigmas):
             raise ValidationError("all sigmas are zero; the disorder is degenerate")
+        # (q-1)! with q starting at 1 <=> factorial(index)
+        rate = sum(s * s / math.factorial(q) for q, s in enumerate(self.sigmas))
         # The closed forms square each sigma and decay as exp(-2 g^2 a rate).
-        if not (
-            all(math.isfinite(s * s) for s in self.sigmas)
-            and math.isfinite(damping_rate(self))
-        ):
+        if not (all(math.isfinite(s * s) for s in self.sigmas) and math.isfinite(rate)):
             raise ValidationError(
                 "every sigma_q^2 and the damping rate sum_q sigma_q^2/(q-1)! "
                 f"must be finite, got sigmas {self.sigmas}"
             )
+        object.__setattr__(self, "_damping_rate", rate)
+        object.__setattr__(
+            self,
+            "_xi_coefficients",
+            (0.0,) + tuple(s * s / math.factorial(q) for q, s in enumerate(self.sigmas, 1)),
+        )
 
     def mixture_function(self) -> "MixtureFunction":
         """Equivalent mixture-function view, c_q = sigma_q / sqrt(q!)."""
@@ -113,11 +125,10 @@ class MixtureSpec:
 def damping_rate(spec: MixtureSpec) -> float:
     """sum_q sigma_q^2/(q-1)!, the decay rate in exp(-2 g^2 a * rate).
 
-    Equals xi'(1) of the equivalent mixture function.
+    Equals xi'(1) of the equivalent mixture function.  The spec computes it
+    once, when it is validated.
     """
-    return sum(
-        s * s / math.factorial(q) for q, s in enumerate(spec.sigmas)
-    )  # (q-1)! with q starting at 1 <=> factorial(index)
+    return spec._damping_rate
 
 
 @dataclass(frozen=True)
@@ -309,10 +320,16 @@ def instance_to_text(instance: ProblemInstance) -> str:
 
 
 def instance_from_text(text: str) -> ProblemInstance:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    return _instance_from_lines(text.splitlines())
+
+
+def _instance_from_lines(all_lines: Iterable[str]) -> ProblemInstance:
+    """The instance in the text whose lines ``all_lines`` yields, parsed as
+    they come, so that no more than one line is held at a time."""
+    lines = (ln for ln in all_lines if ln.strip())
+    header = next(lines, None)
+    if header is None:
         raise ValidationError("empty instance file")
-    header = lines[0]
     try:
         fields = dict(part.split("=", 1) for part in header.split())
         n = int(fields["n"])
@@ -331,7 +348,7 @@ def instance_from_text(text: str) -> ProblemInstance:
     # each degree's couplings in storage order, NaN where no line gave one yet
     couplings = tuple(np.full(math.comb(n, q), math.nan) for q in range(1, d + 1))
     listed = [0] * d
-    for ln in lines[1:]:
+    for ln in lines:
         parts = ln.split()
         if len(parts) != 3:
             raise ValidationError(f"bad coupling line: {ln!r}")
@@ -362,8 +379,11 @@ def instance_from_text(text: str) -> ProblemInstance:
 
 
 def read_instance(path) -> ProblemInstance:
+    """The instance in the file at ``path``, read line by line.  Each line is
+    split again by ``str.splitlines``, so the lines are those of
+    ``instance_from_text`` on the whole text."""
     with open(path) as fh:
-        return instance_from_text(fh.read())
+        return _instance_from_lines(chain.from_iterable(ln.splitlines() for ln in fh))
 
 
 # -- spec fitting ----------------------------------------------------------

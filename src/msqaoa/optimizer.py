@@ -1,8 +1,17 @@
 """Optimal (beta*, gamma*) for the infinite-size closed-form energy per spin.
 
 The search is fixed.  A 65x65 grid scan over beta in [-pi/4, pi/4] and
-gamma in +-2/sqrt(xi'(1)) handles the multimodal beta landscape; a
-safeguarded Newton descent on the closed form's exact gradient and Hessian
+gamma in +-2/sqrt(xi'(1)) handles the multimodal beta landscape.  It is
+screened, not evaluated: the closed form is a sum over odd j of a beta factor
+times D^j, D = exp(-2 g^2 xi'(1)), so one small matmul gives every cell to
+within a proven rounding bound (``_screen``), and only the cells that bound
+cannot rule out as the minimum, usually its symmetric pair, get the Horner
+recurrence (``_grid_minimum``).  The start and grid value are those of the
+whole ``energy_sigma_grid``, bit for bit; the expansion cancels at large d,
+so it never supplies a reported number.  An optimization takes about
+0.14 to 0.38 ms for pure d = 2..24 on a 2-vCPU Xeon, against 0.17 to 1.1 ms
+when the scan evaluated the whole grid.  Then a safeguarded Newton descent
+on the closed form's exact gradient and Hessian
 (``closed_form.energy_derivatives``) polishes the best cell.  A step is the
 Newton step where the Hessian is positive definite and the negative gradient
 elsewhere, halved until the energy does not increase, so the polish only
@@ -135,14 +144,107 @@ def _newton_polish(
     return x, iterations
 
 
-def optimize_closed_form(spec: MixtureSpec) -> Optimum:
-    """Minimize the infinite-n energy per spin over (beta, gamma).
+def _screen(
+    spec: MixtureSpec, betas: np.ndarray, gammas: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The energy on a (betas, gammas) grid through the separable expansion,
+    and per gamma a bound on its distance from ``energy_sigma_grid``.
 
-    Scans the 65x65 grid of beta in [-pi/4, pi/4] and gamma in
-    +-2/sqrt(rate), rate = xi'(1) (``damping_rate``), then polishes the best
-    cell below inf with ``_newton_polish``.  ValidationError when that gamma
-    range cannot be formed in floats.
+    With c = cos 2b, s = sin 2b and D = exp(-2 g^2 xi'(1)), taken from the
+    same ``math`` calls as ``energy_sigma_grid``, and a_q = sigma_q^2/q!,
+
+        Im xi(c + i s D) = sum_{odd j} (-1)^((j-1)/2) (s D)^j P_j(c),
+        P_j(c) = sum_{q >= j} a_q C(q, j) c^(q-j),
+
+    one matmul of a beta matrix (s^j P_j(c)) and a gamma matrix (D^j).
+    Its terms cancel at large d, so it only screens; every reported
+    number comes from the Horner recurrence.
+
+    The bound.  |c|, |s|, D <= 1, so a term is at most a_q C(q, j), and the
+    terms add up to at most M = sum_q a_q 2^(q-1).  Each term passes through
+    at most 5d + 5 roundings here (a_q C(q, j); the powers of c, s and D by
+    repeated products; the two sums of at most d terms; the products between
+    them; g), so this value is within (5d + 5) u M |2g| of the exact
+    expansion, u = 2^-53.  The Horner recurrence of d + 1 steps rounds each
+    term at most 3d + 1 times, plus d for the rounded product s D, against an
+    absolute sum of at most sum_q a_q (|c| + |s|)^q <= 2M, so it is within
+    (8d + 2) u M |2g|.  4(d + 2)^2 = 13d + 7 + (4d^2 + 3d + 9) covers both
+    with at least 16 u M |2g| to spare, enough for the rounding of
+    value +- bound.  An underflow errs by at most 2^-1075, absolute.  The
+    screen rounds at most 2^10 times per cell and the recurrence 2^8 times,
+    and what an underflow leaves is multiplied later by at most
+    max(1, M) |2g|, in the recurrence also by (|c| + |s|)^d <= 2^12: the
+    spare covers that where M > 1, 2^-1050 |2g| where M <= 1, and 2^-1073
+    the underflow of the last product by g in each.  An overflow leaves an
+    inf or NaN in the value or the bound, and the caller then reads the
+    whole grid.
     """
+    a = spec._xi_coefficients
+    d = spec.d
+    odd = range(1, d + 1, 2)
+    # k[q - j, m] = (-1)^m a_q C(q, j) for j = 2m + 1, so P_j(c) = c-powers @ k
+    k = np.zeros((d, len(odd)))
+    for m, j in enumerate(odd):
+        k[: d + 1 - j, m] = [(-1) ** m * a[q] * math.comb(q, j) for q in range(j, d + 1)]
+    total = sum(a[q] * 2.0 ** (q - 1) for q in range(1, d + 1))
+    rate = damping_rate(spec)
+    c = np.array([math.cos(2 * b) for b in betas.tolist()])
+    s = np.array([math.sin(2 * b) for b in betas.tolist()])
+    damp = np.array([math.exp(-2 * g * g * rate) for g in gammas.tolist()])
+    with np.errstate(over="ignore", invalid="ignore"):
+        # c^0..c^(d-1), s^j and D^j for odd j, each by repeated products
+        c_powers = np.ones((len(c), d))
+        c_powers[:, 1:] = c[:, None]
+        s_powers = np.empty((len(s), len(odd)))
+        s_powers[:, 0], s_powers[:, 1:] = s, (s * s)[:, None]
+        d_powers = np.empty((len(odd), len(damp)))
+        d_powers[0], d_powers[1:] = damp, damp * damp
+        beta_part = np.cumprod(c_powers, axis=1) @ k * np.cumprod(s_powers, axis=1)
+        values = gammas * (2 * (beta_part @ np.cumprod(d_powers, axis=0)))
+        scale = 4 * (d + 2) ** 2 * 2.0**-53 * total + 2.0**-1050
+        bounds = np.abs(2 * gammas) * scale + 2.0**-1073
+    return values, bounds
+
+
+def _grid_minimum(
+    spec: MixtureSpec, betas: np.ndarray, gammas: np.ndarray
+) -> tuple[float, tuple[float, float]]:
+    """(value, (beta, gamma)) of the first row-major minimum below inf of
+    ``energy_sigma_grid`` on the grid, as a strict-< scan from inf keeps it;
+    with no such value, inf and the first cell.
+
+    ``_screen`` rules out every cell whose value is surely above another
+    cell's; the rest, usually the two cells of the minimum's symmetric pair
+    (b, g) ~ (-b, -g), are evaluated by ``energy_sigma_form``, which equals
+    the grid bit for bit.  The whole grid is read when the screen is not
+    finite or a candidate's value is not below inf.
+    """
+    values, bounds = _screen(spec, betas, gammas)
+    with np.errstate(over="ignore", invalid="ignore"):
+        low, high = values - bounds, values + bounds
+    # high is finite only where the value and its bound are
+    if np.isfinite(high).all():
+        # a cell can hold the minimum only if its low end is below every high
+        # end; min keeps the first of equal values, as a strict-< scan does
+        found = []
+        for i in np.flatnonzero(low <= high.min()).tolist():
+            x = (float(betas[i // len(gammas)]), float(gammas[i % len(gammas)]))
+            value = energy_sigma_form(spec, Angles(*x))
+            if not value < math.inf:
+                break
+            found.append((value, x))
+        else:
+            return min(found, key=lambda candidate: candidate[0])
+    grid = energy_sigma_grid(spec, betas, gammas)
+    below_inf = np.where(grid < math.inf, grid, math.inf)
+    bi, gi = np.unravel_index(np.argmin(below_inf), grid.shape)
+    return float(below_inf[bi, gi]), (float(betas[bi]), float(gammas[gi]))
+
+
+def _scan_axes(spec: MixtureSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The scan's 65 betas in [-pi/4, pi/4] and 65 gammas in +-2/sqrt(rate),
+    rate = xi'(1) (``damping_rate``); ValidationError when that gamma range
+    cannot be formed in floats."""
     rate = damping_rate(spec)
     if not rate > 0:
         raise ValidationError(
@@ -158,15 +260,17 @@ def optimize_closed_form(spec: MixtureSpec) -> Optimum:
             "that g*g*rate overflows on the gamma range +-2/sqrt(rate)"
         )
 
-    betas = np.linspace(-math.pi / 4, math.pi / 4, 65)
-    gammas = np.linspace(-gmax, gmax, 65)
-    # The first row-major minimum among values below inf, as a strict-< scan
-    # from inf keeps it; with no such value, the first cell and inf.
-    grid = energy_sigma_grid(spec, betas, gammas)
-    below_inf = np.where(grid < math.inf, grid, math.inf)
-    bi, gi = np.unravel_index(np.argmin(below_inf), grid.shape)
-    grid_best = float(below_inf[bi, gi])
-    x0 = (float(betas[bi]), float(gammas[gi]))
+    return np.linspace(-math.pi / 4, math.pi / 4, 65), np.linspace(-gmax, gmax, 65)
+
+
+def optimize_closed_form(spec: MixtureSpec) -> Optimum:
+    """Minimize the infinite-n energy per spin over (beta, gamma).
+
+    Finds the best cell of the 65x65 grid of ``_scan_axes`` with
+    ``_grid_minimum``, then polishes it with ``_newton_polish``.
+    ValidationError when the gamma range cannot be formed in floats.
+    """
+    grid_best, x0 = _grid_minimum(spec, *_scan_axes(spec))
 
     x, iterations = _newton_polish(spec, x0, grid_best, _POLISH_BUDGET)
     # Canonicalizing can move beta by pi, which rounds; keep the contract that

@@ -5,11 +5,12 @@ independent oracle, or a scaling law) at a pinned tolerance, and each checks
 code that an engine runs: ``combinatorial_identities`` the finite-n engine's
 exact subset sums and damping, ``monte_carlo_consistency`` its two moments
 against sampled instances and against a quadrature of ``expectation`` over
-the couplings.  A check is a plain function with its sizes and tolerances
+the couplings, ``optimizer_scan`` the optimizer's screened scan against the
+whole closed-form grid.  A check is a plain function with its sizes and tolerances
 inside; it returns ``(passed, details)``.  ``CHECKS`` is the one list of
 checks: name, function and levels, in report order.  ``run_check(name)``
 times one check and returns a ``CheckResult``; ``run(level)`` runs every
-check of the level, ``quick`` (3 checks) or ``full`` (15).  Both raise
+check of the level, ``quick`` (3 checks) or ``full`` (16).  Both raise
 ``ValidationError`` for an unknown name or level.
 """
 
@@ -123,6 +124,41 @@ def _approximation_factor() -> tuple[bool, dict]:
         "error": err,
         "tolerance": 1e-3,
         "ground_state_reference": PARISI_D3_REFERENCE,
+    }
+
+
+def _optimizer_scan() -> tuple[bool, dict]:
+    """The optimizer's screened scan against the whole grid, for pure
+    d = 1..24 and 24 seeded mixtures of both parities: ``_grid_minimum``
+    finds the first row-major minimum of ``energy_sigma_grid``, by repr, and
+    every screened value lies within its bound of the grid.  Negative control:
+    the screen's own first minimum, a zero bound, must pick another cell for
+    at least one model."""
+    rng = np.random.default_rng(81)
+    specs = [model.pure_d_spec(d) for d in range(1, 25)]
+    for _ in range(24):
+        d = int(rng.integers(1, 25))
+        sigmas = rng.uniform(0.0, 1.5, d)
+        sigmas[rng.random(d) < 0.3] = 0.0
+        sigmas[-1] = max(sigmas[-1], 0.3)
+        specs.append(model.make_mixture_spec(d, sigmas))
+    mismatches, worst, moved = 0, 0.0, 0
+    for spec in specs:
+        betas, gammas = optimizer._scan_axes(spec)
+        grid = closed_form.energy_sigma_grid(spec, betas, gammas)
+        values, bounds = optimizer._screen(spec, betas, gammas)
+        error = np.abs(values - grid)
+        with np.errstate(divide="ignore", invalid="ignore"):  # a zero bound
+            worst = max(worst, float(np.max(np.where(error > 0, error / bounds, 0.0))))
+        full = np.unravel_index(np.argmin(grid), grid.shape)
+        want = (float(grid[full]), (float(betas[full[0]]), float(gammas[full[1]])))
+        mismatches += repr(optimizer._grid_minimum(spec, betas, gammas)) != repr(want)
+        moved += np.unravel_index(np.argmin(values), grid.shape) != full
+    return mismatches == 0 and worst <= 1 and moved > 0, {
+        "models": len(specs),
+        "start_mismatches": mismatches,
+        "max_error_over_bound": worst,
+        "zero_bound_moved_starts": moved,
     }
 
 
@@ -616,6 +652,7 @@ CHECKS = (
     ("sk_optimum", _sk_optimum, LEVELS),
     ("d3_optimum", _d3_optimum, ("full",)),
     ("approximation_factor", _approximation_factor, ("full",)),
+    ("optimizer_scan", _optimizer_scan, ("full",)),
     ("form_equivalence", _form_equivalence, LEVELS),
     ("oracle_match_n6", _oracle_match_n6, ("quick",)),
     ("oracle_equivalence", _oracle_equivalence, ("full",)),

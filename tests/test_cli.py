@@ -788,6 +788,7 @@ class TestVerifyCommand:
                 "sk_optimum",
                 "d3_optimum",
                 "approximation_factor",
+                "optimizer_scan",
                 "form_equivalence",
                 "oracle_equivalence",
                 "combinatorial_identities",

@@ -16,12 +16,14 @@ from msqaoa.model import (
     MixtureSpec,
     ProblemInstance,
     cost,
+    damping_rate,
     estimate_spec,
     from_mixture_function,
     instance_from_text,
     instance_to_text,
     make_mixture_spec,
     pure_d_spec,
+    read_instance,
     _instance_rng,
     sample_instance,
     subsets,
@@ -86,6 +88,24 @@ class TestMixtureSpec:
     def test_overflowing_damping_rate_rejected(self, build):
         with pytest.raises(ValidationError, match="must be finite"):
             build()
+
+    @pytest.mark.parametrize(
+        "sigmas", [[0, 1], [0.3, 0.5, 1.0], [5e-324, 0.0, 1e150], [0.7] * 24]
+    )
+    def test_keeps_its_rate_and_xi_coefficients(self, sigmas):
+        spec = make_mixture_spec(len(sigmas), sigmas)
+        rate = sum(float(s) ** 2 / math.factorial(q) for q, s in enumerate(sigmas))
+        xi = [0.0] + [float(s) ** 2 / math.factorial(q) for q, s in enumerate(sigmas, 1)]
+        assert repr(damping_rate(spec)) == repr(rate)
+        assert [repr(a) for a in spec._xi_coefficients] == [repr(a) for a in xi]
+
+    def test_kept_values_are_not_fields_of_its_identity(self):
+        spec = make_mixture_spec(2, [0, 1])
+        assert repr(spec) == "MixtureSpec(d=2, sigmas=(0.0, 1.0))"
+        twin = MixtureSpec(2, (0.0, 1.0))
+        assert spec == twin and hash(spec) == hash(twin)
+        with pytest.raises(TypeError):
+            MixtureSpec(2, (0.0, 1.0), 1.0)
 
 
 class TestDegreeRange:
@@ -441,6 +461,35 @@ class TestSerialization:
         lines = instance_to_text(sample_instance(make_mixture_spec(1, [1]), 3, 0)).splitlines()
         with pytest.raises(ValidationError, match=r"degree 1 must list each of its 3 subsets once, got 4"):
             instance_from_text("\n".join(lines + lines[-1:]) + "\n")
+
+    def test_read_instance_streams_the_file(self, tmp_path):
+        # Reading the whole text and splitting it holds at least twice the
+        # file; line by line the peak is about one line and the arrays.  A
+        # 4 kB blank line after each of the 696 coupling lines makes a 2.9 MB
+        # file that parses as fast as the n = 16 instance it holds.
+        inst = sample_instance(make_mixture_spec(3, [0.5, 1.0, 0.7]), 16, 1)
+        blank = " " * 4096
+        path = tmp_path / "instance.txt"
+        path.write_text("".join(f"{ln}\n{blank}\n" for ln in instance_to_text(inst).splitlines()))
+        tracemalloc.start()
+        try:
+            back = read_instance(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert back == inst
+        assert peak < path.stat().st_size / 4
+
+    def test_read_instance_splits_lines_as_instance_from_text(self, tmp_path):
+        # \r\n and \r end lines in the file; \x0c, \x1e and \u2028 end them
+        # for str.splitlines, on the whole text and on each line alike
+        inst = sample_instance(make_mixture_spec(2, [0.5, 1.0]), 5, 3)
+        lines = instance_to_text(inst).splitlines()
+        ends = ["\r\n", "\r", "\x0c", "\n\n", "\x1e", "\u2028"]
+        text = "".join(ln + ends[i % len(ends)] for i, ln in enumerate(lines))
+        path = tmp_path / "instance.txt"
+        path.write_bytes(text.encode())
+        assert read_instance(path) == instance_from_text(path.read_text()) == inst
 
     def test_coupling_cap_from_header_before_allocating(self):
         tracemalloc.start()

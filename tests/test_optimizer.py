@@ -8,12 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from msqaoa import optimizer
+from msqaoa import optimizer, verify
 from msqaoa.closed_form import (
     Angles,
     d3_stationarity_residuals,
     damping_rate,
     energy_sigma_form,
+    energy_sigma_grid,
 )
 from msqaoa.errors import ValidationError
 from msqaoa.model import make_mixture_spec, pure_d_spec
@@ -161,7 +162,14 @@ def reference_scan(spec, value=None):
 
 
 def _scan_sees(monkeypatch, grid):
-    """Make the optimizer's scan see ``grid`` in place of the energies."""
+    """Make the optimizer's scan see ``grid`` in place of the energies: the
+    screen reports that it cannot bound a cell, so the scan reads the whole
+    grid from ``energy_sigma_grid``."""
+    monkeypatch.setattr(
+        optimizer,
+        "_screen",
+        lambda spec, betas, gammas: (np.full(grid.shape, math.nan), np.zeros(len(gammas))),
+    )
     monkeypatch.setattr(optimizer, "energy_sigma_grid", lambda *args: grid.copy())
 
 
@@ -189,6 +197,166 @@ def _seeded_mixtures(count=5, seed=3):
     return specs
 
 
+def _item1_mixtures(count=24, seed=81):
+    """Mixtures drawn as the optimizer's test set of both parities: d in
+    1..24, sigma uniform on [0, 1.5], 30% zeroed, the top sigma at least 0.3."""
+    rng = np.random.default_rng(seed)
+    specs = []
+    for _ in range(count):
+        d = int(rng.integers(1, 25))
+        sigmas = rng.uniform(0.0, 1.5, d)
+        sigmas[rng.random(d) < 0.3] = 0.0
+        sigmas[-1] = max(sigmas[-1], 0.3)
+        specs.append(make_mixture_spec(d, sigmas))
+    return specs
+
+
+# sigmas from 5e-324 to 1e150: squares that underflow to 0, the smallest
+# normal damping rate, and energies of 1e149
+EDGE_SPECS = [
+    make_mixture_spec(len(sigmas), sigmas)
+    for sigmas in (
+        [5e-324, 1.0],
+        [1.5e-154],
+        [1e-150, 1e-150, 1e-150],
+        [5e-324, 0.0, 0.7, 1e-300],
+        [1e150],
+        [1e150, 0.0, 1e150],
+        [1e149] * 8,
+    )
+]
+SCREENED_SPECS = (
+    [pure_d_spec(d) for d in range(1, 25)] + _seeded_mixtures() + _item1_mixtures() + EDGE_SPECS
+)
+
+
+def _full_grid_minimum(spec):
+    """(value, (beta, gamma)) of the first row-major minimum below inf of
+    the whole ``energy_sigma_grid``, as the scan read it before the screen."""
+    betas, gammas = optimizer._scan_axes(spec)
+    grid = energy_sigma_grid(spec, betas, gammas)
+    below_inf = np.where(grid < math.inf, grid, math.inf)
+    bi, gi = np.unravel_index(np.argmin(below_inf), grid.shape)
+    return float(below_inf[bi, gi]), (float(betas[bi]), float(gammas[gi]))
+
+
+class TestScreen:
+    """``optimizer._screen``'s bound and the cells it lets through."""
+
+    @pytest.mark.parametrize("spec", SCREENED_SPECS)
+    def test_bound_covers_every_cell(self, spec):
+        betas, gammas = optimizer._scan_axes(spec)
+        values, bounds = optimizer._screen(spec, betas, gammas)
+        grid = energy_sigma_grid(spec, betas, gammas)
+        assert np.isfinite(values).all() and np.isfinite(bounds).all()
+        assert (np.abs(values - grid) <= bounds).all()
+
+    @pytest.mark.parametrize("spec", SCREENED_SPECS)
+    def test_same_minimum_as_the_whole_grid(self, spec):
+        got = optimizer._grid_minimum(spec, *optimizer._scan_axes(spec))
+        assert repr(got) == repr(_full_grid_minimum(spec))
+
+    def test_a_zero_bound_picks_another_start(self, monkeypatch):
+        # negative control: without its bound the screen's rounding picks a
+        # different cell of a tied or nearly tied minimum
+        real = optimizer._screen
+
+        def unbounded(spec, betas, gammas):
+            values, bounds = real(spec, betas, gammas)
+            return values, np.zeros_like(bounds)
+
+        monkeypatch.setattr(optimizer, "_screen", unbounded)
+        moved = [
+            spec for spec in SCREENED_SPECS
+            if repr(optimizer._grid_minimum(spec, *optimizer._scan_axes(spec)))
+            != repr(_full_grid_minimum(spec))
+        ]
+        assert moved
+
+    def test_only_the_candidates_take_the_recurrence(self, monkeypatch):
+        # the scan reads no grid, and evaluates the two cells of the
+        # minimum's symmetric pair (b, g) ~ (-b, -g)
+        points = []
+        real = optimizer.energy_sigma_form
+
+        def recording(spec, angles):
+            points.append(angles)
+            return real(spec, angles)
+
+        monkeypatch.setattr(optimizer, "energy_sigma_form", recording)
+        monkeypatch.setattr(optimizer, "energy_sigma_grid", None)
+        betas, gammas = optimizer._scan_axes(D3)
+        optimizer._grid_minimum(D3, betas, gammas)
+        cells = [(betas.tolist().index(a.beta), gammas.tolist().index(a.gamma)) for a in points]
+        assert len(cells) == 2 and cells[0] == (64 - cells[1][0], 64 - cells[1][1])
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_a_candidate_not_below_inf_reads_the_whole_grid(self, monkeypatch, value):
+        grids = []
+        real = optimizer.energy_sigma_grid
+
+        def recording(*args):
+            grids.append(real(*args))
+            return grids[-1]
+
+        monkeypatch.setattr(optimizer, "energy_sigma_form", lambda spec, angles: value)
+        monkeypatch.setattr(optimizer, "energy_sigma_grid", recording)
+        got = optimizer._grid_minimum(D3, *optimizer._scan_axes(D3))
+        assert len(grids) == 1
+        assert repr(got) == repr(_full_grid_minimum(D3))
+
+    @pytest.mark.parametrize("where", ["values", "bounds"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_a_cell_the_screen_cannot_bound_reads_the_whole_grid(
+        self, monkeypatch, where, value
+    ):
+        real = optimizer._screen
+
+        def broken(spec, betas, gammas):
+            values, bounds = real(spec, betas, gammas)
+            if where == "values":
+                values[40, 3] = value
+            else:
+                bounds[3] = value
+            return values, bounds
+
+        monkeypatch.setattr(optimizer, "_screen", broken)
+        monkeypatch.setattr(optimizer, "energy_sigma_form", None)
+        got = optimizer._grid_minimum(D3, *optimizer._scan_axes(D3))
+        assert repr(got) == repr(_full_grid_minimum(D3))
+
+
+    def test_verify_row(self):
+        res = verify.run_check("optimizer_scan")
+        assert res.passed, res.details
+        assert res.details["start_mismatches"] == 0
+        assert 0 < res.details["max_error_over_bound"] <= 1
+        assert res.details["zero_bound_moved_starts"] > 0
+
+    def test_verify_row_fails_a_bound_too_tight(self, monkeypatch):
+        # negative control: bounds a hundred times too small no longer cover
+        # the grid
+        real = optimizer._screen
+        monkeypatch.setattr(
+            optimizer, "_screen", lambda *args: (real(*args)[0], real(*args)[1] / 100)
+        )
+        res = verify.run_check("optimizer_scan")
+        assert not res.passed and res.details["max_error_over_bound"] > 1
+
+
+class TestPinnedOptima:
+    """``optimize --pure-d 1..24``'s rows, as the commit before the screen
+    wrote them."""
+
+    def test_rows_match_the_pinned_file(self):
+        pinned = (Path(__file__).parent / "data" / "optimum_pure_d_1_24.csv").read_text()
+        lines = ["d,beta,gamma,value"]
+        for d in range(1, 25):
+            opt = optimize_closed_form(pure_d_spec(d))
+            lines.append(f"{d},{opt.angles.beta!r},{opt.angles.gamma!r},{opt.value!r}")
+        assert "\n".join(lines) + "\n" == pinned
+
+
 class TestGridScan:
     """The vectorized coarse scan picks the same start and grid value as the
     per-point scan, so the polish and the optimum are unchanged."""
@@ -208,8 +376,7 @@ class TestGridScan:
         return opt, x0
 
     @pytest.mark.parametrize(
-        "spec",
-        [SK] + [pure_d_spec(d) for d in range(2, 9)] + _seeded_mixtures(),
+        "spec", [pure_d_spec(d) for d in range(1, 25)] + _seeded_mixtures()
     )
     def test_same_start_and_grid_value(self, monkeypatch, spec):
         opt, x0 = self.run_with_start(monkeypatch, spec)
