@@ -45,7 +45,7 @@ _EXPORTS = {
         "sample_instance",
     ),
     "optimizer": ("Optimum", "approximation_factor", "optimize_closed_form"),
-    "simulator": ("build_phase_table", "expectation", "landscape_instance", "qaoa_state"),
+    "simulator": ("build_phase_table", "expectation", "landscape_instance"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

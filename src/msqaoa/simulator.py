@@ -38,8 +38,7 @@ whose half phase (|gamma|/2) max|H| is not finite is refused with
 Both gates, the Hadamard for the table and R_beta for the mixer, are
 applied by one helper that cuts the index into SLICE_BITS-bit slices and
 multiplies each slice by the Kronecker power of the gate:
-ceil(n / SLICE_BITS) matrix products.  ``qaoa_state`` multiplies by
-i^popcount(idx) to return the complex amplitudes themselves.
+ceil(n / SLICE_BITS) matrix products.
 
 At fixed gamma, <H>(beta) is a trigonometric polynomial of degree at most d
 in 2 beta (each Z_S conjugated by the mixer is a product of |S| <= d factors
@@ -77,7 +76,6 @@ __all__ = [
     "SIM_MAX_N",
     "check_size",
     "build_phase_table",
-    "qaoa_state",
     "expectation",
     "landscape_instance",
 ]
@@ -191,15 +189,6 @@ def _evolved(table: np.ndarray, n: int, angles: Angles) -> np.ndarray:
     _check_phase(table, angles.gamma)
     mixer = _kron_factors(_rotation(angles.beta), n)
     return _apply_kron(_phased(table, popcounts(n) & 3, angles.gamma), mixer)
-
-
-def qaoa_state(instance: ProblemInstance, angles: Angles) -> np.ndarray:
-    """Amplitudes of exp(-i beta B) exp(-i gamma H) applied to the uniform state."""
-    n = instance.n
-    y = _evolved(build_phase_table(instance), n, angles)
-    # S^{(x)n} = diag(i^popcount) undoes the gauge
-    gauge = np.array([1, 1j, -1, -1j]).take(popcounts(n) & 3)
-    return gauge * (y[0] + 1j * y[1]) * 2.0 ** (-n / 2)
 
 
 def _probabilities(y: np.ndarray) -> np.ndarray:

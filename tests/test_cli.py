@@ -1,5 +1,8 @@
 import argparse
+import contextlib
 import hashlib
+import importlib.util
+import io
 import json
 import math
 import os
@@ -9,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from msqaoa import cli, closed_form, finite_n, model, optimizer, verify
 from msqaoa.cli import main
@@ -76,6 +81,19 @@ class TestOptimizeCommand:
 
     def test_conflicting_spec_flags(self, tmp_path):
         assert main(["optimize", "--sk", "--sigmas", "0,1", "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["optimize", "--sk", "--sigmas", ""],
+        ["optimize", "--pure-d", "", "--cs", "0.5"],
+        ["landscape", "--sk", "--cs="],
+    ], ids=["empty-sigmas", "empty-pure-d", "empty-cs"])
+    def test_an_empty_model_flag_counts_as_given(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: exactly one of --sk/--sigmas/--cs/--pure-d is required")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_ground_state_needs_one_model(self, tmp_path, capsys):
         argv = ["optimize", "--pure-d", "2..5", "--ground-state=-0.7"]
@@ -190,8 +208,12 @@ def test_degree_beyond_the_model_range_exit_code(tmp_path, capsys, argv):
         (["optimize", "--sigmas", "0.5,x"], "--sigmas expects a comma list of reals"),
         (["optimize", "--pure-d", "x"], "--pure-d expects D or LO..HI, got 'x'"),
         (["sample", "--pure-d", "2..3", "--n", "4"], "sample needs exactly one model"),
+        (["optimize", "--sigmas", ""], "--sigmas expects a comma list of reals, got ''"),
+        (["optimize", "--cs", ""], "--cs expects a comma list of reals, got ''"),
+        (["optimize", "--pure-d", ""], "--pure-d expects D or LO..HI, got ''"),
     ],
-    ids=["zero-count-grid", "non-real-sigma", "non-integer-degree", "sample-degree-range"],
+    ids=["zero-count-grid", "non-real-sigma", "non-integer-degree", "sample-degree-range",
+         "empty-sigmas", "empty-cs", "empty-pure-d"],
 )
 def test_malformed_flag_exit_code(tmp_path, capsys, argv, message):
     out = tmp_path / "out"
@@ -936,6 +958,10 @@ _PARSE_CASES = [
     ["optimize", "--bogus", "--help"], ["sample", "--sk", "--n", "x"],
     # top-level options before a command name
     ["--version", "landscape"], ["-h", "optimize"],
+    # not clean: argparse's own errors
+    ["optimize", "--sk", "--ground-state"], ["optimize", "--sk=1"], ["fit-spec", "a", "b"],
+    ["sample", "--sk", "--n=x"], ["verify", "--level=quick", "extra"], ["landscape", "-h", "--sk"],
+    ["optimize", "--sk", "--ground-state", "--out"], ["sample", "--sk", "--n", "5", "--n"],
 ]
 
 
@@ -978,7 +1004,7 @@ def test_usage_errors_list_every_command(capsys, argv, error):
     assert message.startswith(f"msqaoa: error: {error}")
 
 
-def test_a_command_builds_one_parser_and_no_subparsers(tmp_path, capsys, monkeypatch):
+def test_a_clean_command_builds_no_parser(tmp_path, capsys, monkeypatch):
     made, added = [], []
     init, add_parser = argparse.ArgumentParser.__init__, argparse._SubParsersAction.add_parser
 
@@ -993,23 +1019,190 @@ def test_a_command_builds_one_parser_and_no_subparsers(tmp_path, capsys, monkeyp
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy_init)
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy_add_parser)
     assert main(["optimize", "--sk", "--out", str(tmp_path / "a")]) == 0
-    assert (made, added) == (["msqaoa optimize"], [])
-    made.clear()
-    # main() reads the command name from sys.argv
+    assert (made, added) == ([], [])
+    # main() reads the command line from sys.argv
     monkeypatch.setattr(sys, "argv", ["msqaoa", "optimize", "--sk", "--out", str(tmp_path / "b")])
     assert main() == 0
-    assert (made, added) == (["msqaoa optimize"], [])
-    made.clear()
-    # an argument the command's parser leaves over is the full parser's error
+    assert (made, added) == ([], [])
+    # any other argv builds the full parser, with every command's subparser
     commands = ["landscape", "optimize", "verify", "fit-spec", "sample"]
+    full = (["msqaoa", *(f"msqaoa {name}" for name in commands)], commands)
     code, _, err = _run_main(["optimize", "--sk", "extra"], capsys)
     assert (code, err.splitlines()[-1]) == (2, "msqaoa: error: unrecognized arguments: extra")
-    assert made == ["msqaoa optimize", "msqaoa", *(f"msqaoa {name}" for name in commands)]
-    assert added == commands
+    assert (made, added) == full
     made.clear()
     added.clear()
     assert _run_main(["-h"], capsys)[0] == 0
-    assert (made[0], added) == ("msqaoa", commands)
+    assert (made, added) == full
+    made.clear()
+    added.clear()
+    # argparse takes a negative value in the space form, as the reader takes --flag=value
+    capsys.readouterr()
+    assert main(["optimize", "--sk", "--ground-state", "-0.7", "--out", str(tmp_path / "c")]) == 0
+    assert (made, added) == full
+    printed = capsys.readouterr().out
+    assert main(["optimize", "--sk", "--ground-state=-0.7", "--out", str(tmp_path / "d")]) == 0
+    assert printed == capsys.readouterr().out and "approximation_factor," in printed
+    spaced, equals = (tmp_path / name / "optimum.csv" for name in "cd")
+    assert spaced.read_bytes() == equals.read_bytes()
+
+
+# The flags as add_argument calls, kept as they were before the flag table:
+# the reference full parser that help, errors and namespaces are checked against.
+def _add_spec_flags(sub) -> None:
+    sub.add_argument("--sigmas", help="comma list of per-degree standard deviations")
+    sub.add_argument("--cs", help="comma list of mixture coefficients c_q")
+    sub.add_argument("--pure-d", help="pure d-spin model(s): D or LO..HI")
+    sub.add_argument("--sk", action="store_true", help="standard two-body model (sigma_2 = 1)")
+
+
+def _landscape_flags(sub) -> None:
+    _add_spec_flags(sub)
+    sub.add_argument("--beta", default=f"{-math.pi/4}:{math.pi/4}:65",
+                     help="beta grid min:max:count")
+    sub.add_argument("--gamma", default="-1.5:1.5:65", help="gamma grid min:max:count")
+    sub.add_argument("--mode", action="append", default=None,
+                     help="infinite | finite:N | instance:N:SEED (repeatable; default infinite)")
+
+
+def _optimize_flags(sub) -> None:
+    _add_spec_flags(sub)
+    sub.add_argument("--ground-state", type=float, default=None,
+                     help="reference ground-state energy per spin (negative)")
+
+
+def _verify_flags(sub) -> None:
+    sub.add_argument("--level", default="quick", help="quick or full (default quick)")
+
+
+def _fit_spec_flags(sub) -> None:
+    sub.add_argument("instance_file")
+
+
+def _sample_flags(sub) -> None:
+    _add_spec_flags(sub)
+    sub.add_argument("--n", type=int, required=True, help="number of spins")
+    sub.add_argument("--seed", type=int, default=0, help="reproducibility seed")
+
+
+def _reference_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="msqaoa", description="Depth-1 QAOA energy per spin on mixed-spin SK models"
+    )
+    parser.add_argument("--version", action="version", version=cli.__version__)
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, help_text, add_flags, handler in (
+        ("landscape", "emit (beta, gamma) energy grids as CSV", _landscape_flags,
+         cli.cmd_landscape),
+        ("optimize", "find optimal angles for a model", _optimize_flags, cli.cmd_optimize),
+        ("verify", "run the verification suite", _verify_flags, cli.cmd_verify),
+        ("fit-spec", "estimate per-degree sigmas from an instance file", _fit_spec_flags,
+         cli.cmd_fit_spec),
+        ("sample", "sample a problem instance to a text file", _sample_flags, cli.cmd_sample),
+    ):
+        sub = subs.add_parser(name, help=help_text)
+        add_flags(sub)
+        sub.add_argument("--out", default="msqaoa_out", help="output directory")
+        sub.set_defaults(command=name, func=handler)
+    return parser
+
+
+_REFERENCE_CASES = _PARSE_CASES + [
+    [name, "--help"] for name in _COMMANDS if [name, "--help"] not in _PARSE_CASES
+]
+
+
+@pytest.mark.parametrize("columns", ["80", "200"])
+@pytest.mark.parametrize("argv", _REFERENCE_CASES,
+                         ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_main_prints_as_the_reference_parser(tmp_path, capsys, monkeypatch, argv, columns):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", columns)
+    got = _run_main(argv, capsys)
+    monkeypatch.setattr(cli, "_parse", lambda argv: _reference_parser().parse_args(argv))
+    assert got == _run_main(argv, capsys)
+    assert not any(tmp_path.iterdir())
+
+
+def _parse_quietly(parse, argv):
+    """``parse(argv)``, or the (exit code, stdout, stderr) it exits with."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            return parse(argv)
+    except SystemExit as exc:
+        return exc.code, out.getvalue(), err.getvalue()
+
+
+# values for any flag: valid for some, empty, negative, flag-like or unconvertible
+_VALUES = ["3", "2..4", "0.5,1", "-0.7", "-1", "", "x", "quick", "finite:8", "0:1:3", "a=b",
+           "--sk", "f.txt"]
+_OTHER_TOKENS = ["--", "-h", "--help", "--version", "extra", "--bogus", "--bogus=1", "-", ""]
+
+
+@st.composite
+def _argvs(draw):
+    """A command line made from one command's own flags, and now and then
+    something else: prefixes, stray tokens, a top-level flag first."""
+    name, _, flags, _ = draw(st.sampled_from(cli._COMMANDS))
+    options = {flag: kwargs for flag, kwargs in flags if flag.startswith("-")}
+    argv = [draw(st.sampled_from([name] * 15 + ["-h", "--version", "lanscape"]))]
+    for _ in range(draw(st.integers(0, 6))):
+        form = draw(st.sampled_from(["space"] * 4 + ["equals"] * 4 + ["bare", "prefix", "other"]))
+        # "3" is a valid value of every flag
+        flag = draw(st.sampled_from(list(options)))
+        value = draw(st.sampled_from(["3"] * 8 + _VALUES))
+        if form == "space" and options[flag].get("action") == "store_true":
+            form = "bare"
+        if form == "prefix" and len(flag) > 3:
+            flag = flag[: draw(st.integers(3, len(flag) - 1))]
+        if form == "other":
+            argv.append(draw(st.sampled_from(_OTHER_TOKENS)))
+        elif form == "equals":
+            argv.append(f"{flag}={value}")
+        elif form == "bare":
+            argv.append(flag)
+        else:
+            argv += [flag, value]
+    return argv
+
+
+@given(_argvs())
+@settings(max_examples=600, deadline=None)
+def test_a_command_line_parses_as_with_the_reference_parser(argv):
+    # main parses with cli._parse first, so it exits wherever that exits
+    want = _parse_quietly(_reference_parser().parse_args, argv)
+    got = _parse_quietly(cli._parse, argv)
+    if isinstance(want, argparse.Namespace):
+        assert isinstance(got, argparse.Namespace) and vars(got) == vars(want)
+    else:
+        assert got == want
+
+
+def _benchmark_argvs() -> list:
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [
+        [*op["argv"], "--out", "out"]
+        for workload in workloads.GENERATORS
+        for seed in (1, 2, 3)
+        for op in workloads.generate(workload, seed)
+        if op["kind"] == "cli"
+    ]
+
+
+def test_every_benchmark_command_is_read_without_argparse(monkeypatch):
+    argvs = _benchmark_argvs()
+    want = [vars(_reference_parser().parse_args(argv)) for argv in argvs]
+
+    def no_parser(self, *args, **kwargs):
+        raise AssertionError("built an ArgumentParser")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", no_parser)
+    assert [vars(cli._parse(argv)) for argv in argvs] == want
+    assert {argv[0] for argv in argvs} == {"landscape", "optimize"}
 
 
 def test_grid_csv_is_written_a_row_at_a_time(tmp_path):

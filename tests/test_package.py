@@ -37,7 +37,6 @@ PUBLIC = [
     "optimize_closed_form",
     "oracle_moments",
     "pure_d_spec",
-    "qaoa_state",
     "read_instance",
     "sample_instance",
     "sketch_moment_grid",

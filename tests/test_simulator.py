@@ -22,16 +22,26 @@ from msqaoa.simulator import (
     HADAMARD,
     SLICE_BITS,
     _apply_kron,
+    _evolved,
     _kron_factors,
     _phased,
     _rotation,
     build_phase_table,
     expectation,
     landscape_instance,
-    qaoa_state,
 )
 
 SK = make_mixture_spec(2, [0, 1])
+
+
+def qaoa_state(instance, angles):
+    """Amplitudes of exp(-i beta B) exp(-i gamma H) applied to the uniform
+    state: the simulator's gauged [re; im] rows, times i^popcount(idx)."""
+    n = instance.n
+    y = _evolved(build_phase_table(instance), n, angles)
+    # S^{(x)n} = diag(i^popcount) undoes the gauge
+    gauge = np.array([1, 1j, -1, -1j]).take(popcounts(n) & 3)
+    return gauge * (y[0] + 1j * y[1]) * 2.0 ** (-n / 2)
 
 
 def subsets_by_mask(n, q):
