@@ -8,8 +8,16 @@ manifest itself carries the only timestamp).  The ``landscape`` and
 ``finite:N`` file, and the optimizer's convergence and final gradient norm.
 
 Each command runs inside one ``_Outputs`` context: files are written one at
-a time as they are ready (a landscape CSV row by row), and a command that
-fails removes what it wrote.  A file that exists already is rewritten in
+a time as they are ready, and a command that fails removes what it wrote.
+An ``--out`` that is a directory already is checked with one
+``os.path.isdir``; an empty one exits 2.  A file is opened with ``os.open``
+(``O_WRONLY | O_CREAT | O_CLOEXEC``, no ``O_TRUNC``) and written with
+``os.write`` in chunks of at most 1 MiB, a landscape CSV's rows joined into
+chunks as they come, so memory stays bounded; each chunk is hashed for the
+manifest as it is written.  JSON files (the manifest, ``fitted_spec.json``,
+the verify report) are formatted by ``_json_text``, which writes the bytes
+of ``json.dumps(doc, indent=2)`` without json's pure-Python indenting
+encoder.  A file that exists already is rewritten in
 place and then cut to length, never truncated to zero first.  That trades
 crash safety for time.  On ext4 (with its default ``auto_da_alloc``) a file
 truncated to zero is flushed to disk when it is closed, so that a crash
@@ -42,12 +50,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
-import json
 import math
 import os
 import stat
 import sys
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -135,39 +143,96 @@ def _parse_mode(text: str) -> tuple:
     )
 
 
-def _open_in_place(path: str, flags: int) -> int:
-    """``open``'s opener for an output file: the flags ``open`` asks for, less
-    ``O_TRUNC``, so an existing file is written over, not emptied first."""
-    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+# Output files are opened for writing, created if missing, never truncated
+# on open, and closed across exec
+_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_CLOEXEC", 0)
+# The most characters one os.write takes: 1 MiB, as every output is ASCII
+# (CSV numbers, instance text, and JSON with non-ASCII escaped)
+_CHUNK = 1 << 20
+
+
+def _chunks(lines: Iterable[str], chunk: int = _CHUNK) -> Iterator[bytes]:
+    """The strings of ``lines``, in order, encoded in pieces of ``chunk``
+    characters, the last one shorter: short strings are joined, a long one
+    is cut."""
+    batch, size = [], 0
+    for line in lines:
+        start = 0  # of the part of line not yet taken, so no tail is copied
+        while size + len(line) - start >= chunk:
+            end = start + chunk - size
+            batch.append(line[start:end])
+            yield "".join(batch).encode()
+            batch, size, start = [], 0, end
+        batch.append(line[start:])
+        size += len(line) - start
+    if size:
+        yield "".join(batch).encode()
+
+
+def _json_text(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, for dicts with str
+    keys, lists, tuples, str, int, float (NaN and +-inf as json writes them),
+    bool and None, in about half its time: with an indent, json.dumps runs
+    json's pure-Python encoder."""
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, str):
+        return _json_string(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        items = [_json_text(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
+    if isinstance(value, dict):
+        items = [_json_string(key) + ": " + _json_text(item, inner) for key, item in value.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 class _Outputs:
     """The output directory of one command, as a context manager.
 
     ``with _Outputs(args.out) as outputs:`` wraps everything a command
-    computes and writes.  Each file is written as soon as it is ready, and
-    the manifest takes its SHA-256 from the bytes written, reading nothing
-    back.  A file that exists already is written over in place and cut to
-    length after its last byte, not truncated to zero when it is opened, at
-    the cost of crash safety (see the module docstring): it keeps its inode
-    and permission bits, and a symlink or hard link to it is written
-    through; a new file, one no longer than the new bytes, and one that is
-    not a regular file (``/dev/null``) are written without the cut.  The directory is made at the first write, so a command
-    that fails before writing leaves nothing behind.  When the block raises,
-    the files this run wrote are removed, and so are the directories on the
-    way to it that were missing at the start, if they are empty; anything
-    else stays.  An ``--out`` whose nearest existing ancestor is not a
-    directory raises ``ValidationError`` (exit 2) on entry, before any work;
-    so does a write that fails later (a full disk, no permission).
+    computes and writes.  Each file is written as soon as it is ready, by
+    ``os.write`` of chunks of at most 1 MiB, and the manifest takes its
+    SHA-256 from the chunks written, reading nothing back.  A file that
+    exists already is written over in place and cut to length after its last
+    byte, not truncated to zero when it is opened, at the cost of crash
+    safety (see the module docstring): it keeps its inode and permission
+    bits, and a symlink or hard link to it is written through; a new file,
+    one no longer than the new bytes, and one that is not a regular file
+    (``/dev/null``) are written without the cut.  An ``--out`` that is a
+    directory already is used as it is; a missing one is made at the first
+    write, so a command that fails before writing leaves nothing behind.
+    When the block raises, the files this run wrote are removed, and so are
+    the directories on the way to it that were missing at the start, if they
+    are empty; anything else stays.  An empty ``--out``, or one whose nearest
+    existing ancestor is not a directory, raises ``ValidationError``
+    (exit 2) on entry, before any work; so does a write that fails later (a
+    full disk, no permission).
     """
 
     def __init__(self, outdir: str) -> None:
+        self.given = outdir  # as given: Path("") would be the working directory
         self.dir = Path(outdir)
         self.missing: list[Path] = []  # deepest first
-        self.written: list[Path] = []
+        self.written: list[str] = []  # file names
         self.digests: list[str] = []  # SHA-256 of each written file's bytes
 
     def __enter__(self) -> _Outputs:
+        if not self.given:
+            raise ValidationError("--out needs a directory, got ''")
+        if os.path.isdir(self.given):
+            return self
         try:
             for path in (self.dir, *self.dir.parents):
                 if path.exists():
@@ -183,47 +248,52 @@ class _Outputs:
     def __exit__(self, exc_type, exc, tb) -> None:
         if exc_type is None:
             return
-        for path in self.written:
+        for name in self.written:
             with contextlib.suppress(OSError):
-                path.unlink()
+                os.unlink(os.path.join(self.given, name))
         for path in self.missing:
             with contextlib.suppress(OSError):
                 path.rmdir()
 
-    def write_lines(self, name: str, lines: Iterable[str]) -> Path:
-        """Write the strings of ``lines`` one after another, each as it comes,
+    def write_lines(self, name: str, lines: Iterable[str]) -> None:
+        """Write the strings of ``lines`` one after another, as they come,
         hashing the bytes as they are written."""
-        path = self.dir / name
+        path = os.path.join(self.given, name)
         digest = hashlib.sha256()
+        size = 0
         try:
-            if not self.written:
+            if self.missing and not self.written:
                 self.dir.mkdir(parents=True, exist_ok=True)
-            with open(path, "wb", opener=_open_in_place) as handle:
-                self.written.append(path)
-                for line in lines:
-                    data = line.encode()
-                    handle.write(data)
+            fd = os.open(path, _WRITE_FLAGS, 0o666)
+            self.written.append(name)
+            try:
+                for data in _chunks(lines):
+                    view = memoryview(data)
+                    while view:
+                        view = view[os.write(fd, view):]
                     digest.update(data)
+                    size += len(data)
                 # cut only a regular file left longer than the new bytes: ftruncate
                 # fails on /dev/null, and elsewhere has nothing to cut
-                old = os.fstat(handle.fileno())
-                if stat.S_ISREG(old.st_mode) and old.st_size > handle.tell():
-                    handle.truncate()
+                old = os.fstat(fd)
+                if stat.S_ISREG(old.st_mode) and old.st_size > size:
+                    os.ftruncate(fd, size)
+            finally:
+                os.close(fd)
         except OSError as exc:
             raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from exc
         self.digests.append(digest.hexdigest())
-        return path
 
-    def write_text(self, name: str, text: str) -> Path:
-        return self.write_lines(name, [text])
+    def write_text(self, name: str, text: str) -> None:
+        self.write_lines(name, [text])
 
-    def manifest(self, command: str, config: dict, seeds=(), health=None) -> Path:
+    def manifest(self, command: str, config: dict, seeds=(), health=None) -> None:
         """Write manifest.json with the digests of every file written so far;
         ``health`` holds the run's numeric-health counters (clamped
         variances, optimizer convergence) when given."""
         entries = [
-            {"path": path.name, "sha256": digest}
-            for path, digest in zip(self.written, self.digests)
+            {"path": name, "sha256": digest}
+            for name, digest in zip(self.written, self.digests)
         ]
         doc = {
             "command": command,
@@ -236,7 +306,7 @@ class _Outputs:
         }
         if health is not None:
             doc["health"] = health
-        return self.write_text("manifest.json", json.dumps(doc, indent=2) + "\n")
+        self.write_text("manifest.json", _json_text(doc) + "\n")
 
 
 def _grid_csv(betas: np.ndarray, gammas: np.ndarray, values: np.ndarray) -> Iterator[str]:
@@ -362,7 +432,7 @@ def cmd_fit_spec(args) -> int:
             "sigmas": list(fit.spec.sigmas),
             "warnings": list(fit.warnings),
         }
-        outputs.write_text("fitted_spec.json", json.dumps(doc, indent=2) + "\n")
+        outputs.write_text("fitted_spec.json", _json_text(doc) + "\n")
         outputs.manifest("fit-spec", {"instance_file": str(args.instance_file)})
     print("sigmas:", ",".join(repr(s) for s in fit.spec.sigmas))
     for warning in fit.warnings:
@@ -376,15 +446,15 @@ def cmd_sample(args) -> int:
         raise ValidationError("sample needs exactly one model, not a --pure-d range")
     [(label, spec)] = specs
     inst = model.sample_instance(spec, args.n, args.seed)
+    name = f"instance_{label}_n{args.n}_seed{args.seed}.txt"
     with _Outputs(args.out) as outputs:
-        path = outputs.write_text(f"instance_{label}_n{args.n}_seed{args.seed}.txt",
-                                  model.instance_to_text(inst))
+        outputs.write_text(name, model.instance_to_text(inst))
         outputs.manifest(
             "sample",
             {"spec": list(spec.sigmas), "n": args.n, "seed": args.seed},
             seeds=[args.seed],
         )
-    print(f"wrote instance to {path}")
+    print(f"wrote instance to {outputs.dir / name}")
     return 0
 
 

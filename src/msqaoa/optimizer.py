@@ -8,9 +8,13 @@ within a proven rounding bound (``_screen``), and only the cells that bound
 cannot rule out as the minimum, usually its symmetric pair, get the Horner
 recurrence (``_grid_minimum``).  The start and grid value are those of the
 whole ``energy_sigma_grid``, bit for bit; the expansion cancels at large d,
-so it never supplies a reported number.  An optimization takes about
-0.14 to 0.38 ms for pure d = 2..24 on a 2-vCPU Xeon, against 0.17 to 1.1 ms
-when the scan evaluated the whole grid.  Then a safeguarded Newton descent
+so it never supplies a reported number.  Its beta factors, the powers of
+cos 2b and sin 2b on the scan's fixed betas, depend on no model and are
+built once at import (``_beta_tables``, 19 kB); a call builds only the
+model's coefficients and the powers of D.  An optimization takes about
+0.14 to 0.48 ms for pure d = 2..24, against 0.22 to 0.52 ms when the screen
+built its beta factors per call (2-vCPU Xeon, scaled to the benchmark's
+nominal host).  Then a safeguarded Newton descent
 on the closed form's exact gradient and Hessian
 (``closed_form.energy_derivatives``) polishes the best cell.  A step is the
 Newton step where the Hessian is positive definite and the negative gradient
@@ -41,7 +45,7 @@ from .closed_form import (
     energy_sigma_grid,
 )
 from .errors import ValidationError
-from .model import MixtureSpec
+from .model import MAX_DEGREE, MixtureSpec
 
 __all__ = [
     "Optimum",
@@ -51,6 +55,29 @@ __all__ = [
 
 
 _POLISH_BUDGET = 500  # bound on the polish's evaluations
+
+
+def _beta_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The scan's 65 betas in [-pi/4, pi/4] and the screen's beta factors,
+    which no model changes: with c = cos 2b and s = sin 2b from the ``math``
+    calls of ``energy_sigma_grid``, c^0..c^(MAX_DEGREE - 1) and s^1, s^3, ...
+    up to MAX_DEGREE, by repeated products.  A degree d reads the first d and
+    ceil(d/2) columns, the products a table of d columns would hold, bit for
+    bit.  All three arrays are read-only."""
+    betas = np.linspace(-math.pi / 4, math.pi / 4, 65)
+    c = np.array([math.cos(2 * b) for b in betas.tolist()])
+    s = np.array([math.sin(2 * b) for b in betas.tolist()])
+    c_powers = np.ones((len(c), MAX_DEGREE))
+    c_powers[:, 1:] = c[:, None]
+    s_powers = np.empty((len(s), (MAX_DEGREE + 1) // 2))
+    s_powers[:, 0], s_powers[:, 1:] = s, (s * s)[:, None]
+    tables = betas, np.cumprod(c_powers, axis=1), np.cumprod(s_powers, axis=1)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+_BETAS, _COS_POWERS, _SIN_POWERS = _beta_tables()
 
 
 @dataclass(frozen=True)
@@ -144,11 +171,10 @@ def _newton_polish(
     return x, iterations
 
 
-def _screen(
-    spec: MixtureSpec, betas: np.ndarray, gammas: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The energy on a (betas, gammas) grid through the separable expansion,
-    and per gamma a bound on its distance from ``energy_sigma_grid``.
+def _screen(spec: MixtureSpec, gammas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The energy on the grid of the scan's betas and ``gammas`` through the
+    separable expansion, and per gamma a bound on its distance from
+    ``energy_sigma_grid``.
 
     With c = cos 2b, s = sin 2b and D = exp(-2 g^2 xi'(1)), taken from the
     same ``math`` calls as ``energy_sigma_grid``, and a_q = sigma_q^2/q!,
@@ -157,6 +183,8 @@ def _screen(
         P_j(c) = sum_{q >= j} a_q C(q, j) c^(q-j),
 
     one matmul of a beta matrix (s^j P_j(c)) and a gamma matrix (D^j).
+    The powers of c and s are the module's tables; only the coefficients
+    and the powers of D depend on the model.
     Its terms cancel at large d, so it only screens; every reported
     number comes from the Horner recurrence.
 
@@ -188,30 +216,23 @@ def _screen(
         k[: d + 1 - j, m] = [(-1) ** m * a[q] * math.comb(q, j) for q in range(j, d + 1)]
     total = sum(a[q] * 2.0 ** (q - 1) for q in range(1, d + 1))
     rate = damping_rate(spec)
-    c = np.array([math.cos(2 * b) for b in betas.tolist()])
-    s = np.array([math.sin(2 * b) for b in betas.tolist()])
     damp = np.array([math.exp(-2 * g * g * rate) for g in gammas.tolist()])
     with np.errstate(over="ignore", invalid="ignore"):
-        # c^0..c^(d-1), s^j and D^j for odd j, each by repeated products
-        c_powers = np.ones((len(c), d))
-        c_powers[:, 1:] = c[:, None]
-        s_powers = np.empty((len(s), len(odd)))
-        s_powers[:, 0], s_powers[:, 1:] = s, (s * s)[:, None]
+        # D^j for odd j by repeated products, as the tables hold c and s
         d_powers = np.empty((len(odd), len(damp)))
         d_powers[0], d_powers[1:] = damp, damp * damp
-        beta_part = np.cumprod(c_powers, axis=1) @ k * np.cumprod(s_powers, axis=1)
+        beta_part = _COS_POWERS[:, :d] @ k * _SIN_POWERS[:, : len(odd)]
         values = gammas * (2 * (beta_part @ np.cumprod(d_powers, axis=0)))
         scale = 4 * (d + 2) ** 2 * 2.0**-53 * total + 2.0**-1050
         bounds = np.abs(2 * gammas) * scale + 2.0**-1073
     return values, bounds
 
 
-def _grid_minimum(
-    spec: MixtureSpec, betas: np.ndarray, gammas: np.ndarray
-) -> tuple[float, tuple[float, float]]:
+def _grid_minimum(spec: MixtureSpec) -> tuple[float, tuple[float, float]]:
     """(value, (beta, gamma)) of the first row-major minimum below inf of
-    ``energy_sigma_grid`` on the grid, as a strict-< scan from inf keeps it;
-    with no such value, inf and the first cell.
+    ``energy_sigma_grid`` on the grid of ``_scan_axes``, as a strict-< scan
+    from inf keeps it; with no such value, inf and the first cell.
+    ValidationError when the gamma range cannot be formed in floats.
 
     ``_screen`` rules out every cell whose value is surely above another
     cell's; the rest, usually the two cells of the minimum's symmetric pair
@@ -219,7 +240,8 @@ def _grid_minimum(
     the grid bit for bit.  The whole grid is read when the screen is not
     finite or a candidate's value is not below inf.
     """
-    values, bounds = _screen(spec, betas, gammas)
+    betas, gammas = _scan_axes(spec)
+    values, bounds = _screen(spec, gammas)
     with np.errstate(over="ignore", invalid="ignore"):
         low, high = values - bounds, values + bounds
     # high is finite only where the value and its bound are
@@ -242,9 +264,10 @@ def _grid_minimum(
 
 
 def _scan_axes(spec: MixtureSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The scan's 65 betas in [-pi/4, pi/4] and 65 gammas in +-2/sqrt(rate),
-    rate = xi'(1) (``damping_rate``); ValidationError when that gamma range
-    cannot be formed in floats."""
+    """The scan's 65 betas in [-pi/4, pi/4], the same read-only array for
+    every model, and 65 gammas in +-2/sqrt(rate), rate = xi'(1)
+    (``damping_rate``); ValidationError when that gamma range cannot be
+    formed in floats."""
     rate = damping_rate(spec)
     if not rate > 0:
         raise ValidationError(
@@ -260,7 +283,7 @@ def _scan_axes(spec: MixtureSpec) -> tuple[np.ndarray, np.ndarray]:
             "that g*g*rate overflows on the gamma range +-2/sqrt(rate)"
         )
 
-    return np.linspace(-math.pi / 4, math.pi / 4, 65), np.linspace(-gmax, gmax, 65)
+    return _BETAS, np.linspace(-gmax, gmax, 65)
 
 
 def optimize_closed_form(spec: MixtureSpec) -> Optimum:
@@ -270,7 +293,7 @@ def optimize_closed_form(spec: MixtureSpec) -> Optimum:
     ``_grid_minimum``, then polishes it with ``_newton_polish``.
     ValidationError when the gamma range cannot be formed in floats.
     """
-    grid_best, x0 = _grid_minimum(spec, *_scan_axes(spec))
+    grid_best, x0 = _grid_minimum(spec)
 
     x, iterations = _newton_polish(spec, x0, grid_best, _POLISH_BUDGET)
     # Canonicalizing can move beta by pi, which rounds; keep the contract that

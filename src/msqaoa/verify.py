@@ -59,7 +59,7 @@ class VerifyReport:
         return all(r.passed for r in self.results)
 
     def to_json(self) -> str:
-        return json.dumps(
+        return cli._json_text(
             {
                 "level": self.level,
                 "passed": self.passed,
@@ -73,7 +73,6 @@ class VerifyReport:
                     for r in self.results
                 ],
             },
-            indent=2,
         )
 
 
@@ -146,13 +145,13 @@ def _optimizer_scan() -> tuple[bool, dict]:
     for spec in specs:
         betas, gammas = optimizer._scan_axes(spec)
         grid = closed_form.energy_sigma_grid(spec, betas, gammas)
-        values, bounds = optimizer._screen(spec, betas, gammas)
+        values, bounds = optimizer._screen(spec, gammas)
         error = np.abs(values - grid)
         with np.errstate(divide="ignore", invalid="ignore"):  # a zero bound
             worst = max(worst, float(np.max(np.where(error > 0, error / bounds, 0.0))))
         full = np.unravel_index(np.argmin(grid), grid.shape)
         want = (float(grid[full]), (float(betas[full[0]]), float(gammas[full[1]])))
-        mismatches += repr(optimizer._grid_minimum(spec, betas, gammas)) != repr(want)
+        mismatches += repr(optimizer._grid_minimum(spec)) != repr(want)
         moved += np.unravel_index(np.argmin(values), grid.shape) != full
     return mismatches == 0 and worst <= 1 and moved > 0, {
         "models": len(specs),

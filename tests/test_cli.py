@@ -1213,8 +1213,9 @@ def test_grid_csv_is_written_a_row_at_a_time(tmp_path):
     rest = list(lines)
     assert rest == ["0.0,0.0,0.25\n", "0.5,0.125,-0.5\n", "1.0,1e-300,2.0\n"]
     with cli._Outputs(str(tmp_path)) as outputs:
-        a = outputs.write_lines("a.csv", cli._grid_csv(betas, gammas, values))
-        b = outputs.write_text("b.csv", "beta,-1.0,1.0\n" + "".join(rest))
+        outputs.write_lines("a.csv", cli._grid_csv(betas, gammas, values))
+        outputs.write_text("b.csv", "beta,-1.0,1.0\n" + "".join(rest))
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert a.read_bytes() == b.read_bytes()
     digest = hashlib.sha256(a.read_bytes()).hexdigest()
     assert outputs.digests == [digest, digest]
@@ -1303,3 +1304,94 @@ def test_an_output_symlinked_to_dev_null_is_written_through(tmp_path, capsys):
     assert (out / "optimum.csv").is_symlink()
     assert os.readlink(out / "optimum.csv") == os.devnull
     assert (out / "manifest.json").is_file()
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_an_empty_out_is_refused(tmp_path, capsys, monkeypatch, command):
+    # Path("") is the working directory; an empty --out must not write there
+    argv = list(_COMMANDS[command])
+    if command == "fit-spec":
+        assert main(["sample", "--sk", "--n", "5", "--out", str(tmp_path / "inst")]) == 0
+        argv.append(str(next((tmp_path / "inst").glob("instance_*.txt"))))
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    capsys.readouterr()
+    for out in (["--out", ""], ["--out="]):
+        assert main(argv + out) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: --out needs a directory, got ''"]
+    assert list(cwd.iterdir()) == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.text(max_size=12), max_size=12), st.integers(1, 9))
+def test_chunks_join_to_the_encoded_lines(lines, size):
+    chunks = list(cli._chunks(lines, size))
+    assert b"".join(chunks) == "".join(lines).encode()
+    texts = [chunk.decode() for chunk in chunks]
+    assert all(len(text) == size for text in texts[:-1])
+    assert all(0 < len(text) <= size for text in texts)
+
+
+def test_a_landscape_larger_than_one_chunk(tmp_path, capsys, monkeypatch):
+    # CSVs of 2.3 and 2.1 MB take three and two chunks; rewritten in place
+    # over a longer file and over a shorter one, each must hold exactly a
+    # fresh run's bytes
+    big = ["landscape", "--sk", "--beta=0:1:1200", "--gamma=-1:1:100"]
+    smaller = ["landscape", "--sk", "--beta=0:1:1000", "--gamma=-1:1:100"]
+    name = "landscape_sk_infinite.csv"
+    writes = []
+    real_write = os.write
+
+    def counted(fd, data):
+        writes.append(len(data))
+        return real_write(fd, data)
+
+    out = tmp_path / "out"
+    for step, argv in enumerate([big, smaller, big]):
+        monkeypatch.setattr(os, "write", counted)
+        writes.clear()
+        old_size = (out / name).stat().st_size if out.exists() else 0
+        assert main(argv + ["--out", str(out)]) == 0
+        monkeypatch.undo()
+        fresh = tmp_path / f"fresh{step}"
+        assert main(argv + ["--out", str(fresh)]) == 0
+        got, want = (out / name).read_bytes(), (fresh / name).read_bytes()
+        assert len(want) > cli._CHUNK and len(want) != old_size
+        assert len(got) == len(want) and got == want
+        assert max(writes) <= cli._CHUNK and len(writes) >= 3  # the CSV's and the manifest
+        assert _manifest_digests_match(out)
+    capsys.readouterr()
+
+
+_JSON_LEAVES = (
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e300])
+    | st.text()
+)
+_JSON_DOCUMENTS = st.recursive(
+    _JSON_LEAVES,
+    lambda children: (
+        st.lists(children, max_size=4) | st.lists(children, max_size=3).map(tuple)
+        | st.dictionaries(st.text(max_size=6), children, max_size=4)
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_DOCUMENTS)
+def test_json_text_is_json_dumps(doc):
+    # the formatter behind every JSON file, against json.dumps itself; the
+    # suite also checks every document it formats (tests/conftest.py)
+    real = getattr(cli._json_text, "__wrapped__", cli._json_text)
+    assert real(doc) == json.dumps(doc, indent=2)
+
+
+def test_json_text_refuses_what_json_dumps_refuses():
+    real = getattr(cli._json_text, "__wrapped__", cli._json_text)
+    for doc in ({"a": np.float32(1.0)}, [object()], {"a": {1, 2}}):
+        with pytest.raises(TypeError):
+            json.dumps(doc, indent=2)
+        with pytest.raises(TypeError):
+            real(doc)

@@ -168,7 +168,7 @@ def _scan_sees(monkeypatch, grid):
     monkeypatch.setattr(
         optimizer,
         "_screen",
-        lambda spec, betas, gammas: (np.full(grid.shape, math.nan), np.zeros(len(gammas))),
+        lambda spec, gammas: (np.full(grid.shape, math.nan), np.zeros(len(gammas))),
     )
     monkeypatch.setattr(optimizer, "energy_sigma_grid", lambda *args: grid.copy())
 
@@ -243,17 +243,41 @@ def _full_grid_minimum(spec):
 class TestScreen:
     """``optimizer._screen``'s bound and the cells it lets through."""
 
+    def test_beta_tables_are_the_per_call_products(self):
+        # the tables built once at import hold, for every degree, the bits
+        # the screen used to compute per call on the scan's betas
+        scan_betas = {id(optimizer._scan_axes(spec)[0]) for spec in SCREENED_SPECS}
+        assert scan_betas == {id(optimizer._BETAS)}
+        betas = optimizer._BETAS
+        assert betas.tobytes() == np.linspace(-math.pi / 4, math.pi / 4, 65).tobytes()
+        c = np.array([math.cos(2 * b) for b in betas.tolist()])
+        s = np.array([math.sin(2 * b) for b in betas.tolist()])
+        assert optimizer._COS_POWERS[:, 1].tobytes() == c.tobytes()
+        assert optimizer._SIN_POWERS[:, 0].tobytes() == s.tobytes()
+        for d in range(1, 25):
+            odd = range(1, d + 1, 2)
+            c_powers = np.ones((len(c), d))
+            c_powers[:, 1:] = c[:, None]
+            s_powers = np.empty((len(s), len(odd)))
+            s_powers[:, 0], s_powers[:, 1:] = s, (s * s)[:, None]
+            want_c, want_s = np.cumprod(c_powers, axis=1), np.cumprod(s_powers, axis=1)
+            assert optimizer._COS_POWERS[:, :d].tobytes() == want_c.tobytes()
+            assert optimizer._SIN_POWERS[:, : len(odd)].tobytes() == want_s.tobytes()
+        for table in (optimizer._BETAS, optimizer._COS_POWERS, optimizer._SIN_POWERS):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0.0
+
     @pytest.mark.parametrize("spec", SCREENED_SPECS)
     def test_bound_covers_every_cell(self, spec):
         betas, gammas = optimizer._scan_axes(spec)
-        values, bounds = optimizer._screen(spec, betas, gammas)
+        values, bounds = optimizer._screen(spec, gammas)
         grid = energy_sigma_grid(spec, betas, gammas)
         assert np.isfinite(values).all() and np.isfinite(bounds).all()
         assert (np.abs(values - grid) <= bounds).all()
 
     @pytest.mark.parametrize("spec", SCREENED_SPECS)
     def test_same_minimum_as_the_whole_grid(self, spec):
-        got = optimizer._grid_minimum(spec, *optimizer._scan_axes(spec))
+        got = optimizer._grid_minimum(spec)
         assert repr(got) == repr(_full_grid_minimum(spec))
 
     def test_a_zero_bound_picks_another_start(self, monkeypatch):
@@ -261,14 +285,14 @@ class TestScreen:
         # different cell of a tied or nearly tied minimum
         real = optimizer._screen
 
-        def unbounded(spec, betas, gammas):
-            values, bounds = real(spec, betas, gammas)
+        def unbounded(spec, gammas):
+            values, bounds = real(spec, gammas)
             return values, np.zeros_like(bounds)
 
         monkeypatch.setattr(optimizer, "_screen", unbounded)
         moved = [
             spec for spec in SCREENED_SPECS
-            if repr(optimizer._grid_minimum(spec, *optimizer._scan_axes(spec)))
+            if repr(optimizer._grid_minimum(spec))
             != repr(_full_grid_minimum(spec))
         ]
         assert moved
@@ -286,7 +310,7 @@ class TestScreen:
         monkeypatch.setattr(optimizer, "energy_sigma_form", recording)
         monkeypatch.setattr(optimizer, "energy_sigma_grid", None)
         betas, gammas = optimizer._scan_axes(D3)
-        optimizer._grid_minimum(D3, betas, gammas)
+        optimizer._grid_minimum(D3)
         cells = [(betas.tolist().index(a.beta), gammas.tolist().index(a.gamma)) for a in points]
         assert len(cells) == 2 and cells[0] == (64 - cells[1][0], 64 - cells[1][1])
 
@@ -301,7 +325,7 @@ class TestScreen:
 
         monkeypatch.setattr(optimizer, "energy_sigma_form", lambda spec, angles: value)
         monkeypatch.setattr(optimizer, "energy_sigma_grid", recording)
-        got = optimizer._grid_minimum(D3, *optimizer._scan_axes(D3))
+        got = optimizer._grid_minimum(D3)
         assert len(grids) == 1
         assert repr(got) == repr(_full_grid_minimum(D3))
 
@@ -312,8 +336,8 @@ class TestScreen:
     ):
         real = optimizer._screen
 
-        def broken(spec, betas, gammas):
-            values, bounds = real(spec, betas, gammas)
+        def broken(spec, gammas):
+            values, bounds = real(spec, gammas)
             if where == "values":
                 values[40, 3] = value
             else:
@@ -322,7 +346,7 @@ class TestScreen:
 
         monkeypatch.setattr(optimizer, "_screen", broken)
         monkeypatch.setattr(optimizer, "energy_sigma_form", None)
-        got = optimizer._grid_minimum(D3, *optimizer._scan_axes(D3))
+        got = optimizer._grid_minimum(D3)
         assert repr(got) == repr(_full_grid_minimum(D3))
 
 
