@@ -5,9 +5,14 @@ sum_q sigma_q^2 x^q / q!, comes from one Horner recurrence in real arithmetic
 (``_im_xi``): ``energy_sigma_form`` runs it on floats, ``energy_sigma_grid``
 on arrays, and ``energy_derivatives`` (adding the exact gradient and Hessian
 for the optimizer's Newton polish) takes the same steps in complex
-arithmetic, so all three give one value bit for bit.  Two independent forms
-check it to ~1e-12 relative, a standing cross-check: ``energy_mixture_form``
-(complex arithmetic on the c_q^2) and ``verify``'s explicit degree sum.
+arithmetic, so all three give one value bit for bit.  The two per-point
+forms are thin wrappers over float kernels, ``_energy_at`` and
+``_derivatives_at``, which take a spec's ``_xi_coefficients`` and damping
+rate and the two angles as plain floats; the optimizer calls them directly,
+so its polish builds no ``Angles`` or ``EnergyDerivatives`` per step.  Two
+independent forms check it to ~1e-12 relative, a standing cross-check:
+``energy_mixture_form`` (complex arithmetic on the c_q^2) and ``verify``'s
+explicit degree sum.
 ``Angles`` refuses NaN and +-inf, so no per-point form checks its angles; the
 grid form checks its axes with ``require_finite_grid``.  The model types take
 every degree bound 1..``model.MAX_DEGREE`` and no other, so no form checks
@@ -78,14 +83,21 @@ def _im_xi(coefficients: Sequence[float], c, s):
     return im
 
 
+def _energy_at(coefficients: Sequence[float], rate: float, b: float, g: float) -> float:
+    """``energy_sigma_form`` on plain floats: a spec's ``_xi_coefficients``
+    and damping rate, then beta and gamma, which the caller keeps finite as
+    ``Angles`` would."""
+    damp = math.exp(-2 * g * g * rate)
+    c, s = math.cos(2 * b), math.sin(2 * b) * damp
+    # not (2 * g) * f: past gamma ~ 9e307, 2 * g is inf where the damping
+    # has made f exactly 0; doubling f is exact, so g * 0 stays 0
+    return g * (2 * _im_xi(coefficients, c, s))
+
+
 def energy_sigma_form(spec: MixtureSpec, angles: Angles) -> float:
     """Infinite-n disorder-averaged energy per spin, 2g Im xi(w) with
     w = cos 2b + i sin 2b exp(-2 g^2 xi'(1))."""
-    damp = math.exp(-2 * angles.gamma * angles.gamma * damping_rate(spec))
-    c, s = math.cos(2 * angles.beta), math.sin(2 * angles.beta) * damp
-    # not (2 * g) * f: past gamma ~ 9e307, 2 * g is inf where the damping
-    # has made f exactly 0; doubling f is exact, so g * 0 stays 0
-    return angles.gamma * (2 * _im_xi(spec._xi_coefficients, c, s))
+    return _energy_at(spec._xi_coefficients, damping_rate(spec), angles.beta, angles.gamma)
 
 
 def energy_sigma_grid(
@@ -124,19 +136,11 @@ class EnergyDerivatives:
     hessian: tuple[float, float, float]
 
 
-def energy_derivatives(spec: MixtureSpec, angles: Angles) -> EnergyDerivatives:
-    """Exact value, gradient and Hessian of E = 2g Im xi(w) at one point.
-
-    Here w = cos 2b + i sin 2b D with D = exp(-2 g^2 xi'(1)) and
-    xi(x) = sum_q sigma_q^2 x^q / q!, so every derivative is a short
-    combination of xi, xi', xi'' at w (one Horner pass) and the derivatives
-    of w: w_bb = -4w, and the g derivatives come from D_g = -4 g xi'(1) D.
-    Products are written x*x, so a huge gamma gives inf or NaN gradient and
-    Hessian entries instead of raising OverflowError; the value, g * (2f),
-    stays 0 there.
-    """
-    b, g = angles.beta, angles.gamma
-    rate = damping_rate(spec)
+def _derivatives_at(
+    coefficients: Sequence[float], rate: float, b: float, g: float
+) -> tuple[float, float, float, float, float, float]:
+    """``energy_derivatives`` on plain floats, as for ``_energy_at``: the
+    value, dE/db, dE/dg, E_bb, E_bg and E_gg as one tuple."""
     c, s = math.cos(2 * b), math.sin(2 * b)
     damp = math.exp(-2 * g * g * rate)
     log_damp_g = -4 * g * rate  # D_g / D
@@ -148,7 +152,7 @@ def energy_derivatives(spec: MixtureSpec, angles: Angles) -> EnergyDerivatives:
     w_bb = -4 * w
     # Horner for xi, xi' and xi''/2 together; x0 is _im_xi's recurrence
     x0 = x1 = x2 = 0j
-    for a in reversed(spec._xi_coefficients):
+    for a in reversed(coefficients):
         x2 = x2 * w + x1
         x1 = x1 * w + x0
         x0 = x0 * w + complex(a)
@@ -159,11 +163,31 @@ def energy_derivatives(spec: MixtureSpec, angles: Angles) -> EnergyDerivatives:
     f_bb = (x2 * w_b * w_b + x1 * w_bb).imag
     f_bg = (x2 * w_b * w_g + x1 * w_bg).imag
     f_gg = (x2 * w_g * w_g + x1 * w_gg).imag
-    return EnergyDerivatives(
-        value=g * (2 * f),
-        gradient=(2 * g * f_b, 2 * f + 2 * g * f_g),
-        hessian=(2 * g * f_bb, 2 * f_b + 2 * g * f_bg, 4 * f_g + 2 * g * f_gg),
+    return (
+        g * (2 * f),
+        2 * g * f_b,
+        2 * f + 2 * g * f_g,
+        2 * g * f_bb,
+        2 * f_b + 2 * g * f_bg,
+        4 * f_g + 2 * g * f_gg,
     )
+
+
+def energy_derivatives(spec: MixtureSpec, angles: Angles) -> EnergyDerivatives:
+    """Exact value, gradient and Hessian of E = 2g Im xi(w) at one point.
+
+    Here w = cos 2b + i sin 2b D with D = exp(-2 g^2 xi'(1)) and
+    xi(x) = sum_q sigma_q^2 x^q / q!, so every derivative is a short
+    combination of xi, xi', xi'' at w (one Horner pass) and the derivatives
+    of w: w_bb = -4w, and the g derivatives come from D_g = -4 g xi'(1) D.
+    Products are written x*x, so a huge gamma gives inf or NaN gradient and
+    Hessian entries instead of raising OverflowError; the value, g * (2f),
+    stays 0 there.
+    """
+    value, e_b, e_g, e_bb, e_bg, e_gg = _derivatives_at(
+        spec._xi_coefficients, damping_rate(spec), angles.beta, angles.gamma
+    )
+    return EnergyDerivatives(value=value, gradient=(e_b, e_g), hessian=(e_bb, e_bg, e_gg))
 
 
 _D3_SPEC = pure_d_spec(3)

@@ -8,24 +8,36 @@ within a proven rounding bound (``_screen``), and only the cells that bound
 cannot rule out as the minimum, usually its symmetric pair, get the Horner
 recurrence (``_grid_minimum``).  The start and grid value are those of the
 whole ``energy_sigma_grid``, bit for bit; the expansion cancels at large d,
-so it never supplies a reported number.  Its beta factors, the powers of
-cos 2b and sin 2b on the scan's fixed betas, depend on no model and are
-built once at import (``_beta_tables``, 19 kB); a call builds only the
-model's coefficients and the powers of D.  An optimization takes about
-0.14 to 0.48 ms for pure d = 2..24, against 0.22 to 0.52 ms when the screen
-built its beta factors per call (2-vCPU Xeon, scaled to the benchmark's
-nominal host).  Then a safeguarded Newton descent
-on the closed form's exact gradient and Hessian
-(``closed_form.energy_derivatives``) polishes the best cell.  A step is the
-Newton step where the Hessian is positive definite and the negative gradient
-elsewhere, halved until the energy does not increase, so the polish only
-ever descends from the grid value; it stops after at most 500 evaluations.
+so it never supplies a reported number.  What depends on no model is built
+once at import: the beta factors, the powers of cos 2b and sin 2b on the
+scan's fixed betas (``_beta_tables``, 19 kB), the signed binomials of the
+coefficient matrix (``_signed_binomial_tables``) and the arange from which
+the gammas take ``np.linspace``'s own steps (``_scan_gammas``).  A call builds
+only the model's coefficients and the powers of D.
+
+Then a safeguarded Newton descent on the closed form's exact gradient and
+Hessian polishes the best cell.  A step is the Newton step where the Hessian
+is positive definite and the negative gradient elsewhere, halved until the
+energy does not increase, so the polish only ever descends from the grid
+value; it stops after at most 500 evaluations.  It runs on plain floats
+through ``closed_form._derivatives_at`` and ``closed_form._energy_at``, the
+kernels behind ``energy_derivatives`` and ``energy_sigma_form``, so every
+number is theirs, bit for bit, and no step builds an ``Angles``.  An
+optimization takes about 0.11 to 0.28 ms for pure d = 2..24, against 0.13 to
+0.40 ms when the polish went through the public calls (2-vCPU Xeon, scaled
+to the benchmark's nominal host).
 The reported optimum is one representative of its class under
 beta -> beta + pi and (beta, gamma) -> (-beta, -gamma) (``_canonical``):
 gamma* <= 0 and beta* in (-pi/2, pi/2] are enforced; beta* >= 0 is observed
 on pure d = 1..24 and 601 mixtures, not enforced.  It counts as
 converged when the exact gradient there is below 1e-7 and the exact Hessian
-is positive definite.
+is positive definite.  The polish's stop after a step that leaves the energy
+unchanged can end close to that threshold: on the 16th of the 600 seeded
+mixtures of ``tests/data/optimum_mixtures_81.csv`` (d = 18) it ends at
+|grad E| = 4.1e-8, within a factor 2.5 of 1e-7.  A last-bit change in the
+polish's arithmetic could therefore flip ``converged``, so its float
+operations keep their order; a certified gap (ROADMAP item 13) is to
+replace the threshold.
 """
 
 from __future__ import annotations
@@ -38,10 +50,9 @@ import numpy as np
 
 from .closed_form import (
     Angles,
-    EnergyDerivatives,
+    _derivatives_at,
+    _energy_at,
     damping_rate,
-    energy_derivatives,
-    energy_sigma_form,
     energy_sigma_grid,
 )
 from .errors import ValidationError
@@ -78,6 +89,31 @@ def _beta_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 _BETAS, _COS_POWERS, _SIN_POWERS = _beta_tables()
+_STEPS = np.arange(65.0)  # linspace's own arange for the gamma axis
+_STEPS.flags.writeable = False
+
+# The screen's coefficient buffer holds a_0..a_d from 0 and -a_0..-a_d from
+# _NEGATED, +0.0 elsewhere; q = r + j stays below _NEGATED.
+_NEGATED = 2 * MAX_DEGREE
+
+
+def _signed_binomial_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The screen's coefficient matrix k[r, m] = (-1)^m a_q C(q, j),
+    j = 2m + 1, q = r + j, for every degree at once: the place of (-1)^m a_q
+    in the coefficient buffer, and C(q, j) as a float.  A degree d reads the
+    first d rows and ceil(d/2) columns; where q > d, the place holds +0.0,
+    so k is zero there as a per-call ``np.zeros`` leaves it.  Both arrays
+    are read-only."""
+    odd = range(1, MAX_DEGREE + 1, 2)
+    signs = np.arange(len(odd)) % 2  # m odd reads the negated copy
+    places = np.arange(MAX_DEGREE)[:, None] + np.array(odd) + _NEGATED * signs
+    binomials = np.array([[math.comb(r + j, j) for j in odd] for r in range(MAX_DEGREE)], float)
+    for table in (places, binomials):
+        table.flags.writeable = False
+    return places, binomials
+
+
+_PLACES, _BINOMIALS = _signed_binomial_tables()
 
 
 @dataclass(frozen=True)
@@ -103,26 +139,29 @@ def _canonical(angles: Angles) -> Angles:
     return Angles(beta, angles.gamma)
 
 
-def _finite(*values: float) -> bool:
-    return all(math.isfinite(v) for v in values)
+def _positive_definite(hbb: float, hbg: float, hgg: float) -> bool:
+    return (
+        math.isfinite(hbb) and math.isfinite(hbg) and math.isfinite(hgg)
+        and hbb > 0 and hbb * hgg - hbg * hbg > 0
+    )
 
 
-def _positive_definite(der: EnergyDerivatives) -> bool:
-    hbb, hbg, hgg = der.hessian
-    return _finite(hbb, hbg, hgg) and hbb > 0 and hbb * hgg - hbg * hbg > 0
-
-
-def _descent_direction(der: EnergyDerivatives) -> Optional[tuple[float, float]]:
+def _descent_direction(
+    der: tuple[float, float, float, float, float, float]
+) -> Optional[tuple[float, float]]:
     """The Newton step where the Hessian is positive definite, else the
-    negative gradient; None when a derivative is not finite."""
-    gb, gg = der.gradient
-    hbb, hbg, hgg = der.hessian
-    if not _finite(gb, gg, hbb, hbg, hgg):
+    negative gradient; None when a derivative is not finite.  ``der`` is
+    ``closed_form._derivatives_at``'s tuple."""
+    _, gb, gg, hbb, hbg, hgg = der
+    if not (
+        math.isfinite(gb) and math.isfinite(gg)
+        and math.isfinite(hbb) and math.isfinite(hbg) and math.isfinite(hgg)
+    ):
         return None
-    if _positive_definite(der):
-        det = hbb * hgg - hbg * hbg
+    det = hbb * hgg - hbg * hbg
+    if hbb > 0 and det > 0:
         newton = ((hbg * gg - hgg * gb) / det, (hbg * gb - hbb * gg) / det)
-        if _finite(*newton):
+        if math.isfinite(newton[0]) and math.isfinite(newton[1]):
             return newton
     return (-gb, -gg)
 
@@ -132,32 +171,40 @@ def _newton_polish(
 ) -> tuple[tuple[float, float], int]:
     """Descend from x0, whose energy is ``value``, by safeguarded Newton steps.
 
-    Each iteration takes the exact derivatives at x (one evaluation) and
-    tries the step of ``_descent_direction``, halving it until
-    ``energy_sigma_form`` does not increase (one evaluation per finite trial
-    point; a non-finite trial point is halved without being evaluated).
+    Each iteration takes the exact derivatives at x from
+    ``_derivatives_at`` (one evaluation) and tries the step of
+    ``_descent_direction``, halving it until the energy from ``_energy_at``
+    does not increase (one evaluation per finite trial point; a non-finite
+    trial point is halved without being evaluated).  Both run on plain
+    floats and give ``energy_derivatives``' and ``energy_sigma_form``'s
+    numbers, bit for bit.
     The polish stops on a non-finite derivative, on a step below the float
     spacing of x (rounding noise of an already stationary point), when no
     step is accepted, after a step that leaves the energy unchanged (flat to
     rounding), or when ``budget`` evaluations are used up.  Returns the last
     accepted point and the number of derivative evaluations.
     """
+    coefficients, rate = spec._xi_coefficients, damping_rate(spec)
     x = x0
     evaluations = iterations = 0
     while evaluations < budget:
-        der = energy_derivatives(spec, Angles(*x))
+        b, g = x
+        der = _derivatives_at(coefficients, rate, b, g)
         evaluations += 1
         iterations += 1
         direction = _descent_direction(der)
-        if direction is None or all(abs(d) < math.ulp(v) for d, v in zip(direction, x)):
+        if direction is None:
+            break
+        db, dg = direction
+        if abs(db) < math.ulp(b) and abs(dg) < math.ulp(g):
             break
         step, accepted = 1.0, None
         while accepted is None and evaluations < budget:
-            trial = (x[0] + step * direction[0], x[1] + step * direction[1])
-            if trial == x:
+            tb, tg = b + step * db, g + step * dg
+            if tb == b and tg == g:
                 break
-            if _finite(*trial):
-                trial_value = energy_sigma_form(spec, Angles(*trial))
+            if math.isfinite(tb) and math.isfinite(tg):
+                trial_value = _energy_at(coefficients, rate, tb, tg)
                 evaluations += 1
                 if trial_value <= value:
                     accepted = trial_value
@@ -165,10 +212,22 @@ def _newton_polish(
         if accepted is None:
             break
         flat = accepted == value
-        x, value = trial, accepted
+        x, value = (tb, tg), accepted
         if flat:
             break
     return x, iterations
+
+
+def _coefficient_matrix(a: tuple[float, ...]) -> np.ndarray:
+    """k[q - j, m] = (-1)^m a_q C(q, j) for j = 2m + 1 <= d = len(a) - 1,
+    zero where q > d; each entry is the product ``(-1) ** m * a[q] *
+    math.comb(q, j)``, bit for bit, from ``_signed_binomial_tables``."""
+    d = len(a) - 1
+    buffer = np.zeros(2 * _NEGATED)
+    buffer[: d + 1] = a
+    np.negative(buffer[: d + 1], out=buffer[_NEGATED : _NEGATED + d + 1])
+    half = (d + 1) // 2
+    return buffer[_PLACES[:d, :half]] * _BINOMIALS[:d, :half]
 
 
 def _screen(spec: MixtureSpec, gammas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -183,8 +242,9 @@ def _screen(spec: MixtureSpec, gammas: np.ndarray) -> tuple[np.ndarray, np.ndarr
         P_j(c) = sum_{q >= j} a_q C(q, j) c^(q-j),
 
     one matmul of a beta matrix (s^j P_j(c)) and a gamma matrix (D^j).
-    The powers of c and s are the module's tables; only the coefficients
-    and the powers of D depend on the model.
+    The powers of c and s are the module's tables, and the coefficients
+    come from its signed binomials (``_coefficient_matrix``); only a_q and
+    the powers of D depend on the model.
     Its terms cancel at large d, so it only screens; every reported
     number comes from the Horner recurrence.
 
@@ -210,10 +270,7 @@ def _screen(spec: MixtureSpec, gammas: np.ndarray) -> tuple[np.ndarray, np.ndarr
     a = spec._xi_coefficients
     d = spec.d
     odd = range(1, d + 1, 2)
-    # k[q - j, m] = (-1)^m a_q C(q, j) for j = 2m + 1, so P_j(c) = c-powers @ k
-    k = np.zeros((d, len(odd)))
-    for m, j in enumerate(odd):
-        k[: d + 1 - j, m] = [(-1) ** m * a[q] * math.comb(q, j) for q in range(j, d + 1)]
+    k = _coefficient_matrix(a)  # P_j(c) = c-powers @ k
     total = sum(a[q] * 2.0 ** (q - 1) for q in range(1, d + 1))
     rate = damping_rate(spec)
     damp = np.array([math.exp(-2 * g * g * rate) for g in gammas.tolist()])
@@ -236,27 +293,32 @@ def _grid_minimum(spec: MixtureSpec) -> tuple[float, tuple[float, float]]:
 
     ``_screen`` rules out every cell whose value is surely above another
     cell's; the rest, usually the two cells of the minimum's symmetric pair
-    (b, g) ~ (-b, -g), are evaluated by ``energy_sigma_form``, which equals
-    the grid bit for bit.  The whole grid is read when the screen is not
-    finite or a candidate's value is not below inf.
+    (b, g) ~ (-b, -g), are evaluated by ``_energy_at``, the kernel of
+    ``energy_sigma_form``, which equals the grid bit for bit.  The whole
+    grid is read when the screen is not finite or a candidate's value is
+    not below inf.
     """
     betas, gammas = _scan_axes(spec)
     values, bounds = _screen(spec, gammas)
     with np.errstate(over="ignore", invalid="ignore"):
         low, high = values - bounds, values + bounds
-    # high is finite only where the value and its bound are
-    if np.isfinite(high).all():
+    lowest = high.min()
+    # high is finite only where the value and its bound are; its min and max
+    # are both finite only where every cell's is, as NaN propagates
+    if math.isfinite(lowest) and math.isfinite(high.max()):
         # a cell can hold the minimum only if its low end is below every high
-        # end; min keeps the first of equal values, as a strict-< scan does
-        found = []
-        for i in np.flatnonzero(low <= high.min()).tolist():
-            x = (float(betas[i // len(gammas)]), float(gammas[i % len(gammas)]))
-            value = energy_sigma_form(spec, Angles(*x))
+        # end; a strict < keeps the first of equal values, as the scan does
+        coefficients, rate = spec._xi_coefficients, damping_rate(spec)
+        n, best = len(gammas), None
+        for i in np.flatnonzero(low <= lowest).tolist():
+            x = (float(betas[i // n]), float(gammas[i % n]))
+            value = _energy_at(coefficients, rate, *x)
             if not value < math.inf:
                 break
-            found.append((value, x))
+            if best is None or value < best[0]:
+                best = (value, x)
         else:
-            return min(found, key=lambda candidate: candidate[0])
+            return best
     grid = energy_sigma_grid(spec, betas, gammas)
     below_inf = np.where(grid < math.inf, grid, math.inf)
     bi, gi = np.unravel_index(np.argmin(below_inf), grid.shape)
@@ -283,7 +345,17 @@ def _scan_axes(spec: MixtureSpec) -> tuple[np.ndarray, np.ndarray]:
             "that g*g*rate overflows on the gamma range +-2/sqrt(rate)"
         )
 
-    return _BETAS, np.linspace(-gmax, gmax, 65)
+    return _BETAS, _scan_gammas(gmax)
+
+
+def _scan_gammas(gmax: float) -> np.ndarray:
+    """``np.linspace(-gmax, gmax, 65)`` bit for bit, by its own steps:
+    arange * ((stop - start) / 64) + start.  As 64 is a power of two, the
+    last value is already stop, which linspace sets again.  Its other
+    branches, for a step that underflows to 0 or a span that overflows, need
+    gmax below 1e-322 or above 8e307; 2/sqrt(rate) stays within
+    [1.4e-154, 9e161] for every positive float rate."""
+    return _STEPS * ((gmax + gmax) / 64) - gmax
 
 
 def optimize_closed_form(spec: MixtureSpec) -> Optimum:
@@ -299,18 +371,20 @@ def optimize_closed_form(spec: MixtureSpec) -> Optimum:
     # Canonicalizing can move beta by pi, which rounds; keep the contract that
     # the reported value never exceeds the grid's.  The derivatives' value is
     # energy_sigma_form's, bit for bit.
+    coefficients, rate = spec._xi_coefficients, damping_rate(spec)
     angles = _canonical(Angles(*x))
-    at_optimum = energy_derivatives(spec, angles)
-    if at_optimum.value > grid_best:
+    at_optimum = _derivatives_at(coefficients, rate, angles.beta, angles.gamma)
+    if at_optimum[0] > grid_best:
         angles = _canonical(Angles(*x0))
-        at_optimum = energy_derivatives(spec, angles)
-    gradient_norm = math.hypot(*at_optimum.gradient)
+        at_optimum = _derivatives_at(coefficients, rate, angles.beta, angles.gamma)
+    value, e_b, e_g, e_bb, e_bg, e_gg = at_optimum
+    gradient_norm = math.hypot(e_b, e_g)
     return Optimum(
         angles=angles,
-        value=at_optimum.value,
+        value=value,
         grid_value=grid_best,
         refinement_iterations=iterations,
-        converged=gradient_norm < 1e-7 and _positive_definite(at_optimum),
+        converged=gradient_norm < 1e-7 and _positive_definite(e_bb, e_bg, e_gg),
         gradient_norm=gradient_norm,
     )
 

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from msqaoa import optimizer, verify
 from msqaoa.closed_form import (
@@ -267,6 +269,34 @@ class TestScreen:
             with pytest.raises(ValueError, match="read-only"):
                 table[0] = 0.0
 
+    def test_coefficient_matrix_is_the_per_call_products(self):
+        # the signed-binomial tables give, for every degree, the bits of the
+        # products the screen used to compute per call, zeros and -0.0 included
+        for spec in SCREENED_SPECS:
+            a, d = spec._xi_coefficients, spec.d
+            odd = range(1, d + 1, 2)
+            want = np.zeros((d, len(odd)))
+            for m, j in enumerate(odd):
+                want[: d + 1 - j, m] = [(-1) ** m * a[q] * math.comb(q, j) for q in range(j, d + 1)]
+            assert optimizer._coefficient_matrix(a).tobytes() == want.tobytes()
+        assert {spec.d for spec in SCREENED_SPECS} == set(range(1, 25))
+        for table in (optimizer._PLACES, optimizer._BINOMIALS, optimizer._STEPS):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0
+
+    @given(st.floats(min_value=1e-154, max_value=1e154))
+    # 2/sqrt(rate) for the largest float rate, the smallest normal one (the
+    # last that _scan_axes takes), rates it refuses and the smallest float
+    @example(2 / math.sqrt(sys.float_info.max))
+    @example(2 / math.sqrt(sys.float_info.min))
+    @example(2 / math.sqrt(math.nextafter(sys.float_info.min, 0)))
+    @example(2 / math.sqrt(1e-320))
+    @example(2 / math.sqrt(5e-324))
+    @settings(max_examples=500, deadline=None)
+    def test_scan_gammas_are_linspace(self, gmax):
+        got = optimizer._scan_gammas(gmax)
+        assert got.tobytes() == np.linspace(-gmax, gmax, 65).tobytes()
+
     @pytest.mark.parametrize("spec", SCREENED_SPECS)
     def test_bound_covers_every_cell(self, spec):
         betas, gammas = optimizer._scan_axes(spec)
@@ -301,17 +331,17 @@ class TestScreen:
         # the scan reads no grid, and evaluates the two cells of the
         # minimum's symmetric pair (b, g) ~ (-b, -g)
         points = []
-        real = optimizer.energy_sigma_form
+        real = optimizer._energy_at
 
-        def recording(spec, angles):
-            points.append(angles)
-            return real(spec, angles)
+        def recording(coefficients, rate, beta, gamma):
+            points.append((beta, gamma))
+            return real(coefficients, rate, beta, gamma)
 
-        monkeypatch.setattr(optimizer, "energy_sigma_form", recording)
+        monkeypatch.setattr(optimizer, "_energy_at", recording)
         monkeypatch.setattr(optimizer, "energy_sigma_grid", None)
         betas, gammas = optimizer._scan_axes(D3)
         optimizer._grid_minimum(D3)
-        cells = [(betas.tolist().index(a.beta), gammas.tolist().index(a.gamma)) for a in points]
+        cells = [(betas.tolist().index(b), gammas.tolist().index(g)) for b, g in points]
         assert len(cells) == 2 and cells[0] == (64 - cells[1][0], 64 - cells[1][1])
 
     @pytest.mark.parametrize("value", [math.inf, math.nan])
@@ -323,7 +353,7 @@ class TestScreen:
             grids.append(real(*args))
             return grids[-1]
 
-        monkeypatch.setattr(optimizer, "energy_sigma_form", lambda spec, angles: value)
+        monkeypatch.setattr(optimizer, "_energy_at", lambda coefficients, rate, b, g: value)
         monkeypatch.setattr(optimizer, "energy_sigma_grid", recording)
         got = optimizer._grid_minimum(D3)
         assert len(grids) == 1
@@ -345,7 +375,7 @@ class TestScreen:
             return values, bounds
 
         monkeypatch.setattr(optimizer, "_screen", broken)
-        monkeypatch.setattr(optimizer, "energy_sigma_form", None)
+        monkeypatch.setattr(optimizer, "_energy_at", None)
         got = optimizer._grid_minimum(D3)
         assert repr(got) == repr(_full_grid_minimum(D3))
 
@@ -379,6 +409,29 @@ class TestPinnedOptima:
             opt = optimize_closed_form(pure_d_spec(d))
             lines.append(f"{d},{opt.angles.beta!r},{opt.angles.gamma!r},{opt.value!r}")
         assert "\n".join(lines) + "\n" == pinned
+
+    def test_mixture_rows_match_the_pinned_file(self):
+        pinned = PINNED_MIXTURES.read_text().splitlines()
+        got = pinned_mixture_text().splitlines()
+        assert len(pinned) == len(got) == 608
+        assert [i for i, (a, b) in enumerate(zip(got, pinned)) if a != b] == []
+
+
+PINNED_MIXTURES = Path(__file__).parent / "data" / "optimum_mixtures_81.csv"
+
+
+def pinned_mixture_text():
+    """``optimum_mixtures_81.csv``: every ``Optimum`` field by repr for the
+    600 mixtures of ``_item1_mixtures(600)`` and the ``EDGE_SPECS``.  The
+    first four columns are the spec's ``optimize --sigmas`` row of
+    ``optimum.csv``; the sigmas, by repr, fill the rest of the line."""
+    lines = ["d,beta,gamma,value,grid_value,refinement_iterations,converged,gradient_norm,sigmas"]
+    for spec in _item1_mixtures(600) + EDGE_SPECS:
+        opt = optimize_closed_form(spec)
+        fields = (opt.angles.beta, opt.angles.gamma, opt.value, opt.grid_value,
+                  opt.refinement_iterations, opt.converged, opt.gradient_norm)
+        lines.append(",".join([str(spec.d), *map(repr, fields), *map(repr, spec.sigmas)]))
+    return "\n".join(lines) + "\n"
 
 
 class TestGridScan:
@@ -421,14 +474,14 @@ class TestGridScan:
 
     def test_point_evaluations_are_refinement_only(self, monkeypatch):
         calls = 0
-        real = optimizer.energy_sigma_form
+        real = optimizer._energy_at
 
-        def counted(spec, angles):
+        def counted(coefficients, rate, beta, gamma):
             nonlocal calls
             calls += 1
-            return real(spec, angles)
+            return real(coefficients, rate, beta, gamma)
 
-        monkeypatch.setattr(optimizer, "energy_sigma_form", counted)
+        monkeypatch.setattr(optimizer, "_energy_at", counted)
         optimize_closed_form(make_mixture_spec(3, [0.3, 0.5, 1.0]))
         assert 0 < calls <= optimizer._POLISH_BUDGET + 7
 
@@ -512,13 +565,13 @@ class TestNewtonPolish:
         def spy(name):
             real = getattr(optimizer, name)
 
-            def recording(spec, angles):
-                points.append((angles.beta, angles.gamma))
-                return real(spec, angles)
+            def recording(coefficients, rate, beta, gamma):
+                points.append((beta, gamma))
+                return real(coefficients, rate, beta, gamma)
 
             return recording
 
-        for name in ("energy_sigma_form", "energy_derivatives"):
+        for name in ("_energy_at", "_derivatives_at"):
             monkeypatch.setattr(optimizer, name, spy(name))
         optimize_closed_form(D3)
         assert points and all(math.isfinite(v) for p in points for v in p)
@@ -526,14 +579,14 @@ class TestNewtonPolish:
 
     def test_budget_bounds_evaluations(self, monkeypatch):
         calls = 0
-        real = optimizer.energy_derivatives
+        real = optimizer._derivatives_at
 
-        def counted(spec, angles):
+        def counted(coefficients, rate, beta, gamma):
             nonlocal calls
             calls += 1
-            return real(spec, angles)
+            return real(coefficients, rate, beta, gamma)
 
-        monkeypatch.setattr(optimizer, "energy_derivatives", counted)
+        monkeypatch.setattr(optimizer, "_derivatives_at", counted)
         for budget in (1, 2, 3, 7):
             calls = 0
             monkeypatch.setattr(optimizer, "_POLISH_BUDGET", budget)
