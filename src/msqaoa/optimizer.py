@@ -10,9 +10,8 @@ recurrence (``_grid_minimum``).  The start and grid value are those of the
 whole ``energy_sigma_grid``, bit for bit; the expansion cancels at large d,
 so it never supplies a reported number.  What depends on no model is built
 once at import: the beta factors, the powers of cos 2b and sin 2b on the
-scan's fixed betas (``_beta_tables``, 19 kB), the signed binomials of the
-coefficient matrix (``_signed_binomial_tables``) and the arange from which
-the gammas take ``np.linspace``'s own steps (``_scan_gammas``).  A call builds
+scan's fixed betas (``_beta_tables``, 19 kB), and the arange from which the
+gammas take ``np.linspace``'s own steps (``_scan_gammas``).  A call builds
 only the model's coefficients and the powers of D.
 
 Then a safeguarded Newton descent on the closed form's exact gradient and
@@ -23,7 +22,7 @@ value; it stops after at most 500 evaluations.  It runs on plain floats
 through ``closed_form._derivatives_at`` and ``closed_form._energy_at``, the
 kernels behind ``energy_derivatives`` and ``energy_sigma_form``, so every
 number is theirs, bit for bit, and no step builds an ``Angles``.  An
-optimization takes about 0.11 to 0.28 ms for pure d = 2..24, against 0.13 to
+optimization takes about 0.11 to 0.32 ms for pure d = 2..24, against 0.13 to
 0.40 ms when the polish went through the public calls (2-vCPU Xeon, scaled
 to the benchmark's nominal host).
 The reported optimum is one representative of its class under
@@ -92,29 +91,6 @@ _BETAS, _COS_POWERS, _SIN_POWERS = _beta_tables()
 _STEPS = np.arange(65.0)  # linspace's own arange for the gamma axis
 _STEPS.flags.writeable = False
 
-# The screen's coefficient buffer holds a_0..a_d from 0 and -a_0..-a_d from
-# _NEGATED, +0.0 elsewhere; q = r + j stays below _NEGATED.
-_NEGATED = 2 * MAX_DEGREE
-
-
-def _signed_binomial_tables() -> tuple[np.ndarray, np.ndarray]:
-    """The screen's coefficient matrix k[r, m] = (-1)^m a_q C(q, j),
-    j = 2m + 1, q = r + j, for every degree at once: the place of (-1)^m a_q
-    in the coefficient buffer, and C(q, j) as a float.  A degree d reads the
-    first d rows and ceil(d/2) columns; where q > d, the place holds +0.0,
-    so k is zero there as a per-call ``np.zeros`` leaves it.  Both arrays
-    are read-only."""
-    odd = range(1, MAX_DEGREE + 1, 2)
-    signs = np.arange(len(odd)) % 2  # m odd reads the negated copy
-    places = np.arange(MAX_DEGREE)[:, None] + np.array(odd) + _NEGATED * signs
-    binomials = np.array([[math.comb(r + j, j) for j in odd] for r in range(MAX_DEGREE)], float)
-    for table in (places, binomials):
-        table.flags.writeable = False
-    return places, binomials
-
-
-_PLACES, _BINOMIALS = _signed_binomial_tables()
-
 
 @dataclass(frozen=True)
 class Optimum:
@@ -158,8 +134,8 @@ def _descent_direction(
         and math.isfinite(hbb) and math.isfinite(hbg) and math.isfinite(hgg)
     ):
         return None
-    det = hbb * hgg - hbg * hbg
-    if hbb > 0 and det > 0:
+    if _positive_definite(hbb, hbg, hgg):
+        det = hbb * hgg - hbg * hbg
         newton = ((hbg * gg - hgg * gb) / det, (hbg * gb - hbb * gg) / det)
         if math.isfinite(newton[0]) and math.isfinite(newton[1]):
             return newton
@@ -218,18 +194,6 @@ def _newton_polish(
     return x, iterations
 
 
-def _coefficient_matrix(a: tuple[float, ...]) -> np.ndarray:
-    """k[q - j, m] = (-1)^m a_q C(q, j) for j = 2m + 1 <= d = len(a) - 1,
-    zero where q > d; each entry is the product ``(-1) ** m * a[q] *
-    math.comb(q, j)``, bit for bit, from ``_signed_binomial_tables``."""
-    d = len(a) - 1
-    buffer = np.zeros(2 * _NEGATED)
-    buffer[: d + 1] = a
-    np.negative(buffer[: d + 1], out=buffer[_NEGATED : _NEGATED + d + 1])
-    half = (d + 1) // 2
-    return buffer[_PLACES[:d, :half]] * _BINOMIALS[:d, :half]
-
-
 def _screen(spec: MixtureSpec, gammas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The energy on the grid of the scan's betas and ``gammas`` through the
     separable expansion, and per gamma a bound on its distance from
@@ -242,9 +206,8 @@ def _screen(spec: MixtureSpec, gammas: np.ndarray) -> tuple[np.ndarray, np.ndarr
         P_j(c) = sum_{q >= j} a_q C(q, j) c^(q-j),
 
     one matmul of a beta matrix (s^j P_j(c)) and a gamma matrix (D^j).
-    The powers of c and s are the module's tables, and the coefficients
-    come from its signed binomials (``_coefficient_matrix``); only a_q and
-    the powers of D depend on the model.
+    The powers of c and s are the module's tables; only the coefficients
+    and the powers of D depend on the model.
     Its terms cancel at large d, so it only screens; every reported
     number comes from the Horner recurrence.
 
@@ -270,7 +233,10 @@ def _screen(spec: MixtureSpec, gammas: np.ndarray) -> tuple[np.ndarray, np.ndarr
     a = spec._xi_coefficients
     d = spec.d
     odd = range(1, d + 1, 2)
-    k = _coefficient_matrix(a)  # P_j(c) = c-powers @ k
+    # k[q - j, m] = (-1)^m a_q C(q, j) for j = 2m + 1, so P_j(c) = c-powers @ k
+    k = np.zeros((d, len(odd)))
+    for m, j in enumerate(odd):
+        k[: d + 1 - j, m] = [(-1) ** m * a[q] * math.comb(q, j) for q in range(j, d + 1)]
     total = sum(a[q] * 2.0 ** (q - 1) for q in range(1, d + 1))
     rate = damping_rate(spec)
     damp = np.array([math.exp(-2 * g * g * rate) for g in gammas.tolist()])
@@ -302,15 +268,13 @@ def _grid_minimum(spec: MixtureSpec) -> tuple[float, tuple[float, float]]:
     values, bounds = _screen(spec, gammas)
     with np.errstate(over="ignore", invalid="ignore"):
         low, high = values - bounds, values + bounds
-    lowest = high.min()
-    # high is finite only where the value and its bound are; its min and max
-    # are both finite only where every cell's is, as NaN propagates
-    if math.isfinite(lowest) and math.isfinite(high.max()):
+    # high is finite only where the value and its bound are
+    if np.isfinite(high).all():
         # a cell can hold the minimum only if its low end is below every high
         # end; a strict < keeps the first of equal values, as the scan does
         coefficients, rate = spec._xi_coefficients, damping_rate(spec)
         n, best = len(gammas), None
-        for i in np.flatnonzero(low <= lowest).tolist():
+        for i in np.flatnonzero(low <= high.min()).tolist():
             x = (float(betas[i // n]), float(gammas[i % n]))
             value = _energy_at(coefficients, rate, *x)
             if not value < math.inf:

@@ -269,21 +269,6 @@ class TestScreen:
             with pytest.raises(ValueError, match="read-only"):
                 table[0] = 0.0
 
-    def test_coefficient_matrix_is_the_per_call_products(self):
-        # the signed-binomial tables give, for every degree, the bits of the
-        # products the screen used to compute per call, zeros and -0.0 included
-        for spec in SCREENED_SPECS:
-            a, d = spec._xi_coefficients, spec.d
-            odd = range(1, d + 1, 2)
-            want = np.zeros((d, len(odd)))
-            for m, j in enumerate(odd):
-                want[: d + 1 - j, m] = [(-1) ** m * a[q] * math.comb(q, j) for q in range(j, d + 1)]
-            assert optimizer._coefficient_matrix(a).tobytes() == want.tobytes()
-        assert {spec.d for spec in SCREENED_SPECS} == set(range(1, 25))
-        for table in (optimizer._PLACES, optimizer._BINOMIALS, optimizer._STEPS):
-            with pytest.raises(ValueError, match="read-only"):
-                table[0] = 0
-
     @given(st.floats(min_value=1e-154, max_value=1e154))
     # 2/sqrt(rate) for the largest float rate, the smallest normal one (the
     # last that _scan_axes takes), rates it refuses and the smallest float
@@ -296,6 +281,10 @@ class TestScreen:
     def test_scan_gammas_are_linspace(self, gmax):
         got = optimizer._scan_gammas(gmax)
         assert got.tobytes() == np.linspace(-gmax, gmax, 65).tobytes()
+
+    def test_scan_steps_are_read_only(self):
+        with pytest.raises(ValueError, match="read-only"):
+            optimizer._STEPS[0] = 1.0
 
     @pytest.mark.parametrize("spec", SCREENED_SPECS)
     def test_bound_covers_every_cell(self, spec):
