@@ -23,3 +23,20 @@ def every_json_document_is_json_dumps():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cli, "_json_text", checked)
         yield
+
+
+@pytest.fixture(scope="session", autouse=True)
+def every_grid_text_is_repr():
+    """Every block of grid text the package formats while the suite runs
+    must come out as one repr per value, joined per row, would write it."""
+    real = cli._repr_rows
+
+    @functools.wraps(real)
+    def checked(values):
+        text = real(values)
+        assert text == "".join(",".join(map(repr, row)) + "\n" for row in values.tolist())
+        return text
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_repr_rows", checked)
+        yield

@@ -1395,3 +1395,177 @@ def test_json_text_refuses_what_json_dumps_refuses():
             json.dumps(doc, indent=2)
         with pytest.raises(TypeError):
             real(doc)
+
+
+def repr_grid_csv(betas, gammas, values):
+    """The reference for every grid CSV: one repr per value, joined per row,
+    as ``_grid_csv`` wrote every grid before its vectorized kernel."""
+    yield "beta," + ",".join(map(repr, gammas.tolist())) + "\n"
+    for b, row in zip(betas.tolist(), values):
+        yield f"{b!r}," + ",".join(map(repr, row.tolist())) + "\n"
+
+
+def repr_rows(values) -> str:
+    return "".join(",".join(map(repr, row)) + "\n" for row in np.asarray(values).tolist())
+
+
+def repr_kernel():
+    """``cli._repr_rows`` itself, not the suite's checking wrapper
+    (tests/conftest.py)."""
+    return getattr(cli._repr_rows, "__wrapped__", cli._repr_rows)
+
+
+def test_repr_kernel_matches_repr_over_every_binade():
+    # 2^20 values, both signs, mantissas uniform on [1, 2) and binary
+    # exponents uniform from -1074 (subnormals, 5e-324) to 1023 (1.8e308)
+    rng = np.random.default_rng(20240)
+    count = 1 << 20
+    values = np.ldexp(1 + rng.random(count), rng.integers(-1074, 1024, count))
+    values *= rng.choice([-1.0, 1.0], count)
+    assert values.min() < -1e307 and values.max() > 1e307
+    assert np.abs(values).min() == 5e-324
+    for block in np.split(values.reshape(-1, 64), 16):
+        assert repr_kernel()(block) == repr_rows(block)
+
+
+def test_repr_kernel_matches_repr_on_grid_like_values():
+    # the classes closed-form grids hold: energies of a few to 17 digits,
+    # tiny exponent-form values near the axes, zeros and integers
+    rng = np.random.default_rng(7)
+    values = np.concatenate([
+        rng.uniform(-1, 1, 20000), rng.uniform(-1, 1, 20000) * 1e-17,
+        [round(v, int(d)) for v, d in zip(rng.uniform(-1, 1, 5000), rng.integers(1, 16, 5000))],
+        rng.integers(-10**6, 10**6, 5000).astype(float), np.zeros(100), -np.zeros(100),
+    ])
+    rng.shuffle(values)
+    block = values.reshape(-1, 40)
+    assert repr_kernel()(block) == repr_rows(block)
+
+
+REPR_EDGES = [
+    0.0, -0.0, 5e-324, -5e-324, 1e-323, 2.2250738585072014e-308,
+    float(np.nextafter(2.2250738585072014e-308, 0)), float(np.nextafter(2.2250738585072014e-308, 1)),
+    1e-4, float(np.nextafter(1e-4, 0)), float(np.nextafter(1e-4, 1)), 9.999999999999999e-05,
+    1e16, float(np.nextafter(1e16, 0)), float(np.nextafter(1e16, 1e17)), 9999999999999998.0,
+    0.1, 0.2, 0.3, 0.1 + 0.2, 1 / 3, 2 / 3, -1 / 3, 1.5, 2.5, 123456.789,
+    2.0**53 - 1, 2.0**53, 2.0**53 + 2, 2.0**53 + 4, 2.0**54 + 8, -(2.0**54 + 8), 1e22, 1e23,
+    1.7976931348623157e308, -1.7976931348623157e308, 1e308, 1e-307, 1e-308,
+    *(2.0**k for k in range(-1074, 1024, 37)), *(-(10.0**k) for k in range(-300, 301, 50)),
+    math.inf, -math.inf, math.nan,
+]
+
+
+def test_repr_kernel_matches_repr_on_the_edges():
+    row = np.array([REPR_EDGES])
+    assert repr_kernel()(row) == repr_rows(row)
+    column = row.T
+    assert repr_kernel()(column) == repr_rows(column)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=60), st.integers(1, 6))
+def test_repr_kernel_matches_repr_on_any_floats(values, cols):
+    values = np.array(values)
+    values = values[: len(values) - len(values) % cols or None].reshape(-1, cols) \
+        if len(values) >= cols else values.reshape(1, -1)
+    assert repr_kernel()(values) == repr_rows(values)
+
+
+def test_without_its_margin_the_repr_kernel_misreads_an_even_end(monkeypatch):
+    # 2^54 + 8 = 18014398509481992 has an even mantissa and its lower
+    # half-ulp end is 18014398509481990, exactly: reading that 16-digit
+    # decimal rounds half to even, to 2^54 + 8, so repr writes 16 digits.
+    # 1e23 is the same case below a power of ten.  With no margin the kernel
+    # takes the end as outside and writes 17; the margin sends both to repr.
+    values = np.array([[18014398509481992.0, 1e23]])
+    assert repr_kernel()(values) == "1.801439850948199e+16,1e+23\n" == repr_rows(values)
+    monkeypatch.setattr(cli, "_REPR_MARGIN", 0.0)
+    assert repr_kernel()(values) == "1.8014398509481992e+16,9.999999999999999e+22\n"
+
+
+def test_repr_kernel_tables_are_exact():
+    # for every frexp exponent x: th is the smallest double >= 10^(e0 + 1),
+    # and 2^j and 5^j (j = 16 - e, e = e0 + bump) are what the kernel scales by
+    from fractions import Fraction
+
+    tables = cli._repr_tables()
+    for x in range(-1021, 1025):
+        low = Fraction(2) ** (x - 1)  # the binade is [2^(x-1), 2^x)
+        e0 = len(str(math.floor(low))) - 1 if low >= 1 else -len(str(math.floor(1 / low)))
+        e0 -= Fraction(10) ** e0 > low
+        assert Fraction(10) ** e0 <= low < Fraction(10) ** (e0 + 1)
+        k = 2 * (x + 1021)
+        th = tables["th"][k]
+        assert Fraction(float(np.nextafter(th, 0))) < Fraction(10) ** (e0 + 1) <= Fraction(th)
+        for bump in (0, 1):
+            j = 16 - (e0 + bump)
+            p2, ph, pl, b1, b2, _ = tables["scale"][k + bump]
+            five = Fraction(5) ** j
+            assert p2 == 2.0**j and b1 + b2 == ph
+            assert abs(Fraction(ph) + Fraction(pl) - five) <= five / 2**105
+
+
+def test_repr_kernel_tables_are_built_on_first_use():
+    code = (
+        "import msqaoa.cli as cli, tempfile\n"
+        "assert cli._repr_tables.cache_info().currsize == 0\n"
+        "cli.main(['optimize', '--sk', '--out', tempfile.mkdtemp()])\n"
+        "cli.main(['landscape', '--sk', '--beta=0:1:15', '--gamma=-1:1:15', '--out', tempfile.mkdtemp()])\n"
+        "assert cli._repr_tables.cache_info().currsize == 0\n"
+        "cli.main(['landscape', '--sk', '--beta=0:1:16', '--gamma=-1:1:16', '--out', tempfile.mkdtemp()])\n"
+        "assert cli._repr_tables.cache_info().currsize == 1\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, capture_output=True)
+
+
+@pytest.mark.parametrize("mode", ["infinite", "finite:64", "instance:8:3"])
+def test_landscapes_through_the_kernel_write_the_reference_bytes(tmp_path, monkeypatch, mode):
+    # every grid through the kernel, in blocks of four rows, each formatted
+    # in chunks of 16 values; the infinite grid is evaluated a block at a time
+    from msqaoa import simulator
+
+    monkeypatch.setattr(cli, "_REPR_MIN_VALUES", 0)
+    monkeypatch.setattr(cli, "_GRID_BLOCK", 40)
+    monkeypatch.setattr(cli, "_REPR_CHUNK", 16)
+    blocks, evaluations = [], []
+    kernel, evaluate = cli._repr_rows, closed_form.energy_sigma_grid
+    monkeypatch.setattr(cli, "_repr_rows", lambda values: blocks.append(values.shape) or kernel(values))
+    monkeypatch.setattr(closed_form, "energy_sigma_grid",
+                        lambda *args: evaluations.append(len(args[1])) or evaluate(*args))
+    spec = model.make_mixture_spec(3, [0.3, 0.5, 1.0])
+    argv = ["landscape", "--sigmas", "0.3,0.5,1.0", "--mode", mode,
+            "--beta=-1:1:13", "--gamma=-1.5:1.5:9", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    betas, gammas = np.linspace(-1, 1, 13), np.linspace(-1.5, 1.5, 9)
+    if mode == "infinite":
+        values, name = evaluate(spec, betas, gammas), "landscape_mix_infinite.csv"
+        assert evaluations == [4, 4, 4, 1]
+    elif mode == "finite:64":
+        values = finite_n.sketch_moment_grid(spec, betas, gammas, 64).first
+        name = "landscape_mix_finite_n64.csv"
+    else:
+        inst = model.sample_instance(spec, 8, 3)
+        values = simulator.landscape_instance(inst, betas, gammas)
+        name = "landscape_mix_instance_n8_seed3.csv"
+    assert blocks == [(4, 10), (4, 10), (4, 10), (1, 10)]
+    want = "".join(repr_grid_csv(betas, gammas, values)).encode()
+    assert (tmp_path / name).read_bytes() == want
+
+
+@pytest.mark.parametrize("argv", [
+    ["--sk"],
+    ["--pure-d", "3", "--beta=-0.8:0.8:36", "--gamma=-1.5:1.5:60"],
+    # every text class: zeros, exponent form, |E| >= 1, short decimals
+    ["--sigmas", "4,0.5,2", "--beta=-1.6:1.6:129", "--gamma=-1:1:129"],
+], ids=["sk-default", "pure3", "every-class"])
+def test_infinite_landscapes_write_the_reference_bytes(tmp_path, argv):
+    assert main(["landscape", *argv, "--out", str(tmp_path)]) == 0
+    [path] = tmp_path.glob("*.csv")
+    args = cli._parse(["landscape", *argv])
+    [(_, spec)] = cli._specs_from_args(args)
+    betas = np.linspace(*cli._parse_grid(args.beta, "beta"))
+    gammas = np.linspace(*cli._parse_grid(args.gamma, "gamma"))
+    values = closed_form.energy_sigma_grid(spec, betas, gammas)
+    assert values.size >= cli._REPR_MIN_VALUES
+    assert path.read_bytes() == "".join(repr_grid_csv(betas, gammas, values)).encode()
