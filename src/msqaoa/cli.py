@@ -324,14 +324,14 @@ class _Outputs:
 
 # A grid of fewer values than this is written with one repr per value: a call
 # of _repr_rows costs about 0.1 ms before its first value; with the beta
-# column, 13 x 13 (182 values) ran 0.66x as fast as repr and 17 x 17 (306)
-# 1.12x (medians of 60 interleaved rounds, 2-vCPU Xeon).
+# column, 13 x 13 (182 values) ran 0.72x as fast as repr and 17 x 17 (306)
+# 1.13x (medians of 60 interleaved rounds, 2-vCPU Xeon).
 _REPR_MIN_VALUES = 256
-# The most values one _repr_chunk call formats, so that its arrays, about
-# 1.5 MB at 8192 values, stay in cache: an optimize run right after a 2,800-
-# value grid took 334 us after chunks of 8192, 297 us after 2048 (a repr
-# grid: about 210 us), and the grid itself 843 against 677 us (2-vCPU Xeon).
-_REPR_CHUNK = 2048
+# The most values one _repr_chunk call formats: its arrays stay at 64 kB, in
+# cache and below malloc's mmap threshold, where 16384 values ran 1.5x slower
+# a value; chunks of 2048 split the benchmark's larger grids in two calls and
+# its op_tail_ms read 1.79 against 1.63 ms (2-vCPU Xeon).
+_REPR_CHUNK = 8192
 # How far (in units of the 17th significant digit) every decision of
 # _repr_chunk must sit from its threshold; its arithmetic errs by < 1e-13.
 _REPR_MARGIN = 2.0 ** -20
@@ -527,7 +527,7 @@ def _repr_chunk(x: np.ndarray, ends: np.ndarray) -> bytes:
 def _repr_rows(values: np.ndarray) -> str:
     """``"".join(",".join(map(repr, row)) + "\\n" for row in values.tolist())``
     for a 2-D float64 array, byte for byte, formatted by ``_repr_chunk`` in
-    chunks of at most ``_REPR_CHUNK`` values: 1.6-2.0x as fast as one repr
+    chunks of at most ``_REPR_CHUNK`` values: 1.7-2.0x as fast as one repr
     a value on closed-form grids of 2,200-4,300 values (2-vCPU Xeon)."""
     ends = np.full(values.shape, ord(",") << 56, _WORD)
     ends[:, -1] = ord("\n") << 56
