@@ -18,9 +18,6 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "closed_form": (
         "Angles",
-        "EnergyDerivatives",
-        "d3_stationarity_residuals",
-        "energy_derivatives",
         "energy_mixture_form",
         "energy_sigma_form",
         "energy_sigma_grid",
@@ -38,7 +35,6 @@ _EXPORTS = {
         "ProblemInstance",
         "cost",
         "estimate_spec",
-        "from_mixture_function",
         "make_mixture_spec",
         "pure_d_spec",
         "read_instance",

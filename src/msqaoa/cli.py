@@ -12,8 +12,9 @@ a time as they are ready, and a command that fails removes what it wrote.
 An ``--out`` that is a directory already is checked with one
 ``os.path.isdir``; an empty one exits 2.  A file is opened with ``os.open``
 (``O_WRONLY | O_CREAT | O_CLOEXEC``, no ``O_TRUNC``) and written with
-``os.write`` in chunks of at most 1 MiB, a landscape CSV's rows joined into
-chunks as they come, so memory stays bounded; each chunk is hashed for the
+``os.write`` in chunks of at most 1 MiB, a landscape CSV's rows and an
+instance file's lines joined into chunks as they come, so memory stays
+bounded; each chunk is hashed for the
 manifest as it is written.  JSON files (the manifest, ``fitted_spec.json``,
 the verify report) are formatted by ``_json_text``, which writes the bytes
 of ``json.dumps(doc, indent=2)`` without json's pure-Python indenting
@@ -138,7 +139,7 @@ def _specs_from_args(args) -> list[tuple[str, model.MixtureSpec]]:
         return [("mix", model.make_mixture_spec(len(sig), sig))]
     if args.cs is not None:
         cs = _parse_float_list(args.cs, "cs")
-        return [("mix", model.from_mixture_function(len(cs), cs))]
+        return [("mix", model.MixtureFunction(tuple(cs)).to_spec())]
     return [(f"pure{d}", model.pure_d_spec(d)) for d in _parse_d_range(args.pure_d)]
 
 
@@ -538,14 +539,13 @@ def _repr_rows(values: np.ndarray) -> str:
     ).decode("ascii")
 
 
-def _grid_csv(betas: np.ndarray, gammas: np.ndarray, values) -> Iterator[str]:
+def _grid_csv(betas: np.ndarray, gammas: np.ndarray, rows) -> Iterator[str]:
     """The lines of a grid CSV: a header of gammas, then one row per beta,
-    each value as its repr.  ``values`` is the grid, or a function that
-    returns the grid's rows for a slice of the betas; the rows are taken
-    and written in blocks of at most ``_GRID_BLOCK`` values, each one
-    string of lines from ``_repr_rows``, or a line at a time with one repr
-    per value for a grid of fewer than ``_REPR_MIN_VALUES`` values."""
-    rows = values.__getitem__ if isinstance(values, np.ndarray) else values
+    each value as its repr.  ``rows`` returns the grid's rows for a slice of
+    the betas (a grid array passes its ``__getitem__``); they are taken and
+    written in blocks of at most ``_GRID_BLOCK`` values, each one string of
+    lines from ``_repr_rows``, or a line at a time with one repr per value
+    for a grid of fewer than ``_REPR_MIN_VALUES`` values."""
     yield "beta," + ",".join(map(repr, gammas.tolist())) + "\n"
     if betas.size * gammas.size < _REPR_MIN_VALUES:
         for b, row in zip(betas.tolist(), rows(slice(None))):
@@ -555,12 +555,6 @@ def _grid_csv(betas: np.ndarray, gammas: np.ndarray, values) -> Iterator[str]:
     for start in range(0, betas.size, step):
         block = slice(start, start + step)
         yield _repr_rows(np.column_stack((betas[block], rows(block))))
-
-
-def _infinite_rows(spec, betas: np.ndarray, gammas: np.ndarray, block: slice) -> np.ndarray:
-    """The closed form's rows for ``betas[block]``: each value is a per-point
-    expression, so a block's values are bit-identical to the whole grid's."""
-    return closed_form.energy_sigma_grid(spec, betas[block], gammas)
 
 
 def cmd_landscape(args) -> int:
@@ -588,15 +582,17 @@ def cmd_landscape(args) -> int:
     with _Outputs(args.out) as outputs:
         for label, spec in specs:
             for kind, *ints in modes:
-                if kind == "infinite":  # evaluated a block of rows at a time
-                    values = functools.partial(_infinite_rows, spec, betas, gammas)
+                if kind == "infinite":
+                    # a block of rows at a time: every value is a per-point
+                    # expression, so a block's values are the whole grid's
+                    rows = lambda block: closed_form.energy_sigma_grid(spec, betas[block], gammas)
                     name = f"landscape_{label}_infinite.csv"
                 elif kind == "finite":
                     from . import finite_n
 
                     [n] = ints
                     grid = finite_n.sketch_moment_grid(spec, betas, gammas, n)
-                    values = grid.first
+                    rows = grid.first.__getitem__
                     name = f"landscape_{label}_finite_n{n}.csv"
                     clamped[name] = int(grid.clamped.sum())
                 else:
@@ -605,10 +601,10 @@ def cmd_landscape(args) -> int:
                     n, seed = ints
                     simulator.check_size(n)
                     inst = model.sample_instance(spec, n, seed)
-                    values = simulator.landscape_instance(inst, betas, gammas)
+                    rows = simulator.landscape_instance(inst, betas, gammas).__getitem__
                     name = f"landscape_{label}_instance_n{n}_seed{seed}.csv"
                     seeds.append(seed)
-                outputs.write_lines(name, _grid_csv(betas, gammas, values))
+                outputs.write_lines(name, _grid_csv(betas, gammas, rows))
         outputs.manifest(
             "landscape",
             {
@@ -694,7 +690,7 @@ def cmd_sample(args) -> int:
     inst = model.sample_instance(spec, args.n, args.seed)
     name = f"instance_{label}_n{args.n}_seed{args.seed}.txt"
     with _Outputs(args.out) as outputs:
-        outputs.write_text(name, model.instance_to_text(inst))
+        outputs.write_lines(name, model._instance_lines(inst))
         outputs.manifest(
             "sample",
             {"spec": list(spec.sigmas), "n": args.n, "seed": args.seed},

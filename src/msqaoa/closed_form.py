@@ -3,13 +3,13 @@
 E = 2g Im xi(w), w = cos 2b + i sin 2b exp(-2 g^2 xi'(1)), xi(x) =
 sum_q sigma_q^2 x^q / q!, comes from one Horner recurrence in real arithmetic
 (``_im_xi``): ``energy_sigma_form`` runs it on floats, ``energy_sigma_grid``
-on arrays, and ``energy_derivatives`` (adding the exact gradient and Hessian
+on arrays, and ``_derivatives_at`` (adding the exact gradient and Hessian
 for the optimizer's Newton polish) takes the same steps in complex
-arithmetic, so all three give one value bit for bit.  The two per-point
-forms are thin wrappers over float kernels, ``_energy_at`` and
-``_derivatives_at``, which take a spec's ``_xi_coefficients`` and damping
-rate and the two angles as plain floats; the optimizer calls them directly,
-so its polish builds no ``Angles`` or ``EnergyDerivatives`` per step.  Two
+arithmetic, so all three give one value bit for bit.  ``energy_sigma_form``
+is a thin wrapper over the float kernel ``_energy_at``; both kernels take a
+spec's ``_xi_coefficients`` and damping rate and the two angles as plain
+floats, and the optimizer calls them directly, so its polish builds no
+``Angles`` per step.  Two
 independent forms check it to ~1e-12 relative, a standing cross-check:
 ``energy_mixture_form`` (complex arithmetic on the c_q^2) and ``verify``'s
 explicit degree sum.
@@ -23,22 +23,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ValidationError
-from .model import MixtureFunction, MixtureSpec, damping_rate, pure_d_spec
+from .model import MixtureFunction, MixtureSpec, damping_rate
 
 __all__ = [
     "Angles",
     "energy_sigma_form",
     "energy_sigma_grid",
     "energy_mixture_form",
-    "EnergyDerivatives",
-    "energy_derivatives",
-    "StationarityResiduals",
-    "d3_stationarity_residuals",
     "require_finite_grid",
 ]
 
@@ -74,7 +70,7 @@ def require_finite_grid(
 def _im_xi(coefficients: Sequence[float], c, s):
     """Im xi(c + i s) by Horner's rule on floats or broadcasting arrays.
 
-    Each step is ``energy_derivatives``' complex ``z * w + complex(a)``
+    Each step is ``_derivatives_at``'s complex ``z * w + complex(a)``
     written out in CPython's operand order; the ``+ 0.0`` is complex(a)'s
     imaginary part, so signed zeros agree too."""
     re = im = 0.0
@@ -126,21 +122,21 @@ def energy_mixture_form(xi: MixtureFunction, angles: Angles) -> float:
     return angles.gamma * (2 * xi.xi(w).imag)
 
 
-@dataclass(frozen=True)
-class EnergyDerivatives:
-    """The energy per spin at one (beta, gamma), its gradient
-    (dE/db, dE/dg) and its Hessian entries (E_bb, E_bg, E_gg)."""
-
-    value: float
-    gradient: tuple[float, float]
-    hessian: tuple[float, float, float]
-
-
 def _derivatives_at(
     coefficients: Sequence[float], rate: float, b: float, g: float
 ) -> tuple[float, float, float, float, float, float]:
-    """``energy_derivatives`` on plain floats, as for ``_energy_at``: the
-    value, dE/db, dE/dg, E_bb, E_bg and E_gg as one tuple."""
+    """Exact value, gradient and Hessian of E = 2g Im xi(w) at one point, on
+    plain floats as for ``_energy_at``: the value, dE/db, dE/dg, E_bb, E_bg
+    and E_gg as one tuple.
+
+    Here w = cos 2b + i sin 2b D with D = exp(-2 g^2 xi'(1)) and
+    xi(x) = sum_q sigma_q^2 x^q / q!, so every derivative is a short
+    combination of xi, xi', xi'' at w (one Horner pass) and the derivatives
+    of w: w_bb = -4w, and the g derivatives come from D_g = -4 g xi'(1) D.
+    Products are written x*x, so a huge gamma gives inf or NaN gradient and
+    Hessian entries instead of raising OverflowError; the value, g * (2f),
+    stays 0 there.
+    """
     c, s = math.cos(2 * b), math.sin(2 * b)
     damp = math.exp(-2 * g * g * rate)
     log_damp_g = -4 * g * rate  # D_g / D
@@ -172,64 +168,3 @@ def _derivatives_at(
         4 * f_g + 2 * g * f_gg,
     )
 
-
-def energy_derivatives(spec: MixtureSpec, angles: Angles) -> EnergyDerivatives:
-    """Exact value, gradient and Hessian of E = 2g Im xi(w) at one point.
-
-    Here w = cos 2b + i sin 2b D with D = exp(-2 g^2 xi'(1)) and
-    xi(x) = sum_q sigma_q^2 x^q / q!, so every derivative is a short
-    combination of xi, xi', xi'' at w (one Horner pass) and the derivatives
-    of w: w_bb = -4w, and the g derivatives come from D_g = -4 g xi'(1) D.
-    Products are written x*x, so a huge gamma gives inf or NaN gradient and
-    Hessian entries instead of raising OverflowError; the value, g * (2f),
-    stays 0 there.
-    """
-    value, e_b, e_g, e_bb, e_bg, e_gg = _derivatives_at(
-        spec._xi_coefficients, damping_rate(spec), angles.beta, angles.gamma
-    )
-    return EnergyDerivatives(value=value, gradient=(e_b, e_g), hessian=(e_bb, e_bg, e_gg))
-
-
-_D3_SPEC = pure_d_spec(3)
-
-
-@dataclass(frozen=True)
-class StationarityResiduals:
-    """Residuals of the three optimality relations for the sigma_3 = sqrt(3) model.
-
-    A residual is None when its defining expression leaves the real domain
-    (reported per-residual rather than raised).
-    """
-
-    r1: Optional[float]
-    r2: Optional[float]
-    r3: Optional[float]
-
-
-def d3_stationarity_residuals(angles: Angles) -> StationarityResiduals:
-    """Residuals of the coupled optimality conditions at (beta, gamma).
-
-    r1 relates beta to gamma through an arccos; the optima come in the sign
-    pair (+b*, -g*) / (-b*, +g*), so the arccos branch is selected by
-    sign(gamma) to make r1 vanish on both.  r2 is the scalar fixed-point
-    relation in gamma alone.  r3 compares |energy| against the radical
-    sqrt(4 g^2 - 2/3) (magnitude convention: the radical is positive while
-    the optimal energy is negative).
-    """
-    b, g = angles.beta, angles.gamma
-    g2 = g * g
-
-    r1: Optional[float] = None
-    if g2 > 0:
-        arg = 1 - 1 / (9 * g2)
-        if -1 <= arg <= 1:
-            r1 = b + math.copysign(0.25 * math.acos(arg), g)
-
-    r2 = math.exp(-6 * g2) - 18 * g2 + 3
-
-    r3: Optional[float] = None
-    rad = 4 * g2 - 2 / 3
-    if rad >= 0:
-        r3 = abs(energy_sigma_form(_D3_SPEC, angles)) - math.sqrt(rad)
-
-    return StationarityResiduals(r1, r2, r3)

@@ -401,7 +401,7 @@ def _oracle_sums(
     g = angles.gamma
     sb, cb = math.sin(angles.beta), math.cos(angles.beta)
     tables = _string_subset_tables(n, d)
-    sigma2 = spec.sigma_sq()
+    sigma2 = [s * s for s in spec.sigmas]
 
     size = 1 << n
     phi = np.zeros(size)

@@ -31,7 +31,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 from itertools import chain, combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -42,7 +42,6 @@ __all__ = [
     "MixtureFunction",
     "ProblemInstance",
     "make_mixture_spec",
-    "from_mixture_function",
     "pure_d_spec",
     "check_degree",
     "sample_instance",
@@ -118,9 +117,6 @@ class MixtureSpec:
         cs = tuple(s / math.sqrt(math.factorial(q + 1)) for q, s in enumerate(self.sigmas))
         return MixtureFunction(cs)
 
-    def sigma_sq(self) -> tuple[float, ...]:
-        return tuple(s * s for s in self.sigmas)
-
 
 def damping_rate(spec: MixtureSpec) -> float:
     """sum_q sigma_q^2/(q-1)!, the decay rate in exp(-2 g^2 a * rate).
@@ -168,13 +164,6 @@ class MixtureFunction:
 def make_mixture_spec(d: int, sigmas: Sequence[float]) -> MixtureSpec:
     """Validate and build a MixtureSpec from per-degree standard deviations."""
     return MixtureSpec(d, tuple(float(s) for s in sigmas))
-
-
-def from_mixture_function(d: int, cs: Sequence[float]) -> MixtureSpec:
-    """Build a MixtureSpec from mixture coefficients, sigma_q = c_q sqrt(q!)."""
-    if len(cs) != d:
-        raise ValidationError(f"expected {d} coefficients, got {len(cs)}")
-    return MixtureFunction(tuple(float(c) for c in cs)).to_spec()
 
 
 def pure_d_spec(d: int) -> MixtureSpec:
@@ -309,14 +298,28 @@ def cost(instance: ProblemInstance, z: Sequence[int]) -> float:
 #   <q> <idx1,...,idxq> <value>
 # Values use repr() so read/write round-trips bit-exactly.
 
+# The most coupling lines formatted as one string
+_TEXT_BLOCK = 1 << 16
+
+
+def _instance_lines(instance: ProblemInstance) -> Iterator[str]:
+    """The text of ``instance_to_text`` in pieces: the header line, then the
+    coupling lines in strings of at most ``_TEXT_BLOCK`` lines, so that the
+    whole text is never held at once."""
+    sig = ",".join(repr(s) for s in instance.spec.sigmas)
+    yield f"n={instance.n} d={instance.spec.d} sigmas={sig} seed={instance.seed:x}\n"
+    for q, values in enumerate(instance.couplings, start=1):
+        rows = subsets(instance.n, q) + 1
+        for start in range(0, len(values), _TEXT_BLOCK):
+            block = slice(start, start + _TEXT_BLOCK)
+            yield "".join(
+                f"{q} {','.join(map(str, row))} {j!r}\n"
+                for row, j in zip(rows[block].tolist(), values[block].tolist())
+            )
+
 
 def instance_to_text(instance: ProblemInstance) -> str:
-    sig = ",".join(repr(s) for s in instance.spec.sigmas)
-    lines = [f"n={instance.n} d={instance.spec.d} sigmas={sig} seed={instance.seed:x}"]
-    for q, values in enumerate(instance.couplings, start=1):
-        for row, j in zip((subsets(instance.n, q) + 1).tolist(), values.tolist()):
-            lines.append(f"{q} {','.join(map(str, row))} {j!r}")
-    return "\n".join(lines) + "\n"
+    return "".join(_instance_lines(instance))
 
 
 def instance_from_text(text: str) -> ProblemInstance:

@@ -20,8 +20,8 @@ is positive definite and the negative gradient elsewhere, halved until the
 energy does not increase, so the polish only ever descends from the grid
 value; it stops after at most 500 evaluations.  It runs on plain floats
 through ``closed_form._derivatives_at`` and ``closed_form._energy_at``, the
-kernels behind ``energy_derivatives`` and ``energy_sigma_form``, so every
-number is theirs, bit for bit, and no step builds an ``Angles``.  An
+kernel behind ``energy_sigma_form``, so every number is theirs, bit for bit,
+and no step builds an ``Angles``.  An
 optimization takes about 0.11 to 0.32 ms for pure d = 2..24, against 0.13 to
 0.40 ms when the polish went through the public calls (2-vCPU Xeon, scaled
 to the benchmark's nominal host).
@@ -152,8 +152,8 @@ def _newton_polish(
     ``_descent_direction``, halving it until the energy from ``_energy_at``
     does not increase (one evaluation per finite trial point; a non-finite
     trial point is halved without being evaluated).  Both run on plain
-    floats and give ``energy_derivatives``' and ``energy_sigma_form``'s
-    numbers, bit for bit.
+    floats, and ``_energy_at`` gives ``energy_sigma_form``'s numbers, bit
+    for bit.
     The polish stops on a non-finite derivative, on a step below the float
     spacing of x (rounding noise of an already stationary point), when no
     step is accepted, after a step that leaves the energy unchanged (flat to

@@ -95,13 +95,43 @@ def _sk_optimum() -> tuple[bool, dict]:
     return dv < 1e-5 and db < 1e-4 and dg < 1e-4, details
 
 
+def _d3_residuals(angles: closed_form.Angles) -> list[float | None]:
+    """Residuals [r1, r2, r3] of the coupled optimality conditions of the
+    sigma_3 = sqrt(3) model at (beta, gamma), each None where its defining
+    expression leaves the real domain.
+
+    r1 relates beta to gamma through an arccos; the optima come in the sign
+    pair (+b*, -g*) / (-b*, +g*), so the arccos branch is selected by
+    sign(gamma) to make r1 vanish on both.  r2 is the scalar fixed-point
+    relation in gamma alone.  r3 compares |energy| against the radical
+    sqrt(4 g^2 - 2/3) (magnitude convention: the radical is positive while
+    the optimal energy is negative).
+    """
+    b, g = angles.beta, angles.gamma
+    g2 = g * g
+
+    r1 = None
+    if g2 > 0:
+        arg = 1 - 1 / (9 * g2)
+        if -1 <= arg <= 1:
+            r1 = b + math.copysign(0.25 * math.acos(arg), g)
+
+    r2 = math.exp(-6 * g2) - 18 * g2 + 3
+
+    r3 = None
+    rad = 4 * g2 - 2 / 3
+    if rad >= 0:
+        r3 = abs(closed_form.energy_sigma_form(_D3, angles)) - math.sqrt(rad)
+
+    return [r1, r2, r3]
+
+
 def _d3_optimum() -> tuple[bool, dict]:
     opt = optimizer.optimize_closed_form(_D3)
     dv = abs(opt.value - D3_TARGET_VALUE)
     db = abs(opt.angles.beta - D3_TARGET_ANGLES[0])
     dg = abs(opt.angles.gamma - D3_TARGET_ANGLES[1])
-    res = closed_form.d3_stationarity_residuals(opt.angles)
-    residuals = [res.r1, res.r2, res.r3]
+    residuals = _d3_residuals(opt.angles)
     res_ok = all(r is not None and abs(r) < 1e-4 for r in residuals)
     details = {
         "value": opt.value,

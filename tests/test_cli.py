@@ -79,6 +79,18 @@ class TestOptimizeCommand:
         health = json.loads((a / "manifest.json").read_text())["health"]
         assert health["converged"] == {"1": True}
 
+    def test_cs_is_the_sigma_model_of_its_mixture_function(self, tmp_path, capsys):
+        # sigma_q = c_q sqrt(q!): the --cs model and its optimum are those of
+        # --sigmas with the converted values
+        spec = model.MixtureFunction((0.5, 0.7, 0.3)).to_spec()
+        args = cli._parse(["optimize", "--cs", "0.5,0.7,0.3"])
+        assert cli._specs_from_args(args) == [("mix", spec)]
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["optimize", "--cs", "0.5,0.7,0.3", "--out", str(a)]) == 0
+        sigmas = ",".join(map(repr, spec.sigmas))
+        assert main(["optimize", "--sigmas", sigmas, "--out", str(b)]) == 0
+        assert (a / "optimum.csv").read_bytes() == (b / "optimum.csv").read_bytes()
+
     def test_conflicting_spec_flags(self, tmp_path):
         assert main(["optimize", "--sk", "--sigmas", "0,1", "--out", str(tmp_path)]) == 2
 
@@ -761,6 +773,28 @@ class TestSampleAndFit:
         assert main(["fit-spec", str(instance_file), "--out", str(tmp_path / "fit")]) == 0
         assert "sigmas:" in capsys.readouterr().out
 
+    def test_sample_writes_the_instance_text_in_blocks(self, tmp_path, monkeypatch):
+        # 30 + 435 + 4060 coupling lines in blocks of at most 100
+        monkeypatch.setattr(model, "_TEXT_BLOCK", 100)
+        pieces = []
+        write_lines = cli._Outputs.write_lines
+
+        def recording(self, name, lines):
+            if name.endswith(".txt"):
+                lines = (pieces.append(piece) or piece for piece in lines)
+            write_lines(self, name, lines)
+
+        monkeypatch.setattr(cli._Outputs, "write_lines", recording)
+        argv = ["sample", "--sigmas", "0.3,0.5,1.0", "--n", "30", "--seed", "7",
+                "--out", str(tmp_path)]
+        assert main(argv) == 0
+        spec = model.make_mixture_spec(3, [0.3, 0.5, 1.0])
+        text = model.instance_to_text(model.sample_instance(spec, 30, 7))
+        assert (tmp_path / "instance_mix_n30_seed7.txt").read_bytes() == text.encode()
+        assert "".join(pieces) == text
+        assert len(pieces) == 1 + 1 + 5 + 41
+        assert max(piece.count("\n") for piece in pieces) == 100
+
 
 class TestVerifyCommand:
     def test_quick_passes(self, tmp_path, capsys):
@@ -1208,12 +1242,12 @@ def test_every_benchmark_command_is_read_without_argparse(monkeypatch):
 def test_grid_csv_is_written_a_row_at_a_time(tmp_path):
     betas, gammas = np.array([0.0, 0.5, 1.0]), np.array([-1.0, 1.0])
     values = np.array([[0.0, 0.25], [0.125, -0.5], [1e-300, 2.0]])
-    lines = cli._grid_csv(betas, gammas, values)
+    lines = cli._grid_csv(betas, gammas, values.__getitem__)
     assert next(lines) == "beta,-1.0,1.0\n"
     rest = list(lines)
     assert rest == ["0.0,0.0,0.25\n", "0.5,0.125,-0.5\n", "1.0,1e-300,2.0\n"]
     with cli._Outputs(str(tmp_path)) as outputs:
-        outputs.write_lines("a.csv", cli._grid_csv(betas, gammas, values))
+        outputs.write_lines("a.csv", cli._grid_csv(betas, gammas, values.__getitem__))
         outputs.write_text("b.csv", "beta,-1.0,1.0\n" + "".join(rest))
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert a.read_bytes() == b.read_bytes()

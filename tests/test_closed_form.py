@@ -10,8 +10,6 @@ import pytest
 from msqaoa import closed_form, optimizer, verify
 from msqaoa.closed_form import (
     Angles,
-    d3_stationarity_residuals,
-    energy_derivatives,
     energy_mixture_form,
     energy_sigma_form,
     energy_sigma_grid,
@@ -23,6 +21,15 @@ SK = make_mixture_spec(2, [0, 1])
 D3 = make_mixture_spec(3, [0, 0, math.sqrt(3)])
 SK_OPT = Angles(math.pi / 8, -0.5)
 D3_OPT = Angles(0.290003, -0.430091)
+
+
+def derivatives(spec, angles):
+    """``closed_form._derivatives_at`` at an ``Angles``: the value, the
+    gradient (dE/db, dE/dg) and the Hessian entries (E_bb, E_bg, E_gg)."""
+    value, e_b, e_g, e_bb, e_bg, e_gg = closed_form._derivatives_at(
+        spec._xi_coefficients, damping_rate(spec), angles.beta, angles.gamma
+    )
+    return value, (e_b, e_g), (e_bb, e_bg, e_gg)
 
 
 def energy_pure_d(d, angles):
@@ -204,7 +211,7 @@ def _dense_mixtures(count=8, seed=41):
 
 
 class TestOneRecurrence:
-    """``energy_derivatives``' value is ``energy_sigma_form``'s, compared by
+    """``_derivatives_at``'s value is ``energy_sigma_form``'s, compared by
     ``repr``, so the optimizer's scan, line search, convergence test and
     reported value all see one function."""
 
@@ -217,7 +224,7 @@ class TestOneRecurrence:
     def test_derivatives_value_is_the_sigma_form(self, spec):
         for b, g in itertools.product(EXTREME_BETAS, EXTREME_GAMMAS):
             ang = Angles(b, g)
-            assert repr(energy_derivatives(spec, ang).value) == repr(
+            assert repr(derivatives(spec, ang)[0]) == repr(
                 energy_sigma_form(spec, ang)
             ), (spec, b, g)
 
@@ -392,28 +399,32 @@ class TestDegreesAbove20:
 
 class TestStationarity:
     def test_residuals_at_quoted_optimum(self):
-        res = d3_stationarity_residuals(D3_OPT)
-        assert res.r1 is not None and abs(res.r1) < 1e-4
-        assert res.r2 is not None and abs(res.r2) < 1e-4
-        assert res.r3 is not None and abs(res.r3) < 1e-4
+        r1, r2, r3 = verify._d3_residuals(D3_OPT)
+        assert r1 is not None and abs(r1) < 1e-4
+        assert r2 is not None and abs(r2) < 1e-4
+        assert r3 is not None and abs(r3) < 1e-4
 
     def test_residuals_at_mirrored_optimum(self):
-        res = d3_stationarity_residuals(Angles(-0.290003, 0.430091))
-        assert all(abs(r) < 1e-4 for r in (res.r1, res.r2, res.r3))
+        res = verify._d3_residuals(Angles(-0.290003, 0.430091))
+        assert all(abs(r) < 1e-4 for r in res)
 
     def test_r1_defined_nonzero(self):
-        res = d3_stationarity_residuals(Angles(0.0, 1.0))
-        assert res.r1 is not None and res.r1 != 0.0
+        r1, _, _ = verify._d3_residuals(Angles(0.0, 1.0))
+        assert r1 is not None and r1 != 0.0
 
     def test_r3_domain_flag(self):
         # 4 gamma^2 < 2/3 leaves the radical negative
-        res = d3_stationarity_residuals(Angles(0.1, 0.1))
-        assert res.r3 is None
+        _, _, r3 = verify._d3_residuals(Angles(0.1, 0.1))
+        assert r3 is None
 
     def test_r1_domain_flag(self):
-        res = d3_stationarity_residuals(Angles(0.1, 0.1))
-        assert res.r1 is None
-        assert res.r2 is not None
+        r1, r2, _ = verify._d3_residuals(Angles(0.1, 0.1))
+        assert r1 is None
+        assert r2 is not None
+
+    def test_r1_and_r3_undefined_at_zero_gamma(self):
+        # no arccos at gamma = 0, and the radical is negative there
+        assert verify._d3_residuals(Angles(0.3, 0.0)) == [None, 4.0, None]
 
 
 NON_FINITE = [math.nan, math.inf, -math.inf]
@@ -423,7 +434,7 @@ NON_FINITE_ANGLES = [(v, 0.3) for v in NON_FINITE] + [(0.2, v) for v in NON_FINI
 
 class TestAnglesAreFinite:
     """``Angles`` refuses NaN and +-inf in either slot, so no entry point
-    that takes one (d3_stationarity_residuals and optimizer._canonical
+    that takes one (verify._d3_residuals and optimizer._canonical
     included) ever sees a non-finite angle."""
 
     @pytest.mark.parametrize("value", NON_FINITE, ids=["nan", "inf", "-inf"])
@@ -458,7 +469,7 @@ class TestNonFiniteAngles:
         with pytest.raises(ValidationError):
             energy_pure_d(3, Angles(*ang))
         with pytest.raises(ValidationError):
-            energy_derivatives(D3, Angles(*ang))
+            derivatives(D3, Angles(*ang))
 
 
 class TestHugeGamma:
@@ -473,7 +484,7 @@ class TestHugeGamma:
         assert energy_pure_d(2, ang) == 0.0
         assert energy_mixture_form(spec.mixture_function(), ang) == 0.0
         assert energy_sigma_form(spec, ang) == 0.0
-        assert energy_derivatives(spec, ang).value == 0.0
+        assert derivatives(spec, ang)[0] == 0.0
         assert (energy_sigma_grid(spec, [0.3, -1.1], [gamma, 0.5])[:, 0] == 0.0).all()
 
 
@@ -498,37 +509,36 @@ class TestEnergyDerivatives:
         h = 1e-6
         scale = 1 / math.sqrt(damping_rate(spec))
         for b, g in [(0.3, -0.4 * scale), (-1.1, 0.9 * scale), (0.05, 0.2 * scale)]:
-            der = energy_derivatives(spec, Angles(b, g))
-            assert der.value == pytest.approx(
+            value, gradient, hessian = derivatives(spec, Angles(b, g))
+            assert value == pytest.approx(
                 energy_sigma_form(spec, Angles(b, g)), rel=1e-12, abs=1e-15
             )
 
             def energy(db, dg):
                 return energy_sigma_form(spec, Angles(b + db, g + dg))
 
-            def gradient(db, dg):
-                return energy_derivatives(spec, Angles(b + db, g + dg)).gradient
+            def gradient_at(db, dg):
+                return derivatives(spec, Angles(b + db, g + dg))[1]
 
             diff_gradient = (
                 (energy(h, 0) - energy(-h, 0)) / (2 * h),
                 (energy(0, h) - energy(0, -h)) / (2 * h),
             )
-            d_db = [(p - m) / (2 * h) for p, m in zip(gradient(h, 0), gradient(-h, 0))]
-            d_dg = [(p - m) / (2 * h) for p, m in zip(gradient(0, h), gradient(0, -h))]
+            d_db = [(p - m) / (2 * h) for p, m in zip(gradient_at(h, 0), gradient_at(-h, 0))]
+            d_dg = [(p - m) / (2 * h) for p, m in zip(gradient_at(0, h), gradient_at(0, -h))]
             diff_hessian = (d_db[0], d_dg[0], d_dg[1])
-            tol = 1e-8 * (1 + max(abs(v) for v in der.hessian))
-            for exact, approx in zip(der.gradient, diff_gradient):
+            tol = 1e-8 * (1 + max(abs(v) for v in hessian))
+            for exact, approx in zip(gradient, diff_gradient):
                 assert abs(exact - approx) < tol
-            for exact, approx in zip(der.hessian, diff_hessian):
+            for exact, approx in zip(hessian, diff_hessian):
                 assert abs(exact - approx) < tol
-            assert abs(der.hessian[1] - d_db[1]) < tol
+            assert abs(hessian[1] - d_db[1]) < tol
 
     def test_zero_gradient_at_sk_optimum(self):
-        der = energy_derivatives(SK, SK_OPT)
-        assert math.hypot(*der.gradient) < 1e-15
-        hbb, hbg, hgg = der.hessian
+        _, gradient, (hbb, hbg, hgg) = derivatives(SK, SK_OPT)
+        assert math.hypot(*gradient) < 1e-15
         assert hbb > 0 and hbb * hgg - hbg * hbg > 0
 
     def test_huge_gamma_gives_non_finite_entries_without_raising(self):
-        der = energy_derivatives(SK, Angles(0.3, -1e200))
-        assert not all(math.isfinite(v) for v in der.hessian)
+        _, _, hessian = derivatives(SK, Angles(0.3, -1e200))
+        assert not all(math.isfinite(v) for v in hessian)

@@ -18,7 +18,6 @@ from msqaoa.model import (
     cost,
     damping_rate,
     estimate_spec,
-    from_mixture_function,
     instance_from_text,
     instance_to_text,
     make_mixture_spec,
@@ -81,8 +80,8 @@ class TestMixtureSpec:
         [
             lambda: make_mixture_spec(1, [1e200]),  # sigma^2 overflows
             lambda: make_mixture_spec(2, [1e154, 1e154]),  # the rate sum overflows
-            lambda: from_mixture_function(1, [1e300]),
-            lambda: from_mixture_function(3, [0.0, 0.0, 1e154]),  # sigma = c sqrt(3!)
+            lambda: MixtureFunction((1e300,)).to_spec(),
+            lambda: MixtureFunction((0.0, 0.0, 1e154)).to_spec(),  # sigma = c sqrt(3!)
         ],
     )
     def test_overflowing_damping_rate_rejected(self, build):
@@ -123,11 +122,11 @@ class TestDegreeRange:
             lambda d: MixtureSpec(d, (0.5,) * d),
             lambda d: MixtureFunction((0.5,) * d),
             lambda d: make_mixture_spec(d, [0.5] * d),
-            lambda d: from_mixture_function(d, [0.5] * d),
+            lambda d: MixtureFunction((0.5,) * d).to_spec(),
             pure_d_spec,
         ],
         ids=["MixtureSpec", "MixtureFunction", "make_mixture_spec",
-             "from_mixture_function", "pure_d_spec"],
+             "MixtureFunction.to_spec", "pure_d_spec"],
     )
     def test_range(self, build):
         assert build(MAX_DEGREE).d == MAX_DEGREE
@@ -148,16 +147,16 @@ class TestDegreeRange:
 class TestMixtureFunction:
     def test_sk_coefficients(self):
         # c_2 = 1/sqrt(2) gives sigma_2 = 1
-        spec = from_mixture_function(2, [0, 1 / math.sqrt(2)])
+        spec = MixtureFunction((0, 1 / math.sqrt(2))).to_spec()
         assert spec.sigmas[1] == pytest.approx(1.0, rel=1e-15)
 
     def test_cubic_coefficients(self):
         # xi(x) = x^3/2 is the sigma_3 = sqrt(3) model
-        spec = from_mixture_function(3, [0, 0, 1 / math.sqrt(2)])
+        spec = MixtureFunction((0, 0, 1 / math.sqrt(2))).to_spec()
         assert spec.sigmas[2] == pytest.approx(math.sqrt(3), rel=1e-15)
 
     def test_degree_one(self):
-        assert from_mixture_function(1, [2]).sigmas == (2.0,)
+        assert MixtureFunction((2,)).to_spec().sigmas == (2.0,)
 
     def test_xi_at_one_positive(self):
         xi = make_mixture_spec(3, [0.3, 0.5, 1.0]).mixture_function()
@@ -192,10 +191,6 @@ class TestMixtureFunction:
     def test_bad_coefficients_rejected(self, cs, message):
         with pytest.raises(ValidationError, match=message):
             MixtureFunction(cs)
-
-    def test_coefficient_count_must_match_d(self):
-        with pytest.raises(ValidationError, match="expected 3 coefficients, got 2"):
-            from_mixture_function(3, [0.1, 0.2])
 
 
 class TestSampling:

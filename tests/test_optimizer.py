@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from msqaoa import optimizer, verify
 from msqaoa.closed_form import (
     Angles,
-    d3_stationarity_residuals,
     damping_rate,
     energy_sigma_form,
     energy_sigma_grid,
@@ -523,8 +522,8 @@ class TestNewtonPolish:
         assert repr(opt.value) == repr(-1 / math.sqrt(4 * math.e))
 
     def test_d3_stationarity_residuals(self):
-        res = d3_stationarity_residuals(optimize_closed_form(D3).angles)
-        assert all(r is not None and abs(r) < 1e-10 for r in (res.r1, res.r2, res.r3))
+        res = verify._d3_residuals(optimize_closed_form(D3).angles)
+        assert all(r is not None and abs(r) < 1e-10 for r in res)
 
     @pytest.mark.parametrize("d", range(2, 25))
     def test_pure_d_converges(self, d):

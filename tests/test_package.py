@@ -13,7 +13,6 @@ import msqaoa
 
 PUBLIC = [
     "Angles",
-    "EnergyDerivatives",
     "MixtureFunction",
     "MixtureSpec",
     "MomentGrid",
@@ -24,14 +23,11 @@ PUBLIC = [
     "approximation_factor",
     "build_phase_table",
     "cost",
-    "d3_stationarity_residuals",
-    "energy_derivatives",
     "energy_mixture_form",
     "energy_sigma_form",
     "energy_sigma_grid",
     "estimate_spec",
     "expectation",
-    "from_mixture_function",
     "landscape_instance",
     "make_mixture_spec",
     "optimize_closed_form",
