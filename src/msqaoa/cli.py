@@ -34,14 +34,14 @@ file and gains nothing.
 A landscape CSV holds every grid value as its ``repr``.  A grid of at
 least ``_REPR_MIN_VALUES`` (256) values gets those bytes from one vectorized
 kernel, ``_repr_rows``, a block of rows at a time: it scales each value
-exactly to 17 digits (Dekker's two-product), finds the shortest decimal
-inside its half-ulp interval, as Steele & White and Gay do, and lays out
-repr's text with numpy word operations.  A value it cannot certify takes
-``float.__repr__``, and so does every value of a smaller grid, below which
-the kernel's fixed cost of about 0.1 ms loses.  The ``infinite`` mode
+exactly to 17 digits (Dekker's two-product), takes the shortest decimal
+inside its half-ulp interval (Steele & White, Gay) from one table lookup,
+and lays out repr's text with word masks and shifts, each of some 100 numpy
+passes writing into one workspace of 16 float64s a value.  A value it cannot
+certify takes ``float.__repr__``, and so does every value of a smaller grid,
+below which its fixed cost (0.1-0.2 ms) loses.  The ``infinite`` mode
 evaluates its grid in the same blocks of at most 2^16 values, so a 4096 x
-4096 landscape peaks at 46 MB ``ru_maxrss``, not 802 MB, and takes 5.3 s,
-not 19.8 s (2-vCPU Xeon).
+4096 landscape peaks at 46 MB ``ru_maxrss``, not 802 MB (2-vCPU Xeon).
 
 ``_COMMANDS`` holds every command's flags once, as data.  ``main`` reads a
 clean argv straight from it, building no argparse parser: a command, then
@@ -324,18 +324,19 @@ class _Outputs:
 
 
 # A grid of fewer values than this is written with one repr per value: a call
-# of _repr_rows costs about 0.1 ms before its first value; with the beta
-# column, 13 x 13 (182 values) ran 0.72x as fast as repr and 17 x 17 (306)
-# 1.13x (medians of 60 interleaved rounds, 2-vCPU Xeon).
+# of _repr_rows costs some 250 reprs before its first value, then a seventh
+# of one a value; with the beta column, 15 x 15 (240 values) ran 0.96x as fast
+# as repr and 16 x 16 (272) 1.18x (medians of 300 interleaved rounds, 2-vCPU Xeon).
 _REPR_MIN_VALUES = 256
-# The most values one _repr_chunk call formats: its arrays stay at 64 kB, in
-# cache and below malloc's mmap threshold, where 16384 values ran 1.5x slower
-# a value; chunks of 2048 split the benchmark's larger grids in two calls and
-# its op_tail_ms read 1.79 against 1.63 ms (2-vCPU Xeon).
+# The most values one _repr_chunk call formats, for a workspace of 1 MiB at
+# most: chunks of 4096 split the benchmark's 65 x 65 grids in two calls and
+# took 1.25x as long; on 256 x 256 values 16384 gained 5% and 32768 lost 9%
+# (2-vCPU Xeon).
 _REPR_CHUNK = 8192
 # How far (in units of the 17th significant digit) every decision of
 # _repr_chunk must sit from its threshold; its arithmetic errs by < 1e-13.
 _REPR_MARGIN = 2.0 ** -20
+_REPR_ROWS = 16  # the float64 rows of _repr_chunk's workspace, each a chunk long
 # The most grid values a landscape evaluates and formats as one block of rows
 _GRID_BLOCK = 1 << 16
 # Output words are little-endian uint64, so byte k of a word is its k-th character
@@ -350,22 +351,17 @@ def _repr_tables() -> dict:
     -1021 (normal values), where bump is 1 when |v| is at least ``th[k]``,
     the smallest double >= 10^(e0 + 1): then 10^e <= |v| < 10^(e + 1) for
     e = e0 + bump, e0 = floor((x - 1) log10 2), which no float error moves,
-    since (x - 1) log10 2 stays 4.5e-4 or more from every nonzero integer.  With j = 16 - e, ``p2`` is 2^j and 5^j is the double-double
-    ``ph`` + ``pl`` (``b1`` + ``b2`` is ``ph`` split for Dekker's product,
-    all exact integer arithmetic); ``half`` is half an ulp times 10^j.
-    """
+    since (x - 1) log10 2 stays 4.5e-4 or more from every nonzero integer.
+    With j = 16 - e, ``scale`` holds 2^j, 5^j as the double-double ph + pl
+    with ph split as b1 + b2 (exact integer arithmetic), and half an ulp
+    times 10^j, and ``rows`` the same as one record a row."""
     ph, pl = [], []
     for j in range(-307, 341):  # every j and every e + 1 below
-        if j >= 0:
-            hi = float(5**j)
-            ph.append(hi)
-            pl.append(float(5**j - int(hi)))
-        else:
-            five = 5**-j
-            hi = 1 / five
-            num, den = hi.as_integer_ratio()
-            ph.append(hi)
-            pl.append((den - num * five) / (den * five))
+        num, den = (5**j, 1) if j >= 0 else (1, 5**-j)
+        hi = num / den
+        a, b = hi.as_integer_ratio()
+        ph.append(hi)
+        pl.append((num * b - a * den) / (den * b))  # 5^j - hi, rounded once
     ph, pl = np.array(ph), np.array(pl)
     split = ph * 134217729.0  # 2^27 + 1
     b1 = split - (split - ph)
@@ -376,167 +372,171 @@ def _repr_tables() -> dict:
     # 2^(e0 + 1) 5^(e0 + 1), rounded up where 5^(e0 + 1) was rounded down
     tens = np.ldexp(ph[e0 + 308], e0 + 1)
     th = np.where(pl[e0 + 308] > 0, np.nextafter(tens, np.inf), tens)
-    # The text of a value, byte 0 saved for its sign, by form and p, its
-    # number of significant digits.  The forms: e = 0..15 (digits, a dot
-    # after digit e + 1, then digits, or "0" to the dot and after it), 15 - e
-    # for e = -4..-1 ("0.", -1 - e zeros, digits) and 20 (a digit, a dot and
-    # the rest if p > 1, then the exponent word).  Of the 17 digits, those
-    # before the cut go one byte up (the head), the rest of the first p
-    # (the tail) go up by the dot and "0.000"; the constant bytes add the
-    # dot, "0.000" and the zeros of 1000.0.
+    scale = np.column_stack((  # p2, ph, pl, b1, b2, half
+        np.ldexp(1.0, 16 - e), ph[j], pl[j], b1[j], (ph - b1)[j], np.ldexp(ph[j], 16 - e + xs - 54)))
+    # The text in four words behind a sign byte at row 17 form + p - 1 for p
+    # significant digits (row 357: "0.0").  Forms: e = 0..15 (a dot after
+    # digit e + 1, the rest or one 0), 15 - e for e = -4..-1 ("0.", -1 - e
+    # zeros, the digits), 20 (a digit, a dot if p > 1, the rest, and the
+    # exponent).  Masks take the head (one byte up) and the tail (``shift``
+    # bytes up); constant bytes add the dot and "0.000".
     form = np.repeat(np.arange(21), 17)[:, None]
     p = np.tile(np.arange(1, 18), 21)[:, None]
-    cut = np.where(form < 16, form + 1, np.where(form < 20, 0, 1))
-    keep = np.where(form < 16, np.maximum(p, form + 2), p)
-    shift = np.where((form < 16) | (form == 20), 2, form - 13)
-    i = np.arange(24)
-    constant = np.where(
-        ((1 + p <= i) & (i < 1 + cut)) | ((shift + np.maximum(cut, p) <= i) & (i < shift + keep))
-        | ((form >= 16) & (form < 20) & (i < shift) & (i != 2) & (i > 0)), 48,
-        np.where((i == 1 + cut) & ((form < 16) | ((form == 20) & (p > 1))), 46,
-                 np.where((form >= 16) & (form < 20) & (i == 2), 46, 0)))
-    layout = np.concatenate([
-        (i < np.minimum(cut, p)) * 255, ((cut <= i) & (i < p)) * 255, constant,
-    ], axis=1).astype(np.uint8).view(_WORD).T
-    layout = np.concatenate([layout, 8 * shift.T.astype(_WORD)])
+    small = (form >= 16) & (form < 20)
+    cut = np.where(form < 16, form + 1, np.where(small, 0, 1))
+    shift = np.where(small, form - 13, 2)
+    dot = np.where(form < 16, cut + 1, np.where(small | (p > 1), 2, -1))
+    i = np.arange(32)
+    layout = np.zeros((4, 358, 32), np.uint8)  # head, tail, constant bytes, shift
+    layout[0, :357] = (i < cut) * 255
+    layout[1, :357] = ((cut <= i) & (i < np.where(form < 16, np.maximum(p, cut + 1), p))) * 255
+    layout[2, :357] = np.where(i == dot, 46, np.where(small & (i > 0) & (i < shift), 48, 0))
+    layout[2, 357, 1:4] = list(b"0.0")
+    layout = layout.view(_WORD)
+    layout[3] = 8 * np.append(shift, 2)[:, None]  # in bits, in every word
     es = np.arange(-308, 309)
     by_e = np.where((es >= 0) & (es < 16), es, np.where((es < 0) & (es >= -4), 15 - es, 20))
-    exponent = np.frombuffer(b"".join(
-        (b"" if -4 <= v < 16 else b"e%+03d" % v).ljust(8, b"\0") for v in es.tolist()), _WORD)
-    digits = np.zeros((10000, 8), np.uint8)  # "0000".."9999" in the low half of a word
-    digits[:, :4] = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + 48
+    exponent = np.frombuffer(b"".join(  # the last word: bytes 2..6, and a comma
+        (b"" if -4 <= v < 16 else b"e%+03d" % v).rjust(7, b"\0") + b"," for v in es.tolist()), _WORD)
+    digits = ((np.arange(10000)[:, None] // 10 ** np.arange(3, -1, -1) % 10 + 48) @ 256 ** np.arange(4)).astype(_WORD)
+    t5 = np.arange(10**5)  # 16 - the trailing zeros of t5 (11 for 0)
+    zeros = 16 - sum(t5 % 10**z == 0 for z in range(1, 6))
+    # f - base by b = big - base in -24..123 (|lo| < 20), top, low and r >=
+    # 1/2: of big + low + 1..big + top - 1, with s their most trailing zeros
+    # up to 2, the one nearest y, the multiple of 10 nearest y or of 100.
+    b, top, low, up = np.ix_(np.arange(-24, 124), np.arange(1, 14), np.arange(-12, 1), np.arange(2))
+    high = b + top - 1
+    s = (high % 10 < top - low - 1) * 1 + (high % 100 < top - low - 1)
+    h10 = high // 10
+    nearest = np.where(s == 0, b + up, np.where(s == 1, (h10 - (b - 10 * h10 <= -6)) * 10, high - high % 100))
     return {
-        "th": th, "scale": np.column_stack((
-            np.ldexp(1.0, 16 - e), ph[j], pl[j], b1[j], (ph - b1)[j], np.ldexp(ph[j], 16 - e + xs - 54))),
-        "exponent": exponent[e + 308], "form": 17 * by_e[e + 308], "layout": layout,
-        "digits": digits.view(_WORD)[:, 0],
-        "tens": 10.0 ** np.arange(1, 15), "pow10": 10 ** np.arange(18, dtype=np.int64),
+        "th": th, "scale": scale, "rows": scale.view(np.dtype((np.void, 48)))[:, 0],
+        "tail": exponent[e + 308], "form": 17 * by_e[e + 308], "layout": layout.view("V32")[..., 0],
+        "low": digits, "high": digits << 32, "zeros": zeros.astype(np.int8),
+        "nearest": nearest.astype(np.int16).ravel(), "pow10": 10 ** np.arange(1, 17),
     }
 
 
-def _repr_chunk(x: np.ndarray, ends: np.ndarray) -> bytes:
-    """The bytes of ``repr(v) + end`` for each float64 ``v`` of ``x``, with
-    ``ends[i]`` the byte after value i shifted into the top byte of a word.
-
-    1. Scale exactly: with 10^e <= |v| < 10^(e + 1) and j = 16 - e, y = |v|
-       10^j = (|v| 2^j) 5^j as hi + lo, by Dekker's two-product with 5^j a
-       double-double; big = floor(y), r = y - big.
-    2. y -+ h, h half an ulp of v times 10^j (0.55 <= h < 11.2 for a normal
-       v), bounds the decimals that read back as v: the integers of (low,
-       high], those strictly inside, w = high - low <= 23 of them.  Round
-       half even on reading would also take an end of even v: one within the
-       margin of an integer is left out, and v falls back if that integer
-       has more trailing zeros than the answer.
-    3. The shortest round-trip text has p = 17 - s digits, s the most
-       trailing zeros of an integer in (low, high], which at s >= 2 is the
-       one multiple of 10^s there: high mod 10^s < w.  At s <= 1 there may
-       be two, and repr takes the one nearest y, so a near tie falls back.
-    4. Lay out repr's text in three words behind a byte for the sign: the
-       17 digits, cut at the dot, the head one byte up, the tail (the rest
-       of the first p) up by that byte and the dot or "0.000", and constant
-       bytes for the dot, "0.000" and the zeros of 1000.0; a fourth word
-       holds "e+XX" and the end byte.  Then drop every NUL byte.
-
-    Zeros are written here; a value the chunk cannot certify takes
-    ``float.__repr__``: non-finite, subnormal, a power of two (its interval
-    is lopsided), near a tie or an end, or y rounded out of [1e16, 1e17).
-    """
-    t = _repr_tables()
-    margin = _REPR_MARGIN
-    ax = np.abs(x)
-    mant, ex = np.frexp(ax)
-    ok = (mant > 0.5) & (mant < 1) & (ex >= -1021)  # no zero, NaN, inf or power of two
-    ax = np.where(ok, ax, 1.5)
-    k = 2 * np.where(ok, ex, 1) + 2042
-    k += ax >= t["th"].take(k)
-    # 1. y = hi + lo
-    p2, ph, pl, b1, b2, half = t["scale"].take(k, axis=0).T
-    a = ax * p2
-    hi = a * ph
-    split = a * 134217729.0
-    a1 = split - (split - a)
-    a2 = a - a1
-    lo = ((a1 * b1 - hi) + a1 * b2 + a2 * b1) + a2 * b2 + a * pl
-    floor_lo = np.floor(lo)
-    r = lo - floor_lo
-    big = hi.astype(np.int64) + floor_lo.astype(np.int64)
-    # 2. (low, high]
-    below = r - half + margin
-    above = r + half - margin
-    low = np.floor(below)
-    top = np.ceil(above)
-    near = (below - low < 2 * margin) | (top - above < 2 * margin)
-    high = big + top.astype(np.int64) - 1
-    w = (top - low).astype(np.int64) - 1
-    # 3. s, and f: the digits, as a 17-digit integer
-    h10 = high // 10
-    h100 = h10 // 10
-    m100 = high - h100 * 100
-    s = (high - h10 * 10 < w).astype(np.int64) + (m100 < w)
-    deep = np.flatnonzero(m100 < w)
-    if deep.size:  # add the trailing zeros of high // 100 (< 10^15, so exact as a float)
-        rest = h100.take(deep).astype(float)[:, None] / t["tens"]
-        s[deep] += (rest == np.floor(rest)).sum(axis=1)
-    # at s = 1, the multiple of 10 nearest y is h10 10 or the one below it
-    tie1 = 2 * r - 1
-    tie10 = 2 * (big - h10 * 10) + 2 * r + 10
-    f = np.where(s == 0, big + (tie1 > 0), np.where(s == 1, (h10 - (tie10 < 0)) * 10, high))
-    ok &= (np.abs(np.where(s == 0, tie1, tie10)) > margin) | (s > 1)
-    ok &= (f >= 10**16) & (f < 10**17)
-    edge = np.flatnonzero(near & ok)
-    if edge.size:
-        shorter = t["pow10"].take(s.take(edge) + 1)
-        low = big.take(edge) + low.take(edge).astype(np.int64)
-        ok[edge] = (low % shorter != 0) & ((high.take(edge) + 1) % shorter != 0)
-    f = np.where(ok, f, 10**16)
-    # 4. the text
-    q0 = f // 10**13
-    r0 = f - q0 * 10**13
-    q1 = r0 // 10**9
-    r1 = r0 - q1 * 10**9
-    q2 = r1 // 10**5
-    r2 = r1 - q2 * 10**5
-    q3 = r2 // 10
-    lut = t["digits"]
-    digits = np.empty((3, x.size), _WORD)
-    digits[0] = lut.take(q0) | (lut.take(q1) << 32)
-    digits[1] = lut.take(q2) | (lut.take(q3) << 32)
-    digits[2] = r2 - q3 * 10 + 48
-    layout = t["layout"].take(t["form"].take(k) + 16 - s, axis=1)
-    out = np.empty((4, x.size), _WORD)
-    text = out[:3]
-    head = digits & layout[0:3]
-    np.left_shift(head, 8, out=text)
-    text[1:] |= head[:2] >> 56
-    tail = digits & layout[3:6]
-    text |= tail << layout[9]
-    text[1:] |= tail[:2] >> (64 - layout[9])
-    text |= layout[6:9]
-    sign = np.signbit(x).astype(_WORD) * 45
-    text[0] |= sign
-    out[3] = t["exponent"].take(k) | ends
-    out = out.T
-    zero = np.flatnonzero(x == 0)
-    out[zero, 0] = sign.take(zero) | int.from_bytes(b"\0" + b"0.0", "little")
-    out[zero, 1:3] = 0
-    for i in np.flatnonzero(~ok & (x != 0)).tolist():
-        last = int(ends[i]) >> 56
-        out[i] = np.frombuffer((float.__repr__(float(x[i])) + chr(last)).encode().ljust(32, b"\0"), _WORD)
+def _repr_chunk(x: np.ndarray, ends: slice, work: np.ndarray) -> bytes:
+    """The bytes of ``repr(v) + ","`` for each float64 ``v`` of ``x``, with
+    a newline for the comma after ``x[ends]``; every pass writes into
+    ``work``, ``_REPR_ROWS`` float64s a value.  Steps 1-4: y = |v| 10^j
+    exactly as hi + lo, big = floor(y), r = y - big; the interval y -+ h (h
+    half an ulp of v times 10^j, 0.55 <= h < 11.2); the digits f of the
+    integer inside with the most trailing zeros, the one nearest y if two;
+    the text.  Round half even would also take an end of even v: one
+    within the margin of an integer is left out, and v falls back if it has
+    more trailing zeros than f.  Zeros are written here; ``float.__repr__``
+    takes a value that is non-finite, subnormal, a power of two (its
+    interval is lopsided), near a tie or an end, or rounded out of [1e16,
+    1e17)."""
+    t, margin, n = _repr_tables(), _REPR_MARGIN, x.size
+    block = work[:_REPR_ROWS * n].reshape(_REPR_ROWS, n)
+    w, wi, wb = list(block), list(block.view(np.int64)), list(block.view(np.bool_)[:, :n])
+    # 1. a value that is no normal non-power of two scales as 1.2345678901234567
+    ax = np.abs(x, out=w[0])
+    mant, ex = np.frexp(ax, out=(w[1], w[2].view(np.int32)[:n]))
+    ok = np.logical_and(np.greater(mant, 0.5, out=wb[13]), np.less(mant, 1, out=wb[14]), out=wb[13])
+    ok &= np.greater_equal(ex, -1021, out=wb[14])
+    np.copyto(ax, 1.2345678901234567, where=np.logical_not(ok, out=wb[14]))
+    np.copyto(ex, 1, where=wb[14])
+    k = np.add(np.multiply(ex, 2, out=wi[12]), 2042, out=wi[12])
+    k += np.greater_equal(ax, t["th"].take(k, out=w[3], mode="clip"), out=wb[14])
+    rows = t["rows"].take(k, out=block[4:10].reshape(-1).view(t["rows"].dtype), mode="clip")
+    p2, ph, pl, b1, b2, half = rows.view(np.float64).reshape(n, 6).T
+    a = np.multiply(ax, p2, out=w[0])
+    hi = np.multiply(a, ph, out=w[1])
+    a1 = np.multiply(a, 134217729.0, out=w[2])
+    np.subtract(a1, np.subtract(a1, a, out=w[3]), out=a1)
+    a2 = np.subtract(a, a1, out=w[3])
+    lo = np.subtract(np.multiply(a1, b1, out=w[10]), hi, out=w[10])
+    for u, v in ((a1, b2), (a2, b1), (a2, b2), (a, pl)):
+        lo += np.multiply(u, v, out=w[11])
+    fl = np.floor(lo, out=w[11])
+    r = np.subtract(lo, fl, out=w[10])
+    # 2. the ends' distances to the integers outside, and r near 0, 1/2 or 1
+    hm = np.subtract(half, margin, out=w[2])
+    below, above = np.subtract(r, hm, out=w[0]), np.add(r, hm, out=w[3])
+    low, top = np.floor(below, out=w[4]), np.ceil(above, out=w[5])
+    below -= low
+    near = np.less(np.minimum(below, np.subtract(top, above, out=above), out=below), 2 * margin, out=wb[6])
+    odd = np.abs(np.subtract(r, 0.5, out=w[0]), out=w[0])
+    odd -= 0.25
+    check = np.logical_or(np.greater_equal(np.abs(odd, out=odd), 0.25 - margin, out=wb[7]), near, out=wb[7])
+    # 3. f = base + nearest[cell], base = int(hi) - hb, hb = int(hi) mod 100
+    base = np.trunc(hi, out=wi[8], casting="unsafe")
+    hb = np.subtract(base, np.multiply(np.floor_divide(base, 100, out=wi[9]), 100, out=wi[9]), out=wi[9])
+    base -= hb
+    cell = np.add(hb, fl, out=w[0])
+    for factor, term in ((13, top), (13, low), (2, np.greater_equal(r, 0.5, out=wb[3]))):
+        np.add(np.multiply(cell, factor, out=cell), term, out=cell)
+    cell += 24 * 338 - 2
+    np.copyto(wi[9], cell, casting="unsafe")
+    f = np.add(base, t["nearest"].take(wi[9], out=w[2].view(np.int16)[:n], mode="clip"), out=wi[15])
+    ok &= np.less(np.subtract(f, 10**16, out=wi[0]).view(np.uint64), 9 * 10**16, out=wb[14])
+    edge = np.logical_and(check, ok, out=check).nonzero()[0]
+    if edge.size:  # step 2's ties and ends, with s the trailing zeros of f
+        big = hi.take(edge).astype(np.int64) + fl.take(edge).astype(np.int64)
+        r, low, top, near = r.take(edge), low.take(edge).astype(np.int64), top.take(edge).astype(np.int64), near.take(edge)
+        s = (f.take(edge)[:, None] % t["pow10"] == 0).sum(axis=1)
+        high = big + top - 1
+        tie = np.where(s == 0, 2 * r - 1, 2 * (big - high // 10 * 10) + 2 * r + 10)
+        ok[edge] &= ((np.abs(tie) > margin) | (s > 1)) & (~near | (
+            ((big + low) % 10 ** (s + 1) != 0) & ((high + 1) % 10 ** (s + 1) != 0)))
+    # 4. f = (10^4 a8 + b4) 10^5 + t5, and a8, b4, t5 // 10 in 4-digit groups
+    q5 = np.floor_divide(f, 10**5, out=wi[0])
+    t5 = np.subtract(f, np.multiply(q5, 10**5, out=wi[1]), out=wi[1])
+    a8 = np.floor_divide(q5, 10**4, out=wi[2])
+    first, second = block[4:6].view(np.int64), block[6:8].view(np.int64)  # groups that start and end a word
+    np.floor_divide(a8, 10**4, out=first[0])
+    np.subtract(a8, np.multiply(first[0], 10**4, out=second[0]), out=second[0])
+    np.subtract(q5, np.multiply(a8, 10**4, out=first[1]), out=first[1])
+    np.floor_divide(t5, 10, out=second[1])
+    last = np.subtract(t5, np.multiply(second[1], 10, out=wi[14]), out=wi[14])
+    t["low"].take(first, out=block[8:10].view(_WORD), mode="clip")
+    t["high"].take(second, out=block[10:12].view(_WORD), mode="clip")
+    digits = block[4:8].reshape(n, 4).view(_WORD)
+    np.bitwise_or(block[8:10].view(_WORD), block[10:12].view(_WORD), out=digits[:, :2].T)
+    np.add(last, 48, out=digits[:, 2].view(np.int64))
+    lay = t["form"].take(k, out=wi[15], mode="clip")  # 17 form + 16 - s
+    lay += t["zeros"].take(t5, out=wb[3].view(np.int8), mode="clip")
+    deep = (t5 == 0).nonzero()[0]
+    if deep.size:  # five trailing zeros or more
+        lay[deep] -= (q5.take(deep)[:, None] % t["pow10"] == 0).sum(axis=1)
+    np.copyto(lay, 357, where=np.equal(x, 0, out=wb[14]))
+    ok |= wb[14]
+    # 5. the text
+    head, tail, const, shift = t["layout"]
+    words = block[0:4].reshape(-1).view(head.dtype)
+    hd = head.take(lay, out=words, mode="clip").view(_WORD).reshape(n, 4)
+    tl = tail.take(lay, out=block[8:12].reshape(-1).view(head.dtype), mode="clip").view(_WORD).reshape(n, 4)
+    hd &= digits
+    tl &= digits
+    out = np.left_shift(hd, 8, out=np.empty((n, 4), _WORD))
+    flat = out.reshape(-1)
+    flat[1:] |= np.right_shift(hd, 56, out=hd).reshape(-1)[:-1]  # a word's top byte to the next one
+    bits = shift.take(lay, out=words, mode="clip").view(_WORD).reshape(n, 4)
+    out |= np.left_shift(tl, bits, out=digits)
+    flat[1:] |= np.right_shift(tl, np.subtract(64, bits, out=bits), out=tl).reshape(-1)[:-1]
+    out |= const.take(lay, out=words, mode="clip").view(_WORD).reshape(n, 4)
+    out[:, 3] = t["tail"].take(k, out=wi[15].view(_WORD), mode="clip")
+    out[ends, 3] ^= (ord(",") ^ ord("\n")) << 56
+    out[:, 0] |= np.multiply(np.signbit(x, out=wb[14]), 45, out=wi[12], casting="unsafe").view(_WORD)
+    for i in np.logical_not(ok, out=ok).nonzero()[0].tolist():
+        text = float.__repr__(float(x[i])) + chr(int(out[i, 3]) >> 56)
+        out[i] = np.frombuffer(text.encode().ljust(32, b"\0"), _WORD)
     return out.tobytes().translate(None, b"\0")
 
 
 def _repr_rows(values: np.ndarray) -> str:
     """``"".join(",".join(map(repr, row)) + "\\n" for row in values.tolist())``
     for a 2-D float64 array, byte for byte, formatted by ``_repr_chunk`` in
-    chunks of at most ``_REPR_CHUNK`` values: 1.7-2.0x as fast as one repr
-    a value on closed-form grids of 2,200-4,300 values (2-vCPU Xeon)."""
-    ends = np.full(values.shape, ord(",") << 56, _WORD)
-    ends[:, -1] = ord("\n") << 56
-    flat, ends = values.ravel(), ends.ravel()
-    return b"".join(
-        _repr_chunk(flat[i:i + _REPR_CHUNK], ends[i:i + _REPR_CHUNK])
-        for i in range(0, flat.size, _REPR_CHUNK)
-    ).decode("ascii")
+    chunks of at most ``_REPR_CHUNK`` values through one workspace."""
+    cols, flat = values.shape[1], values.ravel()
+    size = min(flat.size, _REPR_CHUNK)
+    work = np.empty(_REPR_ROWS * size)
+    return b"".join(_repr_chunk(flat[i:i + size], slice(cols - 1 - i % cols, None, cols), work)
+                    for i in range(0, flat.size, size)).decode("ascii")
 
 
 def _grid_csv(betas: np.ndarray, gammas: np.ndarray, rows) -> Iterator[str]:

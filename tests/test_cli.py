@@ -1540,17 +1540,56 @@ def test_repr_kernel_tables_are_exact():
 
 
 def test_repr_kernel_tables_are_built_on_first_use():
+    # one beta and _REPR_MIN_VALUES - 1 gammas, then _REPR_MIN_VALUES: the
+    # largest grid written by repr and the smallest the kernel formats
     code = (
         "import msqaoa.cli as cli, tempfile\n"
         "assert cli._repr_tables.cache_info().currsize == 0\n"
         "cli.main(['optimize', '--sk', '--out', tempfile.mkdtemp()])\n"
-        "cli.main(['landscape', '--sk', '--beta=0:1:15', '--gamma=-1:1:15', '--out', tempfile.mkdtemp()])\n"
+        "grid = lambda count: ['--beta=0.3:0.3:1', f'--gamma=-1:1:{count}', '--out', tempfile.mkdtemp()]\n"
+        "cli.main(['landscape', '--sk', *grid(cli._REPR_MIN_VALUES - 1)])\n"
         "assert cli._repr_tables.cache_info().currsize == 0\n"
-        "cli.main(['landscape', '--sk', '--beta=0:1:16', '--gamma=-1:1:16', '--out', tempfile.mkdtemp()])\n"
+        "cli.main(['landscape', '--sk', *grid(cli._REPR_MIN_VALUES)])\n"
         "assert cli._repr_tables.cache_info().currsize == 1\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     subprocess.run([sys.executable, "-c", code], check=True, env=env, capture_output=True)
+
+
+def test_repr_kernel_peaks_under_32_times_its_input():
+    # the 11th slowest closed-form operation formats a grid like this one:
+    # 42 betas by 65 gammas with the beta column, 2,772 values in one chunk
+    import tracemalloc
+
+    betas, gammas = np.linspace(-math.pi / 4, math.pi / 4, 42), np.linspace(-1.5, 1.5, 65)
+    values = np.column_stack((betas, closed_form.energy_sigma_grid(model.pure_d_spec(5), betas, gammas)))
+    assert values.size == 2772 <= cli._REPR_CHUNK
+    repr_kernel()(values)  # the tables are built once, outside the trace
+    tracemalloc.start()
+    try:
+        assert repr_kernel()(values) == repr_rows(values)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * values.nbytes, peak / values.nbytes
+
+
+def test_repr_kernel_reuses_its_workspace_across_chunks(monkeypatch):
+    # chunks of 16 values through one workspace: a chunk of nothing but
+    # values that fall back to repr (non-finite, subnormal, powers of two,
+    # the margin's even ends, and ties: 10 v ends in .5, between two
+    # 17-digit decimals) comes just before a clean one with zeros in it,
+    # and the last chunk is short; rows of 7 end inside chunks
+    monkeypatch.setattr(cli, "_REPR_CHUNK", 16)
+    fallback = [math.nan, math.inf, -math.inf, 5e-324, -1e-310, 3 * 5e-324, 2.0**-1022, 0.5, -2.0,
+                1024.0, 2.0**100, 18014398509481992.0, -1e23, 1000000000000000.25, -1234567890123456.75, 4.0]
+    rng = np.random.default_rng(16)
+    clean = rng.uniform(-1, 1, 16) * 10.0 ** rng.integers(-6, 17, 16)
+    clean[[3, 11]] = 0.0, -0.0
+    values = np.concatenate([fallback, clean, rng.uniform(-1, 1, 17)]).reshape(7, 7)
+    assert values.size % 16 == 1
+    assert repr_kernel()(values) == repr_rows(values)
+    assert repr_kernel()(np.flip(values)) == repr_rows(np.flip(values))
 
 
 @pytest.mark.parametrize("mode", ["infinite", "finite:64", "instance:8:3"])
